@@ -30,15 +30,14 @@ from .errors import AlignmentError, LabelError, ParseError
 from .evaluation import (
     SweepGrid,
     SweepRow,
-    VersionInputs,
     VersionLabel,
     VersionOutcome,
     accuracy,
+    evaluate_grid,
     fdr,
     minimize_suite,
-    run_sweep,
-    run_version,
     score_tests,
+    sweep_rows,
 )
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, select
 from .risk_aggregation import OPERATORS, TestScore, aggregate, score_test

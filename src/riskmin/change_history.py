@@ -165,6 +165,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
             if header is None:
                 raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
             current = (header.group(1), int(header.group(2)))
+            if current[1] <= 0:
+                raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
             continue
         stat = _NUMSTAT_LINE.match(line)
         if stat is None:

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -46,15 +45,15 @@ from .errors import AlignmentError, LabelError, ParseError
 from .evaluation import (
     CANONICAL_BUDGETS,
     CANONICAL_HORIZONS,
+    GridCell,
     SweepGrid,
-    VersionInputs,
     VersionLabel,
     VersionOutcome,
     describe,
+    evaluate_grid,
     fdr,
     minimize_suite,
-    run_sweep,
-    run_version,
+    sweep_rows,
 )
 from .minimizer import Budget, check_result_invariants
 from .risk_aggregation import OPERATORS, OP_GMEAN
@@ -72,6 +71,8 @@ EXIT_ALIGNMENT = 5
 SELF_CHECK_ENV = "RISKMIN_SELF_CHECK"
 
 CHANGE_LOG_FORMATS = ("jsonl", "numstat")
+
+JOBS_HELP = "accepted for compatibility; versions are evaluated serially"
 
 OUTCOME_COLUMNS = ("version_id", "accuracy", "detected", "wall_time_s")
 SWEEP_COLUMNS = (
@@ -200,11 +201,19 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
         raise LabelError(f"malformed label JSON in {path}: {exc}")
     records = raw if isinstance(raw, list) else [raw]
     labels = []
-    for record in records:
+    for position, record in enumerate(records, start=1):
+        if not isinstance(record, dict):
+            raise LabelError(f"label record {position} in {path} is not a JSON object")
         for key in ("version_id", "as_of", "fault_revealing_tests"):
             if key not in record:
                 raise LabelError(f"label in {path} missing required key '{key}'")
-        fault_tests = frozenset(record["fault_revealing_tests"])
+        fault_list = record["fault_revealing_tests"]
+        if not isinstance(fault_list, list) or not all(isinstance(t, str) for t in fault_list):
+            raise LabelError(
+                f"version {record['version_id']!r} in {path}: "
+                "fault_revealing_tests must be a list of test id strings"
+            )
+        fault_tests = frozenset(fault_list)
         if not fault_tests:
             raise LabelError(
                 f"version {record['version_id']!r} has no fault-revealing tests"
@@ -299,44 +308,33 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _evaluate_outcomes(args: argparse.Namespace) -> tuple[list[VersionOutcome], dict[str, list[VersionOutcome]]]:
-    budget = Budget(args.budget)
-    tasks = []  # (project_id, callable)
+def _evaluate_manifests(
+    args: argparse.Namespace, grid: SweepGrid
+) -> tuple[list[GridCell], dict[str, list[VersionOutcome]]]:
+    """The grid's cells pooled over every manifest's labelled versions, and each project's outcomes.
+
+    Each project builds its dependency map once; that cost and the project's
+    ingestion time are charged to every one of its outcomes. A project with
+    no labelled versions adds nothing, so both are empty if none has any.
+    """
+    pooled: list[GridCell] = []
+    by_project: dict[str, list[VersionOutcome]] = {}
     for manifest_path in args.manifests:
         manifest = load_manifest(Path(manifest_path))
         inputs = load_project_inputs(manifest, args.format)
         labels = load_labels(manifest.labels_path, manifest.project_id)
+        if not labels:
+            continue
         dep_started = time.perf_counter()
         dep_map = build_dependency_map(inputs.graph, inputs.entries, inputs.test_class_filter)
         base_seconds = inputs.ingest_seconds + (time.perf_counter() - dep_started)
-        for label in labels:
-            tasks.append(
-                (
-                    manifest.project_id,
-                    lambda label=label, inputs=inputs, dep_map=dep_map: run_version(
-                        inputs.histories,
-                        inputs.graph,
-                        inputs.entries,
-                        label,
-                        metric=args.metric,
-                        half_life_days=args.horizon,
-                        operator=args.aggregate,
-                        budget=budget,
-                        test_class_filter=inputs.test_class_filter,
-                        dep_map=dep_map,
-                        extra_seconds=base_seconds,
-                    ),
-                )
-            )
-    if args.jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(lambda task: task[1](), tasks))
-    else:
-        outcomes = [run() for _, run in tasks]
-    by_project: dict[str, list[VersionOutcome]] = {}
-    for (project_id, _), outcome in zip(tasks, outcomes):
-        by_project.setdefault(project_id, []).append(outcome)
-    return outcomes, by_project
+        cells = evaluate_grid(inputs.histories, dep_map, labels, grid, base_seconds)
+        by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
+        # Every project's cells follow the grid order, so they pool position by position.
+        pooled = cells if not pooled else [
+            (key, pool + group) for (key, pool), (_, group) in zip(pooled, cells)
+        ]
+    return pooled, by_project
 
 
 def _stats_block(values: Sequence[float]) -> dict:
@@ -345,9 +343,16 @@ def _stats_block(values: Sequence[float]) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    outcomes, by_project = _evaluate_outcomes(args)
-    if not outcomes:
+    grid = SweepGrid(
+        metrics=(args.metric,),
+        horizons=(args.horizon,),
+        operators=(args.aggregate,),
+        budgets=(args.budget,),
+    )
+    pooled, by_project = _evaluate_manifests(args, grid)
+    if not pooled:
         raise LabelError("no labeled versions to evaluate")
+    ((_, outcomes),) = pooled
     rows = [
         (o.version_id, str(o.accuracy), "true" if o.detected else "false", str(o.wall_time))
         for o in outcomes
@@ -388,25 +393,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         operators=tuple(args.operators),
         budgets=tuple(args.budgets),
     )
-    dataset: list[VersionInputs] = []
-    for manifest_path in args.manifests:
-        manifest = load_manifest(Path(manifest_path))
-        inputs = load_project_inputs(manifest, args.format)
-        labels = load_labels(manifest.labels_path, manifest.project_id)
-        for label in labels:
-            dataset.append(
-                VersionInputs(
-                    histories=inputs.histories,
-                    graph=inputs.graph,
-                    entries=inputs.entries,
-                    label=label,
-                    test_class_filter=inputs.test_class_filter,
-                    ingest_seconds=inputs.ingest_seconds,
-                )
-            )
-    if not dataset:
+    pooled, _ = _evaluate_manifests(args, grid)
+    if not pooled:
         raise LabelError("no labeled versions to sweep")
-    rows = run_sweep(dataset, grid, jobs=args.jobs)
+    rows = sweep_rows(pooled)
     csv_rows = [
         (
             row.metric,
@@ -543,6 +533,16 @@ def _budget_arg(value: str) -> float:
     return fraction
 
 
+def _jobs_arg(value: str) -> int:
+    try:
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {value!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return jobs
+
+
 def _comma_list(parse_item, valid=None):
     def convert(value: str) -> list:
         items = []
@@ -617,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(evaluate, with_as_of=False)
     evaluate.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
     evaluate.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
-    evaluate.add_argument("--jobs", type=int, default=1, metavar="N")
+    evaluate.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N", help=JOBS_HELP)
     _add_io_flags(evaluate)
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -648,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(CANONICAL_BUDGETS),
         metavar="LIST",
     )
-    sweep.add_argument("--jobs", type=int, default=1, metavar="N")
+    sweep.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N", help=JOBS_HELP)
     _add_io_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

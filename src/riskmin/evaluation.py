@@ -3,16 +3,17 @@
 A version label names the tests that reveal the version's fault and the
 evaluation instant. Accuracy is the fraction of those tests retained;
 the fault detection rate over many versions is the fraction of versions
-keeping at least one of them. ``run_sweep`` grids these measurements over
-metric, horizon, operator, and budget, caching per-(version, metric,
-horizon) risk tables so the four operators share one risk computation.
+keeping at least one of them. ``evaluate_grid`` takes these measurements
+over metric, horizon, operator, and budget (a single run is the 1x1x1x1
+grid), sharing each risk table across operators and each scoring pass
+across budgets; ``sweep_rows`` summarises each cell over the versions.
 """
 
 from __future__ import annotations
 
+import itertools
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +22,7 @@ from .dependency_graph import CallGraph, MethodRef, build_dependency_map
 from .errors import LabelError
 from .minimizer import Budget, MinimizationResult, config_fingerprint, select
 from .risk_aggregation import OPERATORS, TestScore, score_test
-from .temporal_risk import METRICS, RiskConfig, risk_table
+from .temporal_risk import METRICS, ClassRisk, RiskConfig, risk_table
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,11 @@ def fdr(outcomes: Sequence[VersionOutcome]) -> float:
 
 
 def score_tests(
-    histories: Mapping[str, ClassHistory],
+    table: Mapping[str, ClassRisk],
     dep_map: Mapping[str, list[str]],
-    cfg: RiskConfig,
     operator: str,
 ) -> dict[str, TestScore]:
-    """Risk-score every test in the dependency map under one configuration."""
-    table = risk_table(histories, cfg)
+    """Score every test in the dependency map from one risk table."""
     return {
         test_id: score_test(test_id, deps, table, operator)
         for test_id, deps in dep_map.items()
@@ -86,65 +85,9 @@ def minimize_suite(
     cfg = RiskConfig(metric=metric, half_life_days=half_life_days, reference_time=as_of)
     if dep_map is None:
         dep_map = build_dependency_map(graph, entries, test_class_filter)
-    scores = score_tests(histories, dep_map, cfg, operator)
+    scores = score_tests(risk_table(histories, cfg), dep_map, operator)
     fingerprint = config_fingerprint(metric, half_life_days, operator, budget.fraction, as_of)
     return select(scores, budget, fingerprint)
-
-
-def run_version(
-    histories: Mapping[str, ClassHistory],
-    graph: CallGraph,
-    entries: Iterable[MethodRef],
-    label: VersionLabel,
-    *,
-    metric: str,
-    half_life_days: float | None,
-    operator: str,
-    budget: Budget,
-    test_class_filter: set[str] | None = None,
-    dep_map: Mapping[str, list[str]] | None = None,
-    extra_seconds: float = 0.0,
-) -> VersionOutcome:
-    """Minimize one version's suite and measure fault preservation.
-
-    ``wall_time`` covers the stages executed here (risk scoring, dependency
-    analysis, aggregation, selection); ``extra_seconds`` lets callers fold
-    in upstream ingestion time they measured themselves.
-    """
-    start = time.perf_counter()
-    result = minimize_suite(
-        histories,
-        graph,
-        entries,
-        metric=metric,
-        half_life_days=half_life_days,
-        operator=operator,
-        budget=budget,
-        as_of=label.as_of,
-        test_class_filter=test_class_filter,
-        dep_map=dep_map,
-    )
-    acc = accuracy(set(result.selected), label)
-    elapsed = time.perf_counter() - start
-    return VersionOutcome(
-        version_id=label.version_id,
-        accuracy=acc,
-        detected=acc > 0,
-        wall_time=elapsed + extra_seconds,
-        config_fingerprint=result.config_fingerprint,
-    )
-
-
-@dataclass
-class VersionInputs:
-    """Everything needed to evaluate one labeled version."""
-
-    histories: Mapping[str, ClassHistory]
-    graph: CallGraph
-    entries: frozenset[MethodRef]
-    label: VersionLabel
-    test_class_filter: set[str] | None = None
-    ingest_seconds: float = 0.0
 
 
 CANONICAL_HORIZONS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
@@ -197,88 +140,73 @@ def describe(values: Sequence[float]) -> tuple[float, float, float, float, float
     return (ordered[0], q1, statistics.fmean(ordered), med, q3, ordered[-1])
 
 
-def _sweep_one_version(
-    inputs: VersionInputs, grid: SweepGrid
-) -> dict[tuple[str, float | None, str, float], tuple[float, float]]:
-    """Accuracy and attributed wall time for every grid cell of one version.
+GridKey = tuple[str, float | None, str, float]  # metric, horizon, operator, budget
+GridCell = tuple[GridKey, list[VersionOutcome]]
 
-    The dependency map and each (metric, horizon) risk table are computed
-    once; their measured cost is charged to every cell that reuses them, so
-    a cell's time reads as if that configuration had run standalone.
+
+def evaluate_grid(
+    histories: Mapping[str, ClassHistory],
+    dep_map: Mapping[str, list[str]],
+    labels: Sequence[VersionLabel],
+    grid: SweepGrid,
+    base_seconds: float = 0.0,
+) -> list[GridCell]:
+    """Minimize every labelled version under every grid cell and measure fault preservation.
+
+    Cells come back in grid order, each with one outcome per label in label
+    order. A risk table or scoring pass shared by several cells is computed
+    once and its measured cost charged to each of them, so with
+    ``base_seconds`` (ingestion and dependency analysis, measured by the
+    caller) a cell's ``wall_time`` reads as if that configuration ran alone.
     """
-    cells: dict[tuple[str, float | None, str, float], tuple[float, float]] = {}
-    t0 = time.perf_counter()
-    dep_map = build_dependency_map(inputs.graph, inputs.entries, inputs.test_class_filter)
-    dep_seconds = time.perf_counter() - t0
-    base_seconds = dep_seconds + inputs.ingest_seconds
-    for metric in grid.metrics:
-        for horizon in grid.horizons:
-            cfg = RiskConfig(
-                metric=metric, half_life_days=horizon, reference_time=inputs.label.as_of
-            )
+    keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
+    cells: list[GridCell] = [(key, []) for key in keys]
+    for label in labels:
+        slots = iter(cells)  # the loops below visit the cells in grid order
+        for metric, horizon in itertools.product(grid.metrics, grid.horizons):
+            cfg = RiskConfig(metric=metric, half_life_days=horizon, reference_time=label.as_of)
             t0 = time.perf_counter()
-            table = risk_table(inputs.histories, cfg)
+            table = risk_table(histories, cfg)
             risk_seconds = time.perf_counter() - t0
             for operator in grid.operators:
                 t0 = time.perf_counter()
-                scores = {
-                    test_id: score_test(test_id, deps, table, operator)
-                    for test_id, deps in dep_map.items()
-                }
+                scores = score_tests(table, dep_map, operator)
                 score_seconds = time.perf_counter() - t0
                 for fraction in grid.budgets:
                     t0 = time.perf_counter()
-                    result = select(
-                        scores,
-                        Budget(fraction),
-                        config_fingerprint(metric, horizon, operator, fraction, inputs.label.as_of),
-                    )
-                    acc = accuracy(set(result.selected), inputs.label)
-                    select_seconds = time.perf_counter() - t0
-                    cells[(metric, horizon, operator, fraction)] = (
-                        acc,
-                        base_seconds + risk_seconds + score_seconds + select_seconds,
-                    )
+                    fingerprint = config_fingerprint(metric, horizon, operator, fraction, label.as_of)
+                    result = select(scores, Budget(fraction), fingerprint)
+                    acc = accuracy(set(result.selected), label)
+                    seconds = base_seconds + risk_seconds + score_seconds + (time.perf_counter() - t0)
+                    outcome = VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint)
+                    next(slots)[1].append(outcome)
     return cells
 
 
-def run_sweep(dataset: Sequence[VersionInputs], grid: SweepGrid, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate every grid cell over every version; one row per cell per budget.
+def sweep_rows(cells: Iterable[GridCell]) -> list[SweepRow]:
+    """One row per cell, aggregating accuracy, detection, and time across its versions.
 
-    Rows come out in grid order (metric, horizon, operator, budget), each
-    aggregating accuracy, detection, and time across the dataset.
+    Rows keep the order of ``cells``; a cell holding no outcomes yields no row.
     """
-    if not dataset:
-        return []
-    if jobs > 1 and len(dataset) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_version = list(pool.map(lambda vi: _sweep_one_version(vi, grid), dataset))
-    else:
-        per_version = [_sweep_one_version(vi, grid) for vi in dataset]
-
     rows: list[SweepRow] = []
-    for metric in grid.metrics:
-        for horizon in grid.horizons:
-            for operator in grid.operators:
-                for fraction in grid.budgets:
-                    key = (metric, horizon, operator, fraction)
-                    accs = [cells[key][0] for cells in per_version]
-                    times = [cells[key][1] for cells in per_version]
-                    lo, q1, mean, med, q3, hi = describe(accs)
-                    rows.append(
-                        SweepRow(
-                            metric=metric,
-                            horizon_days=horizon,
-                            operator=operator,
-                            budget=fraction,
-                            mean_accuracy=mean,
-                            fdr=sum(1 for a in accs if a > 0) / len(accs),
-                            min_acc=lo,
-                            q1_acc=q1,
-                            median_acc=med,
-                            q3_acc=q3,
-                            max_acc=hi,
-                            mean_time_s=statistics.fmean(times),
-                        )
-                    )
+    for (metric, horizon, operator, fraction), outcomes in cells:
+        if not outcomes:
+            continue
+        lo, q1, mean, med, q3, hi = describe([o.accuracy for o in outcomes])
+        rows.append(
+            SweepRow(
+                metric=metric,
+                horizon_days=horizon,
+                operator=operator,
+                budget=fraction,
+                mean_accuracy=mean,
+                fdr=fdr(outcomes),
+                min_acc=lo,
+                q1_acc=q1,
+                median_acc=med,
+                q3_acc=q3,
+                max_acc=hi,
+                mean_time_s=statistics.fmean([o.wall_time for o in outcomes]),
+            )
+        )
     return rows

@@ -45,8 +45,6 @@ class TestScore:
 
     test_id: str
     score: float
-    dep_count: int
-    nonzero_dep_count: int
 
 
 def score_test(
@@ -59,22 +57,14 @@ def score_test(
 
     Classes absent from the risk table contribute 0, and zero-risk values
     are dropped before aggregating: they only arise from history-less
-    classes and would collapse the geometric and harmonic means.
-    ``nonzero_dep_count`` records how many values actually entered the
-    operator. A test whose multiset ends up empty scores 0.
+    classes and would collapse the geometric and harmonic means. A test
+    whose multiset ends up empty scores 0.
     """
     values = []
-    dep_count = 0
     for class_id in deps:
-        dep_count += 1
         risk = risks.get(class_id)
         if risk is not None and risk.score > 0:
             values.append(risk.score)
     if not values:
-        return TestScore(test_id=test_id, score=0.0, dep_count=dep_count, nonzero_dep_count=0)
-    return TestScore(
-        test_id=test_id,
-        score=aggregate(values, op),
-        dep_count=dep_count,
-        nonzero_dep_count=len(values),
-    )
+        return TestScore(test_id=test_id, score=0.0)
+    return TestScore(test_id=test_id, score=aggregate(values, op))

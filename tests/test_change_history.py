@@ -112,6 +112,11 @@ class TestParseGitNumstat:
         with pytest.raises(ParseError, match="line 2"):
             parse_git_numstat(io.StringIO("COMMIT abc 1\nnot a numstat line\n"))
 
+    def test_zero_header_timestamp_is_an_error(self):
+        text = "COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def 0\n1\t2\tsrc/A.java\n"
+        with pytest.raises(ParseError, match="line 3"):
+            parse_git_numstat(io.StringIO(text))
+
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
 def test_numstat_adapter_against_real_git_rename_output(tmp_path):

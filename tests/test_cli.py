@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from riskmin import cli, stats
 
 DAY = 86_400
@@ -7,7 +9,7 @@ REF = 1_700_000_000
 
 
 def _write_project(directory, *, callgraph_format="csv", change_log_format="jsonl",
-                   labels=True, versions=None):
+                   labels=True, versions=None, project_id="demo"):
     """Four tests over three classes; static-frequency scores t1=10, t2=7, t3=4, t4=1."""
     directory.mkdir(parents=True, exist_ok=True)
     events = []
@@ -59,7 +61,7 @@ def _write_project(directory, *, callgraph_format="csv", change_log_format="json
         callgraph_name = "callgraph.txt"
 
     manifest = {
-        "project_id": "demo",
+        "project_id": project_id,
         "change_log_path": change_log_name,
         "change_log_format": change_log_format,
         "callgraph_path": callgraph_name,
@@ -202,6 +204,23 @@ class TestMinimizeCommand:
         ) == 0
 
 
+def _assert_jobs_agree_with_serial(tmp_path, command, output_name):
+    """Outputs of ``--jobs 1`` and ``--jobs 3`` agree except for the timing column."""
+    manifest = _write_project(tmp_path)
+    texts = []
+    for name, jobs in (("s", "1"), ("p", "3")):
+        out = tmp_path / name
+        assert cli.main(
+            [command, str(manifest), "--jobs", jobs, "--output", str(out)]
+        ) == 0
+        rows = [
+            line.rsplit(",", 1)[0]
+            for line in (out / output_name).read_text().splitlines()
+        ]
+        texts.append(rows)
+    assert texts[0] == texts[1]
+
+
 class TestEvaluateCommand:
     def test_outcome_rows_match_pipeline(self, tmp_path):
         manifest = _write_project(tmp_path)
@@ -247,19 +266,39 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", str(manifest)]) == 4
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
+        _assert_jobs_agree_with_serial(tmp_path, "evaluate", "outcomes.csv")
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
+    def test_jobs_below_one_or_not_an_integer_exits_1(self, tmp_path, capsys, command, jobs):
         manifest = _write_project(tmp_path)
-        texts = []
-        for name, jobs in (("s", "1"), ("p", "3")):
-            out = tmp_path / name
-            assert cli.main(
-                ["evaluate", str(manifest), "--jobs", jobs, "--output", str(out)]
-            ) == 0
-            rows = [
-                line.rsplit(",", 1)[0]
-                for line in (out / "outcomes.csv").read_text().splitlines()
-            ]
-            texts.append(rows)
-        assert texts[0] == texts[1]
+        assert cli.main([command, str(manifest), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_label_record_that_is_not_an_object_exits_4(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path, versions=[5])
+        assert cli.main(["evaluate", str(manifest)]) == 4
+        err = capsys.readouterr().err
+        assert "labels.json" in err and "record 1" in err
+
+    @pytest.mark.parametrize("fault_tests", ["app.T2Test#t2", ["app.T2Test#t2", 7], None])
+    def test_fault_tests_not_a_list_of_strings_exits_4(self, tmp_path, capsys, fault_tests):
+        versions = [{"version_id": "v9", "as_of": REF, "fault_revealing_tests": fault_tests}]
+        manifest = _write_project(tmp_path, versions=versions)
+        assert cli.main(["evaluate", str(manifest), "--budget", "1.0"]) == 4
+        err = capsys.readouterr().err
+        assert "labels.json" in err and "v9" in err
+
+    def test_project_with_no_labelled_versions_is_left_out_of_the_pool(self, tmp_path):
+        first = _write_project(tmp_path / "p1", project_id="one")
+        second = _write_project(tmp_path / "p2", project_id="two", versions=[])
+        out = tmp_path / "out"
+        assert cli.main(
+            ["evaluate", str(first), str(second), "--output", str(out)]
+        ) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_versions"] == 2
+        assert sorted(summary["per_project"]) == ["one"]
 
     def test_multiple_manifests_are_concatenated(self, tmp_path):
         first = _write_project(tmp_path / "p1")
@@ -295,6 +334,25 @@ class TestSweepCommand:
         assert cli.main(["sweep", str(manifest), "--output", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) - 1 == 80 * 3
+
+    def test_parallel_jobs_agree_with_serial(self, tmp_path):
+        _assert_jobs_agree_with_serial(tmp_path, "sweep", "sweep.csv")
+
+    def test_dependency_map_is_built_once_per_project(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_dependency_map
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_dependency_map", counting_build)
+        manifest = _write_project(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(
+            ["sweep", str(manifest), "--horizons", "1,static", "--output", str(out)]
+        ) == 0
+        assert len(calls) == 1
 
 
 def _write_outcomes(path, rows):

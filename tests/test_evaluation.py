@@ -3,19 +3,18 @@ import math
 import pytest
 
 from riskmin.change_history import ChangeEvent, ClassHistory
-from riskmin.dependency_graph import CallGraph, MethodRef
+from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.errors import LabelError
 from riskmin.evaluation import (
     SweepGrid,
-    VersionInputs,
     VersionLabel,
     VersionOutcome,
     accuracy,
     describe,
+    evaluate_grid,
     fdr,
     minimize_suite,
-    run_sweep,
-    run_version,
+    sweep_rows,
 )
 from riskmin.minimizer import Budget
 
@@ -118,21 +117,31 @@ def _micro_fixture():
     return histories, graph, entries
 
 
+def _single_cell_outcome(label, *, metric, half_life_days, operator, budget, base_seconds=0.0):
+    """The micro fixture's outcome for one label under the 1x1x1x1 grid."""
+    histories, graph, entries = _micro_fixture()
+    grid = SweepGrid(metrics=(metric,), horizons=(half_life_days,), operators=(operator,),
+                     budgets=(budget,))
+    dep_map = build_dependency_map(graph, entries)
+    ((_, (outcome,)),) = evaluate_grid(histories, dep_map, [label], grid, base_seconds)
+    return outcome
+
+
 class TestRunVersion:
+    """One labelled version through a single-cell grid."""
+
     def test_fault_test_selected_at_half_budget(self):
-        histories, graph, entries = _micro_fixture()
-        outcome = run_version(
-            histories, graph, entries, _label({"app.T2Test#t2"}),
-            metric="frequency", half_life_days=None, operator="avg", budget=Budget(0.5),
+        outcome = _single_cell_outcome(
+            _label({"app.T2Test#t2"}),
+            metric="frequency", half_life_days=None, operator="avg", budget=0.5,
         )
         assert outcome.accuracy == 1.0
         assert outcome.detected is True
 
     def test_fault_test_ranked_second_missed_at_quarter_budget(self):
-        histories, graph, entries = _micro_fixture()
-        outcome = run_version(
-            histories, graph, entries, _label({"app.T2Test#t2"}),
-            metric="frequency", half_life_days=None, operator="avg", budget=Budget(0.25),
+        outcome = _single_cell_outcome(
+            _label({"app.T2Test#t2"}),
+            metric="frequency", half_life_days=None, operator="avg", budget=0.25,
         )
         assert outcome.accuracy == 0.0
         assert outcome.detected is False
@@ -147,21 +156,18 @@ class TestRunVersion:
         assert static.selected == limit.selected
 
     def test_detected_iff_positive_accuracy(self):
-        histories, graph, entries = _micro_fixture()
         for budget in (0.25, 0.5, 0.75, 1.0):
-            outcome = run_version(
-                histories, graph, entries, _label({"app.T4Test#t4"}),
-                metric="frequency", half_life_days=32.0, operator="gmean",
-                budget=Budget(budget),
+            outcome = _single_cell_outcome(
+                _label({"app.T4Test#t4"}),
+                metric="frequency", half_life_days=32.0, operator="gmean", budget=budget,
             )
             assert outcome.detected == (outcome.accuracy > 0)
 
     def test_deterministic_apart_from_wall_time(self):
-        histories, graph, entries = _micro_fixture()
         runs = [
-            run_version(
-                histories, graph, entries, _label({"app.T2Test#t2"}),
-                metric="extent", half_life_days=16.0, operator="gmean", budget=Budget(0.5),
+            _single_cell_outcome(
+                _label({"app.T2Test#t2"}),
+                metric="extent", half_life_days=16.0, operator="gmean", budget=0.5,
             )
             for _ in range(2)
         ]
@@ -171,11 +177,10 @@ class TestRunVersion:
         )
 
     def test_extra_seconds_are_added_to_wall_time(self):
-        histories, graph, entries = _micro_fixture()
-        outcome = run_version(
-            histories, graph, entries, _label({"app.T2Test#t2"}),
-            metric="frequency", half_life_days=None, operator="avg", budget=Budget(0.5),
-            extra_seconds=100.0,
+        outcome = _single_cell_outcome(
+            _label({"app.T2Test#t2"}),
+            metric="frequency", half_life_days=None, operator="avg", budget=0.5,
+            base_seconds=100.0,
         )
         assert outcome.wall_time > 100.0
 
@@ -195,45 +200,66 @@ class TestDescribe:
             describe([])
 
 
-def _version_inputs(seed, version_id):
+def _project_version(seed, version_id):
+    """(project, histories, dependency map, label) of one random micro project."""
     project = random_micro_project(seed)
     histories, graph, entries, test_filter = project.library_inputs()
-    return project, VersionInputs(
-        histories=histories,
-        graph=graph,
-        entries=entries,
-        label=VersionLabel(
-            version_id=version_id,
-            as_of=project.as_of,
-            fault_revealing_tests=frozenset(project.fault_tests),
-        ),
-        test_class_filter=test_filter,
+    label = VersionLabel(
+        version_id=version_id,
+        as_of=project.as_of,
+        fault_revealing_tests=frozenset(project.fault_tests),
     )
+    return project, histories, build_dependency_map(graph, entries, test_filter), label
 
 
 class TestRunSweep:
-    def test_single_cell_matches_run_version(self):
-        projects_and_inputs = [_version_inputs(5, "v1"), _version_inputs(6, "v2")]
-        dataset = [vi for _, vi in projects_and_inputs]
+    """Grids evaluated by ``evaluate_grid`` and summarised by ``sweep_rows``."""
+
+    def test_single_cell_matches_minimize_suite(self):
         grid = SweepGrid(metrics=("extent",), horizons=(32.0,), operators=("gmean",),
                          budgets=(0.5,))
-        (row,) = run_sweep(dataset, grid)
-        expected = [
-            run_version(
-                vi.histories, vi.graph, vi.entries, vi.label,
+        pooled, expected = [], []
+        for seed, version_id in ((5, "v1"), (6, "v2")):
+            project, histories, dep_map, label = _project_version(seed, version_id)
+            ((key, outcomes),) = evaluate_grid(histories, dep_map, [label], grid)
+            pooled.extend(outcomes)
+            histories, graph, entries, test_filter = project.library_inputs()
+            result = minimize_suite(
+                histories, graph, entries,
                 metric="extent", half_life_days=32.0, operator="gmean",
-                budget=Budget(0.5), test_class_filter=vi.test_class_filter,
-            ).accuracy
-            for vi in dataset
-        ]
+                budget=Budget(0.5), as_of=label.as_of, test_class_filter=test_filter,
+            )
+            expected.append(accuracy(set(result.selected), label))
+        (row,) = sweep_rows([(key, pooled)])
         assert row.mean_accuracy == pytest.approx(sum(expected) / len(expected))
         assert row.fdr == sum(1 for a in expected if a > 0) / len(expected)
+
+    def test_every_cell_matches_minimize_suite(self):
+        project, histories, dep_map, label = _project_version(14, "v1")
+        earlier = VersionLabel("v2", label.as_of - 40 * DAY, label.fault_revealing_tests)
+        grid = SweepGrid(metrics=("frequency", "extent"), horizons=(4.0, None),
+                         operators=("avg", "hmean"), budgets=(0.25, 0.5, 0.25))
+        cells = evaluate_grid(histories, dep_map, [label, earlier], grid)
+        assert [key for key, _ in cells] == [
+            (m, h, o, b) for m in grid.metrics for h in grid.horizons
+            for o in grid.operators for b in grid.budgets
+        ]
+        for (metric, horizon, operator, fraction), outcomes in cells:
+            assert [o.version_id for o in outcomes] == ["v1", "v2"]
+            for version, outcome in zip((label, earlier), outcomes):
+                result = minimize_suite(
+                    histories, None, (), metric=metric, half_life_days=horizon,
+                    operator=operator, budget=Budget(fraction), as_of=version.as_of,
+                    dep_map=dep_map,
+                )
+                assert outcome.accuracy == accuracy(set(result.selected), version)
+                assert outcome.config_fingerprint == result.config_fingerprint
 
     def test_canonical_grid_has_eighty_cells_per_budget(self):
         grid = SweepGrid()
         assert grid.cells_per_budget == 80
-        dataset = [_version_inputs(7, "v1")[1]]
-        rows = run_sweep(dataset, grid)
+        _, histories, dep_map, label = _project_version(7, "v1")
+        rows = sweep_rows(evaluate_grid(histories, dep_map, [label], grid))
         assert len(rows) == 80 * 3
         keys = {(r.metric, r.horizon_days, r.operator, r.budget) for r in rows}
         assert len(keys) == len(rows)
@@ -242,23 +268,12 @@ class TestRunSweep:
             assert 0.0 <= row.fdr <= 1.0
 
     def test_single_version_stats_degenerate(self):
-        dataset = [_version_inputs(8, "v1")[1]]
+        _, histories, dep_map, label = _project_version(8, "v1")
         grid = SweepGrid(metrics=("frequency",), horizons=(None,), operators=("avg",),
                          budgets=(0.75,))
-        (row,) = run_sweep(dataset, grid)
+        (row,) = sweep_rows(evaluate_grid(histories, dep_map, [label], grid))
         assert row.min_acc == row.mean_accuracy == row.max_acc == row.median_acc
 
-    def test_parallel_jobs_match_serial(self):
-        dataset = [_version_inputs(seed, f"v{seed}")[1] for seed in range(9, 13)]
-        grid = SweepGrid(metrics=("extent",), horizons=(1.0, None), operators=("gmean", "median"),
-                         budgets=(0.25, 0.5))
-        serial = run_sweep(dataset, grid, jobs=1)
-        parallel = run_sweep(dataset, grid, jobs=4)
-        strip = lambda rows: [
-            (r.metric, r.horizon_days, r.operator, r.budget, r.mean_accuracy, r.fdr)
-            for r in rows
-        ]
-        assert strip(serial) == strip(parallel)
-
     def test_empty_dataset_yields_no_rows(self):
-        assert run_sweep([], SweepGrid()) == []
+        _, histories, dep_map, _ = _project_version(9, "v1")
+        assert sweep_rows(evaluate_grid(histories, dep_map, [], SweepGrid())) == []

@@ -17,7 +17,7 @@ from oracles import naive_select
 
 def _scores(**values):
     return {
-        test_id: TestScore(test_id=test_id, score=score, dep_count=1, nonzero_dep_count=1)
+        test_id: TestScore(test_id=test_id, score=score)
         for test_id, score in values.items()
     }
 

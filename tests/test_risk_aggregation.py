@@ -93,22 +93,18 @@ class TestScoreTest:
     def test_gmean_of_two_dependencies(self):
         score = score_test("T#t", ["A", "B"], _risks(A=2.0, B=8.0), "gmean")
         assert score.score == pytest.approx(4.0, rel=1e-12)
-        assert (score.dep_count, score.nonzero_dep_count) == (2, 2)
 
     def test_no_dependencies_scores_zero(self):
         score = score_test("T#t", [], _risks(), "avg")
         assert score.score == 0.0
-        assert score.dep_count == 0
 
     def test_zero_risk_dependency_is_excluded_from_the_multiset(self):
         score = score_test("T#t", ["A", "B"], _risks(A=2.0), "avg")
         assert score.score == 2.0
-        assert (score.dep_count, score.nonzero_dep_count) == (2, 1)
 
     def test_all_dependencies_zero_scores_zero(self):
         score = score_test("T#t", ["A"], _risks(A=0.0), "hmean")
         assert score.score == 0.0
-        assert score.nonzero_dep_count == 0
 
     def test_zero_exclusion_keeps_gmean_and_hmean_positive(self):
         risks = _risks(A=4.0, B=9.0)
