@@ -116,15 +116,20 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
         ts = record["ts"]
         if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
             raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
+        if not isinstance(record["path"], str):
+            raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
+        renamed_from = record.get("renamed_from")
+        if renamed_from is not None and not isinstance(renamed_from, str):
+            raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
         events.append(
             ChangeEvent(
-                path=str(record["path"]),
+                path=record["path"],
                 timestamp=ts,
                 added=counts["add"],
                 deleted=counts["del"],
                 modified=counts["mod"],
                 commit_id=str(record["commit"]),
-                renamed_from=record.get("renamed_from"),
+                renamed_from=renamed_from,
             )
         )
     return events
@@ -218,11 +223,13 @@ class _UnionFind:
         self._parent: dict[str, str] = {}
 
     def find(self, item: str) -> str:
-        parent = self._parent.setdefault(item, item)
-        if parent != item:
-            parent = self.find(parent)
-            self._parent[item] = parent
-        return parent
+        """Iterative, with path halving, so a long rename chain cannot overflow the stack."""
+        parent = self._parent
+        parent.setdefault(item, item)
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
 
     def union(self, a: str, b: str) -> None:
         ra, rb = self.find(a), self.find(b)
@@ -239,24 +246,24 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
     class id resolved from the path of the newest event in the group.
     """
     groups = _UnionFind()
+    class_of: dict[str, str | None] = {}
     kept: list[ChangeEvent] = []
     for event in events:
-        if path_to_class(event.path, cfg) is None:
+        if event.path not in class_of:
+            class_of[event.path] = path_to_class(event.path, cfg)
+        if class_of[event.path] is None:
             continue
         kept.append(event)
-        groups.find(event.path)
         if event.renamed_from:
             groups.union(event.renamed_from, event.path)
 
-    # Same resolved class id links otherwise-unrelated path groups.
+    # Same resolved class id links otherwise-unrelated path groups. Only paths
+    # with events of their own take part: a rename source without events stays
+    # linked by its rename alone.
     class_anchor: dict[str, str] = {}
-    for event in kept:
-        class_id = path_to_class(event.path, cfg)
-        assert class_id is not None
-        if class_id in class_anchor:
-            groups.union(event.path, class_anchor[class_id])
-        else:
-            class_anchor[class_id] = event.path
+    for path, class_id in class_of.items():
+        if class_id is not None:
+            groups.union(path, class_anchor.setdefault(class_id, path))
 
     by_group: dict[str, list[ChangeEvent]] = {}
     for event in kept:
@@ -272,7 +279,6 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
                 seen.add(key)
                 unique.append(event)
         unique.sort(key=lambda e: (e.timestamp, e.commit_id))
-        class_id = path_to_class(unique[-1].path, cfg)
-        assert class_id is not None
+        class_id = class_of[unique[-1].path]
         histories[class_id] = ClassHistory(class_id=class_id, events=tuple(unique))
     return histories

@@ -121,6 +121,8 @@ def load_manifest(path: Path) -> RunManifest:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed manifest JSON: {exc}", path=str(path))
+    if not isinstance(raw, dict):
+        raise ParseError("manifest must be a JSON object", path=str(path))
     base = Path(path).parent
     for key in ("project_id", "change_log_path", "callgraph_path", "entry_selector", "source_roots"):
         if key not in raw:
@@ -133,6 +135,15 @@ def load_manifest(path: Path) -> RunManifest:
     callgraph_format = raw.get("callgraph_format", FORMAT_CALLGRAPH_TEXT)
     if callgraph_format not in GRAPH_FORMATS:
         raise ParseError(f"unknown callgraph_format {callgraph_format!r}", path=str(path))
+    if not isinstance(raw["entry_selector"], dict):
+        raise ParseError("manifest key 'entry_selector' must be a JSON object", path=str(path))
+    for key in ("change_log_path", "callgraph_path", "labels_path", "output_dir"):
+        if raw.get(key) is not None and not isinstance(raw[key], str):
+            raise ParseError(f"manifest key '{key}' must be a path string", path=str(path))
+    for key in ("source_roots", "extensions", "exclude_classes"):
+        value = raw.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+            raise ParseError(f"manifest key '{key}' must be a list of strings", path=str(path))
     return RunManifest(
         project_id=str(raw["project_id"]),
         change_log_path=base / raw["change_log_path"],
@@ -150,7 +161,6 @@ def load_manifest(path: Path) -> RunManifest:
 
 @dataclass
 class ProjectInputs:
-    manifest: RunManifest
     histories: dict
     graph: CallGraph
     entries: frozenset[MethodRef]
@@ -158,7 +168,7 @@ class ProjectInputs:
     ingest_seconds: float
 
 
-def load_project_inputs(manifest: RunManifest, callgraph_format: str | None = None) -> ProjectInputs:
+def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
     started = time.perf_counter()
     with open(manifest.change_log_path, "r", encoding="utf-8") as handle:
         if manifest.change_log_format == "numstat":
@@ -170,7 +180,7 @@ def load_project_inputs(manifest: RunManifest, callgraph_format: str | None = No
     )
     histories = consolidate(events, source_cfg)
     with open(manifest.callgraph_path, "r", encoding="utf-8") as handle:
-        graph = parse_callgraph_edges(handle, callgraph_format or manifest.callgraph_format)
+        graph = parse_callgraph_edges(handle, manifest.callgraph_format)
     try:
         entries = frozenset(test_entry_points(graph, manifest.entry_selector))
     except ParseError:
@@ -179,7 +189,6 @@ def load_project_inputs(manifest: RunManifest, callgraph_format: str | None = No
         raise ParseError(f"bad entry selector: {exc}", path=str(manifest.change_log_path.parent))
     test_filter = entry_class_filter(entries, manifest.exclude_classes)
     return ProjectInputs(
-        manifest=manifest,
         histories=histories,
         graph=graph,
         entries=entries,
@@ -200,7 +209,7 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
     except json.JSONDecodeError as exc:
         raise LabelError(f"malformed label JSON in {path}: {exc}")
     records = raw if isinstance(raw, list) else [raw]
-    labels = []
+    labels: dict[str, VersionLabel] = {}
     for position, record in enumerate(records, start=1):
         if not isinstance(record, dict):
             raise LabelError(f"label record {position} in {path} is not a JSON object")
@@ -218,14 +227,16 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
             raise LabelError(
                 f"version {record['version_id']!r} has no fault-revealing tests"
             )
-        labels.append(
-            VersionLabel(
-                version_id=str(record["version_id"]),
-                as_of=int(record["as_of"]),
-                fault_revealing_tests=fault_tests,
-            )
+        as_of = record["as_of"]
+        if not isinstance(as_of, int) or isinstance(as_of, bool):
+            raise LabelError(f"version {record['version_id']!r} in {path}: as_of must be an integer")
+        version_id = str(record["version_id"])
+        if version_id in labels:
+            raise LabelError(f"version {version_id!r} is labelled more than once in {path}")
+        labels[version_id] = VersionLabel(
+            version_id=version_id, as_of=as_of, fault_revealing_tests=fault_tests
         )
-    return labels
+    return list(labels.values())
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +279,7 @@ def _format_horizon(horizon: float | None) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(args.manifest))
-    inputs = load_project_inputs(manifest, args.format)
+    inputs = load_project_inputs(manifest)
     cfg = RiskConfig(metric=args.metric, half_life_days=args.horizon, reference_time=args.as_of)
     table = risk_table(inputs.histories, cfg)
     if _self_check_enabled():
@@ -286,7 +297,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_minimize(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(args.manifest))
-    inputs = load_project_inputs(manifest, args.format)
+    inputs = load_project_inputs(manifest)
     budget = Budget(args.budget)
     result = minimize_suite(
         inputs.histories,
@@ -316,18 +327,34 @@ def _evaluate_manifests(
     Each project builds its dependency map once; that cost and the project's
     ingestion time are charged to every one of its outcomes. A project with
     no labelled versions adds nothing, so both are empty if none has any.
+    A version id may occur only once in the pool.
     """
     pooled: list[GridCell] = []
     by_project: dict[str, list[VersionOutcome]] = {}
+    version_ids: set[str] = set()
     for manifest_path in args.manifests:
         manifest = load_manifest(Path(manifest_path))
-        inputs = load_project_inputs(manifest, args.format)
+        inputs = load_project_inputs(manifest)
         labels = load_labels(manifest.labels_path, manifest.project_id)
+        for label in labels:
+            if label.version_id in version_ids:
+                raise LabelError(
+                    f"version {label.version_id!r} of {manifest_path} "
+                    "is already labelled by an earlier manifest"
+                )
+            version_ids.add(label.version_id)
         if not labels:
             continue
         dep_started = time.perf_counter()
         dep_map = build_dependency_map(inputs.graph, inputs.entries, inputs.test_class_filter)
         base_seconds = inputs.ingest_seconds + (time.perf_counter() - dep_started)
+        unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - dep_map.keys()
+        if unreachable:
+            logger.warning(
+                "project %r: %d fault-revealing test id(s) are not entry points and always count as missed",
+                manifest.project_id,
+                len(unreachable),
+            )
         cells = evaluate_grid(inputs.histories, dep_map, labels, grid, base_seconds)
         by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
         # Every project's cells follow the grid order, so they pool position by position.
@@ -436,6 +463,12 @@ def _read_outcomes_csv(path: Path) -> dict[str, tuple[float, bool]]:
                 detected = record["detected"].strip().lower() in ("true", "1")
             except (TypeError, ValueError, AttributeError):
                 raise ParseError(f"malformed outcome row at line {lineno}", path=str(path), line=lineno)
+            if record["version_id"] in outcomes:
+                raise ParseError(
+                    f"repeated version_id {record['version_id']!r} at line {lineno}",
+                    path=str(path),
+                    line=lineno,
+                )
             outcomes[record["version_id"]] = (acc, detected)
     return outcomes
 
@@ -581,16 +614,6 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_as_of: bool) -> N
         )
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=GRAPH_FORMATS,
-        default=None,
-        help="call-graph file format (overrides the manifest)",
-    )
-    parser.add_argument("--output", default=None, metavar="DIR")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="riskmin",
@@ -601,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     score = commands.add_parser("score", parents=[], help="emit the per-class risk table as CSV")
     score.add_argument("manifest")
     _add_config_flags(score, with_as_of=True)
-    _add_io_flags(score)
+    score.add_argument("--output", default=None, metavar="DIR")
     score.set_defaults(func=cmd_score)
 
     minimize = commands.add_parser("minimize", help="select the highest-risk tests under a budget")
@@ -609,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(minimize, with_as_of=True)
     minimize.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
     minimize.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
-    _add_io_flags(minimize)
+    minimize.add_argument("--output", default=None, metavar="DIR")
     minimize.set_defaults(func=cmd_minimize)
 
     evaluate = commands.add_parser("evaluate", help="measure fault preservation over labeled versions")
@@ -618,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
     evaluate.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
     evaluate.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N", help=JOBS_HELP)
-    _add_io_flags(evaluate)
+    evaluate.add_argument("--output", default=None, metavar="DIR")
     evaluate.set_defaults(func=cmd_evaluate)
 
     sweep = commands.add_parser("sweep", help="evaluate a configuration grid, one CSV row per cell")
@@ -649,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
     )
     sweep.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N", help=JOBS_HELP)
-    _add_io_flags(sweep)
+    sweep.add_argument("--output", default=None, metavar="DIR")
     sweep.set_defaults(func=cmd_sweep)
 
     compare = commands.add_parser("compare", help="statistically compare two outcome files")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, AbstractSet, Iterable, Mapping
 
 from .errors import ParseError
 
@@ -48,22 +48,21 @@ class MethodRef:
 
 
 class CallGraph:
-    """Directed method-call graph with deduplicated adjacency sets."""
+    """Directed method-call graph: one adjacency set per node, empty for a callee-only node."""
 
     def __init__(self) -> None:
         self._edges: dict[MethodRef, set[MethodRef]] = {}
-        self._nodes: set[MethodRef] = set()
 
     def add_edge(self, caller: MethodRef, callee: MethodRef) -> None:
         self._edges.setdefault(caller, set()).add(callee)
-        self._nodes.add(caller)
-        self._nodes.add(callee)
+        self._edges.setdefault(callee, set())
 
-    def successors(self, node: MethodRef) -> frozenset[MethodRef]:
-        return frozenset(self._edges.get(node, ()))
+    def successors(self, node: MethodRef) -> AbstractSet[MethodRef]:
+        """The stored callee set, not a copy: callers must not modify it."""
+        return self._edges.get(node, frozenset())
 
     def nodes(self) -> frozenset[MethodRef]:
-        return frozenset(self._nodes)
+        return frozenset(self._edges)
 
     @property
     def edge_count(self) -> int:

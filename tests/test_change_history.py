@@ -4,7 +4,10 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from riskmin import change_history
 from riskmin.change_history import (
     ChangeEvent,
     SourceRootConfig,
@@ -61,6 +64,22 @@ class TestParseChangeLog:
         raw = io.BytesIO(b'{"path":"a/B.java","ts":5,"add":0,"del":0,"commit":"c"}\n')
         (event,) = parse_change_log(raw)
         assert event.timestamp == 5
+
+    @pytest.mark.parametrize(
+        "fields",
+        ['"path":5', '"path":null', '"path":["a/B.java"]',
+         '"path":"a/B.java","renamed_from":["a/Old.java"]', '"path":"a/B.java","renamed_from":5'],
+    )
+    def test_non_string_path_or_rename_source_names_the_line(self, fields):
+        good = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c"}'
+        bad = '{' + fields + ',"ts":2,"add":0,"del":0,"commit":"d"}'
+        with pytest.raises(ParseError, match="must be a string at line 2"):
+            _parse_jsonl(good + "\n" + bad)
+
+    def test_null_rename_source_means_no_rename(self):
+        line = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c","renamed_from":null}'
+        (event,) = _parse_jsonl(line)
+        assert event.renamed_from is None
 
     def test_renamed_from_is_carried_through(self):
         line = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c","renamed_from":"a/Old.java"}'
@@ -290,6 +309,66 @@ class TestConsolidate:
         merged = consolidate(group_a + group_b, cfg)["X"]
         keys = {(e.commit_id, e.path) for e in group_a} | {(e.commit_id, e.path) for e in group_b}
         assert len(merged.events) == len(keys)
+
+    def test_long_rename_chain_listed_oldest_first_is_one_class(self):
+        cfg = SourceRootConfig(roots=("a",))
+        events = [_event("a/C0.java", 1, "c0")] + [
+            _event(f"a/C{i}.java", i + 1, f"c{i}", renamed_from=f"a/C{i - 1}.java")
+            for i in range(1, 3001)
+        ]
+        histories = consolidate(events, cfg)
+        assert list(histories) == ["C3000"]
+        assert len(histories["C3000"].events) == 3001
+
+    def test_each_distinct_path_is_resolved_once(self, monkeypatch):
+        calls = []
+        resolve = change_history.path_to_class
+
+        def counting_resolve(path, cfg):
+            calls.append(path)
+            return resolve(path, cfg)
+
+        monkeypatch.setattr(change_history, "path_to_class", counting_resolve)
+        events = [
+            _event(path, ts, f"c{ts}", renamed_from="a/Old.java" if path == "a/New.java" else None)
+            for ts, path in enumerate(["a/B.java", "README.md", "a/B.java", "a/New.java",
+                                       "README.md", "a/C.java", "a/B.java"], start=1)
+        ]
+        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        assert sorted(histories) == ["B", "C", "New"]
+        assert sorted(calls) == ["README.md", "a/B.java", "a/C.java", "a/New.java"]
+
+    def test_rename_source_without_events_is_not_merged_by_class_id(self):
+        # src/test/java/a/Foo.java resolves to the same class id as the main
+        # Foo, but has no events: it links only to what it was renamed to.
+        cfg = SourceRootConfig(roots=("src/main/java", "src/test/java"))
+        events = [
+            _event("src/main/java/a/Foo.java", 1, "c1"),
+            _event("src/main/java/b/Bar.java", 2, "c2", renamed_from="src/test/java/a/Foo.java"),
+        ]
+        histories = consolidate(events, cfg)
+        assert sorted(histories) == ["a.Foo", "b.Bar"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a/B.java", "a/C.java", "b/B.java", "b/D.java", "README.md"]),
+                st.sampled_from([None, "a/B.java", "a/Old.java", "b/D.java", "notes.txt"]),
+            ),
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_order_of_events_with_distinct_commits_and_times_does_not_matter(self, drawn, rng):
+        cfg = SourceRootConfig(roots=("a", "b"))
+        events = [
+            _event(path, ts, f"c{ts}", renamed_from=source)
+            for ts, (path, source) in enumerate(drawn, start=1)
+        ]
+        shuffled = list(events)
+        rng.shuffle(shuffled)
+        assert consolidate(shuffled, cfg) == consolidate(events, cfg)
 
 
 class TestChangeEventInvariants:

@@ -289,6 +289,45 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "labels.json" in err and "v9" in err
 
+    @pytest.mark.parametrize("as_of", ["soon", 1700000000.9, True, None])
+    def test_as_of_that_is_not_an_integer_exits_4(self, tmp_path, capsys, as_of):
+        versions = [{"version_id": "v9", "as_of": as_of, "fault_revealing_tests": ["app.T2Test#t2"]}]
+        manifest = _write_project(tmp_path, versions=versions)
+        assert cli.main(["evaluate", str(manifest), "--output", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "labels.json" in err and "v9" in err and "as_of" in err
+
+    def test_version_id_repeated_in_a_labels_file_exits_4(self, tmp_path, capsys):
+        label = {"version_id": "v7", "as_of": REF, "fault_revealing_tests": ["app.T2Test#t2"]}
+        manifest = _write_project(tmp_path, versions=[label, dict(label, as_of=REF - DAY)])
+        assert cli.main(["evaluate", str(manifest), "--output", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "labels.json" in err and "v7" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_version_id_repeated_across_pooled_manifests_exits_4(self, tmp_path, capsys, command):
+        first = _write_project(tmp_path / "p1", project_id="one")
+        second = _write_project(tmp_path / "p2", project_id="two")
+        out = tmp_path / "out"
+        assert cli.main([command, str(first), str(second), "--output", str(out)]) == 4
+        assert "'v1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_fault_tests_that_are_not_entry_points_are_counted_in_one_warning(
+        self, tmp_path, caplog, command
+    ):
+        versions = [
+            {"version_id": "v1", "as_of": REF, "fault_revealing_tests": ["app.GoneTest#t", "app.T2Test#t2"]},
+            {"version_id": "v2", "as_of": REF, "fault_revealing_tests": ["app.GoneTest#t", "app.T9Test#t9"]},
+        ]
+        manifest = _write_project(tmp_path, versions=versions)
+        assert cli.main([command, str(manifest), "--output", str(tmp_path / "out")]) == 0
+        warnings = [r.getMessage() for r in caplog.records if "entry point" in r.getMessage()]
+        assert warnings == [
+            "project 'demo': 2 fault-revealing test id(s) are not entry points and always count as missed"
+        ]
+
     def test_project_with_no_labelled_versions_is_left_out_of_the_pool(self, tmp_path):
         first = _write_project(tmp_path / "p1", project_id="one")
         second = _write_project(tmp_path / "p2", project_id="two", versions=[])
@@ -302,7 +341,11 @@ class TestEvaluateCommand:
 
     def test_multiple_manifests_are_concatenated(self, tmp_path):
         first = _write_project(tmp_path / "p1")
-        second = _write_project(tmp_path / "p2")
+        versions = [
+            {"version_id": "w1", "as_of": REF, "fault_revealing_tests": ["app.T1Test#t1"]},
+            {"version_id": "w2", "as_of": REF, "fault_revealing_tests": ["app.T3Test#t3"]},
+        ]
+        second = _write_project(tmp_path / "p2", versions=versions)
         out = tmp_path / "out"
         assert cli.main(
             ["evaluate", str(first), str(second), "--output", str(out)]
@@ -406,6 +449,14 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "v2" in err and "v3" in err
 
+    def test_repeated_version_id_exits_3_with_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _write_outcomes(a, [("v1", 0.5), ("v2", 1.0), ("v1", 0.0)])
+        _write_outcomes(b, [("v1", 0.5), ("v2", 1.0)])
+        assert cli.main(["compare", str(a), str(b)]) == 3
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "'v1'" in err and "line 4" in err
+
     def test_missing_outcome_file_exits_2(self, tmp_path):
         a = tmp_path / "a.csv"
         _write_outcomes(a, [("v1", 0.5)])
@@ -437,5 +488,49 @@ class TestUsageErrors:
         manifest = _write_project(tmp_path)
         assert cli.main(["score", str(manifest)]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["score", "--as-of", "1"], ["minimize", "--as-of", "1"], ["evaluate"], ["sweep"]],
+    )
+    def test_format_flag_is_gone(self, tmp_path, capsys, argv):
+        manifest = _write_project(tmp_path)
+        command, *flags = argv
+        out = tmp_path / "out"
+        assert cli.main([command, str(manifest), *flags, "--format", "csv", "--output", str(out)]) == 1
+        assert "--format" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
+
+
+class TestManifestShape:
+    @pytest.mark.parametrize("content", ["5", "[]", '"manifest"', "null"])
+    def test_manifest_that_is_not_an_object_exits_3(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content, encoding="utf-8")
+        assert cli.main(["evaluate", str(manifest)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "object" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("source_roots", "src"),
+            ("extensions", ".java"),
+            ("exclude_classes", "app.Helper"),
+            ("source_roots", ["src", 3]),
+            ("extensions", None),
+            ("change_log_path", 5),
+            ("labels_path", ["labels.json"]),
+            ("entry_selector", 5),
+            ("entry_selector", ["app.T1Test#t1"]),
+        ],
+    )
+    def test_key_of_the_wrong_type_exits_3_naming_it(self, tmp_path, capsys, key, value):
+        manifest = _write_project(tmp_path)
+        raw = json.loads(manifest.read_text())
+        raw[key] = value
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and f"'{key}'" in err
