@@ -118,6 +118,8 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
             raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
         if not isinstance(record["path"], str):
             raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
+        if not isinstance(record["commit"], str):
+            raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
         renamed_from = record.get("renamed_from")
         if renamed_from is not None and not isinstance(renamed_from, str):
             raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
@@ -128,7 +130,7 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
                 added=counts["add"],
                 deleted=counts["del"],
                 modified=counts["mod"],
-                commit_id=str(record["commit"]),
+                commit_id=record["commit"],
                 renamed_from=renamed_from,
             )
         )

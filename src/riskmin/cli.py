@@ -135,8 +135,7 @@ def load_manifest(path: Path) -> RunManifest:
     callgraph_format = raw.get("callgraph_format", FORMAT_CALLGRAPH_TEXT)
     if callgraph_format not in GRAPH_FORMATS:
         raise ParseError(f"unknown callgraph_format {callgraph_format!r}", path=str(path))
-    if not isinstance(raw["entry_selector"], dict):
-        raise ParseError("manifest key 'entry_selector' must be a JSON object", path=str(path))
+    _check_entry_selector(raw["entry_selector"], path)
     for key in ("change_log_path", "callgraph_path", "labels_path", "output_dir"):
         if raw.get(key) is not None and not isinstance(raw[key], str):
             raise ParseError(f"manifest key '{key}' must be a path string", path=str(path))
@@ -144,6 +143,8 @@ def load_manifest(path: Path) -> RunManifest:
         value = raw.get(key, [])
         if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
             raise ParseError(f"manifest key '{key}' must be a list of strings", path=str(path))
+    if not raw["source_roots"]:
+        raise ParseError("manifest key 'source_roots' must name at least one root", path=str(path))
     return RunManifest(
         project_id=str(raw["project_id"]),
         change_log_path=base / raw["change_log_path"],
@@ -157,6 +158,33 @@ def load_manifest(path: Path) -> RunManifest:
         labels_path=(base / raw["labels_path"]) if raw.get("labels_path") else None,
         output_dir=Path(raw["output_dir"]) if raw.get("output_dir") else None,
     )
+
+
+def _check_entry_selector(selector: object, path: Path) -> None:
+    """``explicit`` (a list of test id strings) wins over ``pattern`` (an object of strings)."""
+    if not isinstance(selector, dict):
+        raise ParseError("manifest key 'entry_selector' must be a JSON object", path=str(path))
+    if "explicit" in selector:
+        explicit = selector["explicit"]
+        if not isinstance(explicit, list) or not all(isinstance(item, str) for item in explicit):
+            raise ParseError(
+                "manifest key 'entry_selector.explicit' must be a list of strings", path=str(path)
+            )
+    elif "pattern" in selector:
+        pattern = selector["pattern"]
+        if not isinstance(pattern, dict):
+            raise ParseError(
+                "manifest key 'entry_selector.pattern' must be a JSON object", path=str(path)
+            )
+        for key in ("class_suffix", "class_prefix", "method_prefix"):
+            if not isinstance(pattern.get(key, ""), str):
+                raise ParseError(
+                    f"manifest key 'entry_selector.pattern.{key}' must be a string", path=str(path)
+                )
+    else:
+        raise ParseError(
+            "manifest key 'entry_selector' needs an 'explicit' or a 'pattern' key", path=str(path)
+        )
 
 
 @dataclass
@@ -181,12 +209,7 @@ def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
     histories = consolidate(events, source_cfg)
     with open(manifest.callgraph_path, "r", encoding="utf-8") as handle:
         graph = parse_callgraph_edges(handle, manifest.callgraph_format)
-    try:
-        entries = frozenset(test_entry_points(graph, manifest.entry_selector))
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"bad entry selector: {exc}", path=str(manifest.change_log_path.parent))
+    entries = frozenset(test_entry_points(graph, manifest.entry_selector))
     test_filter = entry_class_filter(entries, manifest.exclude_classes)
     return ProjectInputs(
         histories=histories,

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import IO, AbstractSet, Iterable, Mapping
+from typing import IO, AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import ParseError
 
@@ -30,6 +31,8 @@ FORMAT_CSV = "csv"
 GRAPH_FORMATS = (FORMAT_CALLGRAPH_TEXT, FORMAT_CSV)
 
 _INVOCATION_TAGS = frozenset("MIOSD")
+
+_DONE = -1  # lowlink of a node whose strongly connected component is complete
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,70 @@ def reachable_classes(graph: CallGraph, entry: MethodRef, test_class_filter: set
     return {node.class_id for node in visited} - test_class_filter
 
 
+def _reachable_masks(
+    graph: CallGraph, roots: Sequence[MethodRef], class_bits: dict[str, int]
+) -> list[int]:
+    """Reachable-class bitmask of each root, from one traversal shared by all roots.
+
+    Iterative Tarjan over the nodes the roots reach; each class id gets one
+    bit in ``class_bits`` when first seen. Tarjan completes strongly
+    connected components sinks-first, so when a component completes, the
+    masks of the components it calls are final and its own mask is its
+    members' class bits OR-ed with theirs (Nuutila's condensation closure).
+    Memory is one mask per component, each up to (classes reached) / 8 bytes.
+    """
+    number: dict[MethodRef, int] = {}  # DFS number of every reached node
+    lowlink: list[int] = []  # _DONE once the node's component is complete
+    masks: list[int] = []  # partial while the node is on the stack, then its component's mask
+    component_stack: list[int] = []
+
+    def visit(node: MethodRef) -> int:
+        index = len(lowlink)
+        number[node] = index
+        lowlink.append(index)
+        bit = class_bits.get(node.class_id)
+        if bit is None:
+            bit = class_bits[node.class_id] = 1 << len(class_bits)
+        masks.append(bit)
+        component_stack.append(index)
+        return index
+
+    for root in roots:
+        if root in number:
+            continue
+        frames = [(visit(root), iter(graph.successors(root)))]
+        while frames:
+            v, successors = frames[-1]
+            for successor in successors:
+                w = number.get(successor)
+                if w is None:
+                    frames.append((visit(successor), iter(graph.successors(successor))))
+                    break
+                if lowlink[w] == _DONE:
+                    masks[v] |= masks[w]
+                elif w < lowlink[v]:
+                    lowlink[v] = w
+            else:
+                frames.pop()
+                if lowlink[v] == v:
+                    start = bisect_left(component_stack, v)  # the stack holds ascending numbers
+                    members = component_stack[start:]
+                    del component_stack[start:]
+                    mask = 0
+                    for member in members:
+                        mask |= masks[member]
+                    for member in members:
+                        masks[member] = mask
+                        lowlink[member] = _DONE
+                if frames:
+                    u = frames[-1][0]
+                    if lowlink[v] == _DONE:
+                        masks[u] |= masks[v]
+                    elif lowlink[v] < lowlink[u]:
+                        lowlink[u] = lowlink[v]
+    return [masks[number[root]] for root in roots]
+
+
 def build_dependency_map(
     graph: CallGraph,
     entries: Iterable[MethodRef],
@@ -187,14 +254,37 @@ def build_dependency_map(
 
     Entries with no reachable production class are recorded with an empty
     list rather than omitted, so they still rank during minimization.
-    Entries whose ids collide (overloads) have their sets unioned.
+    Entries whose ids collide (overloads) have their sets unioned. Equal to
+    the union of ``reachable_classes`` over each id's entries, but all
+    entries share one traversal of the graph.
     """
-    entries = set(entries)
+    entries = sorted(set(entries), key=lambda m: (m.class_id, m.method_name, m.descriptor))
     if test_class_filter is None:
         test_class_filter = entry_class_filter(entries)
-    deps: dict[str, set[str]] = {}
-    for entry in sorted(entries, key=lambda m: (m.class_id, m.method_name, m.descriptor)):
-        deps.setdefault(entry.test_id, set()).update(
-            reachable_classes(graph, entry, test_class_filter)
-        )
-    return {test_id: sorted(classes) for test_id, classes in sorted(deps.items())}
+    class_bits: dict[str, int] = {}
+    test_masks: dict[str, int] = {}
+    for entry, mask in zip(entries, _reachable_masks(graph, entries, class_bits)):
+        test_masks[entry.test_id] = test_masks.get(entry.test_id, 0) | mask
+    filter_mask = 0
+    for class_id in test_class_filter:
+        filter_mask |= class_bits.get(class_id, 0)
+    names = list(class_bits)  # insertion order is bit order
+    decoded: dict[int, list[str]] = {}
+    deps: dict[str, list[str]] = {}
+    for test_id in sorted(test_masks):
+        mask = test_masks[test_id] & ~filter_mask
+        classes = decoded.get(mask)
+        if classes is None:
+            classes = decoded[mask] = _decode(mask, names)
+        deps[test_id] = list(classes)
+    return deps
+
+
+def _decode(mask: int, names: Sequence[str]) -> list[str]:
+    """Sorted class ids of the set bits of ``mask``; bit ``i`` stands for ``names[i]``."""
+    classes = []
+    while mask:
+        low = mask & -mask
+        classes.append(names[low.bit_length() - 1])
+        mask ^= low
+    return sorted(classes)

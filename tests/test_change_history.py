@@ -76,6 +76,13 @@ class TestParseChangeLog:
         with pytest.raises(ParseError, match="must be a string at line 2"):
             _parse_jsonl(good + "\n" + bad)
 
+    @pytest.mark.parametrize("commit", ["null", "5", "[\"c\"]", "true"])
+    def test_non_string_commit_names_the_line(self, commit):
+        good = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c"}'
+        bad = '{"path":"a/B.java","ts":2,"add":0,"del":0,"commit":' + commit + "}"
+        with pytest.raises(ParseError, match="'commit' must be a string at line 2"):
+            _parse_jsonl(good + "\n" + bad)
+
     def test_null_rename_source_means_no_rename(self):
         line = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c","renamed_from":null}'
         (event,) = _parse_jsonl(line)

@@ -524,6 +524,7 @@ class TestManifestShape:
             ("labels_path", ["labels.json"]),
             ("entry_selector", 5),
             ("entry_selector", ["app.T1Test#t1"]),
+            ("source_roots", []),
         ],
     )
     def test_key_of_the_wrong_type_exits_3_naming_it(self, tmp_path, capsys, key, value):
@@ -534,3 +535,32 @@ class TestManifestShape:
         assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
         err = capsys.readouterr().err
         assert "manifest.json" in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize(
+        "selector, key",
+        [
+            ({"pattern": "Test"}, "entry_selector.pattern"),
+            ({"pattern": {"class_suffix": 5}}, "entry_selector.pattern.class_suffix"),
+            ({"pattern": {"method_prefix": None}}, "entry_selector.pattern.method_prefix"),
+            ({"explicit": [5]}, "entry_selector.explicit"),
+            ({"explicit": "app.T1Test#t1"}, "entry_selector.explicit"),
+            ({}, "entry_selector"),
+            ({"regex": ".*"}, "entry_selector"),
+        ],
+    )
+    def test_malformed_entry_selector_exits_3_naming_the_key(self, tmp_path, capsys, selector, key):
+        manifest = _write_project(tmp_path)
+        raw = json.loads(manifest.read_text())
+        raw["entry_selector"] = selector
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and f"'{key}'" in err
+
+    def test_explicit_selector_wins_over_a_pattern(self, tmp_path):
+        manifest = _write_project(tmp_path)
+        raw = json.loads(manifest.read_text())
+        raw["entry_selector"] = {"explicit": ["app.T1Test#t1"], "pattern": "ignored"}
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        inputs = cli.load_project_inputs(cli.load_manifest(manifest))
+        assert [entry.test_id for entry in inputs.entries] == ["app.T1Test#t1"]

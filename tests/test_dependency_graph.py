@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmin.dependency_graph import (
     CallGraph,
@@ -211,6 +213,91 @@ class TestBuildDependencyMap:
         graph = _graph([("T1#t", "A#m"), ("A#m", "H#x"), ("H#x", "B#y")])
         deps = build_dependency_map(graph, {_ref("T1#t")}, {"T1", "H"})
         assert deps["T1#t"] == ["A", "B"]
+
+
+# Random digraphs over a few classes: cycles, self-loops, and overloads
+# (one test id, several descriptors) all occur.
+_METHODS = st.builds(
+    MethodRef,
+    st.sampled_from(["T1", "T2", "A", "B", "C", "D"]),
+    st.sampled_from(["m", "n"]),
+    st.sampled_from(["", "int"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=st.lists(st.tuples(_METHODS, _METHODS), max_size=40),
+    entries=st.sets(_METHODS, min_size=1, max_size=8),
+    ghosts=st.sets(
+        st.builds(MethodRef, st.sampled_from(["G1", "G2"]), st.sampled_from(["m", "n"])),
+        max_size=2,
+    ),
+    data=st.data(),
+)
+def test_map_is_the_union_of_reachable_classes_per_test_id(edges, entries, ghosts, data):
+    graph = CallGraph()
+    for caller, callee in edges:
+        graph.add_edge(caller, callee)
+    entries = entries | ghosts  # ghost classes never occur in the graph
+    entry_classes = sorted({entry.class_id for entry in entries})
+    test_class_filter = data.draw(
+        st.sets(st.sampled_from(entry_classes + ["A", "B", "X"])), label="filter"
+    )
+    expected: dict[str, set[str]] = {}
+    for entry in entries:
+        expected.setdefault(entry.test_id, set()).update(
+            reachable_classes(graph, entry, test_class_filter)
+        )
+    deps = build_dependency_map(graph, entries, test_class_filter)
+    assert deps == {test_id: sorted(classes) for test_id, classes in expected.items()}
+    assert list(deps) == sorted(deps)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
+def test_100k_node_chain_or_cycle_needs_no_recursion(closed):
+    n = 100_000
+    nodes = [MethodRef(f"C{i // 1000:03d}", f"m{i}") for i in range(n)]
+    graph = CallGraph()
+    for a, b in zip(nodes, nodes[1:]):
+        graph.add_edge(a, b)
+    if closed:
+        graph.add_edge(nodes[-1], nodes[0])
+    entry = MethodRef("T", "t")
+    graph.add_edge(entry, nodes[n // 2])
+    deps = build_dependency_map(graph, {entry})
+    first = 0 if closed else n // 2 // 1000
+    assert deps == {"T#t": [f"C{c:03d}" for c in range(first, 100)]}
+
+
+class _CountingGraph(CallGraph):
+    def __init__(self):
+        super().__init__()
+        self.calls: dict[MethodRef, int] = {}
+
+    def successors(self, node):
+        self.calls[node] = self.calls.get(node, 0) + 1
+        return super().successors(node)
+
+
+def test_successors_is_called_at_most_twice_per_reached_node():
+    graph = _CountingGraph()
+    cycle = [MethodRef("A", f"m{i}") for i in range(5)] + [MethodRef("B", "m")]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        graph.add_edge(a, b)
+    entries = {MethodRef(f"T{i}", "t") for i in range(10)}
+    for i, entry in enumerate(entries):
+        graph.add_edge(entry, cycle[i % len(cycle)])
+    deps = build_dependency_map(graph, entries)
+    assert all(classes == ["A", "B"] for classes in deps.values())
+    assert set(graph.calls) == set(cycle) | entries
+    assert max(graph.calls.values()) <= 2
+
+
+def test_every_test_gets_its_own_list():
+    graph = _graph([("T1#t", "A#m"), ("T2#t", "A#m")])
+    deps = build_dependency_map(graph, {_ref("T1#t"), _ref("T2#t")})
+    assert deps["T1#t"] == deps["T2#t"] and deps["T1#t"] is not deps["T2#t"]
 
 
 def test_entry_class_filter_includes_extras():
