@@ -39,8 +39,15 @@ from .evaluation import (
     score_tests,
     sweep_rows,
 )
-from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, select
-from .risk_aggregation import OPERATORS, TestScore, aggregate, score_test
+from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, rank, select
+from .risk_aggregation import (
+    OPERATORS,
+    TestScore,
+    aggregate,
+    positive_multisets,
+    score_multisets,
+    score_test,
+)
 from .stats import (
     ContingencyTable2x2,
     DegenerateSampleError,
@@ -55,6 +62,7 @@ from .temporal_risk import (
     RiskConfig,
     alpha_from_half_life,
     class_risk,
+    decayed_risks,
     event_age_days,
     event_weight,
     risk_table,

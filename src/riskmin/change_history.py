@@ -11,9 +11,10 @@ Two input formats are accepted:
   ``renamed_from`` (str).
 * a ``git log --numstat`` adapter: ``COMMIT <hash> <unix_ts>`` header lines
   followed by ``<added>\\t<deleted>\\t<path>`` file lines. ``-`` counts
-  (binary files) become 0/0 with a warning; ``{old => new}`` and
-  ``old => new`` rename syntax is resolved to the new path with the old one
-  kept as a rename annotation. Generate suitable input with::
+  (binary files) become 0/0, counted in one warning per file;
+  ``{old => new}`` and ``old => new`` rename syntax is resolved to the new
+  path with the old one kept as a rename annotation. Generate suitable
+  input with::
 
       git log -M --pretty='format:COMMIT %H %ct' --numstat
 """
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import ParseError
+from .errors import ParseError, numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -81,18 +82,13 @@ class SourceRootConfig:
         object.__setattr__(self, "extensions", tuple(self.extensions))
 
 
-def _lines(stream: IO | Iterable) -> Iterable[str]:
-    for raw in stream:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-
 _REQUIRED_JSONL_FIELDS = ("path", "ts", "add", "del", "commit")
 
 
 def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     """Parse change-event JSONL into a list of events, in input order."""
     events: list[ChangeEvent] = []
-    for lineno, line in enumerate(_lines(stream), start=1):
+    for lineno, line in numbered_lines(stream):
         line = line.strip()
         if not line:
             continue
@@ -100,6 +96,8 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno)
+        except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+            raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
         if not isinstance(record, dict):
             raise ParseError(f"expected an object at line {lineno}", line=lineno)
         for field in _REQUIRED_JSONL_FIELDS:
@@ -155,6 +153,13 @@ def _split_rename(path: str) -> tuple[str | None, str]:
     return None, path
 
 
+def _number(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the integer string-conversion limit
+        raise ParseError(f"number too long at line {lineno}", line=lineno) from None
+
+
 def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     """Parse the numstat adapter format into events, in input order.
 
@@ -163,7 +168,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     """
     events: list[ChangeEvent] = []
     current: tuple[str, int] | None = None
-    for lineno, line in enumerate(_lines(stream), start=1):
+    binary_lines: list[int] = []
+    for lineno, line in numbered_lines(stream):
         line = line.rstrip("\n")
         if not line.strip():
             continue
@@ -171,7 +177,7 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
             header = _COMMIT_HEADER.match(line)
             if header is None:
                 raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
-            current = (header.group(1), int(header.group(2)))
+            current = (header.group(1), _number(header.group(2), lineno))
             if current[1] <= 0:
                 raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
             continue
@@ -183,10 +189,10 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
         commit_id, ts = current
         added_str, deleted_str, path = stat.groups()
         if added_str == "-" or deleted_str == "-":
-            logger.warning("binary file counts at line %d (%s); recording 0/0", lineno, path)
+            binary_lines.append(lineno)
             added, deleted = 0, 0
         else:
-            added, deleted = int(added_str), int(deleted_str)
+            added, deleted = _number(added_str, lineno), _number(deleted_str, lineno)
         renamed_from, new_path = _split_rename(path)
         events.append(
             ChangeEvent(
@@ -198,6 +204,12 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
                 commit_id=commit_id,
                 renamed_from=renamed_from,
             )
+        )
+    if binary_lines:
+        logger.warning(
+            "%d line(s) with binary file counts recorded as 0/0; the first at line %d",
+            len(binary_lines),
+            binary_lines[0],
         )
     return events
 

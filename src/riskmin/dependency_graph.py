@@ -3,7 +3,8 @@
 Two edge-list formats are accepted:
 
 * ``callgraph-text``: ``M:<callerClass>:<callerMethod> (<X>)<calleeClass>:<calleeMethod>``
-  where ``<X>`` is an invocation-type tag in {M, I, O, S, D}; method tokens
+  where ``<X>`` is an invocation-type tag in {M, I, O, S, D} (an edge with
+  another tag is kept, and counted in one warning per file); method tokens
   may carry a parenthesized descriptor. Lines starting with ``C:``
   (class-level edges) are ignored.
 * ``csv``: ``caller_class#caller_method,callee_class#callee_method`` per
@@ -22,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, AbstractSet, Iterable, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, numbered_lines
 
 logger = logging.getLogger(__name__)
 
@@ -89,17 +90,13 @@ def _parse_method_token(token: str, lineno: int) -> MethodRef:
 _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
 
 
-def _lines(stream: IO | Iterable) -> Iterable[str]:
-    for raw in stream:
-        yield raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-
 def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEXT) -> CallGraph:
     """Build a call graph from an edge-list stream in the given format."""
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown call-graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
     graph = CallGraph()
-    for lineno, line in enumerate(_lines(stream), start=1):
+    unknown_tag_lines: list[int] = []
+    for lineno, line in numbered_lines(stream):
         line = line.strip()
         if not line:
             continue
@@ -111,7 +108,7 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
                 raise ParseError(f"malformed call-graph line at line {lineno}", line=lineno)
             caller_token, tag, callee_token = match.groups()
             if tag not in _INVOCATION_TAGS:
-                logger.warning("unknown invocation type %r at line %d; keeping edge", tag, lineno)
+                unknown_tag_lines.append(lineno)
             caller = _parse_method_token(caller_token, lineno)
             callee = _parse_method_token(callee_token, lineno)
         else:
@@ -121,6 +118,12 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
             caller = parse_test_id(parts[0].strip(), lineno=lineno)
             callee = parse_test_id(parts[1].strip(), lineno=lineno)
         graph.add_edge(caller, callee)
+    if unknown_tag_lines:
+        logger.warning(
+            "%d edge(s) with an unknown invocation type kept; the first at line %d",
+            len(unknown_tag_lines),
+            unknown_tag_lines[0],
+        )
     return graph
 
 
@@ -186,14 +189,17 @@ def _reachable_masks(
 ) -> list[int]:
     """Reachable-class bitmask of each root, from one traversal shared by all roots.
 
-    Iterative Tarjan over the nodes the roots reach; each class id gets one
-    bit in ``class_bits`` when first seen. Tarjan completes strongly
-    connected components sinks-first, so when a component completes, the
-    masks of the components it calls are final and its own mask is its
-    members' class bits OR-ed with theirs (Nuutila's condensation closure).
-    Memory is one mask per component, each up to (classes reached) / 8 bytes.
+    Iterative Tarjan over the nodes the roots reach. Tarjan completes
+    strongly connected components sinks-first, so when a component
+    completes, the masks of the components it calls are final and its own
+    mask is its members' class bits OR-ed with theirs (Nuutila's
+    condensation closure). A class id gets its bit in ``class_bits`` when
+    the first component holding one of its methods completes, so a mask is
+    never wider than the classes completed before it: memory is one mask
+    per component, each up to (classes completed so far) / 8 bytes.
     """
     number: dict[MethodRef, int] = {}  # DFS number of every reached node
+    class_of: list[str] = []  # class id of each reached node, by DFS number
     lowlink: list[int] = []  # _DONE once the node's component is complete
     masks: list[int] = []  # partial while the node is on the stack, then its component's mask
     component_stack: list[int] = []
@@ -201,11 +207,9 @@ def _reachable_masks(
     def visit(node: MethodRef) -> int:
         index = len(lowlink)
         number[node] = index
+        class_of.append(node.class_id)
         lowlink.append(index)
-        bit = class_bits.get(node.class_id)
-        if bit is None:
-            bit = class_bits[node.class_id] = 1 << len(class_bits)
-        masks.append(bit)
+        masks.append(0)
         component_stack.append(index)
         return index
 
@@ -232,7 +236,11 @@ def _reachable_masks(
                     del component_stack[start:]
                     mask = 0
                     for member in members:
-                        mask |= masks[member]
+                        class_id = class_of[member]
+                        bit = class_bits.get(class_id)
+                        if bit is None:
+                            bit = class_bits[class_id] = 1 << len(class_bits)
+                        mask |= masks[member] | bit
                     for member in members:
                         masks[member] = mask
                         lowlink[member] = _DONE

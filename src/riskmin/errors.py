@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the input line reader.
 
 The CLI maps these to stable exit codes; library callers can catch them
 individually.
 """
 
 from __future__ import annotations
+
+from typing import IO, Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -35,3 +37,23 @@ class AlignmentError(ValueError):
         if missing_in_b:
             parts.append("missing in second file: " + ", ".join(sorted(missing_in_b)))
         super().__init__("version ids differ; " + "; ".join(parts))
+
+
+def numbered_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
+    """(line number from 1, text) of each line of a text stream or of UTF-8 bytes.
+
+    Input that is not valid UTF-8 raises ``ParseError``: at its line for
+    bytes, after the last line returned for a text stream, which decodes
+    ahead of the lines it returns.
+    """
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(stream, start=1):
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
+            yield lineno, raw
+    except UnicodeDecodeError:
+        raise ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1) from None

@@ -5,8 +5,9 @@ evaluation instant. Accuracy is the fraction of those tests retained;
 the fault detection rate over many versions is the fraction of versions
 keeping at least one of them. ``evaluate_grid`` takes these measurements
 over metric, horizon, operator, and budget (a single run is the 1x1x1x1
-grid), sharing each risk table across operators and each scoring pass
-across budgets; ``sweep_rows`` summarises each cell over the versions.
+grid), sharing each decay pass across metrics, each dependency signature's
+risks across its tests and operators, and each ranking across budgets;
+``sweep_rows`` summarises each cell over the versions.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import itertools
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .change_history import ClassHistory
 from .dependency_graph import CallGraph, MethodRef, build_dependency_map
 from .errors import LabelError
-from .minimizer import Budget, MinimizationResult, config_fingerprint, select
-from .risk_aggregation import OPERATORS, TestScore, score_test
-from .temporal_risk import METRICS, ClassRisk, RiskConfig, risk_table
+from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, rank, select
+from .risk_aggregation import OPERATORS, TestScore, positive_multisets, score_multisets, score_test
+from .temporal_risk import METRICS, ClassRisk, RiskConfig, decayed_risks, risk_table
 
 
 @dataclass(frozen=True)
@@ -154,33 +155,69 @@ def evaluate_grid(
     """Minimize every labelled version under every grid cell and measure fault preservation.
 
     Cells come back in grid order, each with one outcome per label in label
-    order. A risk table or scoring pass shared by several cells is computed
-    once and its measured cost charged to each of them, so with
+    order. Work is shared wherever cells agree: per version and horizon one
+    decay pass serves every metric; per metric each distinct dependency
+    signature gets one sorted positive-risk multiset; per operator each
+    signature is scored once and the tests are ranked once, and every budget
+    keeps a prefix of that ranking. Scores and selections equal those of
+    ``score_tests`` and ``select`` bit for bit. A cell's ``wall_time`` is
     ``base_seconds`` (ingestion and dependency analysis, measured by the
-    caller) a cell's ``wall_time`` reads as if that configuration ran alone.
+    caller) plus the measured cost of the work it used: its metric's share
+    of the decay pass, its metric's multisets, its scoring pass and ranking,
+    and its own selection.
     """
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     cells: list[GridCell] = [(key, []) for key in keys]
-    for label in labels:
-        slots = iter(cells)  # the loops below visit the cells in grid order
-        for metric, horizon in itertools.product(grid.metrics, grid.horizons):
-            cfg = RiskConfig(metric=metric, half_life_days=horizon, reference_time=label.as_of)
+    passes = _scoring_passes(histories, dep_map, labels, grid)
+    for first_cell, label, _, ranked, shared_seconds in passes:
+        budget_cells = cells[first_cell : first_cell + len(grid.budgets)]
+        for (metric, horizon, operator, fraction), outcomes in budget_cells:
             t0 = time.perf_counter()
-            table = risk_table(histories, cfg)
-            risk_seconds = time.perf_counter() - t0
-            for operator in grid.operators:
-                t0 = time.perf_counter()
-                scores = score_tests(table, dep_map, operator)
-                score_seconds = time.perf_counter() - t0
-                for fraction in grid.budgets:
-                    t0 = time.perf_counter()
-                    fingerprint = config_fingerprint(metric, horizon, operator, fraction, label.as_of)
-                    result = select(scores, Budget(fraction), fingerprint)
-                    acc = accuracy(set(result.selected), label)
-                    seconds = base_seconds + risk_seconds + score_seconds + (time.perf_counter() - t0)
-                    outcome = VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint)
-                    next(slots)[1].append(outcome)
+            fingerprint = config_fingerprint(metric, horizon, operator, fraction, label.as_of)
+            keep = budget_count(len(ranked), Budget(fraction))
+            acc = accuracy(set(ranked[:keep]), label)
+            seconds = base_seconds + shared_seconds + (time.perf_counter() - t0)
+            outcomes.append(VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint))
     return cells
+
+
+def _scoring_passes(
+    histories: Mapping[str, ClassHistory],
+    dep_map: Mapping[str, list[str]],
+    labels: Sequence[VersionLabel],
+    grid: SweepGrid,
+) -> Iterator[tuple[int, VersionLabel, dict[str, float], list[str], float]]:
+    """Every (label, metric, horizon, operator) scoring pass of the grid, horizon-outer.
+
+    Yields the grid index of the pass's first cell (its first budget), the
+    label, every test's score, the tests in ``rank`` order, and the seconds
+    of the shared work the pass used.
+    """
+    n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
+    by_signature: dict[tuple[str, ...], list[str]] = {}
+    for test_id, deps in dep_map.items():
+        by_signature.setdefault(tuple(deps), []).append(test_id)
+    signature_of = [
+        (test_id, k) for k, test_ids in enumerate(by_signature.values()) for test_id in test_ids
+    ]
+    for label in labels:
+        for h, horizon in enumerate(grid.horizons):
+            t0 = time.perf_counter()
+            risks = decayed_risks(histories, grid.metrics, horizon, label.as_of)
+            decay_seconds = time.perf_counter() - t0
+            for m, metric in enumerate(grid.metrics):
+                t0 = time.perf_counter()
+                multisets = positive_multisets(by_signature, risks[metric])
+                metric_seconds = decay_seconds / len(grid.metrics) + (time.perf_counter() - t0)
+                for o, operator in enumerate(grid.operators):
+                    t0 = time.perf_counter()
+                    signature_scores = score_multisets(multisets, operator)
+                    scores = {test_id: signature_scores[k] for test_id, k in signature_of}
+                    ranked = rank(scores)
+                    seconds = metric_seconds + (time.perf_counter() - t0)
+                    first_cell = ((m * n_horizons + h) * n_operators + o) * n_budgets
+                    yield first_cell, label, scores, ranked, seconds
+                del multisets  # so that only one metric's multisets are ever alive
 
 
 def sweep_rows(cells: Iterable[GridCell]) -> list[SweepRow]:

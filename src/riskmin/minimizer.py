@@ -68,22 +68,29 @@ class MinimizationResult:
         }
 
 
+def rank(scores: Mapping[str, float]) -> list[str]:
+    """Test ids by score descending, ties broken on test id ascending.
+
+    This total order makes the output reproducible across runs and
+    platforms; a budget keeps its leading prefix.
+    """
+    # Sorting by id, then stably by score alone, orders by (-score, test id).
+    return sorted(sorted(scores), key=scores.__getitem__, reverse=True)
+
+
 def select(
     scores: Mapping[str, TestScore],
     budget: Budget,
     fingerprint: str = "",
 ) -> MinimizationResult:
-    """Keep the top-scoring tests up to the budget.
-
-    Ties break on test id ascending, making the ordering total and the
-    output reproducible across runs and platforms.
-    """
-    ranked = sorted(scores.values(), key=lambda ts: (-ts.score, ts.test_id))
+    """Keep the top-scoring tests of the ``rank`` order up to the budget."""
+    score_of = {ts.test_id: ts.score for ts in scores.values()}
+    ranked = rank(score_of)
     keep = budget_count(len(ranked), budget)
     return MinimizationResult(
-        selected=tuple(ts.test_id for ts in ranked[:keep]),
-        excluded=tuple(ts.test_id for ts in ranked[keep:]),
-        scores={ts.test_id: ts.score for ts in ranked},
+        selected=tuple(ranked[:keep]),
+        excluded=tuple(ranked[keep:]),
+        scores={test_id: score_of[test_id] for test_id in ranked},
         config_fingerprint=fingerprint,
     )
 

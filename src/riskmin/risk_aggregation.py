@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .temporal_risk import ClassRisk
 
@@ -28,6 +28,11 @@ def aggregate(values: Iterable[float], op: str) -> float:
         raise ValueError("aggregate() requires a non-empty multiset")
     if ordered[0] <= 0:
         raise ValueError("aggregate() requires strictly positive values")
+    return _reduce_sorted(ordered, op)
+
+
+def _reduce_sorted(ordered: list[float], op: str) -> float:
+    """The operator formulas, on a non-empty, ascending list of positive values."""
     if op == OP_AVG:
         return statistics.fmean(ordered)
     if op == OP_GMEAN:
@@ -68,3 +73,22 @@ def score_test(
     if not values:
         return TestScore(test_id=test_id, score=0.0)
     return TestScore(test_id=test_id, score=aggregate(values, op))
+
+
+def positive_multisets(
+    signatures: Iterable[Sequence[str]], risks: Mapping[str, float]
+) -> list[list[float]]:
+    """The sorted values ``score_test`` would aggregate, once per dependency signature.
+
+    ``risks`` maps class ids to risk scores; as in ``score_test``, absent
+    classes and zero risks are left out.
+    """
+    return [
+        sorted([risk for risk in map(risks.get, deps) if risk is not None and risk > 0])
+        for deps in signatures
+    ]
+
+
+def score_multisets(multisets: Iterable[list[float]], op: str) -> list[float]:
+    """``score_test``'s score of each ``positive_multisets`` entry: 0 for an empty one."""
+    return [_reduce_sorted(values, op) if values else 0.0 for values in multisets]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .change_history import ChangeEvent, ClassHistory
 
@@ -83,6 +83,33 @@ def event_weight(event: ChangeEvent, metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
+def _decayed_totals(
+    events: Iterable[ChangeEvent], alpha: float, reference_time: int, metrics: Collection[str]
+) -> dict[str, float]:
+    """Decayed event-weight sums of one history under each metric, from one pass.
+
+    Each in-scope event's decay factor is computed once and folded into the
+    totals of the requested metrics only (the others stay 0.0). The fold is
+    a sequential ``+=`` in the history's chronological order, which keeps
+    results bit-deterministic; the weights are those of ``event_weight`` and
+    the ages those of ``event_age_days``, inlined.
+    """
+    frequency = METRIC_FREQUENCY in metrics
+    extent = METRIC_EXTENT in metrics
+    exp, log1p, rate = math.exp, math.log1p, -alpha  # local names: this loop runs per event
+    frequency_total = extent_total = 0.0
+    for event in events:
+        age = (reference_time - event.timestamp) / SECONDS_PER_DAY
+        if age < 0:
+            continue
+        decay = exp(rate * age)
+        if frequency:
+            frequency_total += 1.0 * decay
+        if extent:
+            extent_total += log1p(event.churn) * decay
+    return {METRIC_FREQUENCY: frequency_total, METRIC_EXTENT: extent_total}
+
+
 def class_risk(history: ClassHistory, cfg: RiskConfig) -> ClassRisk:
     """Sum of decayed event weights over the in-scope history.
 
@@ -90,16 +117,33 @@ def class_risk(history: ClassHistory, cfg: RiskConfig) -> ClassRisk:
     past evaluation point never see the future. Summation runs in the
     history's chronological order to keep results bit-deterministic.
     """
-    alpha = cfg.alpha
-    total = 0.0
-    for event in history.events:
-        age = event_age_days(event, cfg.reference_time)
-        if age < 0:
-            continue
-        total += event_weight(event, cfg.metric) * math.exp(-alpha * age)
-    return ClassRisk(class_id=history.class_id, score=total)
+    totals = _decayed_totals(history.events, cfg.alpha, cfg.reference_time, (cfg.metric,))
+    return ClassRisk(class_id=history.class_id, score=totals[cfg.metric])
 
 
 def risk_table(histories: Mapping[str, ClassHistory], cfg: RiskConfig) -> dict[str, ClassRisk]:
     """Score every class in the map; classes not present are implicitly 0."""
     return {class_id: class_risk(history, cfg) for class_id, history in histories.items()}
+
+
+def decayed_risks(
+    histories: Mapping[str, ClassHistory],
+    metrics: Sequence[str],
+    half_life_days: float | None,
+    reference_time: int,
+) -> dict[str, dict[str, float]]:
+    """Every class's risk score under each metric at one horizon, from one pass per history.
+
+    ``decayed_risks(h, metrics, t, ref)[m][c]`` equals
+    ``risk_table(h, RiskConfig(m, t, ref))[c].score`` bit for bit; the metrics
+    share each event's decay factor instead of recomputing it.
+    """
+    # RiskConfig rejects an unknown metric or a non-positive half-life.
+    configs = [RiskConfig(metric, half_life_days, reference_time) for metric in metrics]
+    alpha = configs[0].alpha if configs else 0.0
+    tables: dict[str, dict[str, float]] = {metric: {} for metric in metrics}
+    for class_id, history in histories.items():
+        totals = _decayed_totals(history.events, alpha, reference_time, metrics)
+        for metric, table in tables.items():
+            table[class_id] = totals[metric]
+    return tables

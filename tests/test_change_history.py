@@ -88,6 +88,20 @@ class TestParseChangeLog:
         (event,) = _parse_jsonl(line)
         assert event.renamed_from is None
 
+    def test_undecodable_bytes_name_the_line(self):
+        lines = [b'{"path":"a/B.java","ts":1,"add":1,"del":0,"commit":"c"}\n', b"\xff\xfe\n"]
+        with pytest.raises(ParseError, match="UTF-8 at line 2"):
+            parse_change_log(lines)
+
+    def test_integer_past_the_conversion_limit_names_the_line(self):
+        line = '{"path":"a/B.java","ts":' + "9" * 5000 + ',"add":1,"del":0,"commit":"c"}'
+        with pytest.raises(ParseError, match="line 1"):
+            _parse_jsonl(line)
+
+    def test_nesting_too_deep_names_the_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            _parse_jsonl("\n" + "[" * 100_000)
+
     def test_renamed_from_is_carried_through(self):
         line = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c","renamed_from":"a/Old.java"}'
         (event,) = _parse_jsonl(line)
@@ -107,6 +121,14 @@ class TestParseGitNumstat:
             (event,) = parse_git_numstat(io.StringIO(text))
         assert (event.added, event.deleted) == (0, 0)
         assert any("binary" in message for message in caplog.messages)
+
+    def test_binary_lines_are_counted_in_one_warning(self, caplog):
+        text = "COMMIT abc 1000\n1\t1\tsrc/A.java\n" + "-\t-\timg/logo.png\n" * 1000
+        with caplog.at_level("WARNING"):
+            events = parse_git_numstat(io.StringIO(text))
+        assert len(events) == 1001
+        (message,) = caplog.messages
+        assert "binary" in message and "1000 " in message and "line 3" in message
 
     def test_braced_rename_resolves_to_new_path(self):
         text = "COMMIT abc 1000\n1\t1\tsrc/{old => new}/a/B.java\n"
@@ -137,6 +159,20 @@ class TestParseGitNumstat:
     def test_unrecognized_line_is_an_error(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_git_numstat(io.StringIO("COMMIT abc 1\nnot a numstat line\n"))
+
+    def test_undecodable_bytes_name_the_line(self):
+        with pytest.raises(ParseError, match="UTF-8 at line 2"):
+            parse_git_numstat([b"COMMIT abc 5\n", b"1\t2\tsrc/\xff.java\n"])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["COMMIT abc " + "9" * 5000 + "\n", "COMMIT abc 5\n" + "9" * 5000 + "\t1\tsrc/A.java\n"],
+        ids=["header-timestamp", "line-count"],
+    )
+    def test_number_past_the_conversion_limit_names_the_line(self, text):
+        lineno = text.count("\n")
+        with pytest.raises(ParseError, match=f"line {lineno}"):
+            parse_git_numstat(io.StringIO(text))
 
     def test_zero_header_timestamp_is_an_error(self):
         text = "COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def 0\n1\t2\tsrc/A.java\n"

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from riskmin import cli, stats
+
+from microproject import random_micro_project
 
 DAY = 86_400
 REF = 1_700_000_000
@@ -127,6 +130,14 @@ class TestScoreCommand:
         (tmp_path / "changes.jsonl").write_text("{broken\n", encoding="utf-8")
         assert cli.main(["score", str(manifest), "--as-of", "1"]) == 3
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["changes.jsonl", "callgraph.csv"])
+    def test_input_that_is_not_utf8_exits_3(self, tmp_path, capsys, name):
+        manifest = _write_project(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        assert cli.main(["score", str(manifest), "--as-of", "1"]) == 3
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_output_directory_file(self, tmp_path):
         manifest = _write_project(tmp_path)
@@ -564,3 +575,52 @@ class TestManifestShape:
         manifest.write_text(json.dumps(raw), encoding="utf-8")
         inputs = cli.load_project_inputs(cli.load_manifest(manifest))
         assert [entry.test_id for entry in inputs.entries] == ["app.T1Test#t1"]
+
+
+def _mask_last_column(text):
+    """The acceptance suite's timing mask: every data row's last (time) column becomes X."""
+    lines = text.splitlines()
+    return "\n".join([lines[0]] + [line.rsplit(",", 1)[0] + ",X" for line in lines[1:]])
+
+
+def _golden_manifests(tmp_path):
+    """Two random micro projects with three labelled versions each, the earlier
+    two placed so that some events fall after them."""
+    manifests = []
+    for seed in (101, 202):
+        project = random_micro_project(seed)
+        directory = tmp_path / f"p{seed}"
+        manifest = project.write_files(directory)
+        faults = sorted(project.fault_tests)
+        versions = [
+            {"version_id": f"p{seed}-v{k}", "as_of": project.as_of - days * DAY,
+             "fault_revealing_tests": faults}
+            for k, days in enumerate((0, 45, 180))
+        ]
+        (directory / "labels.json").write_text(json.dumps(versions), encoding="utf-8")
+        manifests.append(manifest)
+    return manifests
+
+
+class TestGoldenDigests:
+    """SHA-256 of timing-masked outputs, recorded when every grid cell still
+    computed its own risk table, scores and ranking.
+
+    A change to any accuracy, detection flag, row order or number format of
+    the canonical-grid sweep or of ``evaluate`` changes these digests.
+    """
+
+    SWEEP_SHA256 = "e8e7242924ffe7f7723aec46fcfca7af4896936c9b58a3acd16b112dac16b580"
+    OUTCOMES_SHA256 = "9c7cd2cb71e5bf85721318ea8c34558532becaf12e81a00f993e2e3bab01143c"
+
+    def test_canonical_sweep_matches_recorded_digest(self, tmp_path):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", *_golden_manifests(tmp_path), "--output", str(out)]) == 0
+        masked = _mask_last_column((out / "sweep.csv").read_text(encoding="utf-8"))
+        assert hashlib.sha256(masked.encode()).hexdigest() == self.SWEEP_SHA256
+
+    def test_evaluate_outcomes_match_recorded_digest(self, tmp_path):
+        out = tmp_path / "evaluate"
+        assert cli.main(["evaluate", *_golden_manifests(tmp_path), "--output", str(out)]) == 0
+        masked = _mask_last_column((out / "outcomes.csv").read_text(encoding="utf-8"))
+        assert hashlib.sha256(masked.encode()).hexdigest() == self.OUTCOMES_SHA256

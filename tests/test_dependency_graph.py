@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from riskmin.dependency_graph import (
     CallGraph,
     MethodRef,
+    _reachable_masks,
     build_dependency_map,
     entry_class_filter,
     parse_callgraph_edges,
@@ -60,6 +61,14 @@ class TestParseCallgraphText:
         assert graph.edge_count == 1
         assert any("invocation type" in m for m in caplog.messages)
 
+    def test_unknown_tags_are_counted_in_one_warning(self, caplog):
+        lines = ["M:a.T:t (M)a.Foo:b\n"] + [f"M:a.T:t (Q)a.Foo:b{i}\n" for i in range(1000)]
+        with caplog.at_level("WARNING"):
+            graph = parse_callgraph_edges(lines)
+        assert graph.edge_count == 1001
+        (message,) = caplog.messages
+        assert "invocation type" in message and "1000 " in message and "line 2" in message
+
     def test_empty_input_yields_empty_graph(self):
         graph = parse_callgraph_edges(io.StringIO(""))
         assert graph.nodes() == frozenset() and graph.edge_count == 0
@@ -67,6 +76,16 @@ class TestParseCallgraphText:
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_callgraph_edges(io.StringIO("M:a.T:t (M)a.F:b\nM:broken\n"))
+
+
+@pytest.mark.parametrize(
+    ("fmt", "good"),
+    [("callgraph-text", b"M:a.T:t (M)a.F:b\n"), ("csv", b"a.T#t,a.F#b\n")],
+    ids=["callgraph-text", "csv"],
+)
+def test_undecodable_bytes_name_the_line(fmt, good):
+    with pytest.raises(ParseError, match="UTF-8 at line 2"):
+        parse_callgraph_edges([good, b"\xff" + good], fmt)
 
 
 class TestParseCallgraphCsv:
@@ -292,6 +311,19 @@ def test_successors_is_called_at_most_twice_per_reached_node():
     assert all(classes == ["A", "B"] for classes in deps.values())
     assert set(graph.calls) == set(cycle) | entries
     assert max(graph.calls.values()) <= 2
+
+
+def test_class_bits_are_numbered_in_component_completion_order():
+    """A class's bit is assigned when its first component completes, so a
+    mask is never wider than the classes completed before it: the chain's
+    sink, visited last but completed first, gets bit 0."""
+    chain = [MethodRef(f"C{i}", "m") for i in range(5)]
+    graph = CallGraph()
+    for a, b in zip(chain, chain[1:]):
+        graph.add_edge(a, b)
+    class_bits = {}
+    assert _reachable_masks(graph, [chain[0], chain[-1]], class_bits) == [0b11111, 0b1]
+    assert list(class_bits) == ["C4", "C3", "C2", "C1", "C0"]
 
 
 def test_every_test_gets_its_own_list():

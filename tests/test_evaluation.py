@@ -1,12 +1,16 @@
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.errors import LabelError
 from riskmin.evaluation import (
     SweepGrid,
+    _scoring_passes,
     VersionLabel,
     VersionOutcome,
     accuracy,
@@ -14,9 +18,11 @@ from riskmin.evaluation import (
     evaluate_grid,
     fdr,
     minimize_suite,
+    score_tests,
     sweep_rows,
 )
-from riskmin.minimizer import Budget
+from riskmin.minimizer import Budget, select
+from riskmin.temporal_risk import RiskConfig, risk_table
 
 from microproject import AS_OF, random_micro_project
 
@@ -277,3 +283,76 @@ class TestRunSweep:
     def test_empty_dataset_yields_no_rows(self):
         _, histories, dep_map, _ = _project_version(9, "v1")
         assert sweep_rows(evaluate_grid(histories, dep_map, [], SweepGrid())) == []
+
+
+_CLASSES = ("app.A", "app.B", "app.C", "app.D", "app.E")
+
+
+@st.composite
+def _scoring_projects(draw):
+    """A small project: histories for some classes (others have none), tests
+    drawn from a few signatures so that several share one, and two labels.
+
+    Day offsets below zero place events after the label's ``as_of``; all
+    events of a class may lie there, and zero line counts give a zero
+    extent, so zero-risk classes occur; identical histories give ties.
+    """
+    histories = {}
+    for c, class_id in enumerate(draw(st.lists(st.sampled_from(_CLASSES), unique=True))):
+        rows = draw(st.lists(
+            st.tuples(st.integers(-30, 400), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+            min_size=1, max_size=5,
+        ))
+        events = sorted(
+            (
+                ChangeEvent(path=f"src/{class_id}.java", timestamp=REF - days * DAY, added=add,
+                            deleted=dele, modified=mod, commit_id=f"c{c}-{i}")
+                for i, (days, add, dele, mod) in enumerate(rows)
+            ),
+            key=lambda e: (e.timestamp, e.commit_id),
+        )
+        histories[class_id] = ClassHistory(class_id=class_id, events=tuple(events))
+    signatures = draw(st.lists(
+        st.lists(st.sampled_from(_CLASSES), unique=True).map(sorted), min_size=1, max_size=4,
+    ))
+    dep_map = {
+        f"app.T{i}Test#t": list(signatures[k])
+        for i, k in enumerate(draw(st.lists(st.integers(0, len(signatures) - 1), min_size=1, max_size=8)))
+    }
+    labels = [
+        VersionLabel(f"v{k}", REF - draw(st.integers(0, 60)) * DAY,
+                     frozenset(draw(st.lists(st.sampled_from(sorted(dep_map)), min_size=1))))
+        for k in range(2)
+    ]
+    return histories, dep_map, labels
+
+
+class TestSharedScoringPath:
+    """The grid's shared passes against the one-configuration path, bit for bit."""
+
+    GRID = SweepGrid(metrics=("frequency", "extent"), horizons=(None, 2.0, 64.0),
+                     operators=("avg", "gmean", "hmean", "median"), budgets=(0.5, 0.25, 0.5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scoring_projects())
+    def test_scores_and_ranking_match_score_tests_and_select(self, project):
+        histories, dep_map, labels = project
+        grid = self.GRID
+        keys = list(itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets))
+        cells = evaluate_grid(histories, dep_map, labels, grid)
+        passes = 0
+        for first_cell, label, scores, ranked, _ in _scoring_passes(histories, dep_map, labels, grid):
+            passes += 1
+            metric, horizon, operator, _ = keys[first_cell]
+            table = risk_table(histories, RiskConfig(metric, horizon, label.as_of))
+            expected = score_tests(table, dep_map, operator)
+            assert scores == {test_id: ts.score for test_id, ts in expected.items()}
+            whole = select(expected, Budget(1.0))
+            assert ranked == list(whole.selected + whole.excluded)
+            for b, fraction in enumerate(grid.budgets):
+                (key, outcomes) = cells[first_cell + b]
+                assert key == (metric, horizon, operator, fraction)
+                (outcome,) = [o for o in outcomes if o.version_id == label.version_id]
+                chosen = select(expected, Budget(fraction)).selected
+                assert outcome.accuracy == accuracy(set(chosen), label)
+        assert passes == len(labels) * grid.cells_per_budget

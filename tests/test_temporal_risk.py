@@ -10,6 +10,7 @@ from riskmin.temporal_risk import (
     RiskConfig,
     alpha_from_half_life,
     class_risk,
+    decayed_risks,
     event_age_days,
     event_weight,
     risk_table,
@@ -213,3 +214,40 @@ class TestRiskConfig:
     def test_bad_half_life_rejected(self):
         with pytest.raises(ValueError):
             RiskConfig(metric=METRIC_FREQUENCY, half_life_days=0.0, reference_time=REF)
+
+
+class TestDecayedRisks:
+    """One pass per history for several metrics equals one risk table per metric."""
+
+    def _histories(self, seed):
+        rng = random.Random(seed)
+        return {
+            f"a.C{c}": _history(
+                sorted(
+                    (_event(REF - rng.randint(-20, 400) * DAY + i, add=rng.randint(0, 50),
+                            dele=rng.randint(0, 9), mod=rng.randint(0, 3), commit=f"c{c}-{i}")
+                     for i in range(rng.randint(0, 12))),
+                    key=lambda e: (e.timestamp, e.commit_id),
+                ),
+                class_id=f"a.C{c}",
+            )
+            for c in range(8)
+        }
+
+    @pytest.mark.parametrize("half_life", [None, 0.5, 32.0, 512.0])
+    def test_equals_risk_table_of_each_metric_bit_for_bit(self, half_life):
+        for seed in range(5):
+            histories = self._histories(seed)
+            tables = decayed_risks(histories, (METRIC_FREQUENCY, METRIC_EXTENT), half_life, REF)
+            for metric in (METRIC_FREQUENCY, METRIC_EXTENT):
+                expected = risk_table(histories, RiskConfig(metric, half_life, REF))
+                assert tables[metric] == {c: risk.score for c, risk in expected.items()}
+
+    def test_only_the_requested_metrics_are_returned(self):
+        tables = decayed_risks(self._histories(0), (METRIC_EXTENT,), 8.0, REF)
+        assert list(tables) == [METRIC_EXTENT]
+
+    @pytest.mark.parametrize(("metrics", "half_life"), [(("entropy",), 1.0), ((METRIC_EXTENT,), 0.0)])
+    def test_bad_metric_or_half_life_rejected(self, metrics, half_life):
+        with pytest.raises(ValueError):
+            decayed_risks(self._histories(0), metrics, half_life, REF)
