@@ -17,6 +17,8 @@ Two input formats are accepted:
   input with::
 
       git log -M --pretty='format:COMMIT %H %ct' --numstat
+
+Line counts and timestamps may not exceed ``MAX_INTEGER``.
 """
 
 from __future__ import annotations
@@ -25,17 +27,19 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from operator import itemgetter
+from typing import IO, Iterable, NamedTuple
 
 from .errors import ParseError, numbered_lines
 
 logger = logging.getLogger(__name__)
 
+MAX_INTEGER = 2**63 - 1
+"""Largest line count, timestamp or ``as_of`` accepted from any input (a signed
+64-bit integer); a larger one would overflow the float arithmetic of the risk scores."""
 
-@dataclass(frozen=True)
-class ChangeEvent:
-    """One commit-level modification of one file."""
 
+class _ChangeEventFields(NamedTuple):
     path: str
     timestamp: int
     added: int
@@ -44,16 +48,50 @@ class ChangeEvent:
     commit_id: str
     renamed_from: str | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("added", "deleted", "modified"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative line count: {name}={getattr(self, name)}")
-        if self.timestamp <= 0:
-            raise ValueError(f"timestamp must be positive, got {self.timestamp}")
+
+class ChangeEvent(_ChangeEventFields):
+    """One commit-level modification of one file.
+
+    An immutable named tuple, so it also indexes, unpacks and sorts by its
+    fields. The constructor, ``_make`` and ``_replace`` validate the counts
+    and the timestamp.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        path: str,
+        timestamp: int,
+        added: int,
+        deleted: int,
+        modified: int,
+        commit_id: str,
+        renamed_from: str | None = None,
+    ) -> ChangeEvent:
+        for name, value in (("added", added), ("deleted", deleted), ("modified", modified)):
+            if value < 0:
+                raise ValueError(f"negative line count: {name}={value}")
+            if value > MAX_INTEGER:
+                raise ValueError(f"line count exceeds {MAX_INTEGER}: {name}={value}")
+        if timestamp <= 0:
+            raise ValueError(f"timestamp must be positive, got {timestamp}")
+        if timestamp > MAX_INTEGER:
+            raise ValueError(f"timestamp exceeds {MAX_INTEGER}, got {timestamp}")
+        return tuple.__new__(cls, (path, timestamp, added, deleted, modified, commit_id, renamed_from))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ChangeEvent:
+        return cls(*iterable)  # the inherited _make, which _replace calls, skips __new__
 
     @property
     def churn(self) -> int:
         return self.added + self.deleted + self.modified
+
+
+def _event(fields: tuple) -> ChangeEvent:
+    """A ChangeEvent from fields a parser has already validated."""
+    return tuple.__new__(ChangeEvent, fields)
 
 
 @dataclass(frozen=True)
@@ -103,17 +141,21 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
         for field in _REQUIRED_JSONL_FIELDS:
             if field not in record:
                 raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno)
-        counts = {}
+        counts = []
         for field in ("add", "del", "mod"):
             value = record.get(field, 0)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ParseError(f"field '{field}' must be an integer at line {lineno}", line=lineno)
             if value < 0:
                 raise ParseError(f"negative line count at line {lineno}", line=lineno)
-            counts[field] = value
+            if value > MAX_INTEGER:
+                raise ParseError(f"field '{field}' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
+            counts.append(value)
         ts = record["ts"]
         if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
             raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
+        if ts > MAX_INTEGER:
+            raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
         if not isinstance(record["path"], str):
             raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
         if not isinstance(record["commit"], str):
@@ -121,22 +163,11 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
         renamed_from = record.get("renamed_from")
         if renamed_from is not None and not isinstance(renamed_from, str):
             raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
-        events.append(
-            ChangeEvent(
-                path=record["path"],
-                timestamp=ts,
-                added=counts["add"],
-                deleted=counts["del"],
-                modified=counts["mod"],
-                commit_id=record["commit"],
-                renamed_from=renamed_from,
-            )
-        )
+        events.append(_event((record["path"], ts, *counts, record["commit"], renamed_from)))
     return events
 
 
 _COMMIT_HEADER = re.compile(r"^COMMIT\s+(\S+)\s+(\d+)\s*$")
-_NUMSTAT_LINE = re.compile(r"^(-|\d+)\t(-|\d+)\t(.+)$")
 _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
 
 
@@ -155,9 +186,16 @@ def _split_rename(path: str) -> tuple[str | None, str]:
 
 def _number(digits: str, lineno: int) -> int:
     try:
-        return int(digits)
+        value = int(digits)
     except ValueError:  # past the integer string-conversion limit
         raise ParseError(f"number too long at line {lineno}", line=lineno) from None
+    if value > MAX_INTEGER:
+        raise ParseError(f"number exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
+    return value
+
+
+def _is_count(text: str) -> bool:
+    return text == "-" or text.isdecimal()
 
 
 def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
@@ -165,13 +203,18 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
 
     numstat carries no modified-line count, so ``modified`` is always 0;
     callers needing it must use the JSONL format with an explicit ``mod``.
+    A file line is two counts and a path, separated by tabs. A count is
+    ``-`` or decimal digits (``str.isdecimal``: the characters the regex
+    ``\\d`` matches); the path is the rest of the line, non-empty and
+    without a line break.
     """
     events: list[ChangeEvent] = []
+    append = events.append
     current: tuple[str, int] | None = None
     binary_lines: list[int] = []
     for lineno, line in numbered_lines(stream):
         line = line.rstrip("\n")
-        if not line.strip():
+        if not line or line.isspace():
             continue
         if line.startswith("COMMIT"):
             header = _COMMIT_HEADER.match(line)
@@ -181,30 +224,22 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
             if current[1] <= 0:
                 raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
             continue
-        stat = _NUMSTAT_LINE.match(line)
-        if stat is None:
+        added_text, _, rest = line.partition("\t")
+        deleted_text, _, path = rest.partition("\t")
+        numeric = added_text.isdecimal() and deleted_text.isdecimal()
+        if not (numeric or _is_count(added_text) and _is_count(deleted_text)) or not path or "\n" in path:
             raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
         if current is None:
             raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
-        commit_id, ts = current
-        added_str, deleted_str, path = stat.groups()
-        if added_str == "-" or deleted_str == "-":
-            binary_lines.append(lineno)
-            added, deleted = 0, 0
+        if numeric:
+            added, deleted = _number(added_text, lineno), _number(deleted_text, lineno)
         else:
-            added, deleted = _number(added_str, lineno), _number(deleted_str, lineno)
-        renamed_from, new_path = _split_rename(path)
-        events.append(
-            ChangeEvent(
-                path=new_path,
-                timestamp=ts,
-                added=added,
-                deleted=deleted,
-                modified=0,
-                commit_id=commit_id,
-                renamed_from=renamed_from,
-            )
-        )
+            binary_lines.append(lineno)
+            added = deleted = 0
+        renamed_from = None
+        if "=>" in path:
+            renamed_from, path = _split_rename(path)
+        append(_event((path, current[1], added, deleted, 0, current[0], renamed_from)))
     if binary_lines:
         logger.warning(
             "%d line(s) with binary file counts recorded as 0/0; the first at line %d",
@@ -251,6 +286,9 @@ class _UnionFind:
             self._parent[ra] = rb
 
 
+_BY_TIME_THEN_COMMIT = itemgetter(1, 5)  # (timestamp, commit_id) of a ChangeEvent
+
+
 def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[str, ClassHistory]:
     """Group events into per-class histories, merging rename chains.
 
@@ -263,13 +301,14 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
     class_of: dict[str, str | None] = {}
     kept: list[ChangeEvent] = []
     for event in events:
-        if event.path not in class_of:
-            class_of[event.path] = path_to_class(event.path, cfg)
-        if class_of[event.path] is None:
+        path = event.path
+        if path not in class_of:
+            class_of[path] = path_to_class(path, cfg)
+        if class_of[path] is None:
             continue
         kept.append(event)
         if event.renamed_from:
-            groups.union(event.renamed_from, event.path)
+            groups.union(event.renamed_from, path)
 
     # Same resolved class id links otherwise-unrelated path groups. Only paths
     # with events of their own take part: a rename source without events stays
@@ -279,9 +318,10 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
         if class_id is not None:
             groups.union(path, class_anchor.setdefault(class_id, path))
 
+    group_of = {path: groups.find(path) for path, class_id in class_of.items() if class_id is not None}
     by_group: dict[str, list[ChangeEvent]] = {}
     for event in kept:
-        by_group.setdefault(groups.find(event.path), []).append(event)
+        by_group.setdefault(group_of[event.path], []).append(event)
 
     histories: dict[str, ClassHistory] = {}
     for members in by_group.values():
@@ -292,7 +332,7 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
             if key not in seen:
                 seen.add(key)
                 unique.append(event)
-        unique.sort(key=lambda e: (e.timestamp, e.commit_id))
+        unique.sort(key=_BY_TIME_THEN_COMMIT)
         class_id = class_of[unique[-1].path]
         histories[class_id] = ClassHistory(class_id=class_id, events=tuple(unique))
     return histories

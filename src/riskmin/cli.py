@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .change_history import (
+    MAX_INTEGER,
     SourceRootConfig,
     consolidate,
     parse_change_log,
@@ -57,7 +58,7 @@ from .evaluation import (
 )
 from .minimizer import Budget, check_result_invariants
 from .risk_aggregation import OPERATORS, OP_GMEAN
-from .temporal_risk import METRICS, METRIC_EXTENT, RiskConfig, risk_table
+from .temporal_risk import METRICS, METRIC_EXTENT, RiskConfig, alpha_from_half_life, risk_table
 
 logger = logging.getLogger(__name__)
 
@@ -121,6 +122,8 @@ def load_manifest(path: Path) -> RunManifest:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed manifest JSON: {exc}", path=str(path))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
+            raise ParseError(f"unreadable manifest JSON: {exc}", path=str(path)) from None
     if not isinstance(raw, dict):
         raise ParseError("manifest must be a JSON object", path=str(path))
     base = Path(path).parent
@@ -231,6 +234,8 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
         raise LabelError(f"label file not found: {path}")
     except json.JSONDecodeError as exc:
         raise LabelError(f"malformed label JSON in {path}: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
+        raise LabelError(f"unreadable label JSON in {path}: {exc}") from None
     records = raw if isinstance(raw, list) else [raw]
     labels: dict[str, VersionLabel] = {}
     for position, record in enumerate(records, start=1):
@@ -253,6 +258,10 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
         as_of = record["as_of"]
         if not isinstance(as_of, int) or isinstance(as_of, bool):
             raise LabelError(f"version {record['version_id']!r} in {path}: as_of must be an integer")
+        if abs(as_of) > MAX_INTEGER:
+            raise LabelError(
+                f"version {record['version_id']!r} in {path}: as_of exceeds {MAX_INTEGER} in magnitude"
+            )
         version_id = str(record["version_id"])
         if version_id in labels:
             raise LabelError(f"version {version_id!r} is labelled more than once in {path}")
@@ -574,9 +583,21 @@ def _horizon_arg(value: str) -> float | None:
         days = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number of days or 'static', got {value!r}")
-    if not days > 0:
-        raise argparse.ArgumentTypeError(f"horizon must be positive, got {value}")
+    try:
+        alpha_from_half_life(days)  # rejects a non-positive half-life, or one too small for a finite rate
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return days
+
+
+def _as_of_arg(value: str) -> int:
+    try:
+        epoch = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected whole Unix seconds, got {value[:40]!r}")
+    if abs(epoch) > MAX_INTEGER:
+        raise argparse.ArgumentTypeError(f"must not exceed {MAX_INTEGER} in magnitude")
+    return epoch
 
 
 def _budget_arg(value: str) -> float:
@@ -630,7 +651,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_as_of: bool) -> N
         parser.add_argument(
             "--as-of",
             dest="as_of",
-            type=int,
+            type=_as_of_arg,
             required=True,
             metavar="EPOCH",
             help="evaluation time as Unix seconds; later events are ignored",
@@ -715,11 +736,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main() call, then reused
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    global _PARSER
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
-    parser = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:

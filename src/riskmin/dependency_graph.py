@@ -20,8 +20,7 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import IO, AbstractSet, Iterable, Mapping, Sequence
+from typing import IO, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, numbered_lines
 
@@ -36,19 +35,39 @@ _INVOCATION_TAGS = frozenset("MIOSD")
 _DONE = -1  # lowlink of a node whose strongly connected component is complete
 
 
-@dataclass(frozen=True)
-class MethodRef:
+class _MethodRefFields(NamedTuple):
     class_id: str
     method_name: str
     descriptor: str = ""
 
-    def __post_init__(self) -> None:
-        if not self.class_id:
+
+class MethodRef(_MethodRefFields):
+    """One method of one class.
+
+    An immutable named tuple, so it also indexes, unpacks and sorts by its
+    fields. The constructor, ``_make`` and ``_replace`` require a non-empty
+    class id.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, class_id: str, method_name: str, descriptor: str = "") -> MethodRef:
+        if not class_id:
             raise ValueError("method reference requires a non-empty class id")
+        return tuple.__new__(cls, (class_id, method_name, descriptor))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> MethodRef:
+        return cls(*iterable)  # the inherited _make, which _replace calls, skips __new__
 
     @property
     def test_id(self) -> str:
         return f"{self.class_id}#{self.method_name}"
+
+
+def _method_ref(fields: tuple[str, str, str]) -> MethodRef:
+    """A MethodRef from fields a parser has already validated."""
+    return tuple.__new__(MethodRef, fields)
 
 
 class CallGraph:
@@ -84,7 +103,7 @@ def _parse_method_token(token: str, lineno: int) -> MethodRef:
     if paren >= 0:
         descriptor = rest[paren:].strip("()")
         rest = rest[:paren]
-    return MethodRef(class_id=class_id, method_name=rest, descriptor=descriptor)
+    return _method_ref((class_id, rest, descriptor))
 
 
 _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
@@ -96,11 +115,14 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
         raise ValueError(f"unknown call-graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
     graph = CallGraph()
     unknown_tag_lines: list[int] = []
+    text = fmt == FORMAT_CALLGRAPH_TEXT
+    parse_token = _parse_method_token if text else parse_test_id
+    refs: dict[str, MethodRef] = {}  # one record per distinct token, shared by its edges
     for lineno, line in numbered_lines(stream):
         line = line.strip()
         if not line:
             continue
-        if fmt == FORMAT_CALLGRAPH_TEXT:
+        if text:
             if line.startswith("C:"):
                 continue
             match = _TEXT_EDGE.match(line)
@@ -109,14 +131,13 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
             caller_token, tag, callee_token = match.groups()
             if tag not in _INVOCATION_TAGS:
                 unknown_tag_lines.append(lineno)
-            caller = _parse_method_token(caller_token, lineno)
-            callee = _parse_method_token(callee_token, lineno)
         else:
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)
-            caller = parse_test_id(parts[0].strip(), lineno=lineno)
-            callee = parse_test_id(parts[1].strip(), lineno=lineno)
+            caller_token, callee_token = parts[0].strip(), parts[1].strip()
+        caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_token(caller_token, lineno))
+        callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_token(callee_token, lineno))
         graph.add_edge(caller, callee)
     if unknown_tag_lines:
         logger.warning(
@@ -134,7 +155,7 @@ def parse_test_id(test_id: str, lineno: int | None = None) -> MethodRef:
     class_id, method = test_id.split("#", 1)
     if not class_id or not method:
         raise ParseError(f"incomplete test id {test_id!r}", line=lineno)
-    return MethodRef(class_id=class_id, method_name=method)
+    return _method_ref((class_id, method, ""))
 
 
 def test_entry_points(graph: CallGraph, selector: Mapping) -> set[MethodRef]:

@@ -23,10 +23,17 @@ METRICS = (METRIC_FREQUENCY, METRIC_EXTENT)
 
 
 def alpha_from_half_life(half_life_days: float) -> float:
-    """Decay rate per day for a given half-life: ln(2) / T."""
+    """Decay rate per day for a given half-life: ln(2) / T.
+
+    A half-life so small (subnormal) that the rate overflows to infinity is
+    rejected: an infinite rate times an age of 0 would give a NaN risk.
+    """
     if not half_life_days > 0:
         raise ValueError(f"half-life must be positive, got {half_life_days}")
-    return math.log(2.0) / half_life_days
+    alpha = math.log(2.0) / half_life_days
+    if not math.isfinite(alpha):
+        raise ValueError(f"half-life {half_life_days} is too small: its decay rate is not finite")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,8 @@ class RiskConfig:
     def __post_init__(self) -> None:
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
-        if self.half_life_days is not None and not self.half_life_days > 0:
-            raise ValueError(f"half-life must be positive, got {self.half_life_days}")
+        if self.half_life_days is not None:
+            alpha_from_half_life(self.half_life_days)  # rejects a non-positive or too small half-life
 
     @property
     def is_static(self) -> bool:

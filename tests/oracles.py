@@ -4,14 +4,22 @@ Everything here deliberately avoids the library's code paths: reachability
 is a Floyd-Warshall closure over an adjacency matrix, decay uses the
 0.5 ** (age / half_life) form instead of exp(-alpha * age), aggregation
 uses direct textbook formulas, the signed-rank reference enumerates all
-2^n sign assignments, and the 2x2 reference sums exact rationals.
+2^n sign assignments, and the 2x2 reference sums exact rationals. The
+reference parsers match whole lines against regular expressions, where the
+library scans them by hand, and build records through the validating public
+constructors, where the library skips the checks it has already made.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
+
+from riskmin.change_history import ChangeEvent
+from riskmin.dependency_graph import MethodRef
+from riskmin.errors import ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +72,113 @@ def transitive_closure_bitset(n, index_edges):
             if rows[i] & bit_k:
                 rows[i] |= rows[k]
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Line grammars of the change log and the call graph
+
+
+REFERENCE_MAX_INTEGER = 2**63 - 1
+_COMMIT_HEADER = re.compile(r"^COMMIT\s+(\S+)\s+(\d+)\s*$")
+_NUMSTAT_LINE = re.compile(r"^(-|\d+)\t(-|\d+)\t(.+)$")
+_BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
+_TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
+
+
+def _decoded_lines(lines):
+    for lineno, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
+        yield lineno, raw
+
+
+def _bounded_integer(digits, lineno):
+    try:
+        value = int(digits)
+    except ValueError:
+        raise ParseError(f"number too long at line {lineno}", line=lineno) from None
+    if value > REFERENCE_MAX_INTEGER:
+        raise ParseError(f"number exceeds {REFERENCE_MAX_INTEGER} at line {lineno}", line=lineno)
+    return value
+
+
+def _rename(path):
+    match = _BRACED_RENAME.search(path)
+    if match:
+        old = (path[: match.start()] + match.group(1) + path[match.end() :]).replace("//", "/")
+        new = (path[: match.start()] + match.group(2) + path[match.end() :]).replace("//", "/")
+        return old, new
+    if " => " in path:
+        old, new = path.split(" => ", 1)
+        return old.strip(), new.strip()
+    return None, path
+
+
+def reference_numstat(lines):
+    """Events of a ``git log --numstat`` change log.
+
+    A malformed line raises ParseError with the line number and message the
+    library's parser gives.
+    """
+    events = []
+    current = None
+    for lineno, line in _decoded_lines(lines):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if line.startswith("COMMIT"):
+            header = _COMMIT_HEADER.match(line)
+            if header is None:
+                raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
+            current = (header.group(1), _bounded_integer(header.group(2), lineno))
+            if current[1] <= 0:
+                raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
+            continue
+        stat = _NUMSTAT_LINE.match(line)
+        if stat is None:
+            raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
+        if current is None:
+            raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
+        added_text, deleted_text, path = stat.groups()
+        if added_text == "-" or deleted_text == "-":
+            added = deleted = 0
+        else:
+            added, deleted = _bounded_integer(added_text, lineno), _bounded_integer(deleted_text, lineno)
+        renamed_from, path = _rename(path)
+        events.append(ChangeEvent(path, current[1], added, deleted, 0, current[0], renamed_from))
+    return events
+
+
+def _method(token, lineno):
+    class_id, colon, rest = token.partition(":")
+    if not colon:
+        raise ParseError(f"method token {token!r} missing ':' at line {lineno}", line=lineno)
+    if not class_id or not rest:
+        raise ParseError(f"incomplete method token {token!r} at line {lineno}", line=lineno)
+    name, paren, descriptor = rest.partition("(")
+    return MethodRef(class_id, name, (paren + descriptor).strip("()"))
+
+
+def reference_callgraph_text(lines):
+    """(caller, callee) edges of a ``callgraph-text`` file, in file order.
+
+    A malformed line raises ParseError with the line number and message the
+    library's parser gives.
+    """
+    edges = []
+    for lineno, line in _decoded_lines(lines):
+        line = line.strip()
+        if not line or line.startswith("C:"):
+            continue
+        match = _TEXT_EDGE.match(line)
+        if match is None:
+            raise ParseError(f"malformed call-graph line at line {lineno}", line=lineno)
+        caller, _, callee = match.groups()
+        edges.append((_method(caller, lineno), _method(callee, lineno)))
+    return edges
 
 
 # ---------------------------------------------------------------------------

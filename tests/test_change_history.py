@@ -1,4 +1,6 @@
 import io
+import json
+import pickle
 import random
 import shutil
 import subprocess
@@ -19,6 +21,8 @@ from riskmin.change_history import (
 from riskmin.errors import ParseError
 
 CFG = SourceRootConfig(roots=("src/main/java", "src/test/java"))
+
+BOUND = 2**63 - 1  # the documented largest line count or timestamp
 
 
 def _parse_jsonl(text):
@@ -102,6 +106,17 @@ class TestParseChangeLog:
         with pytest.raises(ParseError, match="line 2"):
             _parse_jsonl("\n" + "[" * 100_000)
 
+    @pytest.mark.parametrize("field", ["add", "del", "mod", "ts"])
+    def test_number_past_the_bound_names_the_line(self, field):
+        good = {"path": "a/B.java", "ts": 1, "add": 0, "del": 0, "mod": 0, "commit": "c"}
+        at_bound = dict(good, **{field: BOUND})
+        past_bound = dict(good, **{field: 10**400})
+        text = "\n".join(json.dumps(record) for record in (good, at_bound, past_bound))
+        with pytest.raises(ParseError, match="line 3") as raised:
+            _parse_jsonl(text)
+        assert raised.value.line == 3
+        assert len(_parse_jsonl("\n".join(json.dumps(r) for r in (good, at_bound)))) == 2
+
     def test_renamed_from_is_carried_through(self):
         line = '{"path":"a/B.java","ts":1,"add":0,"del":0,"commit":"c","renamed_from":"a/Old.java"}'
         (event,) = _parse_jsonl(line)
@@ -173,6 +188,25 @@ class TestParseGitNumstat:
         lineno = text.count("\n")
         with pytest.raises(ParseError, match=f"line {lineno}"):
             parse_git_numstat(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def {2**63}\n",
+            f"COMMIT abc 5\n1\t2\tsrc/A.java\n{10**400}\t1\tsrc/A.java\n",
+            f"COMMIT abc 5\n1\t2\tsrc/A.java\n1\t{2**63}\tsrc/A.java\n",
+        ],
+        ids=["header-timestamp", "added", "deleted"],
+    )
+    def test_number_past_the_bound_names_the_line(self, text):
+        with pytest.raises(ParseError, match="line 3") as raised:
+            parse_git_numstat(io.StringIO(text))
+        assert raised.value.line == 3
+
+    def test_numbers_at_the_bound_are_accepted(self):
+        text = f"COMMIT abc {BOUND}\n{BOUND}\t{BOUND}\tsrc/A.java\n"
+        (event,) = parse_git_numstat(io.StringIO(text))
+        assert (event.timestamp, event.added, event.deleted) == (BOUND, BOUND, BOUND)
 
     def test_zero_header_timestamp_is_an_error(self):
         text = "COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def 0\n1\t2\tsrc/A.java\n"
@@ -422,3 +456,64 @@ class TestChangeEventInvariants:
     def test_non_positive_timestamp_rejected(self):
         with pytest.raises(ValueError):
             ChangeEvent(path="a", timestamp=0, added=0, deleted=0, modified=0, commit_id="c")
+
+
+class TestChangeEventRecord:
+    FIELDS = ("src/A.java", 1000, 3, 2, 1, "c1", "src/Old.java")
+
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = ChangeEvent(
+            path="src/A.java", timestamp=1000, added=3, deleted=2, modified=1,
+            commit_id="c1", renamed_from="src/Old.java",
+        )
+        assert by_keyword == ChangeEvent(*self.FIELDS)
+        assert ChangeEvent(*self.FIELDS[:6]).renamed_from is None
+        assert by_keyword.churn == 6
+
+    def test_indexes_unpacks_and_sorts_by_its_fields(self):
+        event = ChangeEvent(*self.FIELDS)
+        path, timestamp, *_ = event
+        assert (path, timestamp, event[2]) == ("src/A.java", 1000, 3)
+        later = event._replace(timestamp=2000)
+        assert sorted([later, event]) == [event, later]
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"added": -1}, {"deleted": -2}, {"modified": -3}, {"timestamp": 0}, {"timestamp": -5},
+            {"added": BOUND + 1}, {"timestamp": 10**400},
+        ],
+    )
+    def test_constructor_make_and_replace_all_validate(self, change):
+        event = ChangeEvent(*self.FIELDS)
+        fields = event._asdict() | change
+        with pytest.raises(ValueError):
+            ChangeEvent(**fields)
+        with pytest.raises(ValueError):
+            ChangeEvent._make(fields.values())
+        with pytest.raises(ValueError):
+            event._replace(**change)
+
+    def test_is_immutable(self):
+        event = ChangeEvent(*self.FIELDS)
+        with pytest.raises(AttributeError):
+            event.added = 5
+        with pytest.raises(AttributeError):
+            event.extra = 5
+
+    def test_pickle_round_trip(self):
+        event = ChangeEvent(*self.FIELDS)
+        copy = pickle.loads(pickle.dumps(event))
+        assert copy == event and type(copy) is ChangeEvent and copy.churn == 6
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "numstat"])
+    def test_parsed_records_equal_constructed_ones(self, fmt):
+        if fmt == "jsonl":
+            line = '{"path":"src/A.java","ts":1000,"add":3,"del":2,"mod":0,"commit":"c1","renamed_from":"src/Old.java"}'
+            (parsed,) = _parse_jsonl(line)
+        else:
+            (parsed,) = parse_git_numstat(io.StringIO("COMMIT c1 1000\n3\t2\tsrc/Old.java => src/A.java\n"))
+        built = ChangeEvent("src/A.java", 1000, 3, 2, 0, "c1", "src/Old.java")
+        assert type(parsed) is ChangeEvent
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)

@@ -624,3 +624,101 @@ class TestGoldenDigests:
         assert cli.main(["evaluate", *_golden_manifests(tmp_path), "--output", str(out)]) == 0
         masked = _mask_last_column((out / "outcomes.csv").read_text(encoding="utf-8"))
         assert hashlib.sha256(masked.encode()).hexdigest() == self.OUTCOMES_SHA256
+
+
+BOUND = 2**63 - 1  # the documented largest line count, timestamp or as_of
+
+
+class TestNumericBounds:
+    @pytest.mark.parametrize(
+        "as_of",
+        [str(10**400), str(-(10**400)), str(BOUND + 1), "9" * 5000],
+        ids=["10**400", "-10**400", "2**63", "5000-digits"],
+    )
+    def test_as_of_past_the_bound_exits_1(self, tmp_path, capsys, as_of):
+        manifest = _write_project(tmp_path)
+        assert cli.main(["score", str(manifest), "--as-of", as_of]) == 1
+        assert "--as-of" in capsys.readouterr().err
+
+    def test_as_of_at_the_bound_is_accepted(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path)
+        assert cli.main(["score", str(manifest), "--as-of", str(BOUND)]) == 0
+
+    @pytest.mark.parametrize("change_log_format", ["jsonl", "numstat"])
+    def test_line_count_past_the_bound_exits_3_with_its_line(self, tmp_path, capsys, change_log_format):
+        manifest = _write_project(tmp_path, change_log_format=change_log_format)
+        if change_log_format == "jsonl":
+            record = {"path": "src/app/A.java", "ts": REF, "add": 10**400, "del": 0, "commit": "big"}
+            path, line = tmp_path / "changes.jsonl", json.dumps(record) + "\n"
+        else:
+            path, line = tmp_path / "changes.numstat", f"{10**400}\t0\tsrc/app/A.java\n"
+        path.write_text(path.read_text(encoding="utf-8") + line, encoding="utf-8")
+        lineno = path.read_text(encoding="utf-8").count("\n")
+        assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
+        assert f"line {lineno}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("as_of", [10**400, BOUND + 1, -(10**400)], ids=["10**400", "2**63", "-10**400"])
+    def test_label_as_of_past_the_bound_exits_4(self, tmp_path, capsys, as_of):
+        versions = [{"version_id": "v9", "as_of": as_of, "fault_revealing_tests": ["app.T2Test#t2"]}]
+        manifest = _write_project(tmp_path, versions=versions)
+        assert cli.main(["evaluate", str(manifest), "--output", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert "labels.json" in err and "v9" in err and "as_of" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["score", "--horizon", "1e-320", "--as-of", str(REF)],
+         ["minimize", "--horizon", "5e-324", "--as-of", str(REF)],
+         ["evaluate", "--horizon", "1e-320"],
+         ["sweep", "--horizons", "32,1e-320"]],
+    )
+    def test_half_life_whose_decay_rate_is_not_finite_exits_1(self, tmp_path, capsys, argv):
+        manifest = _write_project(tmp_path)
+        command, *flags = argv
+        assert cli.main([command, str(manifest), *flags, "--output", str(tmp_path / "out")]) == 1
+        assert "not finite" in capsys.readouterr().err
+
+
+class TestJsonLimits:
+    def test_labels_nested_too_deep_exit_4_naming_the_file(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path)
+        (tmp_path / "labels.json").write_text("[" * 100_000, encoding="utf-8")
+        assert cli.main(["evaluate", str(manifest), "--output", str(tmp_path / "out")]) == 4
+        assert "labels.json" in capsys.readouterr().err
+
+    def test_label_as_of_past_the_conversion_limit_exits_4_naming_the_file(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path)
+        label = '[{"version_id": "v9", "as_of": ' + "9" * 5000 + ', "fault_revealing_tests": ["app.T2Test#t2"]}]'
+        (tmp_path / "labels.json").write_text(label, encoding="utf-8")
+        assert cli.main(["evaluate", str(manifest), "--output", str(tmp_path / "out")]) == 4
+        assert "labels.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content", ["[" * 100_000, '{"project_id": ' + "9" * 5000 + "}"], ids=["nesting", "long-integer"]
+    )
+    def test_manifest_past_a_json_limit_exits_3_naming_the_file(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content, encoding="utf-8")
+        assert cli.main(["evaluate", str(manifest)]) == 3
+        assert "manifest.json" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys, monkeypatch):
+        built = []
+        original = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        manifest = _write_project(tmp_path)
+        argv = ["score", str(manifest), "--metric", "frequency", "--horizon", "8", "--as-of", str(REF)]
+        outputs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(built) == 1
+        assert outputs[0] == outputs[1] and outputs[0].startswith("class_id,risk\n")

@@ -1,5 +1,6 @@
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from riskmin.dependency_graph import (
     build_dependency_map,
     entry_class_filter,
     parse_callgraph_edges,
+    parse_test_id,
     reachable_classes,
 )
 from riskmin.dependency_graph import test_entry_points as find_entry_points
@@ -340,3 +342,54 @@ def test_entry_class_filter_includes_extras():
 def test_method_ref_requires_class_id():
     with pytest.raises(ValueError):
         MethodRef("", "m")
+
+
+class TestMethodRefRecord:
+    def test_keyword_and_positional_construction_agree(self):
+        by_keyword = MethodRef(class_id="a.Foo", method_name="bar", descriptor="int")
+        assert by_keyword == MethodRef("a.Foo", "bar", "int")
+        assert MethodRef("a.Foo", "bar").descriptor == ""
+        assert by_keyword.test_id == "a.Foo#bar"
+
+    def test_indexes_unpacks_and_sorts_by_its_fields(self):
+        ref = MethodRef("a.Foo", "bar", "int")
+        class_id, method_name, descriptor = ref
+        assert (class_id, method_name, descriptor, ref[1]) == ("a.Foo", "bar", "int", "bar")
+        assert sorted([MethodRef("b.X", "a"), ref, MethodRef("a.Foo", "a")]) == [
+            MethodRef("a.Foo", "a"), ref, MethodRef("b.X", "a"),
+        ]
+
+    def test_constructor_make_and_replace_all_validate(self):
+        ref = MethodRef("a.Foo", "bar")
+        with pytest.raises(ValueError):
+            MethodRef(class_id="", method_name="bar")
+        with pytest.raises(ValueError):
+            MethodRef._make(["", "bar", ""])
+        with pytest.raises(ValueError):
+            ref._replace(class_id="")
+
+    def test_is_immutable(self):
+        ref = MethodRef("a.Foo", "bar")
+        with pytest.raises(AttributeError):
+            ref.class_id = "b"
+        with pytest.raises(AttributeError):
+            ref.extra = 5
+
+    def test_pickle_round_trip(self):
+        ref = MethodRef("a.Foo", "bar", "int")
+        copy = pickle.loads(pickle.dumps(ref))
+        assert copy == ref and type(copy) is MethodRef and copy.test_id == "a.Foo#bar"
+
+    @pytest.mark.parametrize(
+        "text, fmt",
+        [("M:a.T:t (M)a.Foo:bar(int)\n", "callgraph-text"), ("a.T#t,a.Foo#bar\n", "csv")],
+    )
+    def test_parsed_records_equal_constructed_ones(self, text, fmt):
+        graph = parse_callgraph_edges(io.StringIO(text), fmt)
+        caller = MethodRef("a.T", "t")
+        (callee,) = graph.successors(caller)
+        built = MethodRef("a.Foo", "bar", "int" if fmt == "callgraph-text" else "")
+        assert type(callee) is MethodRef
+        assert callee == built and hash(callee) == hash(built) and repr(callee) == repr(built)
+        assert parse_test_id("a.Foo#bar") == MethodRef("a.Foo", "bar")
+        assert hash(parse_test_id("a.Foo#bar")) == hash(MethodRef("a.Foo", "bar"))

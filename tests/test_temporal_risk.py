@@ -44,6 +44,16 @@ class TestAlphaFromHalfLife:
         with pytest.raises(ValueError):
             alpha_from_half_life(bad)
 
+    @pytest.mark.parametrize("tiny", [1e-320, 5e-324])
+    def test_half_life_whose_rate_is_not_finite_is_rejected(self, tiny):
+        with pytest.raises(ValueError, match="not finite"):
+            alpha_from_half_life(tiny)
+        with pytest.raises(ValueError, match="not finite"):
+            RiskConfig(metric=METRIC_FREQUENCY, half_life_days=tiny, reference_time=REF)
+
+    def test_smallest_half_life_with_a_finite_rate_is_accepted(self):
+        assert math.isfinite(alpha_from_half_life(1e-300))
+
 
 class TestEventAgeDays:
     def test_same_instant_is_zero(self):
