@@ -36,7 +36,6 @@ from .evaluation import (
     evaluate_grid,
     fdr,
     minimize_suite,
-    score_tests,
     sweep_rows,
 )
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, rank, select

@@ -18,12 +18,11 @@ import io
 import json
 import logging
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .change_history import (
     MAX_INTEGER,
@@ -42,7 +41,7 @@ from .dependency_graph import (
     parse_callgraph_edges,
     test_entry_points,
 )
-from .errors import AlignmentError, LabelError, ParseError
+from .errors import AlignmentError, LabelError, ParseError, numbered_lines
 from .evaluation import (
     CANONICAL_BUDGETS,
     CANONICAL_HORIZONS,
@@ -58,7 +57,7 @@ from .evaluation import (
 )
 from .minimizer import Budget, check_result_invariants
 from .risk_aggregation import OPERATORS, OP_GMEAN
-from .temporal_risk import METRICS, METRIC_EXTENT, RiskConfig, alpha_from_half_life, risk_table
+from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, decayed_risks
 
 logger = logging.getLogger(__name__)
 
@@ -68,8 +67,6 @@ EXIT_MISSING_INPUT = 2
 EXIT_PARSE = 3
 EXIT_LABEL = 4
 EXIT_ALIGNMENT = 5
-
-SELF_CHECK_ENV = "RISKMIN_SELF_CHECK"
 
 CHANGE_LOG_FORMATS = ("jsonl", "numstat")
 
@@ -90,10 +87,6 @@ SWEEP_COLUMNS = (
     "max_acc",
     "mean_time_s",
 )
-
-
-def _self_check_enabled() -> bool:
-    return os.environ.get(SELF_CHECK_ENV) == "1"
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +305,11 @@ def _format_horizon(horizon: float | None) -> str:
 def cmd_score(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(args.manifest))
     inputs = load_project_inputs(manifest)
-    cfg = RiskConfig(metric=args.metric, half_life_days=args.horizon, reference_time=args.as_of)
-    table = risk_table(inputs.histories, cfg)
-    if _self_check_enabled():
-        for risk in table.values():
-            if not (math.isfinite(risk.score) and risk.score >= 0):
-                raise AssertionError(f"invalid risk score for {risk.class_id}")
-    rows = [(class_id, str(table[class_id].score)) for class_id in sorted(table)]
+    table = decayed_risks(inputs.histories, (args.metric,), args.horizon, args.as_of)[args.metric]
+    for class_id, risk in table.items():
+        if not (math.isfinite(risk) and risk >= 0):
+            raise AssertionError(f"invalid risk score for {class_id}")
+    rows = [(class_id, str(table[class_id])) for class_id in sorted(table)]
     text = _csv_text(("class_id", "risk"), rows)
     if args.output:
         _write_text(Path(args.output), "risks.csv", text)
@@ -342,8 +333,7 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         as_of=args.as_of,
         test_class_filter=inputs.test_class_filter,
     )
-    if _self_check_enabled():
-        check_result_invariants(result, budget)
+    check_result_invariants(result, budget)
     out_dir = Path(args.output or manifest.output_dir or ".")
     selected_text = "".join(test_id + "\n" for test_id in result.selected)
     _write_text(out_dir, "selected.txt", selected_text)
@@ -481,27 +471,61 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_DETECTED_VALUES = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each record of a CSV file, numbered by the line it ends on.
+
+    Lines end in LF, CRLF or CR. A line that is not UTF-8, or that
+    the csv module rejects (such as a field past its size limit), raises
+    ``ParseError`` naming the file and the line.
+    """
+    lines = numbered_lines(path.read_bytes().splitlines(keepends=True))
+    reader = csv.reader(text for _, text in lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        line = reader.line_num
+        raise ParseError(f"malformed CSV at line {line}: {exc}", path=str(path), line=line) from None
+    except ParseError as exc:  # a line that is not UTF-8
+        raise ParseError(str(exc), path=str(path), line=exc.line) from None
+
+
 def _read_outcomes_csv(path: Path) -> dict[str, tuple[float, bool]]:
+    """Each version's (accuracy, detected) from an outcomes file.
+
+    An accuracy is a finite number in [0, 1]; ``detected`` is ``true``,
+    ``false``, ``1`` or ``0`` after stripping and case-folding. Any other value,
+    a short row or a repeated version id raises ``ParseError`` with its line.
+    """
     outcomes: dict[str, tuple[float, bool]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not set(OUTCOME_COLUMNS[:3]) <= set(reader.fieldnames):
-            raise ParseError(
-                f"expected columns {','.join(OUTCOME_COLUMNS[:3])}", path=str(path)
-            )
-        for lineno, record in enumerate(reader, start=2):
-            try:
-                acc = float(record["accuracy"])
-                detected = record["detected"].strip().lower() in ("true", "1")
-            except (TypeError, ValueError, AttributeError):
-                raise ParseError(f"malformed outcome row at line {lineno}", path=str(path), line=lineno)
-            if record["version_id"] in outcomes:
-                raise ParseError(
-                    f"repeated version_id {record['version_id']!r} at line {lineno}",
-                    path=str(path),
-                    line=lineno,
-                )
-            outcomes[record["version_id"]] = (acc, detected)
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, []))
+    if not set(OUTCOME_COLUMNS[:3]) <= set(header):
+        raise ParseError(f"expected columns {','.join(OUTCOME_COLUMNS[:3])}", path=str(path))
+    for lineno, row in rows:
+        if not row:
+            continue  # a blank line
+        record = dict(zip(header, row))
+        version_id, acc_text, detected_text = (record.get(column) for column in OUTCOME_COLUMNS[:3])
+        try:
+            acc = float(acc_text)
+        except (TypeError, ValueError):  # a short row, or not a number
+            acc = math.nan
+        if None in (version_id, acc_text, detected_text):
+            problem = "malformed outcome row"
+        elif not 0.0 <= acc <= 1.0:
+            problem = f"accuracy {acc_text[:40]!r} is not a number in [0, 1]"
+        elif detected_text.strip().lower() not in _DETECTED_VALUES:
+            problem = f"detected {detected_text[:40]!r} is not true, false, 1 or 0"
+        elif version_id in outcomes:
+            problem = f"repeated version_id {version_id!r}"
+        else:
+            outcomes[version_id] = (acc, _DETECTED_VALUES[detected_text.strip().lower()])
+            continue
+        raise ParseError(f"{problem} at line {lineno}", path=str(path), line=lineno)
     return outcomes
 
 

@@ -21,9 +21,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .change_history import ClassHistory
 from .dependency_graph import CallGraph, MethodRef, build_dependency_map
 from .errors import LabelError
-from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, rank, select
-from .risk_aggregation import OPERATORS, TestScore, positive_multisets, score_multisets, score_test
-from .temporal_risk import METRICS, ClassRisk, RiskConfig, decayed_risks, risk_table
+from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
+from .risk_aggregation import OPERATORS, positive_multisets, score_multisets
+from .temporal_risk import METRICS, decayed_risks
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,6 @@ def fdr(outcomes: Sequence[VersionOutcome]) -> float:
     return sum(1 for o in outcomes if o.detected) / len(outcomes)
 
 
-def score_tests(
-    table: Mapping[str, ClassRisk],
-    dep_map: Mapping[str, list[str]],
-    operator: str,
-) -> dict[str, TestScore]:
-    """Score every test in the dependency map from one risk table."""
-    return {
-        test_id: score_test(test_id, deps, table, operator)
-        for test_id, deps in dep_map.items()
-    }
-
-
 def minimize_suite(
     histories: Mapping[str, ClassHistory],
     graph: CallGraph,
@@ -82,13 +70,13 @@ def minimize_suite(
     test_class_filter: set[str] | None = None,
     dep_map: Mapping[str, list[str]] | None = None,
 ) -> MinimizationResult:
-    """End-to-end pipeline: risks, dependencies, scores, selection."""
-    cfg = RiskConfig(metric=metric, half_life_days=half_life_days, reference_time=as_of)
+    """End-to-end pipeline: dependencies, then the 1x1x1x1 grid's one scoring pass, cut at the budget."""
     if dep_map is None:
         dep_map = build_dependency_map(graph, entries, test_class_filter)
-    scores = score_tests(risk_table(histories, cfg), dep_map, operator)
+    grid = SweepGrid((metric,), (half_life_days,), (operator,), (budget.fraction,))
+    ((_, _, scores, ranked, _),) = _scoring_passes(histories, dep_map, (as_of,), grid)
     fingerprint = config_fingerprint(metric, half_life_days, operator, budget.fraction, as_of)
-    return select(scores, budget, fingerprint)
+    return cut_ranking(ranked, scores, budget, fingerprint)
 
 
 CANONICAL_HORIZONS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
@@ -160,7 +148,7 @@ def evaluate_grid(
     signature gets one sorted positive-risk multiset; per operator each
     signature is scored once and the tests are ranked once, and every budget
     keeps a prefix of that ranking. Scores and selections equal those of
-    ``score_tests`` and ``select`` bit for bit. A cell's ``wall_time`` is
+    ``score_test`` and ``select`` bit for bit. A cell's ``wall_time`` is
     ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its metric's share
     of the decay pass, its metric's multisets, its scoring pass and ranking,
@@ -168,8 +156,9 @@ def evaluate_grid(
     """
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     cells: list[GridCell] = [(key, []) for key in keys]
-    passes = _scoring_passes(histories, dep_map, labels, grid)
-    for first_cell, label, _, ranked, shared_seconds in passes:
+    passes = _scoring_passes(histories, dep_map, [label.as_of for label in labels], grid)
+    for first_cell, v, _, ranked, shared_seconds in passes:
+        label = labels[v]
         budget_cells = cells[first_cell : first_cell + len(grid.budgets)]
         for (metric, horizon, operator, fraction), outcomes in budget_cells:
             t0 = time.perf_counter()
@@ -184,14 +173,14 @@ def evaluate_grid(
 def _scoring_passes(
     histories: Mapping[str, ClassHistory],
     dep_map: Mapping[str, list[str]],
-    labels: Sequence[VersionLabel],
+    as_ofs: Sequence[int],
     grid: SweepGrid,
-) -> Iterator[tuple[int, VersionLabel, dict[str, float], list[str], float]]:
-    """Every (label, metric, horizon, operator) scoring pass of the grid, horizon-outer.
+) -> Iterator[tuple[int, int, dict[str, float], list[str], float]]:
+    """Every (instant, metric, horizon, operator) scoring pass of the grid, horizon-outer.
 
     Yields the grid index of the pass's first cell (its first budget), the
-    label, every test's score, the tests in ``rank`` order, and the seconds
-    of the shared work the pass used.
+    index of the evaluation instant in ``as_ofs``, every test's score, the
+    tests in ``rank`` order, and the seconds of the shared work the pass used.
     """
     n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
     by_signature: dict[tuple[str, ...], list[str]] = {}
@@ -200,10 +189,10 @@ def _scoring_passes(
     signature_of = [
         (test_id, k) for k, test_ids in enumerate(by_signature.values()) for test_id in test_ids
     ]
-    for label in labels:
+    for v, as_of in enumerate(as_ofs):
         for h, horizon in enumerate(grid.horizons):
             t0 = time.perf_counter()
-            risks = decayed_risks(histories, grid.metrics, horizon, label.as_of)
+            risks = decayed_risks(histories, grid.metrics, horizon, as_of)
             decay_seconds = time.perf_counter() - t0
             for m, metric in enumerate(grid.metrics):
                 t0 = time.perf_counter()
@@ -216,7 +205,7 @@ def _scoring_passes(
                     ranked = rank(scores)
                     seconds = metric_seconds + (time.perf_counter() - t0)
                     first_cell = ((m * n_horizons + h) * n_operators + o) * n_budgets
-                    yield first_cell, label, scores, ranked, seconds
+                    yield first_cell, v, scores, ranked, seconds
                 del multisets  # so that only one metric's multisets are ever alive
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .risk_aggregation import TestScore
 
@@ -85,18 +85,27 @@ def select(
 ) -> MinimizationResult:
     """Keep the top-scoring tests of the ``rank`` order up to the budget."""
     score_of = {ts.test_id: ts.score for ts in scores.values()}
-    ranked = rank(score_of)
+    return cut_ranking(rank(score_of), score_of, budget, fingerprint)
+
+
+def cut_ranking(
+    ranked: Sequence[str],
+    scores: Mapping[str, float],
+    budget: Budget,
+    fingerprint: str,
+) -> MinimizationResult:
+    """Split tests in ``rank`` order at the budget, keeping each test's score."""
     keep = budget_count(len(ranked), budget)
     return MinimizationResult(
         selected=tuple(ranked[:keep]),
         excluded=tuple(ranked[keep:]),
-        scores={test_id: score_of[test_id] for test_id in ranked},
+        scores={test_id: scores[test_id] for test_id in ranked},
         config_fingerprint=fingerprint,
     )
 
 
 def check_result_invariants(result: MinimizationResult, budget: Budget) -> None:
-    """Assert the selection contract; used by the CLI's self-check mode."""
+    """Assert the selection contract; the CLI checks every ``minimize`` result."""
     n_tests = len(result.selected) + len(result.excluded)
     if len(result.selected) != budget_count(n_tests, budget):
         raise AssertionError("selected count does not match the budget rule")

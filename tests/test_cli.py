@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,13 @@ class TestScoreCommand:
         for class_id, risk in risk_table(inputs.histories, cfg).items():
             assert rows[class_id] == str(risk.score)
 
+    @pytest.mark.parametrize("risk", [math.nan, math.inf, -1.0])
+    def test_every_score_checks_its_risks(self, tmp_path, monkeypatch, risk):
+        manifest = _write_project(tmp_path)
+        monkeypatch.setattr(cli, "decayed_risks", lambda _, metrics, *rest: {metrics[0]: {"app.A": risk}})
+        with pytest.raises(AssertionError, match="app.A"):
+            cli.main(["score", str(manifest), "--as-of", str(REF)])
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         code = cli.main(["score", str(tmp_path / "nope.json"), "--as-of", "1"])
         assert code == 2
@@ -206,13 +214,22 @@ class TestMinimizeCommand:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
-    def test_self_check_mode_passes_on_valid_runs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SELF_CHECK_ENV, "1")
+    def test_every_minimize_checks_its_result_invariants(self, tmp_path, monkeypatch):
+        checked = []
+        original = cli.check_result_invariants
+
+        def counting_check(result, budget):
+            checked.append(result)
+            original(result, budget)
+
+        monkeypatch.setattr(cli, "check_result_invariants", counting_check)
         manifest = _write_project(tmp_path)
         out = tmp_path / "out"
         assert cli.main(
             ["minimize", str(manifest), "--as-of", str(REF), "--output", str(out)]
         ) == 0
+        assert len(checked) == 1
+        assert "".join(t + "\n" for t in checked[0].selected) == (out / "selected.txt").read_text()
 
 
 def _assert_jobs_agree_with_serial(tmp_path, command, output_name):
@@ -482,6 +499,57 @@ class TestCompareCommand:
         assert report["fisher"]["odds_ratio"] == "inf"
 
 
+def _compare_with_bad_line(tmp_path, line):
+    """``compare`` of a file whose fourth line is ``line`` (bytes) against a valid one."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_outcomes(b, [("v1", 0.5), ("v2", 1.0), ("v3", 0.0)])
+    _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+    a.write_bytes(a.read_bytes() + line + b"\n")
+    return cli.main(["compare", str(a), str(b)])
+
+
+class TestOutcomesFileErrors:
+    """Every malformed outcomes file exits 3 naming the file and the line."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"v3,0.0,false," + b"1" * 200_000,
+            b"v3,0.0,false,0.01\xff\xfe",
+            b"v3,0.0,fal\x00se,0.01",
+        ],
+        ids=["field-past-the-csv-limit", "invalid-utf8", "nul-byte"],
+    )
+    def test_unreadable_line_exits_3_naming_file_and_line(self, tmp_path, capsys, line):
+        assert _compare_with_bad_line(tmp_path, line) == 3
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "line 4" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "7", "-3", "1.0000001", "-0.5"])
+    def test_accuracy_outside_the_unit_interval_exits_3_with_line(self, tmp_path, capsys, value):
+        assert _compare_with_bad_line(tmp_path, f"v3,{value},false,0.01".encode()) == 3
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "line 4" in err and "accuracy" in err
+
+    @pytest.mark.parametrize("value", ["yes", "", "2", "t", "truth"])
+    def test_unknown_detected_value_exits_3_with_line(self, tmp_path, capsys, value):
+        assert _compare_with_bad_line(tmp_path, f"v3,0.0,{value},0.01".encode()) == 3
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "line 4" in err and "detected" in err
+
+    def test_detected_values_are_case_folded_and_stripped(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(
+            "version_id,accuracy,detected,wall_time_s\n"
+            "v1,1,  TRUE ,0.1\nv2,0.5,1,0.1\nv3,0,False,0.1\nv4,0.0, 0,0.1\n",
+            encoding="utf-8",
+        )
+        _write_outcomes(b, [("v1", 0.0), ("v2", 0.0), ("v3", 0.0), ("v4", 0.0)])
+        assert cli.main(["compare", str(a), str(b)]) == 0
+        table = json.loads(capsys.readouterr().out)["fisher"]["table"]
+        assert table == {"a": 2, "b": 2, "c": 0, "d": 4}
+
+
 class TestUsageErrors:
     def test_no_command_exits_1(self, capsys):
         assert cli.main([]) == 1
@@ -624,6 +692,41 @@ class TestGoldenDigests:
         assert cli.main(["evaluate", *_golden_manifests(tmp_path), "--output", str(out)]) == 0
         masked = _mask_last_column((out / "outcomes.csv").read_text(encoding="utf-8"))
         assert hashlib.sha256(masked.encode()).hexdigest() == self.OUTCOMES_SHA256
+
+    # Recorded when ``minimize`` scored through ``risk_table`` and ``score_test``
+    # and ``score`` read ``risk_table``, before both became views of the grid core.
+    MINIMIZE_SHA256 = "03d35eff7917d632e0ad64ae12df37893f5cf013572e09f6a7b803987877e850"
+    SCORE_SHA256 = "40199a436600cd9e821de1097aab22ac0c6c9c824336274935c9d520da114910"
+
+    # Instants with every event in scope and with some events after them.
+    AS_OFS = (REF, REF - 45 * DAY)
+    MINIMIZE_FLAGS = (
+        (),
+        ("--metric", "frequency", "--horizon", "static", "--aggregate", "hmean", "--budget", "0.25"),
+        ("--horizon", "2", "--aggregate", "median", "--budget", "0.75"),
+        ("--metric", "frequency", "--horizon", "512", "--aggregate", "avg", "--budget", "1"),
+    )
+    SCORE_FLAGS = ((), ("--metric", "frequency", "--horizon", "static"), ("--horizon", "2"))
+
+    def _digest(self, tmp_path, command, flag_sets, names):
+        digest = hashlib.sha256()
+        for manifest in _golden_manifests(tmp_path):
+            for as_of in self.AS_OFS:
+                for k, flags in enumerate(flag_sets):
+                    out = tmp_path / f"{command}-{as_of}-{k}"
+                    argv = [command, manifest, *flags, "--as-of", str(as_of), "--output", str(out)]
+                    assert cli.main(argv) == 0
+                    for name in names:
+                        digest.update((out / name).read_bytes())
+        return digest.hexdigest()
+
+    def test_minimize_outputs_match_recorded_digest(self, tmp_path):
+        digest = self._digest(tmp_path, "minimize", self.MINIMIZE_FLAGS, ("selected.txt", "result.json"))
+        assert digest == self.MINIMIZE_SHA256
+
+    def test_score_risks_match_recorded_digest(self, tmp_path):
+        digest = self._digest(tmp_path, "score", self.SCORE_FLAGS, ("risks.csv",))
+        assert digest == self.SCORE_SHA256
 
 
 BOUND = 2**63 - 1  # the documented largest line count, timestamp or as_of

@@ -18,10 +18,10 @@ from riskmin.evaluation import (
     evaluate_grid,
     fdr,
     minimize_suite,
-    score_tests,
     sweep_rows,
 )
 from riskmin.minimizer import Budget, select
+from riskmin.risk_aggregation import score_test
 from riskmin.temporal_risk import RiskConfig, risk_table
 
 from microproject import AS_OF, random_micro_project
@@ -341,11 +341,15 @@ class TestSharedScoringPath:
         keys = list(itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets))
         cells = evaluate_grid(histories, dep_map, labels, grid)
         passes = 0
-        for first_cell, label, scores, ranked, _ in _scoring_passes(histories, dep_map, labels, grid):
+        as_ofs = [label.as_of for label in labels]
+        for first_cell, v, scores, ranked, _ in _scoring_passes(histories, dep_map, as_ofs, grid):
+            label = labels[v]
             passes += 1
             metric, horizon, operator, _ = keys[first_cell]
             table = risk_table(histories, RiskConfig(metric, horizon, label.as_of))
-            expected = score_tests(table, dep_map, operator)
+            expected = {
+                test_id: score_test(test_id, deps, table, operator) for test_id, deps in dep_map.items()
+            }
             assert scores == {test_id: ts.score for test_id, ts in expected.items()}
             whole = select(expected, Budget(1.0))
             assert ranked == list(whole.selected + whole.excluded)
@@ -355,4 +359,11 @@ class TestSharedScoringPath:
                 (outcome,) = [o for o in outcomes if o.version_id == label.version_id]
                 chosen = select(expected, Budget(fraction)).selected
                 assert outcome.accuracy == accuracy(set(chosen), label)
+                reference = select(expected, Budget(fraction))
+                result = minimize_suite(
+                    histories, None, (), metric=metric, half_life_days=horizon, operator=operator,
+                    budget=Budget(fraction), as_of=label.as_of, dep_map=dep_map,
+                )
+                assert (result.selected, result.excluded) == (reference.selected, reference.excluded)
+                assert list(result.scores.items()) == list(reference.scores.items())
         assert passes == len(labels) * grid.cells_per_budget

@@ -6,14 +6,21 @@ and reach the later ones: integers past Python's string-conversion
 limit, wrong field types, rename syntax, descriptors and tags. The
 numstat and ``callgraph-text`` parsers must also agree with the reference
 grammars of ``oracles.py``: equal records, or a ParseError at the same line.
+Mutated outcome files given to ``riskmin compare`` end in a documented exit
+code, never in a traceback.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskmin import cli
 from riskmin.change_history import ChangeEvent, parse_change_log, parse_git_numstat
 from riskmin.dependency_graph import FORMAT_CALLGRAPH_TEXT, FORMAT_CSV, MethodRef, parse_callgraph_edges
 from riskmin.errors import ParseError
@@ -231,3 +238,58 @@ def test_numstat_parser_agrees_with_the_reference_grammar_on_tricky_lines(line):
 def test_callgraph_text_parser_agrees_with_the_reference_grammar_on_tricky_lines(line):
     for lines in (["M:a.T:t (M)a.F:b\n", line + "\n"], [line]):
         _assert_callgraph_text_agrees(lines)
+
+
+# Outcome files as ``evaluate`` writes them, then mutated: odd values in any
+# field (over-long, NUL, non-finite or out-of-range accuracies, unknown
+# ``detected`` values), repeated rows, missing columns or fields, and bytes
+# that are not UTF-8 anywhere in the file.
+_OUTCOME_HEADER = ["version_id", "accuracy", "detected", "wall_time_s"]
+_odd_field = st.one_of(
+    st.sampled_from([
+        "nan", "NaN", "inf", "-inf", "1e309", "7", "-3", "1.0000001", "-0.0", "yes", "", " TRUE ", "t",
+        "2", "0", "1", "a\x00b", "\"", "1" * 140_000,
+    ]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _outcome_file(draw, version_ids):
+    table = [list(_OUTCOME_HEADER)] + [
+        [version_id, repr(draw(st.floats(0, 1))), draw(st.sampled_from(["true", "false", "1", "0"])), "0.01"]
+        for version_id in version_ids
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["field", "field", "repeat", "drop_column", "drop_field"]))
+        row = table[draw(st.integers(0, len(table) - 1))]
+        if kind == "field" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_odd_field)
+        elif kind == "repeat":
+            table.append(list(row))
+        elif kind == "drop_column":
+            column = draw(st.integers(0, len(_OUTCOME_HEADER) - 1))
+            table = [[field for i, field in enumerate(r) if i != column] for r in table]
+        elif kind == "drop_field" and row:
+            row.pop()
+    data = "".join(",".join(r) + "\n" for r in table).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3", b"\x00"])) + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_compare_of_mutated_outcome_files_exits_0_3_or_5(data):
+    version_ids = data.draw(st.lists(st.sampled_from(["v1", "v2", "v3", "v4"]), min_size=1, unique=True))
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        a, b = Path(directory, "a.csv"), Path(directory, "b.csv")
+        a.write_bytes(data.draw(_outcome_file(version_ids)))
+        b.write_bytes(data.draw(_outcome_file(version_ids)))
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["compare", str(a), str(b), "--output", directory])
+    assert code in (0, 3, 5)
+    if code == 3:
+        assert "a.csv" in stderr.getvalue() or "b.csv" in stderr.getvalue()
