@@ -167,7 +167,6 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     return events
 
 
-_COMMIT_HEADER = re.compile(r"^COMMIT\s+(\S+)\s+(\d+)\s*$")
 _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
 
 
@@ -203,6 +202,9 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
 
     numstat carries no modified-line count, so ``modified`` is always 0;
     callers needing it must use the JSONL format with an explicit ``mod``.
+    A commit header is ``COMMIT``, a commit id and a timestamp of decimal
+    digits, separated by whitespace (``str.isspace``: the characters the
+    regex ``\\s`` matches), with nothing but whitespace after them.
     A file line is two counts and a path, separated by tabs. A count is
     ``-`` or decimal digits (``str.isdecimal``: the characters the regex
     ``\\d`` matches); the path is the rest of the line, non-empty and
@@ -217,10 +219,10 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
         if not line or line.isspace():
             continue
         if line.startswith("COMMIT"):
-            header = _COMMIT_HEADER.match(line)
-            if header is None:
+            fields = line.split()
+            if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
                 raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
-            current = (header.group(1), _number(header.group(2), lineno))
+            current = (fields[1], _number(fields[2], lineno))
             if current[1] <= 0:
                 raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
             continue

@@ -6,8 +6,8 @@ invocations stay reproducible. All outputs are deterministic byte-for-byte
 for identical inputs and flags, except wall-clock time, which is isolated
 to designated columns/keys.
 
-Exit codes: 0 success, 1 usage, 2 missing input, 3 parse error,
-4 label error, 5 alignment error.
+Exit codes: 0 success, 1 usage, 2 missing or unreadable input, 3 parse
+error, 4 label error, 5 alignment error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from .change_history import (
     MAX_INTEGER,
@@ -41,7 +41,7 @@ from .dependency_graph import (
     parse_callgraph_edges,
     test_entry_points,
 )
-from .errors import AlignmentError, LabelError, ParseError, numbered_lines
+from .errors import AlignmentError, InputError, LabelError, ParseError, numbered_lines
 from .evaluation import (
     CANONICAL_BUDGETS,
     CANONICAL_HORIZONS,
@@ -108,9 +108,29 @@ class RunManifest:
     output_dir: Path | None
 
 
+def _open_input(path: Path) -> IO[str]:
+    """Open an input file as UTF-8 text; one that cannot be opened raises ``InputError`` naming it."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(path, exc) from None
+
+
+_Parsed = TypeVar("_Parsed")
+
+
+def _parse_input(path: Path, parse: Callable[[IO[str]], _Parsed]) -> _Parsed:
+    """``parse`` of an input file, whose ``ParseError`` then names the file as well as the line."""
+    with _open_input(path) as handle:
+        try:
+            return parse(handle)
+        except ParseError as exc:
+            raise ParseError(str(exc), line=exc.line, path=str(path)) from None
+
+
 def load_manifest(path: Path) -> RunManifest:
     """Read a project manifest; relative paths resolve against its directory."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with _open_input(path) as handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -194,17 +214,15 @@ class ProjectInputs:
 
 def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
     started = time.perf_counter()
-    with open(manifest.change_log_path, "r", encoding="utf-8") as handle:
-        if manifest.change_log_format == "numstat":
-            events = parse_git_numstat(handle)
-        else:
-            events = parse_change_log(handle)
+    parse_events = parse_git_numstat if manifest.change_log_format == "numstat" else parse_change_log
+    events = _parse_input(manifest.change_log_path, parse_events)
     source_cfg = SourceRootConfig(
         roots=tuple(manifest.source_roots), extensions=tuple(manifest.extensions)
     )
     histories = consolidate(events, source_cfg)
-    with open(manifest.callgraph_path, "r", encoding="utf-8") as handle:
-        graph = parse_callgraph_edges(handle, manifest.callgraph_format)
+    graph = _parse_input(
+        manifest.callgraph_path, lambda handle: parse_callgraph_edges(handle, manifest.callgraph_format)
+    )
     entries = frozenset(test_entry_points(graph, manifest.entry_selector))
     test_filter = entry_class_filter(entries, manifest.exclude_classes)
     return ProjectInputs(
@@ -221,10 +239,12 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
     if path is None:
         raise LabelError(f"project {project_id!r} has no labels_path in its manifest")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with _open_input(path) as handle:
             raw = json.load(handle)
-    except FileNotFoundError:
-        raise LabelError(f"label file not found: {path}")
+    except InputError as exc:
+        if not exc.missing:
+            raise
+        raise LabelError(f"label file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise LabelError(f"malformed label JSON in {path}: {exc}")
     except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
@@ -481,7 +501,11 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     the csv module rejects (such as a field past its size limit), raises
     ``ParseError`` naming the file and the line.
     """
-    lines = numbered_lines(path.read_bytes().splitlines(keepends=True))
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InputError(path, exc) from None
+    lines = numbered_lines(data.splitlines(keepends=True))
     reader = csv.reader(text for _, text in lines)
     try:
         for row in reader:
@@ -498,7 +522,8 @@ def _read_outcomes_csv(path: Path) -> dict[str, tuple[float, bool]]:
 
     An accuracy is a finite number in [0, 1]; ``detected`` is ``true``,
     ``false``, ``1`` or ``0`` after stripping and case-folding. Any other value,
-    a short row or a repeated version id raises ``ParseError`` with its line.
+    a short row or a repeated version id raises ``ParseError`` with its line,
+    and so does a file without a single outcome row, naming only the file.
     """
     outcomes: dict[str, tuple[float, bool]] = {}
     rows = _csv_rows(path)
@@ -526,6 +551,8 @@ def _read_outcomes_csv(path: Path) -> dict[str, tuple[float, bool]]:
             outcomes[version_id] = (acc, _DETECTED_VALUES[detected_text.strip().lower()])
             continue
         raise ParseError(f"{problem} at line {lineno}", path=str(path), line=lineno)
+    if not outcomes:  # nothing to compare; a quote left open at the header also swallows every row
+        raise ParseError("no outcome rows", path=str(path))
     return outcomes
 
 
@@ -774,9 +801,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        missing = getattr(exc, "filename", None) or str(exc)
-        print(f"riskmin: error: missing input: {missing}", file=sys.stderr)
+    except InputError as exc:
+        print(f"riskmin: error: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
     except ParseError as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)

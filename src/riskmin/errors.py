@@ -21,6 +21,16 @@ class ParseError(ValueError):
         super().__init__(prefix + message)
 
 
+class InputError(Exception):
+    """An input file that cannot be opened or read: absent, a directory, or not permitted."""
+
+    def __init__(self, path: object, reason: OSError):
+        self.path = str(path)
+        self.missing = isinstance(reason, FileNotFoundError)
+        detail = "" if self.missing else f" ({reason.strerror or reason})"
+        super().__init__(f"{'missing' if self.missing else 'unreadable'} input: {path}{detail}")
+
+
 class LabelError(ValueError):
     """Missing or unusable version label (no fault-revealing tests, absent file)."""
 

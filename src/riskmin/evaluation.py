@@ -5,8 +5,9 @@ evaluation instant. Accuracy is the fraction of those tests retained;
 the fault detection rate over many versions is the fraction of versions
 keeping at least one of them. ``evaluate_grid`` takes these measurements
 over metric, horizon, operator, and budget (a single run is the 1x1x1x1
-grid), sharing each decay pass across metrics, each dependency signature's
-risks across its tests and operators, and each ranking across budgets;
+grid), sharing each version's decay pass across horizons and metrics, each
+dependency signature's risks across its tests and operators, and each
+ranking across budgets;
 ``sweep_rows`` summarises each cell over the versions.
 """
 
@@ -23,7 +24,7 @@ from .dependency_graph import CallGraph, MethodRef, build_dependency_map
 from .errors import LabelError
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import OPERATORS, positive_multisets, score_multisets
-from .temporal_risk import METRICS, decayed_risks
+from .temporal_risk import METRICS, decayed_risk_tables
 
 
 @dataclass(frozen=True)
@@ -143,16 +144,17 @@ def evaluate_grid(
     """Minimize every labelled version under every grid cell and measure fault preservation.
 
     Cells come back in grid order, each with one outcome per label in label
-    order. Work is shared wherever cells agree: per version and horizon one
-    decay pass serves every metric; per metric each distinct dependency
-    signature gets one sorted positive-risk multiset; per operator each
-    signature is scored once and the tests are ranked once, and every budget
-    keeps a prefix of that ranking. Scores and selections equal those of
+    order. Work is shared wherever cells agree: per version one decay pass
+    over each class's history serves every horizon and metric; per
+    (horizon, metric) each distinct dependency signature gets one sorted
+    positive-risk multiset; per operator each signature is scored once and
+    the tests are ranked once, and every budget keeps a prefix of that
+    ranking. Scores and selections equal those of
     ``score_test`` and ``select`` bit for bit. A cell's ``wall_time`` is
     ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its metric's share
-    of the decay pass, its metric's multisets, its scoring pass and ranking,
-    and its own selection.
+    of its horizon's share of the version's decay pass, its metric's
+    multisets, its scoring pass and ranking, and its own selection.
     """
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     cells: list[GridCell] = [(key, []) for key in keys]
@@ -190,10 +192,11 @@ def _scoring_passes(
         (test_id, k) for k, test_ids in enumerate(by_signature.values()) for test_id in test_ids
     ]
     for v, as_of in enumerate(as_ofs):
-        for h, horizon in enumerate(grid.horizons):
-            t0 = time.perf_counter()
-            risks = decayed_risks(histories, grid.metrics, horizon, as_of)
-            decay_seconds = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        tables = decayed_risk_tables(histories, grid.metrics, grid.horizons, as_of)
+        decay_seconds = (time.perf_counter() - t0) / max(n_horizons, 1)
+        for h in range(n_horizons):
+            risks, tables[h] = tables[h], {}  # so that a horizon's table is freed once its multisets are built
             for m, metric in enumerate(grid.metrics):
                 t0 = time.perf_counter()
                 multisets = positive_multisets(by_signature, risks[metric])

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import math
-import statistics
 from dataclasses import dataclass
+from math import exp, fsum, log
 from typing import Iterable, Mapping, Sequence
 
 from .temporal_risk import ClassRisk
@@ -32,15 +31,21 @@ def aggregate(values: Iterable[float], op: str) -> float:
 
 
 def _reduce_sorted(ordered: list[float], op: str) -> float:
-    """The operator formulas, on a non-empty, ascending list of positive values."""
+    """The operator formulas, on a non-empty, ascending list of positive values.
+
+    ``avg`` is what ``statistics.fmean`` computes, ``median`` what
+    ``statistics.median`` computes, without sorting the list again.
+    """
+    n = len(ordered)
     if op == OP_AVG:
-        return statistics.fmean(ordered)
+        return fsum(ordered) / n
     if op == OP_GMEAN:
-        return math.exp(statistics.fmean([math.log(v) for v in ordered]))
+        return exp(fsum(map(log, ordered)) / n)
     if op == OP_HMEAN:
-        return len(ordered) / sum(1.0 / v for v in ordered)
+        return n / sum(map((1.0).__truediv__, ordered))  # the builtin sum, as always; not fsum
     if op == OP_MEDIAN:
-        return statistics.median(ordered)
+        middle = n // 2
+        return ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
     raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
 
 
@@ -81,12 +86,10 @@ def positive_multisets(
     """The sorted values ``score_test`` would aggregate, once per dependency signature.
 
     ``risks`` maps class ids to risk scores; as in ``score_test``, absent
-    classes and zero risks are left out.
+    classes and risks that are not positive (zero, negative, NaN) are left out.
     """
-    return [
-        sorted([risk for risk in map(risks.get, deps) if risk is not None and risk > 0])
-        for deps in signatures
-    ]
+    positive = {class_id: risk for class_id, risk in risks.items() if risk > 0}.get
+    return [sorted(filter(None, map(positive, deps))) for deps in signatures]
 
 
 def score_multisets(multisets: Iterable[list[float]], op: str) -> list[float]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .change_history import ChangeEvent, ClassHistory
 
@@ -90,33 +90,6 @@ def event_weight(event: ChangeEvent, metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def _decayed_totals(
-    events: Iterable[ChangeEvent], alpha: float, reference_time: int, metrics: Collection[str]
-) -> dict[str, float]:
-    """Decayed event-weight sums of one history under each metric, from one pass.
-
-    Each in-scope event's decay factor is computed once and folded into the
-    totals of the requested metrics only (the others stay 0.0). The fold is
-    a sequential ``+=`` in the history's chronological order, which keeps
-    results bit-deterministic; the weights are those of ``event_weight`` and
-    the ages those of ``event_age_days``, inlined.
-    """
-    frequency = METRIC_FREQUENCY in metrics
-    extent = METRIC_EXTENT in metrics
-    exp, log1p, rate = math.exp, math.log1p, -alpha  # local names: this loop runs per event
-    frequency_total = extent_total = 0.0
-    for event in events:
-        age = (reference_time - event.timestamp) / SECONDS_PER_DAY
-        if age < 0:
-            continue
-        decay = exp(rate * age)
-        if frequency:
-            frequency_total += 1.0 * decay
-        if extent:
-            extent_total += log1p(event.churn) * decay
-    return {METRIC_FREQUENCY: frequency_total, METRIC_EXTENT: extent_total}
-
-
 def class_risk(history: ClassHistory, cfg: RiskConfig) -> ClassRisk:
     """Sum of decayed event weights over the in-scope history.
 
@@ -124,8 +97,14 @@ def class_risk(history: ClassHistory, cfg: RiskConfig) -> ClassRisk:
     past evaluation point never see the future. Summation runs in the
     history's chronological order to keep results bit-deterministic.
     """
-    totals = _decayed_totals(history.events, cfg.alpha, cfg.reference_time, (cfg.metric,))
-    return ClassRisk(class_id=history.class_id, score=totals[cfg.metric])
+    rate = -cfg.alpha
+    score = 0.0
+    for event in history.events:
+        age = event_age_days(event, cfg.reference_time)
+        if age < 0:
+            continue
+        score += event_weight(event, cfg.metric) * math.exp(rate * age)
+    return ClassRisk(class_id=history.class_id, score=score)
 
 
 def risk_table(histories: Mapping[str, ClassHistory], cfg: RiskConfig) -> dict[str, ClassRisk]:
@@ -139,18 +118,61 @@ def decayed_risks(
     half_life_days: float | None,
     reference_time: int,
 ) -> dict[str, dict[str, float]]:
-    """Every class's risk score under each metric at one horizon, from one pass per history.
+    """Every class's risk score under each metric at one horizon.
 
     ``decayed_risks(h, metrics, t, ref)[m][c]`` equals
     ``risk_table(h, RiskConfig(m, t, ref))[c].score`` bit for bit; the metrics
     share each event's decay factor instead of recomputing it.
     """
+    return decayed_risk_tables(histories, metrics, (half_life_days,), reference_time)[0]
+
+
+def decayed_risk_tables(
+    histories: Mapping[str, ClassHistory],
+    metrics: Sequence[str],
+    half_lives: Sequence[float | None],
+    reference_time: int,
+) -> list[dict[str, dict[str, float]]]:
+    """``decayed_risks`` at each of ``half_lives``, from one pass over each history.
+
+    Per class, the ages of the in-scope events (and, under extent, their
+    weights) are computed once, then folded under every horizon; the
+    metrics share each decay factor. Each fold is a sequential ``+=`` in
+    the history's chronological order, as in ``class_risk``: never the
+    builtin ``sum``, whose float summation is compensated since Python 3.12.
+    An event is in scope if its (integer) timestamp is not after
+    ``reference_time``, that is if its ``event_age_days`` is not negative.
+    """
     # RiskConfig rejects an unknown metric or a non-positive half-life.
-    configs = [RiskConfig(metric, half_life_days, reference_time) for metric in metrics]
-    alpha = configs[0].alpha if configs else 0.0
-    tables: dict[str, dict[str, float]] = {metric: {} for metric in metrics}
+    configs = [[RiskConfig(metric, half_life, reference_time) for metric in metrics] for half_life in half_lives]
+    tables: list[dict[str, dict[str, float]]] = [{metric: {} for metric in metrics} for _ in half_lives]
+    if not metrics:
+        return tables
+    folds = [
+        (-row[0].alpha, table.get(METRIC_FREQUENCY), table.get(METRIC_EXTENT))
+        for row, table in zip(configs, tables)
+    ]
+    extent = METRIC_EXTENT in metrics
+    # Local names, and plain loops: on CPython 3.10-3.13 a loop of float `+=` is
+    # faster than functools.reduce(operator.add, map(math.exp, ...)) for these lengths.
+    exp, log1p = math.exp, math.log1p
     for class_id, history in histories.items():
-        totals = _decayed_totals(history.events, alpha, reference_time, metrics)
-        for metric, table in tables.items():
-            table[class_id] = totals[metric]
+        in_scope = [event for event in history.events if event.timestamp <= reference_time]
+        ages = [(reference_time - event.timestamp) / SECONDS_PER_DAY for event in in_scope]
+        if extent:  # event.churn, inlined
+            weights = [log1p(event.added + event.deleted + event.modified) for event in in_scope]
+        for rate, frequency_table, extent_table in folds:
+            frequency = 0.0
+            if extent_table is None:
+                for age in ages:
+                    frequency += exp(rate * age)
+            else:
+                extent_total = 0.0
+                for age, weight in zip(ages, weights):
+                    decay = exp(rate * age)
+                    frequency += decay
+                    extent_total += weight * decay
+                extent_table[class_id] = extent_total
+            if frequency_table is not None:
+                frequency_table[class_id] = frequency
     return tables

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from riskmin import cli, stats
+from riskmin.errors import ParseError
 
 from microproject import random_micro_project
 
@@ -537,6 +538,19 @@ class TestOutcomesFileErrors:
         err = capsys.readouterr().err
         assert "a.csv" in err and "line 4" in err and "detected" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        ["version_id,accuracy,detected,wall_time_s\n", 'version_id,accuracy,detected,"\nv1,0.0,true,0.01\n'],
+        ids=["header-only", "unterminated-quote-swallows-the-rows"],
+    )
+    def test_file_without_outcome_rows_exits_3_naming_it(self, tmp_path, capsys, content):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(content, encoding="utf-8")
+        b.write_text(content, encoding="utf-8")
+        assert cli.main(["compare", str(a), str(b)]) == 3
+        err = capsys.readouterr().err
+        assert "a.csv" in err and "no outcome rows" in err
+
     def test_detected_values_are_case_folded_and_stripped(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text(
@@ -825,3 +839,122 @@ class TestParserReuse:
             outputs.append(capsys.readouterr().out)
         assert len(built) == 1
         assert outputs[0] == outputs[1] and outputs[0].startswith("class_id,risk\n")
+
+
+_INPUT_ARGV = {
+    "score": ["--as-of", str(REF)],
+    "minimize": ["--as-of", str(REF)],
+    "evaluate": [],
+    "sweep": ["--horizons", "8", "--operators", "avg"],
+}
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+class TestUnreadableInputs:
+    """An input that cannot be opened exits 2 naming it; no traceback."""
+
+    def test_directory_as_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        directory = tmp_path / "not-a-manifest"
+        directory.mkdir()
+        assert cli.main(["score", str(directory), "--as-of", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "not-a-manifest" in err and "unreadable input" in err
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_ARGV))
+    @pytest.mark.parametrize("name", ["changes.jsonl", "callgraph.csv"])
+    def test_directory_as_change_log_or_call_graph_exits_2_naming_it(self, tmp_path, capsys, command, name):
+        manifest = _write_project(tmp_path / "p")
+        _replace_with_directory(tmp_path / "p" / name)
+        argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_directory_as_labels_exits_2_naming_it(self, tmp_path, capsys, command):
+        manifest = _write_project(tmp_path / "p")
+        _replace_with_directory(tmp_path / "p" / "labels.json")
+        argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "labels.json" in capsys.readouterr().err
+
+    def test_directories_as_outcome_files_exit_2_naming_them(self, tmp_path, capsys):
+        a, b = tmp_path / "a-dir", tmp_path / "b-dir"
+        a.mkdir()
+        b.mkdir()
+        assert cli.main(["compare", str(a), str(b)]) == 2
+        assert "a-dir" in capsys.readouterr().err
+
+    def test_missing_input_still_says_missing(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        _write_outcomes(a, [("v1", 0.5)])
+        assert cli.main(["compare", str(a), str(tmp_path / "nope.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "missing input" in err and "nope.csv" in err
+
+    def test_a_failed_output_write_is_not_a_missing_input(self, tmp_path, monkeypatch):
+        manifest = _write_project(tmp_path)
+
+        def failing_write(directory, name, content):
+            raise FileNotFoundError(2, "No such file or directory", str(directory / name))
+
+        monkeypatch.setattr(cli, "_write_text", failing_write)
+        with pytest.raises(FileNotFoundError):
+            cli.main(["score", str(manifest), "--as-of", str(REF), "--output", str(tmp_path / "out")])
+
+
+def _break_line(path, lineno, text):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[lineno - 1] = text + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestParseErrorsNameTheFile:
+    """A malformed change log or call graph exits 3 naming the file and the line."""
+
+    CASES = {
+        "changes.jsonl": (5, "{broken", "malformed JSON at line 5"),
+        "callgraph.csv": (3, "only-one-field", "expected 'caller,callee' at line 3"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_ARGV))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_command_names_the_file_and_the_line(self, tmp_path, capsys, command, name):
+        manifest = _write_project(tmp_path / "p")
+        lineno, text, message = self.CASES[name]
+        _break_line(tmp_path / "p" / name, lineno, text)
+        argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'p' / name}: {message}" in err
+
+    def test_pooled_sweep_names_the_faulty_project(self, tmp_path, capsys):
+        first = _write_project(tmp_path / "p1", project_id="p1")
+        second = _write_project(
+            tmp_path / "p2",
+            project_id="p2",
+            versions=[{"version_id": "w1", "as_of": REF, "fault_revealing_tests": ["app.T1Test#t1"]}],
+        )
+        _break_line(tmp_path / "p2" / "changes.jsonl", 2, "{broken")
+        assert cli.main(["sweep", str(first), str(second), *_INPUT_ARGV["sweep"]]) == 3
+        assert f"{tmp_path / 'p2' / 'changes.jsonl'}: malformed JSON at line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change_log_format", ["jsonl", "numstat"])
+    def test_the_error_keeps_its_line_and_message(self, tmp_path, change_log_format):
+        manifest = _write_project(tmp_path, change_log_format=change_log_format, callgraph_format="callgraph-text")
+        name = "changes.jsonl" if change_log_format == "jsonl" else "changes.numstat"
+        _break_line(tmp_path / name, 4, "COMMIT" if change_log_format == "numstat" else "[")
+        with pytest.raises(ParseError) as caught:
+            cli.load_project_inputs(cli.load_manifest(manifest))
+        assert caught.value.line == 4 and caught.value.path == str(tmp_path / name)
+        assert str(caught.value).startswith(f"{tmp_path / name}: ")
+        _write_project(tmp_path, change_log_format=change_log_format, callgraph_format="callgraph-text")
+        _break_line(tmp_path / "callgraph.txt", 2, "M:a.T:t")
+        with pytest.raises(ParseError) as caught:
+            cli.load_project_inputs(cli.load_manifest(manifest))
+        assert caught.value.line == 2 and str(caught.value) == (
+            f"{tmp_path / 'callgraph.txt'}: malformed call-graph line at line 2"
+        )

@@ -218,6 +218,13 @@ _TRICKY_NUMSTAT_LINES = [
     "1\t2\t{a => b}", "\x1c", " ", " \n", "COMMIT", "COMMIT abc", "COMMIT abc 0", f"COMMIT abc {2**63}",
     f"COMMIT abc {2**63 - 1}", "COMMIT\tabc\t5", "COMMIT abc 5", "COMMITabc 5", "COMMIT abc 5 x",
     "COMMIT abc ٣", "COMMIT abc 5\n\r", "COMMIT a\n5",
+    # commit headers: Unicode digits and spaces, COMMITx, trailing whitespace,
+    # a missing or an extra token, an over-long, zero or signed timestamp
+    "COMMIT abc ٣٤", "COMMIT abc ３", "COMMIT abc ²", "COMMIT abc 5²", "COMMIT abc 1_0", "COMMIT abc 0x5",
+    "COMMIT\u2003abc\u00a05", "COMMIT\x1cabc\x1f5", "COMMIT\x85abc 5", "COMMIT abc\u200b5", "COMMIT\u200babc 5",
+    "COMMITx abc 5", "COMMITX", "COMMIT5", "COMMIT abc 5 ", "COMMIT abc 5\t\u3000", "COMMIT abc 5\x0c",
+    "COMMIT 5", "COMMIT  ", "COMMIT abc 5 6", "COMMIT a b 5", "COMMIT abc " + "9" * 4301,
+    "COMMIT abc " + "0" * 30 + "7", "COMMIT abc 000", "COMMIT abc -5", "COMMIT abc +5", "COMMIT abc 5.0",
 ]
 _TRICKY_TEXT_EDGES = [
     "M:a.T:t (M)a.F:b", "M:a.T:t\t(M)a.F:b", "M:a.T:t (M)a.F:b", "M:a.T:t\x1c(M)a.F:b", "M:a.T:t\n(M)a.F:b",

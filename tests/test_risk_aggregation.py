@@ -1,8 +1,12 @@
+import math
 import random
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riskmin.risk_aggregation import OPERATORS, aggregate, score_test
+from riskmin.risk_aggregation import OPERATORS, aggregate, positive_multisets, score_test
 from riskmin.temporal_risk import ClassRisk
 
 from oracles import naive_aggregate
@@ -119,3 +123,59 @@ class TestScoreTest:
             deps = rng.sample(sorted(risks), k=rng.randint(0, 6))
             for op in OPERATORS:
                 assert score_test("T#t", deps, risks, op).score >= 0.0
+
+
+# The formulas as they were first written, applied to the sorted values: the
+# operators must keep reproducing them bit for bit on every Python version.
+_LITERAL_FORMULAS = {
+    "avg": statistics.fmean,
+    "gmean": lambda ordered: math.exp(statistics.fmean([math.log(v) for v in ordered])),
+    "hmean": lambda ordered: len(ordered) / sum(1.0 / v for v in ordered),
+    "median": statistics.median,
+}
+_positive_values = st.lists(
+    st.one_of(
+        st.floats(min_value=5e-324, max_value=1.7e308),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.integers(min_value=1, max_value=10**6),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def _value_or_error(compute):
+    try:
+        return repr(compute())
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+class TestOperatorsAgainstLiteralFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(_positive_values, st.sampled_from(OPERATORS))
+    def test_aggregate_equals_the_literal_formula_bit_for_bit(self, values, op):
+        expected = _value_or_error(lambda: _LITERAL_FORMULAS[op](sorted(values)))
+        assert _value_or_error(lambda: aggregate(values, op)) == expected
+
+
+_CLASSES = [f"C{i}" for i in range(6)]
+_odd_risk = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, -math.inf, math.inf, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1e-9, max_value=1e9),
+)
+
+
+class TestPositiveMultisetsAgainstTheOldComprehension:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(_CLASSES), _odd_risk),
+        st.lists(st.lists(st.sampled_from(_CLASSES + ["Ghost"]), max_size=8), max_size=6),
+    )
+    def test_absent_zero_negative_and_nan_risks_are_dropped_alike(self, risks, signatures):
+        expected = [
+            sorted([risk for risk in map(risks.get, deps) if risk is not None and risk > 0])
+            for deps in signatures
+        ]
+        assert positive_multisets(signatures, risks) == expected

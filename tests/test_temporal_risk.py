@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.temporal_risk import (
@@ -10,6 +12,7 @@ from riskmin.temporal_risk import (
     RiskConfig,
     alpha_from_half_life,
     class_risk,
+    decayed_risk_tables,
     decayed_risks,
     event_age_days,
     event_weight,
@@ -261,3 +264,70 @@ class TestDecayedRisks:
     def test_bad_metric_or_half_life_rejected(self, metrics, half_life):
         with pytest.raises(ValueError):
             decayed_risks(self._histories(0), metrics, half_life, REF)
+
+
+def _literal_decayed_risk(history, metric, half_life, as_of):
+    """The decayed risk as first written: a plain ``+=`` loop over the events in their order."""
+    rate = 0.0 if half_life is None else -(math.log(2.0) / half_life)
+    total = 0.0
+    for event in history.events:
+        age = event_age_days(event, as_of)
+        if age < 0:
+            continue
+        total += event_weight(event, metric) * math.exp(rate * age)
+    return total
+
+
+@st.composite
+def _unordered_histories(draw):
+    """An instant, and up to four classes with events in any order: some after the
+    instant, some at it or a second away, many with zero churn, and ages up to
+    3,000 days, whose decay underflows to 0 at a 1-day half-life."""
+    as_of = REF + draw(st.integers(-DAY, DAY))
+    offsets = st.one_of(st.integers(-3_000 * DAY, 30 * DAY), st.sampled_from([-1, 0, 1]))
+    histories = {}
+    for c in range(draw(st.integers(0, 4))):
+        events = [
+            ChangeEvent(
+                path=f"a/C{c}.java",
+                timestamp=as_of + draw(offsets),
+                added=draw(st.sampled_from([0, 0, 1, 7, 2**40])),
+                deleted=draw(st.integers(0, 3)),
+                modified=draw(st.integers(0, 1)),
+                commit_id=f"c{i}",
+            )
+            for i in range(draw(st.integers(0, 12)))
+        ]
+        histories[f"a.C{c}"] = _history(events, class_id=f"a.C{c}")
+    return histories, as_of
+
+
+_half_lives = st.lists(
+    st.one_of(st.none(), st.sampled_from([1.0, 0.5, 32.0, 512.0, 1e-300]), st.floats(1e-3, 1e6)),
+    min_size=1,
+    max_size=5,
+)
+_metric_lists = st.sampled_from([(METRIC_FREQUENCY,), (METRIC_EXTENT,), (METRIC_FREQUENCY, METRIC_EXTENT),
+                                 (METRIC_EXTENT, METRIC_FREQUENCY)])
+
+
+class TestDecayAgainstTheLiteralLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(_unordered_histories(), _metric_lists, _half_lives)
+    def test_every_horizon_equals_a_plain_loop_bit_for_bit(self, project, metrics, half_lives):
+        histories, as_of = project
+        tables = decayed_risk_tables(histories, metrics, half_lives, as_of)
+        assert len(tables) == len(half_lives)
+        for half_life, table in zip(half_lives, tables):
+            assert list(table) == list(metrics)
+            assert table == decayed_risks(histories, metrics, half_life, as_of)
+            for metric in metrics:
+                assert list(table[metric]) == list(histories)
+                for class_id, history in histories.items():
+                    expected = _literal_decayed_risk(history, metric, half_life, as_of)
+                    assert repr(table[metric][class_id]) == repr(expected)
+
+    def test_a_one_day_half_life_underflows_old_events_to_zero(self):
+        history = _history([_event(REF - 2_000 * DAY, add=5, commit="c0"), _event(REF + DAY, add=3, commit="c1")])
+        (table,) = decayed_risk_tables({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), (1.0,), REF)
+        assert table == {METRIC_FREQUENCY: {"a.B": 0.0}, METRIC_EXTENT: {"a.B": 0.0}}
