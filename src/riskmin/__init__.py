@@ -38,10 +38,9 @@ from .evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, rank, select
+from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import (
     OPERATORS,
-    TestScore,
     aggregate,
     positive_multisets,
     score_multisets,
@@ -57,8 +56,6 @@ from .stats import (
 )
 from .temporal_risk import (
     METRICS,
-    ClassRisk,
-    RiskConfig,
     alpha_from_half_life,
     class_risk,
     decayed_risks,

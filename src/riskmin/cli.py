@@ -39,6 +39,7 @@ from .dependency_graph import (
     build_dependency_map,
     entry_class_filter,
     parse_callgraph_edges,
+    parse_test_id,
     test_entry_points,
 )
 from .errors import AlignmentError, InputError, LabelError, ParseError, numbered_lines
@@ -186,6 +187,11 @@ def _check_entry_selector(selector: object, path: Path) -> None:
             raise ParseError(
                 "manifest key 'entry_selector.explicit' must be a list of strings", path=str(path)
             )
+        for test_id in explicit:
+            try:
+                parse_test_id(test_id)
+            except ParseError as exc:
+                raise ParseError(f"manifest key 'entry_selector.explicit': {exc}", path=str(path)) from None
     elif "pattern" in selector:
         pattern = selector["pattern"]
         if not isinstance(pattern, dict):
@@ -406,6 +412,17 @@ def _evaluate_manifests(
     return pooled, by_project
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Sequential sum over the count, alike on every Python version.
+
+    Not the builtin ``sum``, whose float summation is compensated since Python 3.12.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def _stats_block(values: Sequence[float]) -> dict:
     lo, q1, mean, median, q3, hi = describe(values)
     return {"min": lo, "q1": q1, "mean": mean, "median": median, "q3": q3, "max": hi}
@@ -430,24 +447,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary = {
         "config_fingerprint": outcomes[0].config_fingerprint,
         "n_versions": len(outcomes),
-        "mean_accuracy": sum(accuracies) / len(accuracies),
+        "mean_accuracy": _mean(accuracies),
         "fdr": fdr(outcomes),
         "accuracy_stats": _stats_block(accuracies),
         "per_project": {
             project_id: {
                 "n_versions": len(group),
-                "mean_accuracy": sum(o.accuracy for o in group) / len(group),
+                "mean_accuracy": _mean([o.accuracy for o in group]),
                 "fdr": fdr(group),
             }
             for project_id, group in sorted(by_project.items())
         },
         "project_stats": {
             "accuracy": _stats_block(
-                [sum(o.accuracy for o in g) / len(g) for g in by_project.values()]
+                [_mean([o.accuracy for o in g]) for g in by_project.values()]
             ),
             "fdr": _stats_block([fdr(g) for g in by_project.values()]),
         },
-        "mean_wall_time_s": sum(o.wall_time for o in outcomes) / len(outcomes),
+        "mean_wall_time_s": _mean([o.wall_time for o in outcomes]),
     }
     out_dir = Path(args.output or ".")
     _write_text(out_dir, "outcomes.csv", _csv_text(OUTCOME_COLUMNS, rows))

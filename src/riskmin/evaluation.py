@@ -96,10 +96,6 @@ class SweepGrid:
     operators: tuple[str, ...] = OPERATORS
     budgets: tuple[float, ...] = CANONICAL_BUDGETS
 
-    @property
-    def cells_per_budget(self) -> int:
-        return len(self.metrics) * len(self.horizons) * len(self.operators)
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -149,9 +145,9 @@ def evaluate_grid(
     (horizon, metric) each distinct dependency signature gets one sorted
     positive-risk multiset; per operator each signature is scored once and
     the tests are ranked once, and every budget keeps a prefix of that
-    ranking. Scores and selections equal those of
-    ``score_test`` and ``select`` bit for bit. A cell's ``wall_time`` is
-    ``base_seconds`` (ingestion and dependency analysis, measured by the
+    ranking. Scores and selections equal those of ``score_test`` and
+    ``cut_ranking(rank(scores), ...)`` bit for bit. A cell's ``wall_time``
+    is ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its metric's share
     of its horizon's share of the version's decay pass, its metric's
     multisets, its scoring pass and ranking, and its own selection.

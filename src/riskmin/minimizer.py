@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .risk_aggregation import TestScore
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -76,16 +74,6 @@ def rank(scores: Mapping[str, float]) -> list[str]:
     """
     # Sorting by id, then stably by score alone, orders by (-score, test id).
     return sorted(sorted(scores), key=scores.__getitem__, reverse=True)
-
-
-def select(
-    scores: Mapping[str, TestScore],
-    budget: Budget,
-    fingerprint: str = "",
-) -> MinimizationResult:
-    """Keep the top-scoring tests of the ``rank`` order up to the budget."""
-    score_of = {ts.test_id: ts.score for ts in scores.values()}
-    return cut_ranking(rank(score_of), score_of, budget, fingerprint)
 
 
 def cut_ranking(

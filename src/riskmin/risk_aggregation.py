@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, fsum, log
 from typing import Iterable, Mapping, Sequence
-
-from .temporal_risk import ClassRisk
 
 OP_AVG = "avg"
 OP_GMEAN = "gmean"
@@ -42,27 +39,18 @@ def _reduce_sorted(ordered: list[float], op: str) -> float:
     if op == OP_GMEAN:
         return exp(fsum(map(log, ordered)) / n)
     if op == OP_HMEAN:
-        return n / sum(map((1.0).__truediv__, ordered))  # the builtin sum, as always; not fsum
+        # A sequential loop, not the builtin sum: since Python 3.12 that compensates float sums.
+        reciprocals = 0.0
+        for value in ordered:
+            reciprocals += 1.0 / value
+        return n / reciprocals
     if op == OP_MEDIAN:
         middle = n // 2
         return ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
     raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
 
 
-@dataclass(frozen=True)
-class TestScore:
-    __test__ = False  # not a pytest class, despite the name
-
-    test_id: str
-    score: float
-
-
-def score_test(
-    test_id: str,
-    deps: Iterable[str],
-    risks: Mapping[str, ClassRisk],
-    op: str,
-) -> TestScore:
+def score_test(deps: Iterable[str], risks: Mapping[str, float], op: str) -> float:
     """Score one test from the risks of its dependency classes.
 
     Classes absent from the risk table contribute 0, and zero-risk values
@@ -73,11 +61,11 @@ def score_test(
     values = []
     for class_id in deps:
         risk = risks.get(class_id)
-        if risk is not None and risk.score > 0:
-            values.append(risk.score)
+        if risk is not None and risk > 0:
+            values.append(risk)
     if not values:
-        return TestScore(test_id=test_id, score=0.0)
-    return TestScore(test_id=test_id, score=aggregate(values, op))
+        return 0.0
+    return aggregate(values, op)
 
 
 def positive_multisets(

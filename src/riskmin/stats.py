@@ -160,7 +160,11 @@ def fisher_exact_2x2(table: ContingencyTable2x2 | tuple[int, int, int, int]) -> 
     observed = pmf(a)
     threshold = observed * (1.0 + FISHER_RELATIVE_SLACK)
     k_lo, k_hi = max(0, col1 - row2), min(row1, col1)
-    p = sum(pmf(k) for k in range(k_lo, k_hi + 1) if pmf(k) <= threshold)
+    p = 0.0  # a sequential sum, not the builtin one, which compensates float sums since Python 3.12
+    for k in range(k_lo, k_hi + 1):
+        probability = pmf(k)
+        if probability <= threshold:
+            p += probability
     return FisherResult(p_two_sided=min(1.0, p), odds_ratio=odds_ratio)
 
 

@@ -10,8 +10,7 @@ plain change-count / change-churn aggregation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .change_history import ChangeEvent, ClassHistory
 
@@ -36,41 +35,16 @@ def alpha_from_half_life(half_life_days: float) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class RiskConfig:
-    """Change metric, temporal horizon, and evaluation time.
+def _checked_alphas(metrics: Iterable[str], half_lives: Iterable[float | None]) -> list[float]:
+    """Each half-life's decay rate per day (0.0 in static mode), once the arguments are checked.
 
-    ``half_life_days=None`` selects static mode (decay factor 1 for every
-    event). ``reference_time`` is the evaluation instant; events after it
-    are ignored.
+    Rejects an unknown metric, and, through ``alpha_from_half_life``, a
+    half-life that is not positive or whose rate is not finite.
     """
-
-    metric: str
-    half_life_days: float | None
-    reference_time: int
-
-    def __post_init__(self) -> None:
-        if self.metric not in METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRICS}")
-        if self.half_life_days is not None:
-            alpha_from_half_life(self.half_life_days)  # rejects a non-positive or too small half-life
-
-    @property
-    def is_static(self) -> bool:
-        return self.half_life_days is None
-
-    @property
-    def alpha(self) -> float:
-        """Decay rate per day; 0.0 in static mode (factor identically 1)."""
-        if self.half_life_days is None:
-            return 0.0
-        return alpha_from_half_life(self.half_life_days)
-
-
-@dataclass(frozen=True)
-class ClassRisk:
-    class_id: str
-    score: float
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    return [0.0 if half_life is None else alpha_from_half_life(half_life) for half_life in half_lives]
 
 
 def event_age_days(event: ChangeEvent, reference_time: int) -> float:
@@ -90,26 +64,36 @@ def event_weight(event: ChangeEvent, metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def class_risk(history: ClassHistory, cfg: RiskConfig) -> ClassRisk:
+def class_risk(
+    history: ClassHistory, metric: str, half_life_days: float | None, reference_time: int
+) -> float:
     """Sum of decayed event weights over the in-scope history.
 
-    Events newer than the reference time are excluded so that scores for a
-    past evaluation point never see the future. Summation runs in the
+    ``half_life_days=None`` selects static mode (decay factor 1 for every
+    event). Events newer than the reference time are excluded so that scores
+    for a past evaluation point never see the future. Summation runs in the
     history's chronological order to keep results bit-deterministic.
     """
-    rate = -cfg.alpha
+    (alpha,) = _checked_alphas((metric,), (half_life_days,))
+    rate = -alpha
     score = 0.0
     for event in history.events:
-        age = event_age_days(event, cfg.reference_time)
+        age = event_age_days(event, reference_time)
         if age < 0:
             continue
-        score += event_weight(event, cfg.metric) * math.exp(rate * age)
-    return ClassRisk(class_id=history.class_id, score=score)
+        score += event_weight(event, metric) * math.exp(rate * age)
+    return score
 
 
-def risk_table(histories: Mapping[str, ClassHistory], cfg: RiskConfig) -> dict[str, ClassRisk]:
+def risk_table(
+    histories: Mapping[str, ClassHistory], metric: str, half_life_days: float | None, reference_time: int
+) -> dict[str, float]:
     """Score every class in the map; classes not present are implicitly 0."""
-    return {class_id: class_risk(history, cfg) for class_id, history in histories.items()}
+    _checked_alphas((metric,), (half_life_days,))  # so that an empty map rejects them too
+    return {
+        class_id: class_risk(history, metric, half_life_days, reference_time)
+        for class_id, history in histories.items()
+    }
 
 
 def decayed_risks(
@@ -121,7 +105,7 @@ def decayed_risks(
     """Every class's risk score under each metric at one horizon.
 
     ``decayed_risks(h, metrics, t, ref)[m][c]`` equals
-    ``risk_table(h, RiskConfig(m, t, ref))[c].score`` bit for bit; the metrics
+    ``risk_table(h, m, t, ref)[c]`` bit for bit; the metrics
     share each event's decay factor instead of recomputing it.
     """
     return decayed_risk_tables(histories, metrics, (half_life_days,), reference_time)[0]
@@ -143,14 +127,13 @@ def decayed_risk_tables(
     An event is in scope if its (integer) timestamp is not after
     ``reference_time``, that is if its ``event_age_days`` is not negative.
     """
-    # RiskConfig rejects an unknown metric or a non-positive half-life.
-    configs = [[RiskConfig(metric, half_life, reference_time) for metric in metrics] for half_life in half_lives]
+    alphas = _checked_alphas(metrics, half_lives)
     tables: list[dict[str, dict[str, float]]] = [{metric: {} for metric in metrics} for _ in half_lives]
     if not metrics:
         return tables
     folds = [
-        (-row[0].alpha, table.get(METRIC_FREQUENCY), table.get(METRIC_EXTENT))
-        for row, table in zip(configs, tables)
+        (-alpha, table.get(METRIC_FREQUENCY), table.get(METRIC_EXTENT))
+        for alpha, table in zip(alphas, tables)
     ]
     extent = METRIC_EXTENT in metrics
     # Local names, and plain loops: on CPython 3.10-3.13 a loop of float `+=` is

@@ -18,10 +18,10 @@ from riskmin import cli
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map, reachable_classes
 from riskmin.evaluation import VersionLabel, VersionOutcome, accuracy, fdr, minimize_suite
-from riskmin.minimizer import Budget, budget_count, select
+from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
 from riskmin.risk_aggregation import OPERATORS, aggregate, score_test
 from riskmin.stats import cliffs_delta, fisher_exact_2x2, wilcoxon_signed_rank
-from riskmin.temporal_risk import ClassRisk, RiskConfig, class_risk, risk_table
+from riskmin.temporal_risk import class_risk, risk_table
 
 from microproject import AS_OF, random_micro_project
 from oracles import (
@@ -108,9 +108,8 @@ def test_half_life_exactness():
             )
             history = ClassHistory(class_id="a.B", events=(event,))
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
-                cfg = RiskConfig(metric=metric, half_life_days=half_life, reference_time=reference)
                 expected = weight * 2.0 ** (-k)
-                assert class_risk(history, cfg).score == pytest.approx(expected, rel=1e-12)
+                assert class_risk(history, metric, half_life, reference) == pytest.approx(expected, rel=1e-12)
     assert time.perf_counter() - started < 1.0
 
 
@@ -183,21 +182,14 @@ def test_selection_invariant_under_risk_rescaling():
         project = random_micro_project(seed)
         histories, graph, entries, test_filter = project.library_inputs()
         dep_map = build_dependency_map(graph, entries, test_filter)
-        cfg = RiskConfig(metric="extent", half_life_days=32.0, reference_time=project.as_of)
-        table = risk_table(histories, cfg)
+        table = risk_table(histories, "extent", 32.0, project.as_of)
         for op in OPERATORS:
             for fraction in (0.25, 0.5, 0.75):
                 baseline = None
                 for c in (1e-6, 1.0, 1e6):
-                    scaled = {
-                        cid: ClassRisk(class_id=cid, score=c * risk.score)
-                        for cid, risk in table.items()
-                    }
-                    scores = {
-                        tid: score_test(tid, deps, scaled, op)
-                        for tid, deps in dep_map.items()
-                    }
-                    selected = select(scores, Budget(fraction)).selected
+                    scaled = {cid: c * risk for cid, risk in table.items()}
+                    scores = {tid: score_test(deps, scaled, op) for tid, deps in dep_map.items()}
+                    selected = cut_ranking(rank(scores), scores, Budget(fraction), "").selected
                     if baseline is None:
                         baseline = selected
                     else:

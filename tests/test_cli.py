@@ -101,7 +101,7 @@ class TestScoreCommand:
         ]
 
     def test_decayed_risks_match_library(self, tmp_path, capsys):
-        from riskmin.temporal_risk import RiskConfig, risk_table
+        from riskmin.temporal_risk import risk_table
 
         manifest = _write_project(tmp_path)
         code = cli.main(
@@ -113,9 +113,8 @@ class TestScoreCommand:
             line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
         )
         inputs = cli.load_project_inputs(cli.load_manifest(manifest))
-        cfg = RiskConfig(metric="extent", half_life_days=32.0, reference_time=REF)
-        for class_id, risk in risk_table(inputs.histories, cfg).items():
-            assert rows[class_id] == str(risk.score)
+        for class_id, risk in risk_table(inputs.histories, "extent", 32.0, REF).items():
+            assert rows[class_id] == str(risk)
 
     @pytest.mark.parametrize("risk", [math.nan, math.inf, -1.0])
     def test_every_score_checks_its_risks(self, tmp_path, monkeypatch, risk):
@@ -269,6 +268,28 @@ class TestEvaluateCommand:
         assert summary["n_versions"] == 2
         assert summary["fdr"] == 0.5
         assert summary["mean_accuracy"] == 0.5
+
+    def test_mean_accuracy_is_a_sequential_sum_in_label_order(self, tmp_path):
+        # At budget 1.0 every entry is kept, so k entries among ten fault tests give k / 10.
+        ghosts = [f"app.GhostTest#g{i}" for i in range(9)]
+        entries = ["app.T1Test#t1", "app.T2Test#t2", "app.T3Test#t3"]
+        versions = [
+            {"version_id": f"v{k}", "as_of": REF, "fault_revealing_tests": entries[:k] + ghosts[: 10 - k]}
+            for k in (1, 2, 3)
+        ]
+        manifest = _write_project(tmp_path, versions=versions)
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", str(manifest), "--budget", "1.0", "--output", str(out)]) == 0
+        accuracies = [float(line.split(",")[1]) for line in (out / "outcomes.csv").read_text().splitlines()[1:]]
+        assert accuracies == [0.1, 0.2, 0.3]
+        total = 0.0
+        for accuracy in accuracies:
+            total += accuracy
+        summary = json.loads((out / "summary.json").read_text())
+        # math.fsum would give 0.6 / 3 = 0.19999999999999998
+        assert summary["mean_accuracy"] == total / 3 == 0.20000000000000004
+        assert summary["per_project"]["demo"]["mean_accuracy"] == 0.20000000000000004
+        assert summary["project_stats"]["accuracy"]["mean"] == 0.20000000000000004
 
     def test_full_budget_detects_everything(self, tmp_path):
         manifest = _write_project(tmp_path)
@@ -649,6 +670,18 @@ class TestManifestShape:
         assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
         err = capsys.readouterr().err
         assert "manifest.json" in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize("test_id", ["no-hash", "#m", "A#"])
+    def test_malformed_explicit_test_id_exits_3_naming_the_manifest_and_key(self, tmp_path, capsys, test_id):
+        manifest = _write_project(tmp_path)
+        raw = json.loads(manifest.read_text())
+        raw["entry_selector"] = {"explicit": ["app.T1Test#t1", test_id]}
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["minimize", str(manifest), "--as-of", str(REF), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "'entry_selector.explicit'" in err and repr(test_id) in err
+        assert not out.exists()
 
     def test_explicit_selector_wins_over_a_pattern(self, tmp_path):
         manifest = _write_project(tmp_path)

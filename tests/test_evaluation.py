@@ -20,11 +20,12 @@ from riskmin.evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from riskmin.minimizer import Budget, select
+from riskmin.minimizer import Budget
 from riskmin.risk_aggregation import score_test
-from riskmin.temporal_risk import RiskConfig, risk_table
+from riskmin.temporal_risk import risk_table
 
 from microproject import AS_OF, random_micro_project
+from oracles import naive_select
 
 DAY = 86_400
 REF = AS_OF
@@ -263,7 +264,7 @@ class TestRunSweep:
 
     def test_canonical_grid_has_eighty_cells_per_budget(self):
         grid = SweepGrid()
-        assert grid.cells_per_budget == 80
+        assert len(grid.metrics) * len(grid.horizons) * len(grid.operators) == 80
         _, histories, dep_map, label = _project_version(7, "v1")
         rows = sweep_rows(evaluate_grid(histories, dep_map, [label], grid))
         assert len(rows) == 80 * 3
@@ -335,7 +336,7 @@ class TestSharedScoringPath:
 
     @settings(max_examples=60, deadline=None)
     @given(_scoring_projects())
-    def test_scores_and_ranking_match_score_tests_and_select(self, project):
+    def test_scores_and_ranking_match_score_test_and_the_sort_oracle(self, project):
         histories, dep_map, labels = project
         grid = self.GRID
         keys = list(itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets))
@@ -346,24 +347,21 @@ class TestSharedScoringPath:
             label = labels[v]
             passes += 1
             metric, horizon, operator, _ = keys[first_cell]
-            table = risk_table(histories, RiskConfig(metric, horizon, label.as_of))
-            expected = {
-                test_id: score_test(test_id, deps, table, operator) for test_id, deps in dep_map.items()
-            }
-            assert scores == {test_id: ts.score for test_id, ts in expected.items()}
-            whole = select(expected, Budget(1.0))
-            assert ranked == list(whole.selected + whole.excluded)
+            table = risk_table(histories, metric, horizon, label.as_of)
+            expected = {test_id: score_test(deps, table, operator) for test_id, deps in dep_map.items()}
+            assert scores == expected
+            whole, _ = naive_select(expected, 1.0)
+            assert ranked == whole
             for b, fraction in enumerate(grid.budgets):
                 (key, outcomes) = cells[first_cell + b]
                 assert key == (metric, horizon, operator, fraction)
                 (outcome,) = [o for o in outcomes if o.version_id == label.version_id]
-                chosen = select(expected, Budget(fraction)).selected
+                chosen, dropped = naive_select(expected, fraction)
                 assert outcome.accuracy == accuracy(set(chosen), label)
-                reference = select(expected, Budget(fraction))
                 result = minimize_suite(
                     histories, None, (), metric=metric, half_life_days=horizon, operator=operator,
                     budget=Budget(fraction), as_of=label.as_of, dep_map=dep_map,
                 )
-                assert (result.selected, result.excluded) == (reference.selected, reference.excluded)
-                assert list(result.scores.items()) == list(reference.scores.items())
-        assert passes == len(labels) * grid.cells_per_budget
+                assert (list(result.selected), list(result.excluded)) == (chosen, dropped)
+                assert list(result.scores.items()) == [(test_id, expected[test_id]) for test_id in whole]
+        assert passes == len(labels) * len(grid.metrics) * len(grid.horizons) * len(grid.operators)

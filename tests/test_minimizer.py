@@ -8,18 +8,11 @@ from riskmin.minimizer import (
     budget_count,
     check_result_invariants,
     config_fingerprint,
-    select,
+    cut_ranking,
+    rank,
 )
-from riskmin.risk_aggregation import TestScore
 
 from oracles import naive_select
-
-
-def _scores(**values):
-    return {
-        test_id: TestScore(test_id=test_id, score=score)
-        for test_id, score in values.items()
-    }
 
 
 class TestBudget:
@@ -73,22 +66,26 @@ class TestBudgetCount:
 
 
 class TestSelect:
+    """A selection is ``cut_ranking`` of the ``rank`` order at the budget."""
+
     def test_top_half_by_score(self):
-        result = select(_scores(t1=3.0, t2=1.0, t3=2.0, t4=0.0), Budget(0.5))
+        scores = {"t1": 3.0, "t2": 1.0, "t3": 2.0, "t4": 0.0}
+        result = cut_ranking(rank(scores), scores, Budget(0.5), "")
         assert result.selected == ("t1", "t3")
         assert result.excluded == ("t2", "t4")
 
     def test_all_tied_takes_lexicographically_first(self):
-        result = select(_scores(b=1.0, a=1.0, d=1.0, c=1.0), Budget(0.25))
-        assert result.selected == ("a",)
+        scores = {"b": 1.0, "a": 1.0, "d": 1.0, "c": 1.0}
+        assert cut_ranking(rank(scores), scores, Budget(0.25), "").selected == ("a",)
 
     def test_full_budget_selects_everything(self):
-        result = select(_scores(t1=1.0, t2=2.0), Budget(1.0))
+        scores = {"t1": 1.0, "t2": 2.0}
+        result = cut_ranking(rank(scores), scores, Budget(1.0), "")
         assert set(result.selected) == {"t1", "t2"}
         assert result.excluded == ()
 
     def test_empty_scores(self):
-        result = select({}, Budget(0.5))
+        result = cut_ranking(rank({}), {}, Budget(0.5), "")
         assert result.selected == () and result.excluded == ()
 
     def test_matches_sort_oracle_on_random_scores(self):
@@ -100,7 +97,7 @@ class TestSelect:
             }
             fraction = rng.choice([0.25, 0.5, 0.75, 1.0])
             expected_sel, expected_exc = naive_select(scores, fraction)
-            result = select(_scores(**scores), Budget(fraction))
+            result = cut_ranking(rank(scores), scores, Budget(fraction), "")
             assert list(result.selected) == expected_sel
             assert list(result.excluded) == expected_exc
 
@@ -108,7 +105,7 @@ class TestSelect:
         rng = random.Random(73)
         for _ in range(50):
             scores = {f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(1, 20))}
-            result = select(_scores(**scores), Budget(rng.choice([0.25, 0.5, 0.75])))
+            result = cut_ranking(rank(scores), scores, Budget(rng.choice([0.25, 0.5, 0.75])), "")
             for kept in result.selected:
                 for dropped in result.excluded:
                     assert scores[kept] > scores[dropped] or (
@@ -118,21 +115,22 @@ class TestSelect:
     def test_nested_budgets(self):
         rng = random.Random(79)
         for _ in range(50):
-            scores = _scores(**{f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(1, 25))})
-            s25 = set(select(scores, Budget(0.25)).selected)
-            s50 = set(select(scores, Budget(0.50)).selected)
-            s75 = set(select(scores, Budget(0.75)).selected)
+            scores = {f"t{i}": rng.uniform(0, 5) for i in range(rng.randint(1, 25))}
+            ranked = rank(scores)
+            s25 = set(cut_ranking(ranked, scores, Budget(0.25), "").selected)
+            s50 = set(cut_ranking(ranked, scores, Budget(0.50), "").selected)
+            s75 = set(cut_ranking(ranked, scores, Budget(0.75), "").selected)
             assert s25 <= s50 <= s75
 
     def test_partition_covers_all_tests(self):
-        scores = _scores(a=1.0, b=2.0, c=3.0)
-        result = select(scores, Budget(0.5))
+        scores = {"a": 1.0, "b": 2.0, "c": 3.0}
+        result = cut_ranking(rank(scores), scores, Budget(0.5), "")
         assert set(result.selected) | set(result.excluded) == set(scores)
         assert not set(result.selected) & set(result.excluded)
 
     def test_check_result_invariants_accepts_valid_results(self):
-        result = select(_scores(a=1.0, b=2.0, c=3.0), Budget(0.5))
-        check_result_invariants(result, Budget(0.5))
+        scores = {"a": 1.0, "b": 2.0, "c": 3.0}
+        check_result_invariants(cut_ranking(rank(scores), scores, Budget(0.5), ""), Budget(0.5))
 
     def test_check_result_invariants_rejects_corrupt_results(self):
         broken = MinimizationResult(

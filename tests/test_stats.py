@@ -85,6 +85,15 @@ class TestFisherExact:
         assert result.p_two_sided == 1.0
         assert result.odds_ratio == 1.0
 
+    def test_p_value_sums_table_probabilities_sequentially(self):
+        # (2, 1, 1, 4) has margins 3, 5 and 3 of 8; the tables k = 0, 2, 3 are no more
+        # probable than the observed one. Added in that order they give
+        # 0.46428571428571425; math.fsum gives 0.4642857142857143.
+        total = 0.0
+        for k in (0, 2, 3):
+            total += math.comb(3, k) * math.comb(5, 3 - k) / math.comb(8, 3)
+        assert fisher_exact_2x2((2, 1, 1, 4)).p_two_sided == total == 0.46428571428571425
+
     def test_infinite_odds_ratio(self):
         result = fisher_exact_2x2((3, 0, 0, 3))
         assert result.odds_ratio == math.inf

@@ -9,7 +9,6 @@ from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.temporal_risk import (
     METRIC_EXTENT,
     METRIC_FREQUENCY,
-    RiskConfig,
     alpha_from_half_life,
     class_risk,
     decayed_risk_tables,
@@ -52,7 +51,9 @@ class TestAlphaFromHalfLife:
         with pytest.raises(ValueError, match="not finite"):
             alpha_from_half_life(tiny)
         with pytest.raises(ValueError, match="not finite"):
-            RiskConfig(metric=METRIC_FREQUENCY, half_life_days=tiny, reference_time=REF)
+            class_risk(_history([]), METRIC_FREQUENCY, tiny, REF)
+        with pytest.raises(ValueError, match="not finite"):
+            decayed_risk_tables({}, (METRIC_FREQUENCY,), (tiny,), REF)
 
     def test_smallest_half_life_with_a_finite_rate_is_accepted(self):
         assert math.isfinite(alpha_from_half_life(1e-300))
@@ -91,82 +92,71 @@ class TestEventWeight:
 class TestClassRisk:
     def test_half_life_powers_sum(self):
         T = 5.0
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=T, reference_time=REF)
         ages = [0, int(T * DAY), int(2 * T * DAY)]
         history = _history([_event(REF - a, commit=f"c{i}") for i, a in enumerate(ages)])
-        assert class_risk(history, cfg).score == pytest.approx(1.75, rel=1e-12)
+        assert class_risk(history, METRIC_FREQUENCY, T, REF) == pytest.approx(1.75, rel=1e-12)
 
     def test_empty_history_scores_zero(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=8.0, reference_time=REF)
-        assert class_risk(_history([]), cfg).score == 0.0
+        assert class_risk(_history([]), METRIC_FREQUENCY, 8.0, REF) == 0.0
 
     def test_static_frequency_counts_events_exactly(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=None, reference_time=REF)
         history = _history([_event(REF - i * DAY, commit=f"c{i}") for i in range(5)])
-        assert class_risk(history, cfg).score == 5.0
+        assert class_risk(history, METRIC_FREQUENCY, None, REF) == 5.0
 
     def test_static_extent_sums_log_churn_exactly(self):
-        cfg = RiskConfig(metric=METRIC_EXTENT, half_life_days=None, reference_time=REF)
         churns = [3, 10, 0]
         history = _history(
             [_event(REF - i * DAY, add=c, commit=f"c{i}") for i, c in enumerate(churns)]
         )
         expected = sum(math.log1p(c) for c in churns)
-        assert class_risk(history, cfg).score == expected
+        assert class_risk(history, METRIC_EXTENT, None, REF) == expected
 
     def test_future_events_are_excluded(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=None, reference_time=REF)
         history = _history([_event(REF - DAY, commit="c0"), _event(REF + DAY, commit="c1")])
-        assert class_risk(history, cfg).score == 1.0
+        assert class_risk(history, METRIC_FREQUENCY, None, REF) == 1.0
 
     def test_event_at_reference_time_is_included(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=1.0, reference_time=REF)
-        assert class_risk(_history([_event(REF)]), cfg).score == 1.0
+        assert class_risk(_history([_event(REF)]), METRIC_FREQUENCY, 1.0, REF) == 1.0
 
     def test_half_life_identity_within_tolerance(self):
         for T in (1.0, 32.0, 512.0):
-            cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=T, reference_time=REF)
             for k in (1, 2, 3):
                 history = _history([_event(REF - int(k * T * DAY))])
-                assert class_risk(history, cfg).score == pytest.approx(0.5**k, rel=1e-12)
+                assert class_risk(history, METRIC_FREQUENCY, T, REF) == pytest.approx(0.5**k, rel=1e-12)
 
     def test_decay_strictly_decreasing_in_age(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=16.0, reference_time=REF)
         scores = [
-            class_risk(_history([_event(REF - age * DAY)]), cfg).score
+            class_risk(_history([_event(REF - age * DAY)]), METRIC_FREQUENCY, 16.0, REF)
             for age in range(0, 100, 7)
         ]
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
     def test_adding_a_weighted_event_strictly_increases_score(self):
         rng = random.Random(5)
-        cfg = RiskConfig(metric=METRIC_EXTENT, half_life_days=4.0, reference_time=REF)
         events = [
             _event(REF - rng.randint(0, 300 * DAY), add=rng.randint(1, 50), commit=f"c{i}")
             for i in range(10)
         ]
         for cut in range(1, len(events)):
-            before = class_risk(_history(events[:cut]), cfg).score
-            after = class_risk(_history(events[: cut + 1]), cfg).score
+            before = class_risk(_history(events[:cut]), METRIC_EXTENT, 4.0, REF)
+            after = class_risk(_history(events[: cut + 1]), METRIC_EXTENT, 4.0, REF)
             assert after > before
 
     def test_long_horizon_approaches_event_count(self):
         # at T=1e9 days an event aged d contributes 1 - ln(2)*d/1e9, so ages
         # must stay below ~1.4e3 days for the sum to land within 1e-6 of n
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=1e9, reference_time=REF)
         rng = random.Random(9)
         n = 50
         history = _history(
             [_event(REF - rng.randint(0, 1_000) * DAY, commit=f"c{i}") for i in range(n)]
         )
-        assert class_risk(history, cfg).score == pytest.approx(n, rel=1e-6)
+        assert class_risk(history, METRIC_FREQUENCY, 1e9, REF) == pytest.approx(n, rel=1e-6)
 
     def test_scores_finite_and_non_negative(self):
         rng = random.Random(21)
         for seed in range(30):
             T = rng.choice([None, 1.0, 32.0, 512.0])
-            cfg = RiskConfig(metric=rng.choice([METRIC_FREQUENCY, METRIC_EXTENT]),
-                             half_life_days=T, reference_time=REF)
+            metric = rng.choice([METRIC_FREQUENCY, METRIC_EXTENT])
             history = _history(
                 [
                     _event(REF - rng.randint(-50, 400) * DAY, add=rng.randint(0, 500),
@@ -174,28 +164,27 @@ class TestClassRisk:
                     for i in range(rng.randint(0, 40))
                 ]
             )
-            score = class_risk(history, cfg).score
+            score = class_risk(history, metric, T, REF)
             assert math.isfinite(score) and score >= 0.0
 
 
 class TestRiskTable:
     def test_empty_map_yields_empty_table(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=None, reference_time=REF)
-        assert risk_table({}, cfg) == {}
+        assert risk_table({}, METRIC_FREQUENCY, None, REF) == {}
 
     def test_classes_scored_independently(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=2.0, reference_time=REF)
         histories = {
             "a.B": _history([_event(REF, commit="c1")], class_id="a.B"),
             "a.C": _history([_event(REF - 2 * DAY, commit="c2")], class_id="a.C"),
         }
-        table = risk_table(histories, cfg)
-        assert table["a.B"].score == class_risk(histories["a.B"], cfg).score
-        assert table["a.C"].score == class_risk(histories["a.C"], cfg).score
+        table = risk_table(histories, METRIC_FREQUENCY, 2.0, REF)
+        assert table == {
+            "a.B": class_risk(histories["a.B"], METRIC_FREQUENCY, 2.0, REF),
+            "a.C": class_risk(histories["a.C"], METRIC_FREQUENCY, 2.0, REF),
+        }
 
     def test_linearity_in_event_weights(self):
         # churn values chosen so ln(1 + churn) exactly doubles: 1+c' = (1+c)^2
-        cfg = RiskConfig(metric=METRIC_EXTENT, half_life_days=20.0, reference_time=REF)
         base_churns = [1, 3, 7, 15]
         ages = [3, 40, 77, 200]
         base = _history(
@@ -206,27 +195,42 @@ class TestRiskTable:
             [_event(REF - a * DAY, add=(1 + c) ** 2 - 1, commit=f"c{i}")
              for i, (a, c) in enumerate(zip(ages, base_churns))]
         )
-        assert class_risk(squared, cfg).score == pytest.approx(
-            2 * class_risk(base, cfg).score, rel=1e-12
+        assert class_risk(squared, METRIC_EXTENT, 20.0, REF) == pytest.approx(
+            2 * class_risk(base, METRIC_EXTENT, 20.0, REF), rel=1e-12
         )
 
 
-class TestRiskConfig:
-    def test_static_alpha_is_zero(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=None, reference_time=REF)
-        assert cfg.is_static and cfg.alpha == 0.0
+class TestArgumentChecks:
+    """``class_risk``, ``risk_table`` and ``decayed_risk_tables`` reject the same arguments."""
 
-    def test_alpha_matches_half_life_rule(self):
-        cfg = RiskConfig(metric=METRIC_FREQUENCY, half_life_days=32.0, reference_time=REF)
-        assert cfg.alpha == alpha_from_half_life(32.0)
+    def test_static_mode_applies_no_decay(self):
+        history = _history([_event(REF - 10_000 * DAY)])
+        assert class_risk(history, METRIC_FREQUENCY, None, REF) == 1.0
+        assert decayed_risk_tables({"a.B": history}, (METRIC_FREQUENCY,), (None,), REF) == [
+            {METRIC_FREQUENCY: {"a.B": 1.0}}
+        ]
+
+    def test_decay_follows_the_half_life_rule(self):
+        history = _history([_event(REF - 3 * DAY)])
+        expected = math.exp(-alpha_from_half_life(32.0) * 3.0)
+        assert class_risk(history, METRIC_FREQUENCY, 32.0, REF) == expected
 
     def test_bad_metric_rejected(self):
-        with pytest.raises(ValueError):
-            RiskConfig(metric="entropy", half_life_days=1.0, reference_time=REF)
+        with pytest.raises(ValueError, match="unknown metric"):
+            class_risk(_history([]), "entropy", 1.0, REF)
+        with pytest.raises(ValueError, match="unknown metric"):
+            risk_table({}, "entropy", 1.0, REF)
+        with pytest.raises(ValueError, match="unknown metric"):
+            decayed_risk_tables({}, ("entropy",), (1.0,), REF)
 
-    def test_bad_half_life_rejected(self):
-        with pytest.raises(ValueError):
-            RiskConfig(metric=METRIC_FREQUENCY, half_life_days=0.0, reference_time=REF)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_bad_half_life_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be positive"):
+            class_risk(_history([]), METRIC_FREQUENCY, bad, REF)
+        with pytest.raises(ValueError, match="must be positive"):
+            risk_table({}, METRIC_FREQUENCY, bad, REF)
+        with pytest.raises(ValueError, match="must be positive"):
+            decayed_risk_tables({}, (METRIC_FREQUENCY,), (8.0, bad), REF)
 
 
 class TestDecayedRisks:
@@ -253,8 +257,7 @@ class TestDecayedRisks:
             histories = self._histories(seed)
             tables = decayed_risks(histories, (METRIC_FREQUENCY, METRIC_EXTENT), half_life, REF)
             for metric in (METRIC_FREQUENCY, METRIC_EXTENT):
-                expected = risk_table(histories, RiskConfig(metric, half_life, REF))
-                assert tables[metric] == {c: risk.score for c, risk in expected.items()}
+                assert tables[metric] == risk_table(histories, metric, half_life, REF)
 
     def test_only_the_requested_metrics_are_returned(self):
         tables = decayed_risks(self._histories(0), (METRIC_EXTENT,), 8.0, REF)
