@@ -121,50 +121,89 @@ class SourceRootConfig:
 
 
 _REQUIRED_JSONL_FIELDS = ("path", "ts", "add", "del", "commit")
+_REQUIRED_JSONL_VALUES = itemgetter(*_REQUIRED_JSONL_FIELDS)
+_decode_json = json.JSONDecoder().raw_decode
 
 
 def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
-    """Parse change-event JSONL into a list of events, in input order."""
+    """Parse change-event JSONL into a list of events, in input order.
+
+    Each stripped line is decoded by one call into the C scanner, and its
+    fields are checked in one expression. A line failing either is handed
+    to ``_checked_event``, whose field-by-field checks name the first
+    thing wrong with it; they accept exactly the lines accepted here.
+    """
     events: list[ChangeEvent] = []
+    append = events.append
+    new = tuple.__new__
     for lineno, line in numbered_lines(stream):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno)
-        except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
-            raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
-        if not isinstance(record, dict):
-            raise ParseError(f"expected an object at line {lineno}", line=lineno)
-        for field in _REQUIRED_JSONL_FIELDS:
-            if field not in record:
-                raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno)
-        counts = []
-        for field in ("add", "del", "mod"):
-            value = record.get(field, 0)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError(f"field '{field}' must be an integer at line {lineno}", line=lineno)
-            if value < 0:
-                raise ParseError(f"negative line count at line {lineno}", line=lineno)
-            if value > MAX_INTEGER:
-                raise ParseError(f"field '{field}' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
-            counts.append(value)
-        ts = record["ts"]
-        if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
-            raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
-        if ts > MAX_INTEGER:
-            raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
-        if not isinstance(record["path"], str):
-            raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
-        if not isinstance(record["commit"], str):
-            raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
-        renamed_from = record.get("renamed_from")
-        if renamed_from is not None and not isinstance(renamed_from, str):
-            raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
-        events.append(_event((record["path"], ts, *counts, record["commit"], renamed_from)))
+            record, end = _decode_json(line)
+            if end == len(line) and type(record) is dict:
+                path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
+                modified = record.get("mod", 0)
+                renamed_from = record.get("renamed_from")
+                # JSON yields no int subclass but bool, which `type(...) is int` rejects.
+                if (
+                    type(ts) is int
+                    and type(added) is int
+                    and type(deleted) is int
+                    and type(modified) is int
+                    and 0 < ts <= MAX_INTEGER
+                    and 0 <= added <= MAX_INTEGER
+                    and 0 <= deleted <= MAX_INTEGER
+                    and 0 <= modified <= MAX_INTEGER
+                    and type(path) is str
+                    and type(commit) is str
+                    and (renamed_from is None or type(renamed_from) is str)
+                ):
+                    append(new(ChangeEvent, (path, ts, added, deleted, modified, commit, renamed_from)))
+                    continue
+        except (ValueError, RecursionError, KeyError):  # not JSON, or a required field missing
+            pass
+        append(_checked_event(line, lineno))
     return events
+
+
+def _checked_event(line: str, lineno: int) -> ChangeEvent:
+    """The event of one stripped JSONL line, or the ``ParseError`` naming the first check it fails."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno)
+    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+        raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
+    if not isinstance(record, dict):
+        raise ParseError(f"expected an object at line {lineno}", line=lineno)
+    for field in _REQUIRED_JSONL_FIELDS:
+        if field not in record:
+            raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno)
+    counts = []
+    for field in ("add", "del", "mod"):
+        value = record.get(field, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(f"field '{field}' must be an integer at line {lineno}", line=lineno)
+        if value < 0:
+            raise ParseError(f"negative line count at line {lineno}", line=lineno)
+        if value > MAX_INTEGER:
+            raise ParseError(f"field '{field}' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
+        counts.append(value)
+    ts = record["ts"]
+    if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
+        raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
+    if ts > MAX_INTEGER:
+        raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
+    if not isinstance(record["path"], str):
+        raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
+    if not isinstance(record["commit"], str):
+        raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
+    renamed_from = record.get("renamed_from")
+    if renamed_from is not None and not isinstance(renamed_from, str):
+        raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
+    return _event((record["path"], ts, *counts, record["commit"], renamed_from))
 
 
 _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")

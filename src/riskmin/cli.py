@@ -113,7 +113,7 @@ def _open_input(path: Path) -> IO[str]:
     """Open an input file as UTF-8 text; one that cannot be opened raises ``InputError`` naming it."""
     try:
         return open(path, "r", encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(path, exc) from None
 
 
@@ -144,6 +144,8 @@ def load_manifest(path: Path) -> RunManifest:
     for key in ("project_id", "change_log_path", "callgraph_path", "entry_selector", "source_roots"):
         if key not in raw:
             raise ParseError(f"manifest missing required key '{key}'", path=str(path))
+    if not isinstance(raw["project_id"], str):
+        raise ParseError("manifest key 'project_id' must be a string", path=str(path))
     change_log_format = raw.get("change_log_format", "jsonl")
     if change_log_format not in CHANGE_LOG_FORMATS:
         raise ParseError(
@@ -154,7 +156,8 @@ def load_manifest(path: Path) -> RunManifest:
         raise ParseError(f"unknown callgraph_format {callgraph_format!r}", path=str(path))
     _check_entry_selector(raw["entry_selector"], path)
     for key in ("change_log_path", "callgraph_path", "labels_path", "output_dir"):
-        if raw.get(key) is not None and not isinstance(raw[key], str):
+        value = raw.get(key)
+        if not isinstance(value, str) and not (value is None and key in ("labels_path", "output_dir")):
             raise ParseError(f"manifest key '{key}' must be a path string", path=str(path))
     for key in ("source_roots", "extensions", "exclude_classes"):
         value = raw.get(key, [])
@@ -162,8 +165,10 @@ def load_manifest(path: Path) -> RunManifest:
             raise ParseError(f"manifest key '{key}' must be a list of strings", path=str(path))
     if not raw["source_roots"]:
         raise ParseError("manifest key 'source_roots' must name at least one root", path=str(path))
+    if "" in raw.get("extensions", []):  # every path would end in it, and its class id would be empty
+        raise ParseError("manifest key 'extensions' must not hold an empty string", path=str(path))
     return RunManifest(
-        project_id=str(raw["project_id"]),
+        project_id=raw["project_id"],
         change_log_path=base / raw["change_log_path"],
         change_log_format=change_log_format,
         callgraph_path=base / raw["callgraph_path"],
@@ -263,25 +268,27 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
         for key in ("version_id", "as_of", "fault_revealing_tests"):
             if key not in record:
                 raise LabelError(f"label in {path} missing required key '{key}'")
+        version_id = record["version_id"]
+        if not isinstance(version_id, str):
+            raise LabelError(f"label record {position} in {path}: version_id must be a string")
         fault_list = record["fault_revealing_tests"]
         if not isinstance(fault_list, list) or not all(isinstance(t, str) for t in fault_list):
             raise LabelError(
-                f"version {record['version_id']!r} in {path}: "
+                f"version {version_id!r} in {path}: "
                 "fault_revealing_tests must be a list of test id strings"
             )
         fault_tests = frozenset(fault_list)
         if not fault_tests:
             raise LabelError(
-                f"version {record['version_id']!r} has no fault-revealing tests"
+                f"version {version_id!r} has no fault-revealing tests"
             )
         as_of = record["as_of"]
         if not isinstance(as_of, int) or isinstance(as_of, bool):
-            raise LabelError(f"version {record['version_id']!r} in {path}: as_of must be an integer")
+            raise LabelError(f"version {version_id!r} in {path}: as_of must be an integer")
         if abs(as_of) > MAX_INTEGER:
             raise LabelError(
-                f"version {record['version_id']!r} in {path}: as_of exceeds {MAX_INTEGER} in magnitude"
+                f"version {version_id!r} in {path}: as_of exceeds {MAX_INTEGER} in magnitude"
             )
-        version_id = str(record["version_id"])
         if version_id in labels:
             raise LabelError(f"version {version_id!r} is labelled more than once in {path}")
         labels[version_id] = VersionLabel(
@@ -520,7 +527,7 @@ def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
     """
     try:
         data = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise InputError(path, exc) from None
     lines = numbered_lines(data.splitlines(keepends=True))
     reader = csv.reader(text for _, text in lines)

@@ -22,12 +22,13 @@ class ParseError(ValueError):
 
 
 class InputError(Exception):
-    """An input file that cannot be opened or read: absent, a directory, or not permitted."""
+    """An input file that cannot be opened or read: absent, a directory, not permitted, or
+    named by a path the operating system cannot take (one holding a NUL byte)."""
 
-    def __init__(self, path: object, reason: OSError):
+    def __init__(self, path: object, reason: OSError | ValueError):
         self.path = str(path)
         self.missing = isinstance(reason, FileNotFoundError)
-        detail = "" if self.missing else f" ({reason.strerror or reason})"
+        detail = "" if self.missing else f" ({getattr(reason, 'strerror', None) or reason})"
         super().__init__(f"{'missing' if self.missing else 'unreadable'} input: {path}{detail}")
 
 

@@ -24,7 +24,7 @@ from .dependency_graph import CallGraph, MethodRef, build_dependency_map
 from .errors import LabelError
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import OPERATORS, positive_multisets, score_multisets
-from .temporal_risk import METRICS, decayed_risk_tables
+from .temporal_risk import METRICS, risk_tables_by_instant
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,9 @@ def evaluate_grid(
     """Minimize every labelled version under every grid cell and measure fault preservation.
 
     Cells come back in grid order, each with one outcome per label in label
-    order. Work is shared wherever cells agree: per version one decay pass
-    over each class's history serves every horizon and metric; per
+    order. Work is shared wherever cells agree: each event's weight is
+    derived once for every version; per version one decay pass over each
+    class's history serves every horizon and metric; per
     (horizon, metric) each distinct dependency signature gets one sorted
     positive-risk multiset; per operator each signature is scored once and
     the tests are ranked once, and every budget keeps a prefix of that
@@ -149,7 +150,8 @@ def evaluate_grid(
     ``cut_ranking(rank(scores), ...)`` bit for bit. A cell's ``wall_time``
     is ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its metric's share
-    of its horizon's share of the version's decay pass, its metric's
+    of its horizon's share of the version's decay pass (which includes the
+    version's equal share of deriving the weights), its metric's
     multisets, its scoring pass and ranking, and its own selection.
     """
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
@@ -187,10 +189,13 @@ def _scoring_passes(
     signature_of = [
         (test_id, k) for k, test_ids in enumerate(by_signature.values()) for test_id in test_ids
     ]
-    for v, as_of in enumerate(as_ofs):
+    t0 = time.perf_counter()
+    by_instant = risk_tables_by_instant(histories, grid.metrics, grid.horizons, as_ofs)
+    weights_seconds = (time.perf_counter() - t0) / max(len(as_ofs), 1)  # derived once, shared by every instant
+    for v in range(len(as_ofs)):
         t0 = time.perf_counter()
-        tables = decayed_risk_tables(histories, grid.metrics, grid.horizons, as_of)
-        decay_seconds = (time.perf_counter() - t0) / max(n_horizons, 1)
+        tables = next(by_instant)
+        decay_seconds = (weights_seconds + time.perf_counter() - t0) / max(n_horizons, 1)
         for h in range(n_horizons):
             risks, tables[h] = tables[h], {}  # so that a horizon's table is freed once its multisets are built
             for m, metric in enumerate(grid.metrics):

@@ -9,8 +9,11 @@ plain change-count / change-churn aggregation.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+import operator
+from bisect import bisect_right
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .change_history import ChangeEvent, ClassHistory
 
@@ -119,16 +122,67 @@ def decayed_risk_tables(
 ) -> list[dict[str, dict[str, float]]]:
     """``decayed_risks`` at each of ``half_lives``, from one pass over each history.
 
-    Per class, the ages of the in-scope events (and, under extent, their
-    weights) are computed once, then folded under every horizon; the
-    metrics share each decay factor. Each fold is a sequential ``+=`` in
-    the history's chronological order, as in ``class_risk``: never the
-    builtin ``sum``, whose float summation is compensated since Python 3.12.
-    An event is in scope if its (integer) timestamp is not after
-    ``reference_time``, that is if its ``event_age_days`` is not negative.
+    The one-instant case of ``risk_tables_by_instant``.
+    """
+    return next(risk_tables_by_instant(histories, metrics, half_lives, (reference_time,)))
+
+
+_TIMESTAMP = operator.itemgetter(1)  # of a ChangeEvent
+
+
+def risk_tables_by_instant(
+    histories: Mapping[str, ClassHistory],
+    metrics: Sequence[str],
+    half_lives: Sequence[float | None],
+    as_ofs: Sequence[int],
+) -> Iterator[list[dict[str, dict[str, float]]]]:
+    """``decayed_risk_tables(histories, metrics, half_lives, as_of)`` for each of ``as_ofs``, in order.
+
+    The arguments are checked, and the work shared by every instant is done,
+    when the function is called; the tables of each instant are computed
+    when they are asked for. Per class and instant, the ages of the in-scope
+    events (and, under extent, their weights) are computed once, then
+    folded under every horizon; the metrics share each decay factor. Each
+    fold is a sequential ``+=`` in the history's chronological order, as in
+    ``class_risk``: never the builtin ``sum``, whose float summation is
+    compensated since Python 3.12. An event is in scope if its (integer)
+    timestamp is not after the instant, that is if its ``event_age_days`` is
+    not negative.
+
+    Over more than one instant, the work shared by every instant is done
+    once per class whose timestamps never decrease (every ``consolidate``
+    output): its in-scope events are a prefix, found by bisection, and under
+    extent its ``log1p(churn)`` weights are derived once. A one-instant call
+    keeps no such columns and filters each history, as every call does the
+    histories whose timestamps decrease.
     """
     alphas = _checked_alphas(metrics, half_lives)
-    tables: list[dict[str, dict[str, float]]] = [{metric: {} for metric in metrics} for _ in half_lives]
+    # class id -> the weights of its events (None without extent), for each history in time order
+    ordered: dict[str, Sequence[float] | None] = {}
+    if metrics and len(as_ofs) > 1:
+        from array import array  # here, so that a one-instant command never maps its extension module
+
+        extent = METRIC_EXTENT in metrics
+        for class_id, history in histories.items():
+            timestamps = list(map(_TIMESTAMP, history.events))
+            if all(map(operator.le, timestamps, itertools.islice(timestamps, 1, None))):
+                ordered[class_id] = (  # event.churn, inlined
+                    array("d", [math.log1p(event.added + event.deleted + event.modified) for event in history.events])
+                    if extent
+                    else None
+                )
+    return (_tables_at(histories, metrics, alphas, as_of, ordered) for as_of in as_ofs)
+
+
+def _tables_at(
+    histories: Mapping[str, ClassHistory],
+    metrics: Sequence[str],
+    alphas: Sequence[float],
+    as_of: int,
+    ordered: Mapping[str, Sequence[float] | None],
+) -> list[dict[str, dict[str, float]]]:
+    """The tables of one instant; ``ordered`` as built by ``risk_tables_by_instant``."""
+    tables: list[dict[str, dict[str, float]]] = [{metric: {} for metric in metrics} for _ in alphas]
     if not metrics:
         return tables
     folds = [
@@ -140,10 +194,15 @@ def decayed_risk_tables(
     # faster than functools.reduce(operator.add, map(math.exp, ...)) for these lengths.
     exp, log1p = math.exp, math.log1p
     for class_id, history in histories.items():
-        in_scope = [event for event in history.events if event.timestamp <= reference_time]
-        ages = [(reference_time - event.timestamp) / SECONDS_PER_DAY for event in in_scope]
-        if extent:  # event.churn, inlined
-            weights = [log1p(event.added + event.deleted + event.modified) for event in in_scope]
+        events = history.events
+        if class_id in ordered:  # zip stops with the ages, at the end of the prefix's weights
+            in_scope = events[: bisect_right(events, as_of, key=_TIMESTAMP)]
+            weights = ordered[class_id]
+        else:
+            in_scope = [event for event in events if event.timestamp <= as_of]
+            if extent:  # event.churn, inlined
+                weights = [log1p(event.added + event.deleted + event.modified) for event in in_scope]
+        ages = [(as_of - event.timestamp) / SECONDS_PER_DAY for event in in_scope]
         for rate, frequency_table, extent_table in folds:
             frequency = 0.0
             if extent_table is None:

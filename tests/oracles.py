@@ -6,13 +6,17 @@ is a Floyd-Warshall closure over an adjacency matrix, decay uses the
 uses direct textbook formulas, the signed-rank reference enumerates all
 2^n sign assignments, and the 2x2 reference sums exact rationals. The
 reference parsers match whole lines against regular expressions, where the
-library scans them by hand, and build records through the validating public
-constructors, where the library skips the checks it has already made.
+library scans them by hand (and decode each change-event JSONL line with
+``json.loads`` and check it field by field, where the library decodes it in
+one call and checks it in one expression), and build records through the
+validating public constructors, where the library skips the checks it has
+already made.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -149,6 +153,57 @@ def reference_numstat(lines):
             added, deleted = _bounded_integer(added_text, lineno), _bounded_integer(deleted_text, lineno)
         renamed_from, path = _rename(path)
         events.append(ChangeEvent(path, current[1], added, deleted, 0, current[0], renamed_from))
+    return events
+
+
+_JSONL_REQUIRED = ("path", "ts", "add", "del", "commit")
+
+
+def reference_change_log(lines):
+    """Events of a change-event JSONL log: ``json.loads`` of each stripped line, then one check per field.
+
+    A malformed line raises ParseError with the line number and message the
+    library's parser gives.
+    """
+    events = []
+    for lineno, line in _decoded_lines(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
+        if not isinstance(record, dict):
+            raise ParseError(f"expected an object at line {lineno}", line=lineno)
+        for field in _JSONL_REQUIRED:
+            if field not in record:
+                raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno)
+        counts = []
+        for field in ("add", "del", "mod"):
+            value = record.get(field, 0)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ParseError(f"field '{field}' must be an integer at line {lineno}", line=lineno)
+            if value < 0:
+                raise ParseError(f"negative line count at line {lineno}", line=lineno)
+            if value > REFERENCE_MAX_INTEGER:
+                raise ParseError(f"field '{field}' exceeds {REFERENCE_MAX_INTEGER} at line {lineno}", line=lineno)
+            counts.append(value)
+        ts = record["ts"]
+        if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
+            raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
+        if ts > REFERENCE_MAX_INTEGER:
+            raise ParseError(f"field 'ts' exceeds {REFERENCE_MAX_INTEGER} at line {lineno}", line=lineno)
+        if not isinstance(record["path"], str):
+            raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
+        if not isinstance(record["commit"], str):
+            raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
+        renamed_from = record.get("renamed_from")
+        if renamed_from is not None and not isinstance(renamed_from, str):
+            raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
+        events.append(ChangeEvent(record["path"], ts, *counts, record["commit"], renamed_from))
     return events
 
 

@@ -347,6 +347,18 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "labels.json" in err and "v9" in err and "as_of" in err
 
+    @pytest.mark.parametrize("version_id", ["null", "true", '["x"]', "1e400", "7"])
+    def test_version_id_that_is_not_a_string_exits_4_naming_the_file_and_record(self, tmp_path, capsys, version_id):
+        manifest = _write_project(tmp_path)
+        good = '{"version_id": "v1", "as_of": %d, "fault_revealing_tests": ["app.T2Test#t2"]}' % REF
+        bad = '{"version_id": %s, "as_of": %d, "fault_revealing_tests": ["app.T4Test#t4"]}' % (version_id, REF)
+        (tmp_path / "labels.json").write_text(f"[{good}, {bad}]", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", str(manifest), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "labels.json" in err and "record 2" in err and "version_id" in err
+        assert not out.exists()
+
     def test_version_id_repeated_in_a_labels_file_exits_4(self, tmp_path, capsys):
         label = {"version_id": "v7", "as_of": REF, "fault_revealing_tests": ["app.T2Test#t2"]}
         manifest = _write_project(tmp_path, versions=[label, dict(label, as_of=REF - DAY)])
@@ -639,6 +651,14 @@ class TestManifestShape:
             ("entry_selector", 5),
             ("entry_selector", ["app.T1Test#t1"]),
             ("source_roots", []),
+            ("project_id", None),
+            ("project_id", True),
+            ("project_id", ["x"]),
+            ("project_id", math.inf),
+            ("project_id", 7),
+            ("change_log_path", None),
+            ("callgraph_path", None),
+            ("extensions", [".java", ""]),
         ],
     )
     def test_key_of_the_wrong_type_exits_3_naming_it(self, tmp_path, capsys, key, value):
@@ -913,6 +933,24 @@ class TestUnreadableInputs:
         argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         assert "labels.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_ARGV))
+    @pytest.mark.parametrize("key", ["change_log_path", "callgraph_path", "labels_path"])
+    def test_manifest_path_holding_a_nul_byte_exits_2_naming_it(self, tmp_path, capsys, command, key):
+        manifest = _write_project(tmp_path / "p")
+        raw = json.loads(manifest.read_text())
+        raw[key] = "bad\x00name"
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(tmp_path / "out")]
+        expected = 0 if key == "labels_path" and command in ("score", "minimize") else 2
+        assert cli.main(argv) == expected
+        if expected:
+            err = capsys.readouterr().err
+            assert "unreadable input" in err and "bad" in err and "null byte" in err
+
+    def test_outcome_file_path_holding_a_nul_byte_exits_2(self, tmp_path, capsys):
+        assert cli.main(["compare", "a\x00.csv", "b.csv"]) == 2
+        assert "unreadable input" in capsys.readouterr().err
 
     def test_directories_as_outcome_files_exit_2_naming_them(self, tmp_path, capsys):
         a, b = tmp_path / "a-dir", tmp_path / "b-dir"

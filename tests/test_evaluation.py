@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +286,25 @@ class TestRunSweep:
     def test_empty_dataset_yields_no_rows(self):
         _, histories, dep_map, _ = _project_version(9, "v1")
         assert sweep_rows(evaluate_grid(histories, dep_map, [], SweepGrid())) == []
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_labels_in_any_order_of_their_instants_equal_one_label_grids(self, seed):
+        """One decay generator over every instant gives each version what a grid of its own gives."""
+        _, histories, dep_map, label = _project_version(seed, "v0")
+        days = [0, -40, 5, -400, -40, -3, -1_000, 0, 2]  # out of order, repeated, before and after the events
+        random.Random(seed).shuffle(days)
+        labels = [
+            VersionLabel(f"v{k}", label.as_of + d * DAY, label.fault_revealing_tests) for k, d in enumerate(days)
+        ]
+        grid = SweepGrid(metrics=("frequency", "extent"), horizons=(None, 1.0, 32.0),
+                         operators=("avg", "gmean"), budgets=(0.25, 0.5))
+        untimed = lambda outcome: dataclasses.replace(outcome, wall_time=0.0)  # noqa: E731
+        cells = evaluate_grid(histories, dep_map, labels, grid)
+        for v, one in enumerate(labels):
+            alone = evaluate_grid(histories, dep_map, [one], grid)
+            assert [key for key, _ in alone] == [key for key, _ in cells]
+            for (_, outcomes), (_, (expected,)) in zip(cells, alone):
+                assert untimed(outcomes[v]) == untimed(expected)
 
 
 _CLASSES = ("app.A", "app.B", "app.C", "app.D", "app.E")

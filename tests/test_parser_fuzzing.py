@@ -4,15 +4,18 @@ Each strategy mixes fully arbitrary text and bytes with lines assembled
 from the format's own tokens, so that inputs get past the first checks
 and reach the later ones: integers past Python's string-conversion
 limit, wrong field types, rename syntax, descriptors and tags. The
-numstat and ``callgraph-text`` parsers must also agree with the reference
-grammars of ``oracles.py``: equal records, or a ParseError at the same line.
-Mutated outcome files given to ``riskmin compare`` end in a documented exit
-code, never in a traceback.
+JSONL, numstat and ``callgraph-text`` parsers must also agree with the
+references of ``oracles.py``: equal records, or the same ParseError message
+at the same line.
+Mutated outcome files given to ``riskmin compare``, and generated manifests,
+labels and flag values given to ``score``, ``minimize``, ``evaluate`` and
+``sweep``, end in a documented exit code, never in a traceback.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from riskmin.change_history import ChangeEvent, parse_change_log, parse_git_nums
 from riskmin.dependency_graph import FORMAT_CALLGRAPH_TEXT, FORMAT_CSV, MethodRef, parse_callgraph_edges
 from riskmin.errors import ParseError
 
-from oracles import reference_callgraph_text, reference_numstat
+from oracles import reference_callgraph_text, reference_change_log, reference_numstat
 
 _digits = st.one_of(
     st.integers(min_value=-5, max_value=10**12).map(str),
@@ -153,6 +156,51 @@ _numstat_line = _mostly(
 )
 _numstat_lines = _lines_opened_by(_header, _numstat_line)
 
+_odd_count = st.one_of(  # the integers at the bounds half of the time
+    st.sampled_from([-1, 0, 2**63 - 1, 2**63]),
+    st.sampled_from([10**30, True, False, 1.0, -0.0, "1", None, [], math.nan, math.inf]),
+)
+_JSONL_FIELDS = {
+    "path": (st.sampled_from(["src/A.java", "a/B.java", "x"]), st.sampled_from([None, 5, ["x"], {}, True, ""])),
+    "ts": (st.integers(1, 2**40), _odd_count),
+    "add": (st.integers(0, 999), _odd_count),
+    "del": (st.integers(0, 999), _odd_count),
+    "mod": (st.integers(0, 999), _odd_count),
+    "commit": (st.sampled_from(["c1", "abc", ""]), st.sampled_from([None, 5, [], True, 1.5])),
+    "renamed_from": (st.sampled_from([None, "src/Old.java"]), st.sampled_from([5, [], True, {}, ""])),
+}
+_OPTIONAL_JSONL_FIELDS = ("mod", "renamed_from")
+
+
+_MISSING = object()
+
+
+@st.composite
+def _jsonl_record_line(draw):
+    """A change-event record, in any key order: valid, or with one field odd or missing;
+    sometimes with a key given twice, padding, or something after the object."""
+    odd_field = draw(st.sampled_from([None, None, None, *_JSONL_FIELDS]))
+    fields = []
+    for field, (valid, odd) in _JSONL_FIELDS.items():
+        if field == odd_field:
+            value = draw(st.one_of(st.just(_MISSING), odd))
+        elif field in _OPTIONAL_JSONL_FIELDS and draw(st.booleans()):
+            value = _MISSING
+        else:
+            value = draw(valid)
+        if value is not _MISSING:
+            fields.append((field, value))
+    fields = draw(st.permutations(fields))
+    if fields and draw(st.integers(0, 7)) == 2:  # a key given twice: the last one counts
+        fields.insert(0, (fields[-1][0], draw(_odd_count)))
+    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in fields) + "}"
+    prefix = draw(_mostly(st.just(""), st.sampled_from([" ", "\x1c", "\ufeff", "\t", "\u2003"])))
+    suffix = draw(_mostly(st.just(""), st.sampled_from([" ", "\x1c", "\n", "x", "{}", ",", " 1", "]"])))
+    return prefix + text + suffix
+
+
+_jsonl_lines = st.lists(_mostly(_jsonl_record_line(), _line(_jsonl_piece)), min_size=1, max_size=6)
+
 _token = (
     st.sampled_from(["a.T:t", "a.Foo:bar(int,int)", "a.B:<init>()", "a.C:c"]),
     st.one_of(st.sampled_from([":m", "a.C:", "nocolon", "a:b:c", "a:(x)", "a:b(", "a:b)"]), _words),
@@ -182,6 +230,22 @@ def _outcome(parse, lines):
 def test_numstat_parser_agrees_with_the_reference_grammar(lines):
     events, error = _outcome(parse_git_numstat, lines)
     assert (events, error) == _outcome(reference_numstat, lines)
+    for event in events or ():
+        assert type(event) is ChangeEvent
+        assert hash(event) == hash(ChangeEvent(*event))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_jsonl_lines)
+def test_jsonl_parser_agrees_with_the_reference_checks(lines):
+    _assert_jsonl_agrees(lines)
+    for line in lines:  # each line also on its own, as most lists stop at an odd line
+        _assert_jsonl_agrees([line])
+
+
+def _assert_jsonl_agrees(lines):
+    events, error = _outcome(parse_change_log, lines)
+    assert (events, error) == _outcome(reference_change_log, lines)
     for event in events or ():
         assert type(event) is ChangeEvent
         assert hash(event) == hash(ChangeEvent(*event))
@@ -234,11 +298,49 @@ _TRICKY_TEXT_EDGES = [
     "M:a.T:t( (M)a.F:b)", "M:a.T:(x) (M)a.F:b", "M:a.T:t()x)( (M)a.F:b((int))", "C:anything at all", "m:a.T:t (M)a.F:b", "M:a.T:t (M)a.F:b\nx",
 ]
 
+_VALID_JSONL = '{"path": "src/A.java", "ts": 5, "add": 1, "del": 2, "mod": 3, "commit": "c"}'
+
+
+def _jsonl(**raw):
+    """A record line whose fields hold the JSON texts given, over a valid record without ``mod``."""
+    fields = {"path": '"src/A.java"', "ts": "5", "add": "1", "del": "2", "commit": '"c"', **raw}
+    return "{" + ", ".join(f'"{key}": {text}' for key, text in fields.items()) + "}"
+
+
+_TRICKY_JSONL_LINES = [
+    _VALID_JSONL, "\ufeff" + _VALID_JSONL, _VALID_JSONL + _VALID_JSONL, _VALID_JSONL + " " + _VALID_JSONL,
+    _VALID_JSONL + "x", _VALID_JSONL + ",", _VALID_JSONL + "\x1cx", '{"ts": 1, "ts": 2}',
+    '{"ts": 1, "path": "a", "add": 0, "del": 0, "commit": "c", "ts": 2}',
+    '{"ts": 0, "path": "a", "add": 0, "del": 0, "commit": "c", "ts": 2}',
+    '{"ts": 2, "path": "a", "add": 0, "del": 0, "commit": "c", "ts": 0}',
+    _jsonl(add="true"), _jsonl(add="false"), _jsonl(add="1.0"), _jsonl(add="-0"), _jsonl(mod="-0"),
+    _jsonl(ts="-0"), _jsonl(add="-0.0"), _jsonl(ts="1.0"), _jsonl(ts="true"), _jsonl(ts="1e3"), _jsonl(add="1E0"),
+    _jsonl(add=str(2**63 - 1)), _jsonl(add=str(2**63)), _jsonl(**{"del": str(2**63)}),
+    _jsonl(mod=str(2**63 - 1)), _jsonl(mod=str(2**63)), _jsonl(ts=str(2**63 - 1)), _jsonl(ts=str(2**63)),
+    _jsonl(add="-1"), _jsonl(**{"del": "-1"}), _jsonl(mod="-1"), _jsonl(ts="-5"),
+    _jsonl(add="NaN"), _jsonl(ts="Infinity"), _jsonl(mod="-Infinity"),
+    _jsonl(add="1" * 5000), _jsonl(ts="9" * 4301), _jsonl(path="[" * 5000 + "]" * 5000),
+    _jsonl(renamed_from="{" * 3000), "[" * 5000 + "]" * 5000, " " + _VALID_JSONL + " ",
+    "\x1c" + _VALID_JSONL + "\x1c", "\x1c", " ", "\u2003" + _VALID_JSONL, _VALID_JSONL.replace(", ", ",\x1c"),
+    _VALID_JSONL.replace(", ", ",\t"), _jsonl(),
+    _jsonl(renamed_from="null"), _jsonl(renamed_from='"src/Old.java"'), _jsonl(renamed_from="5"),
+    _jsonl(renamed_from="[]"), _jsonl(path="null"), _jsonl(path="5"), _jsonl(commit="null"), _jsonl(commit="[]"),
+    _jsonl(path='"a\\u0000b"'), _jsonl(path='"\\ud800"'), '{"path": "a", "ts": 5, "add": 1, "del": 2}',
+    '{"ts": 5, "add": 1, "del": 2, "commit": "c"}', "[]", "5", '"text"', "null", "true", "{", "}", "{}",
+    '{"path": "a" "ts": 5}', "{'path': 'a'}", '{"path": "a\tb", "ts": 5, "add": 1, "del": 2, "commit": "c"}',
+]
+
 
 @pytest.mark.parametrize("line", _TRICKY_NUMSTAT_LINES)
 def test_numstat_parser_agrees_with_the_reference_grammar_on_tricky_lines(line):
     for lines in (["COMMIT abc 5\n", line + "\n"], [line]):
         assert _outcome(parse_git_numstat, lines) == _outcome(reference_numstat, lines)
+
+
+@pytest.mark.parametrize("line", _TRICKY_JSONL_LINES)
+def test_jsonl_parser_agrees_with_the_reference_checks_on_tricky_lines(line):
+    for lines in ([_VALID_JSONL + "\n", line + "\n"], [line], [line.encode()]):
+        _assert_jsonl_agrees(lines)
 
 
 @pytest.mark.parametrize("line", _TRICKY_TEXT_EDGES)
@@ -300,3 +402,141 @@ def test_compare_of_mutated_outcome_files_exits_0_3_or_5(data):
     assert code in (0, 3, 5)
     if code == 3:
         assert "a.csv" in stderr.getvalue() or "b.csv" in stderr.getvalue()
+
+
+# Manifests, labels and flag values through ``cli.main``: each drawn value is
+# valid, or (about one time in sixteen, so that a third of the runs get
+# through) odd: of the wrong type, empty, out of range, naming a missing file
+# or a directory, or holding a NUL.
+_REF = 1_700_000_000
+_EVENTS = [("src/app/A.java", _REF - 5 * 86_400, "a1"), ("src/app/A.java", _REF, "a2"),
+           ("src/app/B.java", _REF - 86_400, "b1"), ("build.gradle", _REF, "g1")]
+_EDGES = [("app.T1Test#t1", "app.A#m"), ("app.T2Test#t2", "app.B#m"), ("app.T2Test#t2", "app.A#m")]
+_PROJECT_FILES = {
+    "changes.jsonl": "".join(
+        json.dumps({"path": path, "ts": ts, "add": 3, "del": 1, "commit": commit}) + "\n"
+        for path, ts, commit in _EVENTS
+    ),
+    "changes.numstat": "".join(f"COMMIT {commit} {ts}\n3\t1\t{path}\n" for path, ts, commit in _EVENTS),
+    "callgraph.txt": "".join(
+        "M:{} (M){}\n".format(a.replace("#", ":"), b.replace("#", ":")) for a, b in _EDGES
+    ),
+    "callgraph.csv": "".join(f"{a},{b}\n" for a, b in _EDGES),
+}
+
+
+def _value(valid, *odd):
+    return st.integers(0, 15).flatmap(lambda k: st.sampled_from(odd) if k == 5 else valid)
+
+
+_ODD_JSON = (None, True, 5, 1.5, math.inf, "", [], {}, ["x"], "a\x00b")
+_GRAPH_FILES = {"callgraph-text": "callgraph.txt", "csv": "callgraph.csv"}
+
+
+@st.composite
+def _manifest(draw):
+    """A manifest whose valid paths name files of its formats; optional keys come and go."""
+    history_format = draw(st.sampled_from(["jsonl", "numstat"]))
+    graph_format = draw(st.sampled_from(sorted(_GRAPH_FILES)))
+    manifest = {
+        "project_id": draw(_value(st.just("demo"), *_ODD_JSON)),
+        "change_log_path": draw(_value(st.just(f"changes.{history_format}"), "missing", ".", *_ODD_JSON)),
+        "change_log_format": draw(_value(st.just(history_format), "csv", *_ODD_JSON)),
+        "callgraph_path": draw(_value(st.just(_GRAPH_FILES[graph_format]), "missing", *_ODD_JSON)),
+        "callgraph_format": draw(_value(st.just(graph_format), "dot", *_ODD_JSON)),
+        "entry_selector": draw(_value(
+            st.sampled_from([
+                {"pattern": {"class_suffix": "Test", "method_prefix": "t"}},
+                {"explicit": ["app.T1Test#t1", "app.T9Test#t9"]},
+                {"pattern": {}},
+            ]),
+            {"explicit": []}, {"explicit": ["#"]}, {"explicit": "app.T1Test#t1"}, {"pattern": {"class_suffix": 5}},
+            {"pattern": None}, {"regex": "x"}, *_ODD_JSON,
+        )),
+        "source_roots": draw(_value(st.just(["src"]), ["src", ""], ["/"], [""], "src", *_ODD_JSON)),
+        "labels_path": draw(_value(st.just("labels.json"), "missing", ".", *_ODD_JSON)),
+    }
+    optional = {
+        "extensions": _value(st.just([".java"]), [""], [".gradle"], ".java", *_ODD_JSON),
+        "exclude_classes": _value(st.just(["app.B"]), ["app.T1Test"], "app.B", *_ODD_JSON),
+        "output_dir": _value(st.just("out"), *_ODD_JSON),
+    }
+    for key, value in optional.items():
+        if draw(st.booleans()):
+            manifest[key] = draw(value)
+    if draw(_value(st.just(False), True)):
+        del manifest[draw(st.sampled_from(sorted(manifest)))]  # a key left out
+    if graph_format == "callgraph-text" and draw(st.booleans()):
+        manifest.pop("callgraph_format", None)  # the default
+    return manifest
+
+
+@st.composite
+def _label_record(draw, version_id):
+    record = {
+        "version_id": draw(_value(st.just(version_id), "v0", *_ODD_JSON)),  # "v0" repeats the first id
+        "as_of": draw(_value(
+            st.sampled_from([_REF, _REF - 2 * 86_400, 1, -5]), 0, 2**63 - 1, 2**63, -(2**63), 10**40, *_ODD_JSON
+        )),
+        "fault_revealing_tests": draw(_value(
+            st.sampled_from([["app.T1Test#t1"], ["app.T2Test#t2", "app.T9Test#t9"]]), ["x"], [5], *_ODD_JSON
+        )),
+    }
+    if draw(_value(st.just(False), True)):
+        del record[draw(st.sampled_from(sorted(record)))]  # a key left out
+    return record
+
+
+@st.composite
+def _labels(draw):
+    """One label object or an array of them, or an odd JSON value."""
+    records = [draw(_label_record(f"v{k}")) for k in range(draw(st.integers(1, 3)))]
+    return draw(_value(st.sampled_from([records, records[0]]), *_ODD_JSON))
+
+
+_horizon = _value(st.sampled_from(["32", "static", "0.5", "1e9"]), "0", "-1", "nan", "inf", "1e-320", "x", "")
+_flags = {
+    "--metric": _value(st.sampled_from(["extent", "frequency"]), "churn", ""),
+    "--horizon": _horizon,
+    "--as-of": _value(st.sampled_from([str(_REF), str(_REF - 86_400)]), "-5", str(2**63), "1.5", "x", "", "0x10"),
+    "--aggregate": _value(st.sampled_from(["avg", "gmean", "hmean", "median"]), "max", ""),
+    "--budget": _value(st.sampled_from(["0.5", "1", "0.01"]), "0", "1.5", "nan", "inf", "-0", "x"),
+    "--jobs": _value(st.sampled_from(["1", "2"]), "0", "x", "1.5"),
+    "--metrics": _value(st.sampled_from(["extent", "frequency,extent"]), ",", "extent,,x", ""),
+    "--horizons": _value(st.sampled_from(["1,static", "32", "static,static"]), ",", "1,nan", "1,0", "1e-320", ""),
+    "--operators": _value(st.sampled_from(["avg,median", "gmean"]), ",", "avg,max", ""),
+    "--budgets": _value(st.sampled_from(["0.25,1", "0.5"]), "0", "0.5,nan", ",", ""),
+}
+_COMMAND_FLAGS = {
+    "score": ("--metric", "--horizon", "--as-of"),
+    "minimize": ("--metric", "--horizon", "--as-of", "--aggregate", "--budget"),
+    "evaluate": ("--metric", "--horizon", "--aggregate", "--budget", "--jobs"),
+    "sweep": ("--metrics", "--horizons", "--operators", "--budgets", "--jobs"),
+}
+
+
+@st.composite
+def _invocation(draw):
+    """(command, manifest, labels, flags): a flag is left out one time in four, ``--as-of`` one in sixteen."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = []
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(st.integers(0, 15)) % (16 if flag == "--as-of" else 4):
+            flags += [flag, draw(_flags[flag])]
+    return command, draw(_manifest()), draw(_labels()), flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invocation())
+def test_commands_on_generated_inputs_end_in_a_documented_exit_code(invocation):
+    command, manifest, labels, flags = invocation
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        for name, text in _PROJECT_FILES.items():
+            (root / name).write_text(text, encoding="utf-8")
+        (root / "labels.json").write_text(json.dumps(labels), encoding="utf-8")
+        (root / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        out = root / "out-of-this-run"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, str(root / "manifest.json"), *flags, "--output", str(out)])
+    assert code in (0, 1, 2, 3, 4, 5)

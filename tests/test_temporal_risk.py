@@ -16,6 +16,7 @@ from riskmin.temporal_risk import (
     event_age_days,
     event_weight,
     risk_table,
+    risk_tables_by_instant,
 )
 
 DAY = 86_400
@@ -334,3 +335,56 @@ class TestDecayAgainstTheLiteralLoop:
         history = _history([_event(REF - 2_000 * DAY, add=5, commit="c0"), _event(REF + DAY, add=3, commit="c1")])
         (table,) = decayed_risk_tables({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), (1.0,), REF)
         assert table == {METRIC_FREQUENCY: {"a.B": 0.0}, METRIC_EXTENT: {"a.B": 0.0}}
+
+
+_metric_lists_or_none = st.one_of(st.just(()), _metric_lists)
+
+
+def _in_time_order(history):
+    return _history(sorted(history.events, key=lambda e: (e.timestamp, e.commit_id)), class_id=history.class_id)
+
+
+class TestRiskTablesByInstant:
+    """Each instant's tables equal ``decayed_risk_tables`` at that instant, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_unordered_histories(), _metric_lists_or_none, _half_lives, st.data())
+    def test_each_instant_equals_decayed_risk_tables(self, project, metrics, half_lives, data):
+        histories, as_of = project
+        # Some histories in time order (as consolidate gives them), the others as drawn.
+        ordered = data.draw(st.sets(st.sampled_from(sorted(histories)))) if histories else set()
+        histories = {c: _in_time_order(h) if c in ordered else h for c, h in histories.items()}
+        timestamps = [event.timestamp for h in histories.values() for event in h.events] or [as_of]
+        near_events = st.sampled_from(timestamps).flatmap(lambda ts: st.sampled_from([ts - 1, ts, ts + 1]))
+        instants = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from([min(timestamps) - 1, max(timestamps) + 1, as_of]),
+                near_events,
+                st.integers(as_of - 3_100 * DAY, as_of + 40 * DAY),
+            ),
+            max_size=6,
+        ))
+        instants += instants[:data.draw(st.integers(0, 2))]  # repeated instants
+        tables = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
+        assert len(tables) == len(instants)
+        for instant, table in zip(instants, tables):
+            assert repr(table) == repr(decayed_risk_tables(histories, metrics, half_lives, instant))
+
+    @pytest.mark.parametrize("metrics", [(), (METRIC_FREQUENCY, METRIC_EXTENT)])
+    @pytest.mark.parametrize("half_lives", [(None,), (None, 4.0)])
+    def test_empty_map_and_no_metrics(self, metrics, half_lives):
+        history = _history([_event(REF - DAY, add=3, commit="c0"), _event(REF + DAY, add=5, commit="c1")])
+        for histories in ({}, {"a.B": history}):
+            instants = [REF + DAY, REF - 2 * DAY, REF, REF]
+            tables = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
+            assert [repr(t) for t in tables] == [
+                repr(decayed_risk_tables(histories, metrics, half_lives, instant)) for instant in instants
+            ]
+
+    def test_no_instants_yield_nothing(self):
+        assert list(risk_tables_by_instant({"a.B": _history([_event(REF)])}, (METRIC_EXTENT,), (8.0,), [])) == []
+
+    @pytest.mark.parametrize(("metrics", "half_lives"), [(("entropy",), (1.0,)), ((METRIC_EXTENT,), (8.0, 0.0))])
+    def test_bad_arguments_are_rejected_when_called(self, metrics, half_lives):
+        with pytest.raises(ValueError):
+            risk_tables_by_instant({}, metrics, half_lives, [REF, REF + DAY])
