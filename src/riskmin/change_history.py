@@ -19,6 +19,14 @@ Two input formats are accepted:
       git log -M --pretty='format:COMMIT %H %ct' --numstat
 
 Line counts and timestamps may not exceed ``MAX_INTEGER``.
+
+Both parsers give each distinct path one string, shared by all its
+events, and accept the common line in one expression: a whole JSONL
+record in one call into the C scanner, a numstat file line with short
+counts and a plain path in one split. Every other line takes
+field-by-field checks that accept the same lines and name the first
+thing wrong with a rejected one. ``consolidate`` then groups the events
+per class; ``path_to_class`` decides which paths are class files.
 """
 
 from __future__ import annotations
@@ -108,6 +116,7 @@ class SourceRootConfig:
 
     ``roots`` are path prefixes stripped before conversion (longest match
     wins); ``extensions`` lists the suffixes recognized as class files.
+    An empty extension raises ``ValueError``: every path ends in it.
     """
 
     roots: tuple[str, ...]
@@ -116,6 +125,8 @@ class SourceRootConfig:
     def __post_init__(self) -> None:
         if not self.roots:
             raise ValueError("at least one source root is required")
+        if "" in self.extensions:
+            raise ValueError("an empty extension would make every file a class file")
         object.__setattr__(self, "roots", tuple(r.rstrip("/") for r in self.roots))
         object.__setattr__(self, "extensions", tuple(self.extensions))
 
@@ -136,6 +147,7 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     events: list[ChangeEvent] = []
     append = events.append
     new = tuple.__new__
+    shared_path = {}.setdefault  # one string per distinct path, shared by its events
     for lineno, line in numbered_lines(stream):
         line = line.strip()
         if not line:
@@ -160,6 +172,7 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
                     and type(commit) is str
                     and (renamed_from is None or type(renamed_from) is str)
                 ):
+                    path = shared_path(path, path)
                     append(new(ChangeEvent, (path, ts, added, deleted, modified, commit, renamed_from)))
                     continue
         except (ValueError, RecursionError, KeyError):  # not JSON, or a required field missing
@@ -251,18 +264,40 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     """
     events: list[ChangeEvent] = []
     append = events.append
-    current: tuple[str, int] | None = None
+    new = tuple.__new__
+    shared_path = {}.setdefault  # one string per distinct path, shared by its events
+    commit: str | None = None  # the id and timestamp of the last commit header
+    timestamp = 0
     binary_lines: list[int] = []
     for lineno, line in numbered_lines(stream):
         line = line.rstrip("\n")
+        # The common file line is accepted in one expression: after a header,
+        # two counts of fewer than 19 digits, so below MAX_INTEGER, and a path
+        # with no tab, line break or rename. Every other line takes the checks
+        # below, which would give a line accepted here the same event.
+        fields = line.split("\t")
+        if len(fields) == 3 and commit is not None:
+            added_text, deleted_text, path = fields
+            if (
+                len(added_text) < 19
+                and len(deleted_text) < 19
+                and added_text.isdecimal()
+                and deleted_text.isdecimal()
+                and path
+                and "\n" not in path
+                and "=>" not in path
+            ):
+                path = shared_path(path, path)
+                append(new(ChangeEvent, (path, timestamp, int(added_text), int(deleted_text), 0, commit, None)))
+                continue
         if not line or line.isspace():
             continue
         if line.startswith("COMMIT"):
             fields = line.split()
             if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
                 raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
-            current = (fields[1], _number(fields[2], lineno))
-            if current[1] <= 0:
+            commit, timestamp = fields[1], _number(fields[2], lineno)
+            if timestamp <= 0:
                 raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
             continue
         added_text, _, rest = line.partition("\t")
@@ -270,7 +305,7 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
         numeric = added_text.isdecimal() and deleted_text.isdecimal()
         if not (numeric or _is_count(added_text) and _is_count(deleted_text)) or not path or "\n" in path:
             raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
-        if current is None:
+        if commit is None:
             raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
         if numeric:
             added, deleted = _number(added_text, lineno), _number(deleted_text, lineno)
@@ -280,7 +315,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
         renamed_from = None
         if "=>" in path:
             renamed_from, path = _split_rename(path)
-        append(_event((path, current[1], added, deleted, 0, current[0], renamed_from)))
+        path = shared_path(path, path)
+        append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
     if binary_lines:
         logger.warning(
             "%d line(s) with binary file counts recorded as 0/0; the first at line %d",
@@ -295,7 +331,8 @@ def path_to_class(path: str, cfg: SourceRootConfig) -> str | None:
 
     The longest matching source root is stripped, the extension dropped,
     and path separators become dots. A path under no configured root is
-    converted whole.
+    converted whole. A file named only by its extension (``src/.java``)
+    has no class name, so it is not a class file.
     """
     extension = next((e for e in cfg.extensions if path.endswith(e)), None)
     if extension is None:
@@ -305,7 +342,10 @@ def path_to_class(path: str, cfg: SourceRootConfig) -> str | None:
         if root and path.startswith(root + "/"):
             relative = path[len(root) + 1 :]
             break
-    return relative[: -len(extension)].replace("/", ".")
+    stem = relative[: -len(extension)]
+    if not stem or stem.endswith("/"):
+        return None
+    return stem.replace("/", ".")
 
 
 class _UnionFind:
@@ -328,6 +368,7 @@ class _UnionFind:
 
 
 _BY_TIME_THEN_COMMIT = itemgetter(1, 5)  # (timestamp, commit_id) of a ChangeEvent
+_COMMIT = itemgetter(5)  # commit_id of a ChangeEvent
 
 
 def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[str, ClassHistory]:
@@ -366,14 +407,22 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
 
     histories: dict[str, ClassHistory] = {}
     for members in by_group.values():
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for event in members:
-            key = (event.commit_id, event.path)
-            if key not in seen:
-                seen.add(key)
-                unique.append(event)
-        unique.sort(key=_BY_TIME_THEN_COMMIT)
-        class_id = class_of[unique[-1].path]
-        histories[class_id] = ClassHistory(class_id=class_id, events=tuple(unique))
+        # Events of distinct commits hold no duplicate (commit_id, path) pair.
+        if len(set(map(_COMMIT, members))) != len(members):
+            members = _first_of_each_commit_and_path(members)
+        members.sort(key=_BY_TIME_THEN_COMMIT)
+        class_id = class_of[members[-1].path]
+        histories[class_id] = ClassHistory(class_id=class_id, events=tuple(members))
     return histories
+
+
+def _first_of_each_commit_and_path(events: list[ChangeEvent]) -> list[ChangeEvent]:
+    """The first event of each (commit_id, path) pair, in input order."""
+    seen: set[tuple[str, str]] = set()
+    unique = []
+    for event in events:
+        key = (event.commit_id, event.path)
+        if key not in seen:
+            seen.add(key)
+            unique.append(event)
+    return unique

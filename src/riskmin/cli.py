@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import logging
@@ -815,6 +816,13 @@ _PARSER: argparse.ArgumentParser | None = None  # built by the first main() call
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    The command runs with the cyclic garbage collector paused: its records
+    hold no reference cycles and are freed by reference counting, and a
+    collection would walk every one of them. The caller's collector state
+    is restored on every exit path.
+    """
     global _PARSER
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     if _PARSER is None:
@@ -823,6 +831,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InputError as exc:
@@ -840,6 +850,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry_point() -> None:

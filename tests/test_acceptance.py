@@ -21,7 +21,7 @@ from riskmin.evaluation import VersionLabel, VersionOutcome, accuracy, fdr, mini
 from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
 from riskmin.risk_aggregation import OPERATORS, aggregate, score_test
 from riskmin.stats import cliffs_delta, fisher_exact_2x2, wilcoxon_signed_rank
-from riskmin.temporal_risk import class_risk, risk_table
+from riskmin.temporal_risk import class_risk, decayed_risks, risk_table, risk_tables_by_instant
 
 from microproject import AS_OF, random_micro_project
 from oracles import (
@@ -110,6 +110,19 @@ def test_half_life_exactness():
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
                 expected = weight * 2.0 ** (-k)
                 assert class_risk(history, metric, half_life, reference) == pytest.approx(expected, rel=1e-12)
+                # the one-instant fold the commands run
+                risks = decayed_risks({"a.B": history}, ("frequency", "extent"), half_life, reference)
+                assert risks[metric]["a.B"] == pytest.approx(expected, rel=1e-12)
+        # the many-instant fold the sweep runs: one event, aged k half-lives at the k-th instant
+        event = ChangeEvent(
+            path="src/a/B.java", timestamp=reference, added=6, deleted=0, modified=0, commit_id="c1",
+        )
+        history = ClassHistory(class_id="a.B", events=(event,))
+        instants = [reference + int(k * half_life * DAY) for k in range(0, 7)]
+        tables = risk_tables_by_instant({"a.B": history}, ("frequency", "extent"), (half_life,), instants)
+        for k, (risks,) in enumerate(tables):
+            for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
+                assert risks[metric]["a.B"] == pytest.approx(weight * 2.0 ** (-k), rel=1e-12)
     assert time.perf_counter() - started < 1.0
 
 
@@ -214,6 +227,8 @@ def test_reachability_matches_closure_oracle():
             expected = {f"C{j:03d}" for j in range(size) if closure_rows[i] >> j & 1}
             expected.add(f"C{i:03d}")
             assert reachable_classes(graph, refs[i], set()) == expected
+            # the map the commands build, here with one entry
+            assert build_dependency_map(graph, [refs[i]], set()) == {refs[i].test_id: sorted(expected)}
 
 
 def test_accuracy_and_fdr_definitions():

@@ -122,6 +122,18 @@ class TestParseChangeLog:
         (event,) = _parse_jsonl(line)
         assert event.renamed_from == "a/Old.java"
 
+    def test_events_of_one_path_share_one_string(self):
+        records = [
+            {"path": "a/B.java", "ts": 1, "add": 1, "del": 0, "commit": "c1"},
+            {"path": "a/C.java", "ts": 2, "add": 1, "del": 0, "commit": "c2"},
+            {"path": "a/B.java", "ts": 3, "add": 2, "del": 1, "mod": 4, "commit": "c3"},
+            {"path": "a/B.java", "ts": 4, "add": 0, "del": 0, "commit": "c4", "renamed_from": "a/Old.java"},
+        ]
+        events = _parse_jsonl("\n".join(json.dumps(r) for r in records))
+        assert [e.path for e in events] == [r["path"] for r in records]
+        assert events[0].path is events[2].path is events[3].path
+        assert events[1].path is not events[0].path
+
 
 class TestParseGitNumstat:
     def test_commit_header_and_file_line(self):
@@ -208,6 +220,19 @@ class TestParseGitNumstat:
         (event,) = parse_git_numstat(io.StringIO(text))
         assert (event.timestamp, event.added, event.deleted) == (BOUND, BOUND, BOUND)
 
+    def test_events_of_one_path_share_one_string(self):
+        text = (
+            "COMMIT c1 1000\n3\t2\tsrc/a/B.java\n1\t1\tsrc/a/C.java\n"
+            "COMMIT c2 2000\n-\t-\tsrc/a/B.java\n"
+            f"COMMIT c3 3000\n{BOUND}\t0\tsrc/a/B.java\n"
+            "COMMIT c4 4000\n0\t0\tsrc/{x => a}/B.java\n5\t5\tsrc/x/C.java => src/a/B.java\n"
+        )
+        events = parse_git_numstat(io.StringIO(text))
+        assert [e.path for e in events] == ["src/a/B.java", "src/a/C.java"] + ["src/a/B.java"] * 4
+        first = events[0].path
+        assert all(e.path is first for e in events if e.path == first)
+        assert events[1].path is not first
+
     def test_zero_header_timestamp_is_an_error(self):
         text = "COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def 0\n1\t2\tsrc/A.java\n"
         with pytest.raises(ParseError, match="line 3"):
@@ -290,6 +315,15 @@ class TestPathToClass:
         with pytest.raises(ValueError):
             SourceRootConfig(roots=())
 
+    @pytest.mark.parametrize("extensions", [("",), (".java", "")])
+    def test_empty_extension_is_rejected(self, extensions):
+        with pytest.raises(ValueError, match="empty extension"):
+            SourceRootConfig(roots=("src",), extensions=extensions)
+
+    @pytest.mark.parametrize("path", ["src/.java", "src/a/.java", ".java", "lib/.java"])
+    def test_file_named_only_by_its_extension_is_not_a_class(self, path):
+        assert path_to_class(path, SourceRootConfig(roots=("src",))) is None
+
 
 def _event(path, ts, commit, renamed_from=None, add=1):
     return ChangeEvent(
@@ -344,6 +378,22 @@ class TestConsolidate:
         ]
         histories = consolidate(events, SourceRootConfig(roots=("a",)))
         assert len(histories["B"].events) == 2
+
+    def test_the_first_of_a_duplicate_commit_path_pair_is_kept(self):
+        events = [
+            _event("a/B.java", 2, "c2", add=5),
+            _event("a/B.java", 1, "c1", add=1),
+            _event("a/B.java", 2, "c2", add=7),
+            _event("a/C.java", 3, "c3"),
+        ]
+        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        assert [(e.commit_id, e.added) for e in histories["B"].events] == [("c1", 1), ("c2", 5)]
+        assert [e.commit_id for e in histories["C"].events] == ["c3"]
+
+    def test_files_named_only_by_their_extension_are_dropped(self):
+        events = [_event("a/.java", 1, "c1"), _event("a/x/.java", 2, "c2"), _event("a/B.java", 3, "c3")]
+        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        assert list(histories) == ["B"]
 
     def test_equal_timestamps_break_ties_by_commit_id(self):
         events = [_event("a/B.java", 7, "z"), _event("a/B.java", 7, "a")]

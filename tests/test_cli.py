@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -892,6 +893,101 @@ class TestParserReuse:
             outputs.append(capsys.readouterr().out)
         assert len(built) == 1
         assert outputs[0] == outputs[1] and outputs[0].startswith("class_id,risk\n")
+
+
+def _exit_argv(tmp_path, code):
+    """Arguments for which ``cli.main`` returns ``code``; the labels and outcomes files are broken as needed."""
+    manifest = str(_write_project(tmp_path))
+    out = str(tmp_path / "out")
+    if code == 0:
+        return ["minimize", manifest, "--as-of", str(REF), "--output", out]
+    if code == 1:
+        return ["minimize", manifest, "--horizon", "5e-324", "--as-of", str(REF), "--output", out]
+    if code == 2:
+        return ["minimize", str(tmp_path / "absent.json"), "--as-of", str(REF)]
+    if code == 3:
+        (tmp_path / "changes.jsonl").write_text("{broken\n", encoding="utf-8")
+        return ["minimize", manifest, "--as-of", str(REF), "--output", out]
+    if code == 4:
+        (tmp_path / "labels.json").unlink()
+        return ["evaluate", manifest, "--output", out]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+    _write_outcomes(b, [("v1", 0.5), ("v3", 1.0)])
+    return ["compare", str(a), str(b), "--output", out]
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the cyclic collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    _set_collector(enabled)
+
+
+class TestCollectorState:
+    """Commands run with the cyclic collector paused and leave the caller's state as it was."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("code", [0, 1, 2, 3, 4, 5])
+    def test_state_is_restored_on_every_exit_code(self, tmp_path, capsys, collector_state, code, enabled):
+        argv = _exit_argv(tmp_path, code)
+        _set_collector(enabled)
+        assert cli.main(argv) == code
+        assert gc.isenabled() is enabled
+
+    def test_state_is_restored_after_a_usage_error_from_the_argument_parser(self, capsys, collector_state):
+        gc.enable()
+        assert cli.main(["no-such-command"]) == 1
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_is_restored_when_an_unexpected_error_escapes(self, tmp_path, monkeypatch, collector_state, enabled):
+        def broken(manifest):
+            raise RuntimeError("not mapped to an exit code")
+
+        monkeypatch.setattr(cli, "load_project_inputs", broken)
+        argv = _exit_argv(tmp_path, 0)
+        _set_collector(enabled)
+        with pytest.raises(RuntimeError):
+            cli.main(argv)
+        assert gc.isenabled() is enabled
+
+    def test_the_collector_is_paused_while_a_command_runs(self, tmp_path, monkeypatch, collector_state):
+        seen = []
+        original = cli.load_project_inputs
+
+        def observing(manifest):
+            seen.append(gc.isenabled())
+            return original(manifest)
+
+        monkeypatch.setattr(cli, "load_project_inputs", observing)
+        gc.enable()
+        assert cli.main(_exit_argv(tmp_path, 0)) == 0
+        assert seen == [False] and gc.isenabled()
+
+    # The only cyclic garbage of a minimize is the pure-Python JSON encoder's
+    # closures behind the indented result.json; measured before the collector
+    # was paused, with the same micro projects and calls.
+    GARBAGE_CEILING = 33
+
+    @pytest.mark.parametrize("seed", [101, 202])
+    def test_a_minimize_leaves_no_more_cyclic_garbage_than_before(self, tmp_path, collector_state, seed):
+        project = random_micro_project(seed)
+        manifest = project.write_files(tmp_path / "p")
+        argv = ["minimize", str(manifest), "--as-of", str(project.as_of), "--output", str(tmp_path / "out")]
+        gc.enable()
+        assert cli.main(argv) == 0  # builds the parser and configures logging, which later calls reuse
+        gc.collect()
+        assert cli.main(argv) == 0
+        assert gc.collect() <= self.GARBAGE_CEILING
 
 
 _INPUT_ARGV = {

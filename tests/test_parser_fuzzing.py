@@ -337,6 +337,46 @@ def test_numstat_parser_agrees_with_the_reference_grammar_on_tricky_lines(line):
         assert _outcome(parse_git_numstat, lines) == _outcome(reference_numstat, lines)
 
 
+# Lines at the edge of the numstat parser's one-expression accept (two counts
+# of under 19 digits, a path with no tab, line break or rename, after a
+# header) and of the checks every other line takes.
+_FAST_ACCEPT_BOUNDARY_LINES = [
+    "9" * 18 + "\t" + "9" * 18 + "\tsrc/A.java", "1" + "0" * 17 + "\t0\tsrc/A.java",
+    "1" + "0" * 18 + "\t0\tsrc/A.java", "0\t" + "9" * 19 + "\tsrc/A.java", "0" * 18 + "7\t1\tsrc/A.java",
+    f"{2**63 - 1}\t{2**63 - 1}\tsrc/A.java", f"{2**63}\t0\tsrc/A.java", f"0\t{2**63}\tsrc/A.java",
+    "1\t2\tsrc/a\tb.java", "1\t2\tsrc/a\nb.java", "1\t2\tsrc/a.java\t", "1\t2\tsrc/A.java => src/B.java",
+    "1\t2\tsrc/x=>y.java", "1\t2\tsrc/{a => b}/C.java", "1\t2\tsrc/{ => b}/C.java", "-\t-\tsrc/A.java",
+    "-\t3\tsrc/A.java", "3\t-\tsrc/A.java", "-\t" + "9" * 19 + "\tsrc/A.java", " ", "\t\t", " \t ", "\t",
+    "COMMIT\tabc 1", "COMMIT abc 5   ", "COMMIT\tabc\t5", "١٢\t٣\tsrc/A.java", "١٢\t" + "٣" * 19 + "\tx",
+    "1\t2\tsrc/A.java\r", "1\t2\t", "\t2\tx", "1\t\tx", "1\t2", "+1\t2\tx", " 1\t2\tx",
+]
+
+
+def _assert_numstat_agrees(lines):
+    """Parser and reference agree on the log as str lines, as UTF-8 bytes, and read
+    from a text stream, which turns a CRLF line end into LF as a file does."""
+    as_str = [line + "\n" for line in lines]
+    for log in (as_str, [line.encode() for line in as_str]):
+        assert _outcome(parse_git_numstat, log) == _outcome(reference_numstat, log)
+    text = "".join(as_str)
+    ours = _outcome(parse_git_numstat, io.StringIO(text, newline=None))
+    assert ours == _outcome(reference_numstat, io.StringIO(text, newline=None))
+
+
+@pytest.mark.parametrize("line", _FAST_ACCEPT_BOUNDARY_LINES)
+def test_numstat_fast_accept_boundary_line_by_line(line):
+    _assert_numstat_agrees(["COMMIT abc 5", line])
+    _assert_numstat_agrees([line])
+
+
+def test_numstat_fast_accept_boundary_as_whole_logs():
+    header = "COMMIT abc 5"
+    accepted = [line for line in _FAST_ACCEPT_BOUNDARY_LINES if _outcome(reference_numstat, [header, line])[1] is None]
+    assert 10 < len(accepted) < len(_FAST_ACCEPT_BOUNDARY_LINES)
+    _assert_numstat_agrees([header, *accepted])
+    _assert_numstat_agrees([header, *_FAST_ACCEPT_BOUNDARY_LINES])  # stops at the first rejected line
+
+
 @pytest.mark.parametrize("line", _TRICKY_JSONL_LINES)
 def test_jsonl_parser_agrees_with_the_reference_checks_on_tricky_lines(line):
     for lines in ([_VALID_JSONL + "\n", line + "\n"], [line], [line.encode()]):
