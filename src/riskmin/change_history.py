@@ -21,12 +21,11 @@ Two input formats are accepted:
 Line counts and timestamps may not exceed ``MAX_INTEGER``.
 
 Both parsers give each distinct path one string, shared by all its
-events, and accept the common line in one expression: a whole JSONL
-record in one call into the C scanner, a numstat file line with short
-counts and a plain path in one split. Every other line takes
-field-by-field checks that accept the same lines and name the first
-thing wrong with a rejected one. ``consolidate`` then groups the events
-per class; ``path_to_class`` decides which paths are class files.
+events. The JSONL parser accepts the common record in one call into the
+C scanner and one expression; every other line takes field-by-field
+checks that accept the same lines and name the first thing wrong with a
+rejected one. ``consolidate`` then groups the events per class;
+``path_to_class`` decides which paths are class files.
 """
 
 from __future__ import annotations
@@ -95,11 +94,6 @@ class ChangeEvent(_ChangeEventFields):
     @property
     def churn(self) -> int:
         return self.added + self.deleted + self.modified
-
-
-def _event(fields: tuple) -> ChangeEvent:
-    """A ChangeEvent from fields a parser has already validated."""
-    return tuple.__new__(ChangeEvent, fields)
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,7 @@ def _checked_event(line: str, lineno: int) -> ChangeEvent:
     renamed_from = record.get("renamed_from")
     if renamed_from is not None and not isinstance(renamed_from, str):
         raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
-    return _event((record["path"], ts, *counts, record["commit"], renamed_from))
+    return tuple.__new__(ChangeEvent, (record["path"], ts, *counts, record["commit"], renamed_from))
 
 
 _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
@@ -271,25 +265,6 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     binary_lines: list[int] = []
     for lineno, line in numbered_lines(stream):
         line = line.rstrip("\n")
-        # The common file line is accepted in one expression: after a header,
-        # two counts of fewer than 19 digits, so below MAX_INTEGER, and a path
-        # with no tab, line break or rename. Every other line takes the checks
-        # below, which would give a line accepted here the same event.
-        fields = line.split("\t")
-        if len(fields) == 3 and commit is not None:
-            added_text, deleted_text, path = fields
-            if (
-                len(added_text) < 19
-                and len(deleted_text) < 19
-                and added_text.isdecimal()
-                and deleted_text.isdecimal()
-                and path
-                and "\n" not in path
-                and "=>" not in path
-            ):
-                path = shared_path(path, path)
-                append(new(ChangeEvent, (path, timestamp, int(added_text), int(deleted_text), 0, commit, None)))
-                continue
         if not line or line.isspace():
             continue
         if line.startswith("COMMIT"):
@@ -308,7 +283,9 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
         if commit is None:
             raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
         if numeric:
-            added, deleted = _number(added_text, lineno), _number(deleted_text, lineno)
+            # Fewer than 19 digits cannot exceed MAX_INTEGER.
+            added = int(added_text) if len(added_text) < 19 else _number(added_text, lineno)
+            deleted = int(deleted_text) if len(deleted_text) < 19 else _number(deleted_text, lineno)
         else:
             binary_lines.append(lineno)
             added = deleted = 0
@@ -368,7 +345,6 @@ class _UnionFind:
 
 
 _BY_TIME_THEN_COMMIT = itemgetter(1, 5)  # (timestamp, commit_id) of a ChangeEvent
-_COMMIT = itemgetter(5)  # commit_id of a ChangeEvent
 
 
 def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[str, ClassHistory]:
@@ -407,22 +383,14 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
 
     histories: dict[str, ClassHistory] = {}
     for members in by_group.values():
-        # Events of distinct commits hold no duplicate (commit_id, path) pair.
-        if len(set(map(_COMMIT, members))) != len(members):
-            members = _first_of_each_commit_and_path(members)
-        members.sort(key=_BY_TIME_THEN_COMMIT)
-        class_id = class_of[members[-1].path]
-        histories[class_id] = ClassHistory(class_id=class_id, events=tuple(members))
+        seen: set[tuple[str, str]] = set()
+        unique = []
+        for event in members:
+            key = (event.commit_id, event.path)
+            if key not in seen:
+                seen.add(key)
+                unique.append(event)
+        unique.sort(key=_BY_TIME_THEN_COMMIT)
+        class_id = class_of[unique[-1].path]
+        histories[class_id] = ClassHistory(class_id=class_id, events=tuple(unique))
     return histories
-
-
-def _first_of_each_commit_and_path(events: list[ChangeEvent]) -> list[ChangeEvent]:
-    """The first event of each (commit_id, path) pair, in input order."""
-    seen: set[tuple[str, str]] = set()
-    unique = []
-    for event in events:
-        key = (event.commit_id, event.path)
-        if key not in seen:
-            seen.add(key)
-            unique.append(event)
-    return unique

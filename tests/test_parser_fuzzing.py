@@ -337,10 +337,10 @@ def test_numstat_parser_agrees_with_the_reference_grammar_on_tricky_lines(line):
         assert _outcome(parse_git_numstat, lines) == _outcome(reference_numstat, lines)
 
 
-# Lines at the edge of the numstat parser's one-expression accept (two counts
-# of under 19 digits, a path with no tab, line break or rename, after a
-# header) and of the checks every other line takes.
-_FAST_ACCEPT_BOUNDARY_LINES = [
+# Lines at the edges of the numstat parser's checks: counts converted directly
+# (under 19 digits) or checked against MAX_INTEGER, paths with a tab, a line
+# break or a rename, binary counts, blank lines and headers.
+_NUMSTAT_BOUNDARY_LINES = [
     "9" * 18 + "\t" + "9" * 18 + "\tsrc/A.java", "1" + "0" * 17 + "\t0\tsrc/A.java",
     "1" + "0" * 18 + "\t0\tsrc/A.java", "0\t" + "9" * 19 + "\tsrc/A.java", "0" * 18 + "7\t1\tsrc/A.java",
     f"{2**63 - 1}\t{2**63 - 1}\tsrc/A.java", f"{2**63}\t0\tsrc/A.java", f"0\t{2**63}\tsrc/A.java",
@@ -363,18 +363,18 @@ def _assert_numstat_agrees(lines):
     assert ours == _outcome(reference_numstat, io.StringIO(text, newline=None))
 
 
-@pytest.mark.parametrize("line", _FAST_ACCEPT_BOUNDARY_LINES)
-def test_numstat_fast_accept_boundary_line_by_line(line):
+@pytest.mark.parametrize("line", _NUMSTAT_BOUNDARY_LINES)
+def test_numstat_boundary_line_by_line(line):
     _assert_numstat_agrees(["COMMIT abc 5", line])
     _assert_numstat_agrees([line])
 
 
-def test_numstat_fast_accept_boundary_as_whole_logs():
+def test_numstat_boundary_as_whole_logs():
     header = "COMMIT abc 5"
-    accepted = [line for line in _FAST_ACCEPT_BOUNDARY_LINES if _outcome(reference_numstat, [header, line])[1] is None]
-    assert 10 < len(accepted) < len(_FAST_ACCEPT_BOUNDARY_LINES)
+    accepted = [line for line in _NUMSTAT_BOUNDARY_LINES if _outcome(reference_numstat, [header, line])[1] is None]
+    assert 10 < len(accepted) < len(_NUMSTAT_BOUNDARY_LINES)
     _assert_numstat_agrees([header, *accepted])
-    _assert_numstat_agrees([header, *_FAST_ACCEPT_BOUNDARY_LINES])  # stops at the first rejected line
+    _assert_numstat_agrees([header, *_NUMSTAT_BOUNDARY_LINES])  # stops at the first rejected line
 
 
 @pytest.mark.parametrize("line", _TRICKY_JSONL_LINES)
