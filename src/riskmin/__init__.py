@@ -23,7 +23,6 @@ from .dependency_graph import (
     build_dependency_map,
     entry_class_filter,
     parse_callgraph_edges,
-    reachable_classes,
     test_entry_points,
 )
 from .errors import AlignmentError, LabelError, ParseError
@@ -39,13 +38,7 @@ from .evaluation import (
     sweep_rows,
 )
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
-from .risk_aggregation import (
-    OPERATORS,
-    aggregate,
-    positive_multisets,
-    score_multisets,
-    score_test,
-)
+from .risk_aggregation import OPERATORS, positive_multisets, score_multisets
 from .stats import (
     ContingencyTable2x2,
     DegenerateSampleError,
@@ -54,14 +47,6 @@ from .stats import (
     fisher_exact_2x2,
     wilcoxon_signed_rank,
 )
-from .temporal_risk import (
-    METRICS,
-    alpha_from_half_life,
-    class_risk,
-    decayed_risks,
-    event_age_days,
-    event_weight,
-    risk_table,
-)
+from .temporal_risk import METRICS, alpha_from_half_life, decayed_risks
 
 __version__ = "0.1.0"

@@ -96,12 +96,25 @@ class ChangeEvent(_ChangeEventFields):
         return self.added + self.deleted + self.modified
 
 
+_TIMESTAMP = itemgetter(1)  # of a ChangeEvent
+
+
 @dataclass(frozen=True)
 class ClassHistory:
-    """Consolidated, time-ordered modification events of one logical class."""
+    """Consolidated modification events of one logical class, in time order.
+
+    The constructor raises ``ValueError`` for an event whose timestamp is
+    smaller than the one before it; equal timestamps are allowed.
+    ``consolidate`` builds every history in this order.
+    """
 
     class_id: str
     events: tuple[ChangeEvent, ...]
+
+    def __post_init__(self) -> None:
+        timestamps = list(map(_TIMESTAMP, self.events))
+        if timestamps != sorted(timestamps):
+            raise ValueError(f"the events of class {self.class_id!r} are not in time order")
 
 
 @dataclass(frozen=True)

@@ -676,6 +676,16 @@ def _as_of_arg(value: str) -> int:
     return epoch
 
 
+def _comparisons_arg(value: str) -> int:
+    try:
+        m = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {value[:40]!r}")
+    if not 1 <= m <= MAX_INTEGER:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {MAX_INTEGER}, got {value[:40]}")
+    return m
+
+
 def _budget_arg(value: str) -> float:
     try:
         fraction = float(value)
@@ -801,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--bonferroni-m",
         dest="bonferroni_m",
-        type=int,
+        type=_comparisons_arg,
         default=1,
         metavar="M",
         help="number of comparisons the reported p-values are adjusted for",

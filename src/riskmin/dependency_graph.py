@@ -188,23 +188,6 @@ def entry_class_filter(entries: Iterable[MethodRef], extra: Iterable[str] = ()) 
     return {entry.class_id for entry in entries} | set(extra)
 
 
-def reachable_classes(graph: CallGraph, entry: MethodRef, test_class_filter: set[str]) -> set[str]:
-    """Classes of all methods reachable from the entry, minus the filter.
-
-    Iterative depth-first traversal with a visited set, so cycles and deep
-    chains are safe.
-    """
-    visited = {entry}
-    stack = [entry]
-    while stack:
-        node = stack.pop()
-        for successor in graph.successors(node):
-            if successor not in visited:
-                visited.add(successor)
-                stack.append(successor)
-    return {node.class_id for node in visited} - test_class_filter
-
-
 def _reachable_masks(
     graph: CallGraph, roots: Sequence[MethodRef], class_bits: dict[str, int]
 ) -> list[int]:
@@ -281,11 +264,12 @@ def build_dependency_map(
 ) -> dict[str, list[str]]:
     """Map each entry's test id to its sorted reachable-class list.
 
-    Entries with no reachable production class are recorded with an empty
-    list rather than omitted, so they still rank during minimization.
-    Entries whose ids collide (overloads) have their sets unioned. Equal to
-    the union of ``reachable_classes`` over each id's entries, but all
-    entries share one traversal of the graph.
+    An entry reaches every class of every method on a call path from it,
+    its own class included; the filter classes are then removed. Entries
+    with no reachable production class are recorded with an empty list
+    rather than omitted, so they still rank during minimization. Entries
+    whose ids collide (overloads) have their sets unioned. All entries
+    share one traversal of the graph, so cycles and deep chains are safe.
     """
     entries = sorted(set(entries), key=lambda m: (m.class_id, m.method_name, m.descriptor))
     if test_class_filter is None:

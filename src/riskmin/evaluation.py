@@ -146,8 +146,10 @@ def evaluate_grid(
     (horizon, metric) each distinct dependency signature gets one sorted
     positive-risk multiset; per operator each signature is scored once and
     the tests are ranked once, and every budget keeps a prefix of that
-    ranking. Scores and selections equal those of ``score_test`` and
-    ``cut_ranking(rank(scores), ...)`` bit for bit. A cell's ``wall_time``
+    ranking. Scores and selections equal, bit for bit, those of the cell
+    run alone: ``decayed_risks`` at the label's ``as_of``, then
+    ``score_multisets(positive_multisets(...))`` and
+    ``cut_ranking(rank(scores), ...)``. A cell's ``wall_time``
     is ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its metric's share
     of its horizon's share of the version's decay pass (which includes the

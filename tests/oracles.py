@@ -1,16 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here deliberately avoids the library's code paths: reachability
-is a Floyd-Warshall closure over an adjacency matrix, decay uses the
-0.5 ** (age / half_life) form instead of exp(-alpha * age), aggregation
-uses direct textbook formulas, the signed-rank reference enumerates all
-2^n sign assignments, and the 2x2 reference sums exact rationals. The
-reference parsers match whole lines against regular expressions, where the
-library scans them by hand (and decode each change-event JSONL line with
-``json.loads`` and check it field by field, where the library decodes it in
-one call and checks it in one expression), and build records through the
-validating public constructors, where the library skips the checks it has
-already made.
+Everything here deliberately avoids the library's code paths:
+reachability is a Floyd-Warshall closure over an adjacency matrix; decay
+uses the 0.5 ** (age / half_life) form instead of exp(-alpha * age) (or,
+where a test needs the library's bits, that formula in a per-event loop
+over the whole history, where the library bisects and shares work across
+horizons); aggregation uses textbook formulas on the sorted values; the
+signed-rank reference enumerates all 2^n sign assignments, and the 2x2
+reference sums exact rationals. The reference parsers match whole lines
+against regular expressions, where the library scans them by hand (and
+decode each change-event JSONL line with ``json.loads`` and check it field
+by field, where the library decodes it in one call and checks it in one
+expression), and build records through the validating public
+constructors, where the library skips the checks it has already made.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import json
 import math
 import re
+import statistics
 from fractions import Fraction
 
 from riskmin.change_history import ChangeEvent
@@ -240,18 +243,27 @@ def reference_callgraph_text(lines):
 # Risk scoring and aggregation
 
 
-def naive_class_risk(events, metric, half_life_days, as_of):
-    """Half-life decay written as a power of one half."""
+def naive_class_risk(events, metric, half_life_days, as_of, *, exact=False):
+    """Half-life decay written as a power of one half, a plain ``+=`` in event order.
+
+    ``exact=True`` writes the decay as exp(-ln(2) / T * age) and the extent
+    weight as log1p(churn) instead, as the formula was first written, which
+    the library reproduces bit for bit.
+    """
+    rate = 0.0 if half_life_days is None else -(math.log(2.0) / half_life_days)
     total = 0.0
     for event in events:
         age_days = (as_of - event["ts"]) / 86400.0
         if age_days < 0:
             continue
+        churn = event["add"] + event["del"] + event["mod"]
         if metric == "frequency":
             weight = 1.0
         else:
-            weight = math.log(1 + event["add"] + event["del"] + event["mod"])
-        if half_life_days is None:
+            weight = math.log1p(churn) if exact else math.log(1 + churn)
+        if exact:
+            decay = math.exp(rate * age_days)
+        elif half_life_days is None:
             decay = 1.0
         else:
             decay = 0.5 ** (age_days / half_life_days)
@@ -259,20 +271,37 @@ def naive_class_risk(events, metric, half_life_days, as_of):
     return total
 
 
+def exact_risk_table(histories, metric, half_life_days, as_of):
+    """Class id -> ``naive_class_risk(..., exact=True)`` of each ``ClassHistory``."""
+    return {
+        class_id: naive_class_risk(
+            [{"ts": e.timestamp, "add": e.added, "del": e.deleted, "mod": e.modified} for e in history.events],
+            metric, half_life_days, as_of, exact=True,
+        )
+        for class_id, history in histories.items()
+    }
+
+
 def naive_aggregate(values, op):
+    """The operator's textbook formula on the sorted values, float sums left to right.
+
+    ``avg`` and ``median`` are the ``statistics`` module's, the geometric
+    mean is the exponential of the mean logarithm: the library reproduces
+    each bit for bit, on every Python version.
+    """
     values = sorted(values)
     n = len(values)
     if op == "avg":
-        return sum(values) / n
+        return statistics.fmean(values)
     if op == "gmean":
-        return math.prod(values) ** (1.0 / n)
+        return math.exp(statistics.fmean([math.log(v) for v in values]))
     if op == "hmean":
-        return n / sum(1.0 / v for v in values)
+        reciprocals = 0.0
+        for v in values:
+            reciprocals += 1.0 / v
+        return n / reciprocals
     if op == "median":
-        mid = n // 2
-        if n % 2 == 1:
-            return values[mid]
-        return (values[mid - 1] + values[mid]) / 2.0
+        return statistics.median(values)
     raise ValueError(op)
 
 

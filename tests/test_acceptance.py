@@ -16,12 +16,12 @@ import pytest
 
 from riskmin import cli
 from riskmin.change_history import ChangeEvent, ClassHistory
-from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map, reachable_classes
+from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.evaluation import VersionLabel, VersionOutcome, accuracy, fdr, minimize_suite
 from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
-from riskmin.risk_aggregation import OPERATORS, aggregate, score_test
+from riskmin.risk_aggregation import OPERATORS, positive_multisets, score_multisets
 from riskmin.stats import cliffs_delta, fisher_exact_2x2, wilcoxon_signed_rank
-from riskmin.temporal_risk import class_risk, decayed_risks, risk_table, risk_tables_by_instant
+from riskmin.temporal_risk import decayed_risks, risk_tables_by_instant
 
 from microproject import AS_OF, random_micro_project
 from oracles import (
@@ -109,11 +109,10 @@ def test_half_life_exactness():
             history = ClassHistory(class_id="a.B", events=(event,))
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
                 expected = weight * 2.0 ** (-k)
-                assert class_risk(history, metric, half_life, reference) == pytest.approx(expected, rel=1e-12)
-                # the one-instant fold the commands run
+                # at one instant, as minimize and score fold
                 risks = decayed_risks({"a.B": history}, ("frequency", "extent"), half_life, reference)
                 assert risks[metric]["a.B"] == pytest.approx(expected, rel=1e-12)
-        # the many-instant fold the sweep runs: one event, aged k half-lives at the k-th instant
+        # at several instants, as evaluate and sweep fold: one event, aged k half-lives at the k-th instant
         event = ChangeEvent(
             path="src/a/B.java", timestamp=reference, added=6, deleted=0, modified=0, commit_id="c1",
         )
@@ -173,19 +172,23 @@ def test_pipeline_matches_brute_force_oracle():
 
 def test_mean_ordering_and_homogeneity():
     """HMean <= GMean <= Avg and c-rescaling scales every operator by c."""
+
+    def score(values, op):  # the scoring step every command runs, on one multiset
+        return score_multisets([sorted(values)], op)[0]
+
     rng = random.Random(31337)
     scales = (1e-6, 1.0, 1e6)
     for _ in range(1000):
         values = [rng.uniform(1e-4, 1e4) for _ in range(rng.randint(2, 12))]
-        hm = aggregate(values, "hmean")
-        gm = aggregate(values, "gmean")
-        am = aggregate(values, "avg")
+        hm = score(values, "hmean")
+        gm = score(values, "gmean")
+        am = score(values, "avg")
         assert hm <= gm * (1 + 1e-12)
         assert gm <= am * (1 + 1e-12)
         c = rng.choice(scales)
         for op in OPERATORS:
-            assert aggregate([c * v for v in values], op) == pytest.approx(
-                c * aggregate(values, op), rel=1e-12
+            assert score([c * v for v in values], op) == pytest.approx(
+                c * score(values, op), rel=1e-12
             )
 
 
@@ -195,13 +198,14 @@ def test_selection_invariant_under_risk_rescaling():
         project = random_micro_project(seed)
         histories, graph, entries, test_filter = project.library_inputs()
         dep_map = build_dependency_map(graph, entries, test_filter)
-        table = risk_table(histories, "extent", 32.0, project.as_of)
+        table = decayed_risks(histories, ("extent",), 32.0, project.as_of)["extent"]
         for op in OPERATORS:
             for fraction in (0.25, 0.5, 0.75):
                 baseline = None
                 for c in (1e-6, 1.0, 1e6):
                     scaled = {cid: c * risk for cid, risk in table.items()}
-                    scores = {tid: score_test(deps, scaled, op) for tid, deps in dep_map.items()}
+                    test_scores = score_multisets(positive_multisets(dep_map.values(), scaled), op)
+                    scores = dict(zip(dep_map, test_scores))
                     selected = cut_ranking(rank(scores), scores, Budget(fraction), "").selected
                     if baseline is None:
                         baseline = selected
@@ -210,7 +214,7 @@ def test_selection_invariant_under_risk_rescaling():
 
 
 def test_reachability_matches_closure_oracle():
-    """Iterative DFS equals the bitset closure on graphs up to 200 nodes."""
+    """The dependency map equals the bitset closure on graphs up to 200 nodes."""
     rng = random.Random(777)
     sizes = [rng.randint(2, 200) for _ in range(12)] + [200, 200, 150]
     for size in sizes:
@@ -226,7 +230,6 @@ def test_reachability_matches_closure_oracle():
         for i in range(size):
             expected = {f"C{j:03d}" for j in range(size) if closure_rows[i] >> j & 1}
             expected.add(f"C{i:03d}")
-            assert reachable_classes(graph, refs[i], set()) == expected
             # the map the commands build, here with one entry
             assert build_dependency_map(graph, [refs[i]], set()) == {refs[i].test_id: sorted(expected)}
 

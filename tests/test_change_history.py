@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from riskmin import change_history
 from riskmin.change_history import (
     ChangeEvent,
+    ClassHistory,
     SourceRootConfig,
     consolidate,
     parse_change_log,
@@ -496,6 +497,36 @@ class TestConsolidate:
         shuffled = list(events)
         rng.shuffle(shuffled)
         assert consolidate(shuffled, cfg) == consolidate(events, cfg)
+
+
+class TestClassHistory:
+    def test_a_decreasing_timestamp_is_rejected(self):
+        events = (_event("a/B.java", 5, "c1"), _event("a/B.java", 9, "c2"), _event("a/B.java", 8, "c3"))
+        with pytest.raises(ValueError, match="'B'.*time order"):
+            ClassHistory("B", events)
+
+    def test_equal_timestamps_are_accepted(self):
+        events = (_event("a/B.java", 5, "c2"), _event("a/B.java", 5, "c1"), _event("a/B.java", 6, "c0"))
+        assert ClassHistory("B", events).events == events
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a/B.java", "a/C.java", "b/B.java", "b/D.java", "README.md"]),
+                st.sampled_from([None, "a/B.java", "a/Old.java", "b/D.java"]),
+                st.integers(1, 6),
+                st.sampled_from(["c1", "c2", "c3"]),
+            ),
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_consolidate_over_shuffled_events_yields_histories_that_construct(self, drawn, rng):
+        events = [_event(path, ts, commit, renamed_from=source) for path, source, ts, commit in drawn]
+        rng.shuffle(events)
+        for class_id, history in consolidate(events, SourceRootConfig(roots=("a", "b"))).items():
+            assert ClassHistory(class_id, history.events) == history
 
 
 class TestChangeEventInvariants:

@@ -10,6 +10,7 @@ from riskmin import cli, stats
 from riskmin.errors import ParseError
 
 from microproject import random_micro_project
+from oracles import exact_risk_table
 
 DAY = 86_400
 REF = 1_700_000_000
@@ -102,9 +103,7 @@ class TestScoreCommand:
             "class_id,risk", "app.A,10.0", "app.B,4.0", "app.C,1.0",
         ]
 
-    def test_decayed_risks_match_library(self, tmp_path, capsys):
-        from riskmin.temporal_risk import risk_table
-
+    def test_decayed_risks_match_the_exact_oracle(self, tmp_path, capsys):
         manifest = _write_project(tmp_path)
         code = cli.main(
             ["score", str(manifest), "--metric", "extent", "--horizon", "32",
@@ -115,7 +114,7 @@ class TestScoreCommand:
             line.split(",") for line in capsys.readouterr().out.splitlines()[1:]
         )
         inputs = cli.load_project_inputs(cli.load_manifest(manifest))
-        for class_id, risk in risk_table(inputs.histories, "extent", 32.0, REF).items():
+        for class_id, risk in exact_risk_table(inputs.histories, "extent", 32.0, REF).items():
             assert rows[class_id] == str(risk)
 
     @pytest.mark.parametrize("risk", [math.nan, math.inf, -1.0])
@@ -504,6 +503,28 @@ class TestCompareCommand:
         assert report["bonferroni"]["wilcoxon_p_adjusted"] == min(
             1.0, 2 * expected_w.p_two_sided
         )
+
+    @pytest.mark.parametrize(
+        "m",
+        ["1" + "0" * 400, str(2**63), "0", "-3", "2.5", "two", "9" * 5000],
+        ids=["10**400", "2**63", "0", "-3", "2.5", "two", "5000 digits"],
+    )
+    def test_comparison_count_outside_1_to_the_integer_bound_is_a_usage_error(self, tmp_path, capsys, m):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+        _write_outcomes(b, [("v1", 0.25), ("v2", 0.0)])
+        assert cli.main(["compare", str(a), str(b), "--bonferroni-m", m]) == 1
+        err = capsys.readouterr().err
+        assert "argument --bonferroni-m" in err and "Traceback" not in err
+
+    def test_largest_comparison_count_is_accepted(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+        _write_outcomes(b, [("v1", 0.25), ("v2", 0.0)])
+        assert cli.main(["compare", str(a), str(b), "--bonferroni-m", str(2**63 - 1)]) == 0
+        adjusted = json.loads(capsys.readouterr().out)["bonferroni"]
+        assert adjusted["m"] == 2**63 - 1
+        assert adjusted["wilcoxon_p_adjusted"] == adjusted["fisher_p_adjusted"] == 1.0
 
     def test_misaligned_versions_exit_5_listing_ids(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -15,7 +15,6 @@ from riskmin.dependency_graph import (
     entry_class_filter,
     parse_callgraph_edges,
     parse_test_id,
-    reachable_classes,
 )
 from riskmin.dependency_graph import test_entry_points as find_entry_points
 from riskmin.errors import ParseError
@@ -140,22 +139,27 @@ class TestEntryPoints:
             find_entry_points(CallGraph(), {"regex": ".*"})
 
 
+def _reached_classes(graph, entry, test_class_filter):
+    """The classes one entry reaches, as the commands compute them: a one-entry dependency map."""
+    return set(build_dependency_map(graph, [entry], test_class_filter)[entry.test_id])
+
+
 class TestReachableClasses:
     def test_transitive_chain(self):
         graph = _graph([("T#t", "A#m"), ("A#m", "B#n")])
-        assert reachable_classes(graph, _ref("T#t"), {"T"}) == {"A", "B"}
+        assert _reached_classes(graph, _ref("T#t"), {"T"}) == {"A", "B"}
 
     def test_entry_with_no_edges_is_empty(self):
         graph = _graph([("T#t", "A#m")])
-        assert reachable_classes(graph, _ref("X#x"), {"X"}) == set()
+        assert _reached_classes(graph, _ref("X#x"), {"X"}) == set()
 
     def test_cycle_terminates(self):
         graph = _graph([("T#t", "A#m"), ("A#m", "A#m2"), ("A#m2", "A#m")])
-        assert reachable_classes(graph, _ref("T#t"), {"T"}) == {"A"}
+        assert _reached_classes(graph, _ref("T#t"), {"T"}) == {"A"}
 
     def test_self_loop_is_harmless(self):
         graph = _graph([("T#t", "A#m"), ("A#m", "A#m")])
-        assert reachable_classes(graph, _ref("T#t"), {"T"}) == {"A"}
+        assert _reached_classes(graph, _ref("T#t"), {"T"}) == {"A"}
 
     def test_matches_closure_oracle_on_random_graphs(self):
         rng = random.Random(17)
@@ -172,7 +176,7 @@ class TestReachableClasses:
                 node.split("#")[0]
                 for node in closure_reachable(sorted(edges), entry)
             }
-            got = reachable_classes(graph, _ref(entry), set())
+            got = _reached_classes(graph, _ref(entry), set())
             assert got == expected
 
     def test_adding_an_edge_never_shrinks_reachable_sets(self):
@@ -181,9 +185,9 @@ class TestReachableClasses:
         edges = {(rng.choice(methods), rng.choice(methods)) for _ in range(25)}
         graph = _graph(sorted(edges))
         entry = _ref(methods[0])
-        before = reachable_classes(graph, entry, set())
+        before = _reached_classes(graph, entry, set())
         graph.add_edge(_ref(rng.choice(methods)), _ref(rng.choice(methods)))
-        after = reachable_classes(graph, entry, set())
+        after = _reached_classes(graph, entry, set())
         assert before <= after
 
 
@@ -265,10 +269,12 @@ def test_map_is_the_union_of_reachable_classes_per_test_id(edges, entries, ghost
     test_class_filter = data.draw(
         st.sets(st.sampled_from(entry_classes + ["A", "B", "X"])), label="filter"
     )
+    closure = transitive_closure({node for edge in edges for node in edge} | entries, edges)
     expected: dict[str, set[str]] = {}
     for entry in entries:
+        reached = {entry} | closure[entry]
         expected.setdefault(entry.test_id, set()).update(
-            reachable_classes(graph, entry, test_class_filter)
+            {node.class_id for node in reached} - test_class_filter
         )
     deps = build_dependency_map(graph, entries, test_class_filter)
     assert deps == {test_id: sorted(classes) for test_id, classes in expected.items()}

@@ -23,11 +23,9 @@ from riskmin.evaluation import (
     sweep_rows,
 )
 from riskmin.minimizer import Budget
-from riskmin.risk_aggregation import score_test
-from riskmin.temporal_risk import risk_table
 
 from microproject import AS_OF, random_micro_project
-from oracles import naive_select
+from oracles import exact_risk_table, naive_score, naive_select
 
 DAY = 86_400
 REF = AS_OF
@@ -100,7 +98,7 @@ def _micro_fixture():
                     path=f"src/{class_id}.java", timestamp=REF - i * DAY, added=1,
                     deleted=0, modified=0, commit_id=f"{class_id}-{i}",
                 )
-                for i in range(count)
+                for i in reversed(range(count))
             ),
         )
 
@@ -283,6 +281,11 @@ class TestRunSweep:
         (row,) = sweep_rows(evaluate_grid(histories, dep_map, [label], grid))
         assert row.min_acc == row.mean_accuracy == row.max_acc == row.median_acc
 
+    def test_unknown_operator_is_rejected_when_no_test_has_a_risk(self):
+        grid = SweepGrid(metrics=("frequency",), horizons=(None,), operators=("bogus",), budgets=(0.5,))
+        with pytest.raises(ValueError, match="unknown operator 'bogus'"):
+            evaluate_grid({}, {"app.T1Test#t1": []}, [_label({"app.T1Test#t1"})], grid)
+
     def test_empty_dataset_yields_no_rows(self):
         _, histories, dep_map, _ = _project_version(9, "v1")
         assert sweep_rows(evaluate_grid(histories, dep_map, [], SweepGrid())) == []
@@ -357,7 +360,7 @@ class TestSharedScoringPath:
 
     @settings(max_examples=60, deadline=None)
     @given(_scoring_projects())
-    def test_scores_and_ranking_match_score_test_and_the_sort_oracle(self, project):
+    def test_scores_and_ranking_match_the_score_and_sort_oracles(self, project):
         histories, dep_map, labels = project
         grid = self.GRID
         keys = list(itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets))
@@ -368,8 +371,8 @@ class TestSharedScoringPath:
             label = labels[v]
             passes += 1
             metric, horizon, operator, _ = keys[first_cell]
-            table = risk_table(histories, metric, horizon, label.as_of)
-            expected = {test_id: score_test(deps, table, operator) for test_id, deps in dep_map.items()}
+            table = exact_risk_table(histories, metric, horizon, label.as_of)
+            expected = {test_id: naive_score(deps, table, operator) for test_id, deps in dep_map.items()}
             assert scores == expected
             whole, _ = naive_select(expected, 1.0)
             assert ranked == whole

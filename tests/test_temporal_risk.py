@@ -10,14 +10,11 @@ from riskmin.temporal_risk import (
     METRIC_EXTENT,
     METRIC_FREQUENCY,
     alpha_from_half_life,
-    class_risk,
-    decayed_risk_tables,
     decayed_risks,
-    event_age_days,
-    event_weight,
-    risk_table,
     risk_tables_by_instant,
 )
+
+from oracles import exact_risk_table
 
 DAY = 86_400
 REF = 1_700_000_000
@@ -30,6 +27,23 @@ def _event(ts, add=0, dele=0, mod=0, commit="c"):
 
 def _history(events, class_id="a.B"):
     return ClassHistory(class_id=class_id, events=tuple(events))
+
+
+def _in_time_order(events):
+    return sorted(events, key=lambda e: (e.timestamp, e.commit_id))
+
+
+def _risk(history, metric, half_life, as_of=REF):
+    """One class's risk, as the commands compute it."""
+    return decayed_risks({history.class_id: history}, (metric,), half_life, as_of)[metric][history.class_id]
+
+
+def _literal_tables(histories, metrics, half_lives, as_of):
+    """The tables ``risk_tables_by_instant`` gives at one instant, from the literal per-event loop."""
+    return [
+        {metric: exact_risk_table(histories, metric, half_life, as_of) for metric in metrics}
+        for half_life in half_lives
+    ]
 
 
 class TestAlphaFromHalfLife:
@@ -52,82 +66,89 @@ class TestAlphaFromHalfLife:
         with pytest.raises(ValueError, match="not finite"):
             alpha_from_half_life(tiny)
         with pytest.raises(ValueError, match="not finite"):
-            class_risk(_history([]), METRIC_FREQUENCY, tiny, REF)
+            decayed_risks({}, (METRIC_FREQUENCY,), tiny, REF)
         with pytest.raises(ValueError, match="not finite"):
-            decayed_risk_tables({}, (METRIC_FREQUENCY,), (tiny,), REF)
+            risk_tables_by_instant({}, (METRIC_FREQUENCY,), (tiny,), (REF,))
 
     def test_smallest_half_life_with_a_finite_rate_is_accepted(self):
         assert math.isfinite(alpha_from_half_life(1e-300))
 
 
 class TestEventAgeDays:
+    """An event's age is the fractional number of days from it to the instant."""
+
     def test_same_instant_is_zero(self):
-        assert event_age_days(_event(REF), REF) == 0.0
+        # at this half-life any positive age would underflow the decay to 0
+        assert _risk(_history([_event(REF)]), METRIC_FREQUENCY, 1e-300) == 1.0
 
     def test_one_day_ago(self):
-        assert event_age_days(_event(REF - DAY), REF) == 1.0
+        rate = -alpha_from_half_life(1.0)
+        assert _risk(_history([_event(REF - DAY)]), METRIC_FREQUENCY, 1.0) == math.exp(rate * 1.0)
 
     def test_half_day_is_fractional(self):
-        assert event_age_days(_event(REF - DAY // 2), REF) == 0.5
+        rate = -alpha_from_half_life(1.0)
+        assert _risk(_history([_event(REF - DAY // 2)]), METRIC_FREQUENCY, 1.0) == math.exp(rate * 0.5)
 
-    def test_future_event_is_negative(self):
-        assert event_age_days(_event(REF + DAY), REF) == -1.0
+    def test_future_event_is_out_of_scope(self):
+        assert _risk(_history([_event(REF + 1)]), METRIC_FREQUENCY, None) == 0.0
 
 
 class TestEventWeight:
+    """An event's weight is its static-mode risk."""
+
     def test_frequency_is_always_one(self):
-        assert event_weight(_event(1, add=99, dele=5, mod=3), METRIC_FREQUENCY) == 1.0
+        assert _risk(_history([_event(1, add=99, dele=5, mod=3)]), METRIC_FREQUENCY, None) == 1.0
 
     def test_extent_is_log_of_one_plus_churn(self):
-        weight = event_weight(_event(1, add=3, dele=2, mod=1), METRIC_EXTENT)
+        weight = _risk(_history([_event(1, add=3, dele=2, mod=1)]), METRIC_EXTENT, None)
         assert weight == pytest.approx(math.log(7.0), rel=1e-12)
 
     def test_extent_of_zero_churn_is_zero(self):
-        assert event_weight(_event(1), METRIC_EXTENT) == 0.0
+        assert _risk(_history([_event(1)]), METRIC_EXTENT, None) == 0.0
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            event_weight(_event(1), "momentum")
+            decayed_risks({}, ("momentum",), None, REF)
 
 
 class TestClassRisk:
     def test_half_life_powers_sum(self):
         T = 5.0
-        ages = [0, int(T * DAY), int(2 * T * DAY)]
+        ages = [int(2 * T * DAY), int(T * DAY), 0]
         history = _history([_event(REF - a, commit=f"c{i}") for i, a in enumerate(ages)])
-        assert class_risk(history, METRIC_FREQUENCY, T, REF) == pytest.approx(1.75, rel=1e-12)
+        assert _risk(history, METRIC_FREQUENCY, T) == pytest.approx(1.75, rel=1e-12)
 
     def test_empty_history_scores_zero(self):
-        assert class_risk(_history([]), METRIC_FREQUENCY, 8.0, REF) == 0.0
+        assert _risk(_history([]), METRIC_FREQUENCY, 8.0) == 0.0
 
     def test_static_frequency_counts_events_exactly(self):
-        history = _history([_event(REF - i * DAY, commit=f"c{i}") for i in range(5)])
-        assert class_risk(history, METRIC_FREQUENCY, None, REF) == 5.0
+        history = _history([_event(REF - i * DAY, commit=f"c{i}") for i in reversed(range(5))])
+        assert _risk(history, METRIC_FREQUENCY, None) == 5.0
 
     def test_static_extent_sums_log_churn_exactly(self):
         churns = [3, 10, 0]
         history = _history(
-            [_event(REF - i * DAY, add=c, commit=f"c{i}") for i, c in enumerate(churns)]
+            [_event(REF - i * DAY, add=c, commit=f"c{i}") for i, c in reversed(list(enumerate(churns)))]
         )
         expected = sum(math.log1p(c) for c in churns)
-        assert class_risk(history, METRIC_EXTENT, None, REF) == expected
+        assert _risk(history, METRIC_EXTENT, None) == expected
 
     def test_future_events_are_excluded(self):
         history = _history([_event(REF - DAY, commit="c0"), _event(REF + DAY, commit="c1")])
-        assert class_risk(history, METRIC_FREQUENCY, None, REF) == 1.0
+        assert _risk(history, METRIC_FREQUENCY, None) == 1.0
 
     def test_event_at_reference_time_is_included(self):
-        assert class_risk(_history([_event(REF)]), METRIC_FREQUENCY, 1.0, REF) == 1.0
+        assert _risk(_history([_event(REF)]), METRIC_FREQUENCY, 1.0) == 1.0
 
     def test_half_life_identity_within_tolerance(self):
         for T in (1.0, 32.0, 512.0):
             for k in (1, 2, 3):
                 history = _history([_event(REF - int(k * T * DAY))])
-                assert class_risk(history, METRIC_FREQUENCY, T, REF) == pytest.approx(0.5**k, rel=1e-12)
+                assert _risk(history, METRIC_FREQUENCY, T) == pytest.approx(0.5**k, rel=1e-12)
 
     def test_decay_strictly_decreasing_in_age(self):
         scores = [
-            class_risk(_history([_event(REF - age * DAY)]), METRIC_FREQUENCY, 16.0, REF)
+            _risk(_history([_event(REF - age * DAY)]), METRIC_FREQUENCY, 16.0)
             for age in range(0, 100, 7)
         ]
         assert all(a > b for a, b in zip(scores, scores[1:]))
@@ -139,8 +160,8 @@ class TestClassRisk:
             for i in range(10)
         ]
         for cut in range(1, len(events)):
-            before = class_risk(_history(events[:cut]), METRIC_EXTENT, 4.0, REF)
-            after = class_risk(_history(events[: cut + 1]), METRIC_EXTENT, 4.0, REF)
+            before = _risk(_history(_in_time_order(events[:cut])), METRIC_EXTENT, 4.0)
+            after = _risk(_history(_in_time_order(events[: cut + 1])), METRIC_EXTENT, 4.0)
             assert after > before
 
     def test_long_horizon_approaches_event_count(self):
@@ -148,46 +169,46 @@ class TestClassRisk:
         # must stay below ~1.4e3 days for the sum to land within 1e-6 of n
         rng = random.Random(9)
         n = 50
-        history = _history(
+        history = _history(_in_time_order(
             [_event(REF - rng.randint(0, 1_000) * DAY, commit=f"c{i}") for i in range(n)]
-        )
-        assert class_risk(history, METRIC_FREQUENCY, 1e9, REF) == pytest.approx(n, rel=1e-6)
+        ))
+        assert _risk(history, METRIC_FREQUENCY, 1e9) == pytest.approx(n, rel=1e-6)
 
     def test_scores_finite_and_non_negative(self):
         rng = random.Random(21)
         for seed in range(30):
             T = rng.choice([None, 1.0, 32.0, 512.0])
             metric = rng.choice([METRIC_FREQUENCY, METRIC_EXTENT])
-            history = _history(
+            history = _history(_in_time_order(
                 [
                     _event(REF - rng.randint(-50, 400) * DAY, add=rng.randint(0, 500),
                            commit=f"c{i}")
                     for i in range(rng.randint(0, 40))
                 ]
-            )
-            score = class_risk(history, metric, T, REF)
+            ))
+            score = _risk(history, metric, T)
             assert math.isfinite(score) and score >= 0.0
 
 
 class TestRiskTable:
     def test_empty_map_yields_empty_table(self):
-        assert risk_table({}, METRIC_FREQUENCY, None, REF) == {}
+        assert decayed_risks({}, (METRIC_FREQUENCY,), None, REF) == {METRIC_FREQUENCY: {}}
 
     def test_classes_scored_independently(self):
         histories = {
             "a.B": _history([_event(REF, commit="c1")], class_id="a.B"),
             "a.C": _history([_event(REF - 2 * DAY, commit="c2")], class_id="a.C"),
         }
-        table = risk_table(histories, METRIC_FREQUENCY, 2.0, REF)
+        table = decayed_risks(histories, (METRIC_FREQUENCY,), 2.0, REF)[METRIC_FREQUENCY]
         assert table == {
-            "a.B": class_risk(histories["a.B"], METRIC_FREQUENCY, 2.0, REF),
-            "a.C": class_risk(histories["a.C"], METRIC_FREQUENCY, 2.0, REF),
+            "a.B": _risk(histories["a.B"], METRIC_FREQUENCY, 2.0),
+            "a.C": _risk(histories["a.C"], METRIC_FREQUENCY, 2.0),
         }
 
     def test_linearity_in_event_weights(self):
         # churn values chosen so ln(1 + churn) exactly doubles: 1+c' = (1+c)^2
         base_churns = [1, 3, 7, 15]
-        ages = [3, 40, 77, 200]
+        ages = [200, 77, 40, 3]
         base = _history(
             [_event(REF - a * DAY, add=c, commit=f"c{i}")
              for i, (a, c) in enumerate(zip(ages, base_churns))]
@@ -196,56 +217,51 @@ class TestRiskTable:
             [_event(REF - a * DAY, add=(1 + c) ** 2 - 1, commit=f"c{i}")
              for i, (a, c) in enumerate(zip(ages, base_churns))]
         )
-        assert class_risk(squared, METRIC_EXTENT, 20.0, REF) == pytest.approx(
-            2 * class_risk(base, METRIC_EXTENT, 20.0, REF), rel=1e-12
+        assert _risk(squared, METRIC_EXTENT, 20.0) == pytest.approx(
+            2 * _risk(base, METRIC_EXTENT, 20.0), rel=1e-12
         )
 
 
 class TestArgumentChecks:
-    """``class_risk``, ``risk_table`` and ``decayed_risk_tables`` reject the same arguments."""
+    """``decayed_risks`` and ``risk_tables_by_instant`` reject the same arguments."""
 
     def test_static_mode_applies_no_decay(self):
         history = _history([_event(REF - 10_000 * DAY)])
-        assert class_risk(history, METRIC_FREQUENCY, None, REF) == 1.0
-        assert decayed_risk_tables({"a.B": history}, (METRIC_FREQUENCY,), (None,), REF) == [
-            {METRIC_FREQUENCY: {"a.B": 1.0}}
+        assert decayed_risks({"a.B": history}, (METRIC_FREQUENCY,), None, REF) == {METRIC_FREQUENCY: {"a.B": 1.0}}
+        assert list(risk_tables_by_instant({"a.B": history}, (METRIC_FREQUENCY,), (None,), (REF,))) == [
+            [{METRIC_FREQUENCY: {"a.B": 1.0}}]
         ]
 
     def test_decay_follows_the_half_life_rule(self):
         history = _history([_event(REF - 3 * DAY)])
         expected = math.exp(-alpha_from_half_life(32.0) * 3.0)
-        assert class_risk(history, METRIC_FREQUENCY, 32.0, REF) == expected
+        assert _risk(history, METRIC_FREQUENCY, 32.0) == expected
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            class_risk(_history([]), "entropy", 1.0, REF)
+            decayed_risks({}, ("entropy",), 1.0, REF)
         with pytest.raises(ValueError, match="unknown metric"):
-            risk_table({}, "entropy", 1.0, REF)
-        with pytest.raises(ValueError, match="unknown metric"):
-            decayed_risk_tables({}, ("entropy",), (1.0,), REF)
+            risk_tables_by_instant({}, ("entropy",), (1.0,), (REF,))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_bad_half_life_rejected(self, bad):
         with pytest.raises(ValueError, match="must be positive"):
-            class_risk(_history([]), METRIC_FREQUENCY, bad, REF)
+            decayed_risks({}, (METRIC_FREQUENCY,), bad, REF)
         with pytest.raises(ValueError, match="must be positive"):
-            risk_table({}, METRIC_FREQUENCY, bad, REF)
-        with pytest.raises(ValueError, match="must be positive"):
-            decayed_risk_tables({}, (METRIC_FREQUENCY,), (8.0, bad), REF)
+            risk_tables_by_instant({}, (METRIC_FREQUENCY,), (8.0, bad), (REF,))
 
 
 class TestDecayedRisks:
-    """One pass per history for several metrics equals one risk table per metric."""
+    """One pass per history for several metrics equals one pass per metric."""
 
     def _histories(self, seed):
         rng = random.Random(seed)
         return {
             f"a.C{c}": _history(
-                sorted(
-                    (_event(REF - rng.randint(-20, 400) * DAY + i, add=rng.randint(0, 50),
-                            dele=rng.randint(0, 9), mod=rng.randint(0, 3), commit=f"c{c}-{i}")
-                     for i in range(rng.randint(0, 12))),
-                    key=lambda e: (e.timestamp, e.commit_id),
+                _in_time_order(
+                    _event(REF - rng.randint(-20, 400) * DAY + i, add=rng.randint(0, 50),
+                           dele=rng.randint(0, 9), mod=rng.randint(0, 3), commit=f"c{c}-{i}")
+                    for i in range(rng.randint(0, 12))
                 ),
                 class_id=f"a.C{c}",
             )
@@ -253,12 +269,14 @@ class TestDecayedRisks:
         }
 
     @pytest.mark.parametrize("half_life", [None, 0.5, 32.0, 512.0])
-    def test_equals_risk_table_of_each_metric_bit_for_bit(self, half_life):
+    def test_equals_each_metric_alone_and_the_literal_loop_bit_for_bit(self, half_life):
         for seed in range(5):
             histories = self._histories(seed)
             tables = decayed_risks(histories, (METRIC_FREQUENCY, METRIC_EXTENT), half_life, REF)
             for metric in (METRIC_FREQUENCY, METRIC_EXTENT):
-                assert tables[metric] == risk_table(histories, metric, half_life, REF)
+                alone = decayed_risks(histories, (metric,), half_life, REF)[metric]
+                assert repr(tables[metric]) == repr(alone)
+                assert repr(tables[metric]) == repr(exact_risk_table(histories, metric, half_life, REF))
 
     def test_only_the_requested_metrics_are_returned(self):
         tables = decayed_risks(self._histories(0), (METRIC_EXTENT,), 8.0, REF)
@@ -270,23 +288,12 @@ class TestDecayedRisks:
             decayed_risks(self._histories(0), metrics, half_life, REF)
 
 
-def _literal_decayed_risk(history, metric, half_life, as_of):
-    """The decayed risk as first written: a plain ``+=`` loop over the events in their order."""
-    rate = 0.0 if half_life is None else -(math.log(2.0) / half_life)
-    total = 0.0
-    for event in history.events:
-        age = event_age_days(event, as_of)
-        if age < 0:
-            continue
-        total += event_weight(event, metric) * math.exp(rate * age)
-    return total
-
-
 @st.composite
-def _unordered_histories(draw):
-    """An instant, and up to four classes with events in any order: some after the
-    instant, some at it or a second away, many with zero churn, and ages up to
-    3,000 days, whose decay underflows to 0 at a 1-day half-life."""
+def _time_ordered_histories(draw):
+    """An instant, and up to four classes with events in time order: some after
+    the instant, some at it or a second away, some at one time, many with zero
+    churn, and ages up to 3,000 days, whose decay underflows to 0 at a 1-day
+    half-life."""
     as_of = REF + draw(st.integers(-DAY, DAY))
     offsets = st.one_of(st.integers(-3_000 * DAY, 30 * DAY), st.sampled_from([-1, 0, 1]))
     histories = {}
@@ -302,7 +309,7 @@ def _unordered_histories(draw):
             )
             for i in range(draw(st.integers(0, 12)))
         ]
-        histories[f"a.C{c}"] = _history(events, class_id=f"a.C{c}")
+        histories[f"a.C{c}"] = _history(_in_time_order(events), class_id=f"a.C{c}")
     return histories, as_of
 
 
@@ -317,43 +324,43 @@ _metric_lists = st.sampled_from([(METRIC_FREQUENCY,), (METRIC_EXTENT,), (METRIC_
 
 class TestDecayAgainstTheLiteralLoop:
     @settings(max_examples=200, deadline=None)
-    @given(_unordered_histories(), _metric_lists, _half_lives)
-    def test_every_horizon_equals_a_plain_loop_bit_for_bit(self, project, metrics, half_lives):
+    @given(
+        _time_ordered_histories(),
+        _metric_lists,
+        _half_lives,
+        st.lists(st.integers(-3_100 * DAY, 40 * DAY), max_size=3),
+    )
+    def test_every_horizon_equals_a_plain_loop_bit_for_bit(self, project, metrics, half_lives, offsets):
         histories, as_of = project
-        tables = decayed_risk_tables(histories, metrics, half_lives, as_of)
-        assert len(tables) == len(half_lives)
-        for half_life, table in zip(half_lives, tables):
-            assert list(table) == list(metrics)
-            assert table == decayed_risks(histories, metrics, half_life, as_of)
-            for metric in metrics:
-                assert list(table[metric]) == list(histories)
-                for class_id, history in histories.items():
-                    expected = _literal_decayed_risk(history, metric, half_life, as_of)
-                    assert repr(table[metric][class_id]) == repr(expected)
+        instants = [as_of] + [as_of + offset for offset in offsets]
+        by_instant = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
+        assert len(by_instant) == len(instants)
+        for instant, tables in zip(instants, by_instant):
+            assert len(tables) == len(half_lives)
+            for half_life, table in zip(half_lives, tables):
+                assert list(table) == list(metrics)
+                for metric in metrics:
+                    assert list(table[metric]) == list(histories)
+                    expected = exact_risk_table(histories, metric, half_life, instant)
+                    for class_id in histories:
+                        assert repr(table[metric][class_id]) == repr(expected[class_id])
 
     def test_a_one_day_half_life_underflows_old_events_to_zero(self):
         history = _history([_event(REF - 2_000 * DAY, add=5, commit="c0"), _event(REF + DAY, add=3, commit="c1")])
-        (table,) = decayed_risk_tables({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), (1.0,), REF)
+        table = decayed_risks({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), 1.0, REF)
         assert table == {METRIC_FREQUENCY: {"a.B": 0.0}, METRIC_EXTENT: {"a.B": 0.0}}
 
 
 _metric_lists_or_none = st.one_of(st.just(()), _metric_lists)
 
 
-def _in_time_order(history):
-    return _history(sorted(history.events, key=lambda e: (e.timestamp, e.commit_id)), class_id=history.class_id)
-
-
 class TestRiskTablesByInstant:
-    """Each instant's tables equal ``decayed_risk_tables`` at that instant, bit for bit."""
+    """Each instant's tables equal the literal loop at that instant, bit for bit."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_unordered_histories(), _metric_lists_or_none, _half_lives, st.data())
-    def test_each_instant_equals_decayed_risk_tables(self, project, metrics, half_lives, data):
+    @given(_time_ordered_histories(), _metric_lists_or_none, _half_lives, st.data())
+    def test_each_instant_equals_the_literal_loop(self, project, metrics, half_lives, data):
         histories, as_of = project
-        # Some histories in time order (as consolidate gives them), the others as drawn.
-        ordered = data.draw(st.sets(st.sampled_from(sorted(histories)))) if histories else set()
-        histories = {c: _in_time_order(h) if c in ordered else h for c, h in histories.items()}
         timestamps = [event.timestamp for h in histories.values() for event in h.events] or [as_of]
         near_events = st.sampled_from(timestamps).flatmap(lambda ts: st.sampled_from([ts - 1, ts, ts + 1]))
         instants = data.draw(st.lists(
@@ -368,7 +375,7 @@ class TestRiskTablesByInstant:
         tables = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
         assert len(tables) == len(instants)
         for instant, table in zip(instants, tables):
-            assert repr(table) == repr(decayed_risk_tables(histories, metrics, half_lives, instant))
+            assert repr(table) == repr(_literal_tables(histories, metrics, half_lives, instant))
 
     @pytest.mark.parametrize("metrics", [(), (METRIC_FREQUENCY, METRIC_EXTENT)])
     @pytest.mark.parametrize("half_lives", [(None,), (None, 4.0)])
@@ -378,7 +385,7 @@ class TestRiskTablesByInstant:
             instants = [REF + DAY, REF - 2 * DAY, REF, REF]
             tables = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
             assert [repr(t) for t in tables] == [
-                repr(decayed_risk_tables(histories, metrics, half_lives, instant)) for instant in instants
+                repr(_literal_tables(histories, metrics, half_lives, instant)) for instant in instants
             ]
 
     def test_no_instants_yield_nothing(self):
