@@ -35,7 +35,6 @@ from .change_history import (
 from .dependency_graph import (
     FORMAT_CALLGRAPH_TEXT,
     GRAPH_FORMATS,
-    CallGraph,
     MethodRef,
     build_dependency_map,
     entry_class_filter,
@@ -57,7 +56,7 @@ from .evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from .minimizer import Budget, check_result_invariants
+from .minimizer import Budget, check_result_invariants, format_horizon
 from .risk_aggregation import OPERATORS, OP_GMEAN
 from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, decayed_risks
 
@@ -107,7 +106,6 @@ class RunManifest:
     extensions: list[str]
     exclude_classes: list[str]
     labels_path: Path | None
-    output_dir: Path | None
 
 
 def _open_input(path: Path) -> IO[str]:
@@ -156,9 +154,9 @@ def load_manifest(path: Path) -> RunManifest:
     if callgraph_format not in GRAPH_FORMATS:
         raise ParseError(f"unknown callgraph_format {callgraph_format!r}", path=str(path))
     _check_entry_selector(raw["entry_selector"], path)
-    for key in ("change_log_path", "callgraph_path", "labels_path", "output_dir"):
+    for key in ("change_log_path", "callgraph_path", "labels_path"):
         value = raw.get(key)
-        if not isinstance(value, str) and not (value is None and key in ("labels_path", "output_dir")):
+        if not isinstance(value, str) and not (value is None and key == "labels_path"):
             raise ParseError(f"manifest key '{key}' must be a path string", path=str(path))
     for key in ("source_roots", "extensions", "exclude_classes"):
         value = raw.get(key, [])
@@ -179,7 +177,6 @@ def load_manifest(path: Path) -> RunManifest:
         extensions=list(raw.get("extensions", [".java"])),
         exclude_classes=list(raw.get("exclude_classes", [])),
         labels_path=(base / raw["labels_path"]) if raw.get("labels_path") else None,
-        output_dir=Path(raw["output_dir"]) if raw.get("output_dir") else None,
     )
 
 
@@ -218,13 +215,17 @@ def _check_entry_selector(selector: object, path: Path) -> None:
 @dataclass
 class ProjectInputs:
     histories: dict
-    graph: CallGraph
     entries: frozenset[MethodRef]
-    test_class_filter: set[str]
-    ingest_seconds: float
+    dep_map: dict[str, list[str]]
+    seconds: float
 
 
 def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
+    """The project's class histories, entry points and dependency map, and the seconds taken to build them.
+
+    This is the one place a command builds the dependency map; the call
+    graph is freed once the map is built.
+    """
     started = time.perf_counter()
     parse_events = parse_git_numstat if manifest.change_log_format == "numstat" else parse_change_log
     events = _parse_input(manifest.change_log_path, parse_events)
@@ -236,14 +237,8 @@ def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
         manifest.callgraph_path, lambda handle: parse_callgraph_edges(handle, manifest.callgraph_format)
     )
     entries = frozenset(test_entry_points(graph, manifest.entry_selector))
-    test_filter = entry_class_filter(entries, manifest.exclude_classes)
-    return ProjectInputs(
-        histories=histories,
-        graph=graph,
-        entries=entries,
-        test_class_filter=test_filter,
-        ingest_seconds=time.perf_counter() - started,
-    )
+    dep_map = build_dependency_map(graph, entries, entry_class_filter(entries, manifest.exclude_classes))
+    return ProjectInputs(histories, entries, dep_map, time.perf_counter() - started)
 
 
 def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
@@ -328,10 +323,6 @@ def _json_float(value: float):
     return value
 
 
-def _format_horizon(horizon: float | None) -> str:
-    return "static" if horizon is None else f"{horizon:g}"
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -358,17 +349,15 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     budget = Budget(args.budget)
     result = minimize_suite(
         inputs.histories,
-        inputs.graph,
-        inputs.entries,
+        inputs.dep_map,
         metric=args.metric,
         half_life_days=args.horizon,
         operator=args.aggregate,
         budget=budget,
         as_of=args.as_of,
-        test_class_filter=inputs.test_class_filter,
     )
     check_result_invariants(result, budget)
-    out_dir = Path(args.output or manifest.output_dir or ".")
+    out_dir = Path(args.output or ".")
     selected_text = "".join(test_id + "\n" for test_id in result.selected)
     _write_text(out_dir, "selected.txt", selected_text)
     _write_text(out_dir, "result.json", _json_text(result.to_json_dict()))
@@ -380,9 +369,9 @@ def _evaluate_manifests(
 ) -> tuple[list[GridCell], dict[str, list[VersionOutcome]]]:
     """The grid's cells pooled over every manifest's labelled versions, and each project's outcomes.
 
-    Each project builds its dependency map once; that cost and the project's
-    ingestion time are charged to every one of its outcomes. A project with
-    no labelled versions adds nothing, so both are empty if none has any.
+    Each project's ``ProjectInputs.seconds`` (ingestion and dependency
+    analysis) is charged to every one of its outcomes. A project with no
+    labelled versions adds nothing, so both are empty if none has any.
     A version id may occur only once in the pool.
     """
     pooled: list[GridCell] = []
@@ -401,17 +390,14 @@ def _evaluate_manifests(
             version_ids.add(label.version_id)
         if not labels:
             continue
-        dep_started = time.perf_counter()
-        dep_map = build_dependency_map(inputs.graph, inputs.entries, inputs.test_class_filter)
-        base_seconds = inputs.ingest_seconds + (time.perf_counter() - dep_started)
-        unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - dep_map.keys()
+        unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - inputs.dep_map.keys()
         if unreachable:
             logger.warning(
                 "project %r: %d fault-revealing test id(s) are not entry points and always count as missed",
                 manifest.project_id,
                 len(unreachable),
             )
-        cells = evaluate_grid(inputs.histories, dep_map, labels, grid, base_seconds)
+        cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds)
         by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
         # Every project's cells follow the grid order, so they pool position by position.
         pooled = cells if not pooled else [
@@ -494,7 +480,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     csv_rows = [
         (
             row.metric,
-            _format_horizon(row.horizon_days),
+            format_horizon(row.horizon_days),
             row.operator,
             f"{row.budget:g}",
             str(row.mean_accuracy),
@@ -658,7 +644,7 @@ def _horizon_arg(value: str) -> float | None:
     try:
         days = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number of days or 'static', got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected a number of days or 'static', got {value[:40]!r}")
     try:
         alpha_from_half_life(days)  # rejects a non-positive half-life, or one too small for a finite rate
     except ValueError as exc:
@@ -666,44 +652,30 @@ def _horizon_arg(value: str) -> float | None:
     return days
 
 
-def _as_of_arg(value: str) -> int:
-    try:
-        epoch = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected whole Unix seconds, got {value[:40]!r}")
-    if abs(epoch) > MAX_INTEGER:
-        raise argparse.ArgumentTypeError(f"must not exceed {MAX_INTEGER} in magnitude")
-    return epoch
+def _whole_number_arg(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """A converter of a whole number from ``low`` to ``high``."""
+    bounds = f"at least {low}" if high == math.inf else f"from {low} to {high}"
 
+    def convert(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a whole number, got {value[:40]!r}")
+        if not low <= number <= high:
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value[:40]}")
+        return number
 
-def _comparisons_arg(value: str) -> int:
-    try:
-        m = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {value[:40]!r}")
-    if not 1 <= m <= MAX_INTEGER:
-        raise argparse.ArgumentTypeError(f"must be from 1 to {MAX_INTEGER}, got {value[:40]}")
-    return m
+    return convert
 
 
 def _budget_arg(value: str) -> float:
     try:
         fraction = float(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a fraction, got {value!r}")
+        raise argparse.ArgumentTypeError(f"expected a fraction, got {value[:40]!r}")
     if not 0.0 < fraction <= 1.0:
-        raise argparse.ArgumentTypeError(f"budget must be in (0, 1], got {value}")
+        raise argparse.ArgumentTypeError(f"budget must be in (0, 1], got {value[:40]}")
     return fraction
-
-
-def _jobs_arg(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a whole number, got {value!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return jobs
 
 
 def _comma_list(parse_item, valid=None):
@@ -715,7 +687,7 @@ def _comma_list(parse_item, valid=None):
                 continue
             item = parse_item(part)
             if valid is not None and item not in valid:
-                raise argparse.ArgumentTypeError(f"unknown value {part!r}")
+                raise argparse.ArgumentTypeError(f"unknown value {part[:40]!r}")
             items.append(item)
         if not items:
             raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")
@@ -737,7 +709,7 @@ def _add_config_flags(parser: argparse.ArgumentParser, *, with_as_of: bool) -> N
         parser.add_argument(
             "--as-of",
             dest="as_of",
-            type=_as_of_arg,
+            type=_whole_number_arg(-MAX_INTEGER, MAX_INTEGER),
             required=True,
             metavar="EPOCH",
             help="evaluation time as Unix seconds; later events are ignored",
@@ -770,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(evaluate, with_as_of=False)
     evaluate.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
     evaluate.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
-    evaluate.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N", help=JOBS_HELP)
+    evaluate.add_argument("--jobs", type=_whole_number_arg(1), default=1, metavar="N", help=JOBS_HELP)
     evaluate.add_argument("--output", default=None, metavar="DIR")
     evaluate.set_defaults(func=cmd_evaluate)
 
@@ -801,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(CANONICAL_BUDGETS),
         metavar="LIST",
     )
-    sweep.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N", help=JOBS_HELP)
+    sweep.add_argument("--jobs", type=_whole_number_arg(1), default=1, metavar="N", help=JOBS_HELP)
     sweep.add_argument("--output", default=None, metavar="DIR")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -811,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--bonferroni-m",
         dest="bonferroni_m",
-        type=_comparisons_arg,
+        type=_whole_number_arg(1, MAX_INTEGER),
         default=1,
         metavar="M",
         help="number of comparisons the reported p-values are adjusted for",

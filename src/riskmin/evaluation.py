@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .change_history import ClassHistory
-from .dependency_graph import CallGraph, MethodRef, build_dependency_map
 from .errors import LabelError
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
-from .risk_aggregation import OPERATORS, positive_multisets, score_multisets
+from .risk_aggregation import OPERATORS, check_operator, positive_multisets, score_multisets
 from .temporal_risk import METRICS, risk_tables_by_instant
 
 
@@ -60,20 +59,16 @@ def fdr(outcomes: Sequence[VersionOutcome]) -> float:
 
 def minimize_suite(
     histories: Mapping[str, ClassHistory],
-    graph: CallGraph,
-    entries: Iterable[MethodRef],
+    dep_map: Mapping[str, list[str]],
     *,
     metric: str,
     half_life_days: float | None,
     operator: str,
     budget: Budget,
     as_of: int,
-    test_class_filter: set[str] | None = None,
-    dep_map: Mapping[str, list[str]] | None = None,
 ) -> MinimizationResult:
-    """End-to-end pipeline: dependencies, then the 1x1x1x1 grid's one scoring pass, cut at the budget."""
-    if dep_map is None:
-        dep_map = build_dependency_map(graph, entries, test_class_filter)
+    """The tests of ``dep_map`` (from ``build_dependency_map``) scored at ``as_of`` by the
+    1x1x1x1 grid's one scoring pass, and that ranking cut at the budget."""
     grid = SweepGrid((metric,), (half_life_days,), (operator,), (budget.fraction,))
     ((_, _, scores, ranked, _),) = _scoring_passes(histories, dep_map, (as_of,), grid)
     fingerprint = config_fingerprint(metric, half_life_days, operator, budget.fraction, as_of)
@@ -155,17 +150,21 @@ def evaluate_grid(
     of its horizon's share of the version's decay pass (which includes the
     version's equal share of deriving the weights), its metric's
     multisets, its scoring pass and ranking, and its own selection.
+    Every axis is checked before any version is scored, with or without labels.
     """
+    for operator in grid.operators:
+        check_operator(operator)
+    budgets = [Budget(fraction) for fraction in grid.budgets]
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     cells: list[GridCell] = [(key, []) for key in keys]
     passes = _scoring_passes(histories, dep_map, [label.as_of for label in labels], grid)
     for first_cell, v, _, ranked, shared_seconds in passes:
         label = labels[v]
-        budget_cells = cells[first_cell : first_cell + len(grid.budgets)]
-        for (metric, horizon, operator, fraction), outcomes in budget_cells:
+        budget_cells = cells[first_cell : first_cell + len(budgets)]
+        for ((metric, horizon, operator, fraction), outcomes), budget in zip(budget_cells, budgets):
             t0 = time.perf_counter()
             fingerprint = config_fingerprint(metric, horizon, operator, fraction, label.as_of)
-            keep = budget_count(len(ranked), Budget(fraction))
+            keep = budget_count(len(ranked), budget)
             acc = accuracy(set(ranked[:keep]), label)
             seconds = base_seconds + shared_seconds + (time.perf_counter() - t0)
             outcomes.append(VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint))

@@ -30,6 +30,11 @@ def budget_count(n_tests: int, budget: Budget) -> int:
     return max(min(1, n_tests), min(n_tests, count))
 
 
+def format_horizon(half_life_days: float | None) -> str:
+    """A half-life as outputs spell it: ``static`` for static mode, else ``:g``."""
+    return "static" if half_life_days is None else f"{half_life_days:g}"
+
+
 def config_fingerprint(
     metric: str,
     half_life_days: float | None,
@@ -37,9 +42,8 @@ def config_fingerprint(
     budget_fraction: float,
     as_of: int,
 ) -> str:
-    horizon = "static" if half_life_days is None else f"{half_life_days:g}"
     return (
-        f"metric={metric};horizon={horizon};aggregate={operator};"
+        f"metric={metric};horizon={format_horizon(half_life_days)};aggregate={operator};"
         f"budget={budget_fraction:g};as_of={as_of}"
     )
 

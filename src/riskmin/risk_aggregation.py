@@ -26,6 +26,12 @@ def positive_multisets(
     return [sorted(filter(None, map(positive, deps))) for deps in signatures]
 
 
+def check_operator(op: str) -> None:
+    """Reject an operator that is not one of ``OPERATORS`` with ``ValueError``."""
+    if op not in OPERATORS:
+        raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
+
+
 def score_multisets(multisets: Iterable[list[float]], op: str) -> list[float]:
     """Each ``positive_multisets`` entry reduced by the operator ``op``: 0 for an empty one.
 
@@ -34,8 +40,7 @@ def score_multisets(multisets: Iterable[list[float]], op: str) -> list[float]:
     ``median`` what ``statistics.median`` computes; the geometric mean is
     computed in log space, so that many tiny decayed risks do not underflow.
     """
-    if op not in OPERATORS:
-        raise ValueError(f"unknown operator {op!r}; expected one of {OPERATORS}")
+    check_operator(op)
     return [_reduce_sorted(values, op) if values else 0.0 for values in multisets]
 
 

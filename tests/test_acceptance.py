@@ -136,10 +136,9 @@ def test_static_limit_selects_identical_suites():
                     picked = {}
                     for horizon in (None, 1e9):
                         result = minimize_suite(
-                            histories, graph, entries,
+                            histories, build_dependency_map(graph, entries, test_filter),
                             metric=metric, half_life_days=horizon, operator=op,
                             budget=Budget(fraction), as_of=project.as_of,
-                            test_class_filter=test_filter,
                         )
                         picked[horizon] = "\n".join(result.selected).encode()
                     assert picked[None] == picked[1e9]
@@ -160,9 +159,9 @@ def test_pipeline_matches_brute_force_oracle():
         op = rng.choice(OPERATORS)
         fraction = rng.choice([0.25, 0.5, 0.75])
         result = minimize_suite(
-            histories, graph, entries,
+            histories, build_dependency_map(graph, entries, test_filter),
             metric=metric, half_life_days=horizon, operator=op,
-            budget=Budget(fraction), as_of=project.as_of, test_class_filter=test_filter,
+            budget=Budget(fraction), as_of=project.as_of,
         )
         oracle_selected, oracle_excluded = pipeline_selected(project, metric, horizon, op, fraction)
         assert set(result.selected) == set(oracle_selected)
@@ -307,9 +306,9 @@ def test_budget_laws():
         selected = {}
         for fraction in (0.25, 0.5, 0.75):
             result = minimize_suite(
-                histories, graph, entries,
+                histories, build_dependency_map(graph, entries, test_filter),
                 metric="extent", half_life_days=32.0, operator="gmean",
-                budget=Budget(fraction), as_of=project.as_of, test_class_filter=test_filter,
+                budget=Budget(fraction), as_of=project.as_of,
             )
             n = len(result.selected) + len(result.excluded)
             assert len(result.selected) == budget_count(n, Budget(fraction))
@@ -379,14 +378,12 @@ def test_reference_project_reproduction():
     manifest = cli.load_manifest(manifest_path)
     inputs = cli.load_project_inputs(manifest)
     labels = cli.load_labels(manifest.labels_path, manifest.project_id)
-    dep_map = build_dependency_map(inputs.graph, inputs.entries, inputs.test_class_filter)
     accuracies = []
     for label in labels:
         result = minimize_suite(
-            inputs.histories, inputs.graph, inputs.entries,
+            inputs.histories, inputs.dep_map,
             metric="extent", half_life_days=32.0, operator="gmean",
             budget=Budget(0.5), as_of=label.as_of,
-            test_class_filter=inputs.test_class_filter, dep_map=dep_map,
         )
         accuracies.append(accuracy(set(result.selected), label))
     mean_accuracy = sum(accuracies) / len(accuracies)

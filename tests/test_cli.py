@@ -215,6 +215,16 @@ class TestMinimizeCommand:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output_dir", ["elsewhere", 7], ids=["string", "number"])
+    def test_an_output_dir_key_is_ignored_like_any_unknown_key(self, tmp_path, monkeypatch, output_dir):
+        manifest = _write_project(tmp_path / "project")
+        raw = json.loads(manifest.read_text())
+        raw["output_dir"] = output_dir
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["minimize", str(manifest), "--as-of", str(REF)]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["project", "result.json", "selected.txt"]
+
     def test_every_minimize_checks_its_result_invariants(self, tmp_path, monkeypatch):
         checked = []
         original = cli.check_result_invariants
@@ -820,6 +830,31 @@ class TestGoldenDigests:
 
 
 BOUND = 2**63 - 1  # the documented largest line count, timestamp or as_of
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("score", "--as-of", "9" * 100),
+        ("score", "--as-of", "x" * 100),
+        ("score", "--horizon", "x" * 100),
+        ("minimize", "--budget", "9" * 100),
+        ("minimize", "--budget", "x" * 100),
+        ("evaluate", "--jobs", "-" + "1" * 100),
+        ("evaluate", "--jobs", "x" * 100),
+        ("sweep", "--operators", "y" * 100),
+        ("sweep", "--budgets", "0.5," + "9" * 100),
+        ("compare", "--bonferroni-m", "9" * 100),
+    ],
+    ids=["as-of-range", "as-of-word", "horizon", "budget-range", "budget-word", "jobs-range", "jobs-word",
+         "operators", "budgets", "bonferroni-m"],
+)
+def test_a_rejected_flag_value_is_echoed_to_at_most_40_characters(capsys, command, flag, value):
+    positionals = ["a.csv", "b.csv"] if command == "compare" else ["manifest.json"]
+    assert cli.main([command, *positionals, flag, value]) == 1
+    err = capsys.readouterr().err
+    rejected = value.rpartition(",")[2]
+    assert f"argument {flag}" in err and rejected[:40] in err and rejected[:41] not in err
 
 
 class TestNumericBounds:

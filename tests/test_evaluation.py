@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskmin import cli
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.errors import LabelError
@@ -155,10 +158,11 @@ class TestRunVersion:
 
     def test_static_and_huge_half_life_select_identically(self):
         histories, graph, entries = _micro_fixture()
+        dep_map = build_dependency_map(graph, entries)
         kwargs = dict(operator="avg", budget=Budget(0.5), as_of=REF)
-        static = minimize_suite(histories, graph, entries,
+        static = minimize_suite(histories, dep_map,
                                 metric="extent", half_life_days=None, **kwargs)
-        limit = minimize_suite(histories, graph, entries,
+        limit = minimize_suite(histories, dep_map,
                                metric="extent", half_life_days=1e9, **kwargs)
         assert static.selected == limit.selected
 
@@ -232,9 +236,9 @@ class TestRunSweep:
             pooled.extend(outcomes)
             histories, graph, entries, test_filter = project.library_inputs()
             result = minimize_suite(
-                histories, graph, entries,
+                histories, build_dependency_map(graph, entries, test_filter),
                 metric="extent", half_life_days=32.0, operator="gmean",
-                budget=Budget(0.5), as_of=label.as_of, test_class_filter=test_filter,
+                budget=Budget(0.5), as_of=label.as_of,
             )
             expected.append(accuracy(set(result.selected), label))
         (row,) = sweep_rows([(key, pooled)])
@@ -255,9 +259,8 @@ class TestRunSweep:
             assert [o.version_id for o in outcomes] == ["v1", "v2"]
             for version, outcome in zip((label, earlier), outcomes):
                 result = minimize_suite(
-                    histories, None, (), metric=metric, half_life_days=horizon,
+                    histories, dep_map, metric=metric, half_life_days=horizon,
                     operator=operator, budget=Budget(fraction), as_of=version.as_of,
-                    dep_map=dep_map,
                 )
                 assert outcome.accuracy == accuracy(set(result.selected), version)
                 assert outcome.config_fingerprint == result.config_fingerprint
@@ -285,6 +288,18 @@ class TestRunSweep:
         grid = SweepGrid(metrics=("frequency",), horizons=(None,), operators=("bogus",), budgets=(0.5,))
         with pytest.raises(ValueError, match="unknown operator 'bogus'"):
             evaluate_grid({}, {"app.T1Test#t1": []}, [_label({"app.T1Test#t1"})], grid)
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (SweepGrid(operators=("bogus",), budgets=(2.0,)), "unknown operator 'bogus'"),
+            (SweepGrid(budgets=(0.5, 2.0)), r"budget fraction must be in \(0, 1\], got 2.0"),
+        ],
+        ids=["operator", "budget"],
+    )
+    def test_every_axis_is_checked_before_any_label_is_scored(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate_grid({}, {"a#b": []}, [], grid)
 
     def test_empty_dataset_yields_no_rows(self):
         _, histories, dep_map, _ = _project_version(9, "v1")
@@ -383,9 +398,52 @@ class TestSharedScoringPath:
                 chosen, dropped = naive_select(expected, fraction)
                 assert outcome.accuracy == accuracy(set(chosen), label)
                 result = minimize_suite(
-                    histories, None, (), metric=metric, half_life_days=horizon, operator=operator,
-                    budget=Budget(fraction), as_of=label.as_of, dep_map=dep_map,
+                    histories, dep_map, metric=metric, half_life_days=horizon, operator=operator,
+                    budget=Budget(fraction), as_of=label.as_of,
                 )
                 assert (list(result.selected), list(result.excluded)) == (chosen, dropped)
                 assert list(result.scores.items()) == [(test_id, expected[test_id]) for test_id in whole]
         assert passes == len(labels) * len(grid.metrics) * len(grid.horizons) * len(grid.operators)
+
+
+def _write_library_project(directory):
+    """The files README's *Library use* reads, and a manifest naming them.
+
+    Class A changes most, then B, then C; tests reach A, A and B, B, and C.
+    """
+    events = [
+        {"path": f"src/main/java/app/{name}.java", "ts": REF - i * DAY, "add": 4, "del": 1, "commit": f"{name}{i}"}
+        for name, count in (("A", 6), ("B", 3), ("C", 1))
+        for i in range(count)
+    ]
+    (directory / "changes.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+    edges = [("T1Test:test1", "A"), ("T2Test:test2", "A"), ("T2Test:test2", "B"),
+             ("T3Test:test3", "B"), ("T4Test:test4", "C")]
+    (directory / "callgraph.txt").write_text(
+        "".join(f"M:app.{test} (M)app.{callee}:m\n" for test, callee in edges), encoding="utf-8"
+    )
+    manifest = {
+        "project_id": "library",
+        "change_log_path": "changes.jsonl",
+        "callgraph_path": "callgraph.txt",
+        "entry_selector": {"pattern": {"class_suffix": "Test", "method_prefix": "test"}},
+        "source_roots": ["src/main/java"],
+    }
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_readme_library_use_runs_and_selects_what_minimize_selects(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    _write_library_project(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    selected = namespace["result"].selected
+    assert selected == ("app.T1Test#test1", "app.T2Test#test2")
+    assert capsys.readouterr().out == f"{selected}\n"
+    assert cli.main(
+        ["minimize", "manifest.json", "--metric", "extent", "--horizon", "32", "--aggregate", "gmean",
+         "--budget", "0.5", "--as-of", "1700000000", "--output", "out"]
+    ) == 0
+    assert (tmp_path / "out" / "selected.txt").read_text(encoding="utf-8").splitlines() == list(selected)
