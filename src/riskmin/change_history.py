@@ -20,11 +20,12 @@ Two input formats are accepted:
 
 Line counts and timestamps may not exceed ``MAX_INTEGER``.
 
-Both parsers give each distinct path one string, shared by all its
-events. The JSONL parser accepts the common record in one call into the
-C scanner and one expression; every other line takes field-by-field
-checks that accept the same lines and name the first thing wrong with a
-rejected one. ``consolidate`` then groups the events per class;
+Both parsers keep one object per distinct path, commit id and timestamp,
+shared by every event that holds it; a rename source equal to a path is
+that path's string. The JSONL parser accepts the common record in one
+call into the C scanner and one expression; every other line takes
+field-by-field checks that accept the same lines and name the first
+thing wrong with a rejected one. ``consolidate`` then groups the events per class;
 ``path_to_class`` decides which paths are class files.
 """
 
@@ -150,11 +151,16 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     fields are checked in one expression. A line failing either is handed
     to ``_checked_event``, whose field-by-field checks name the first
     thing wrong with it; they accept exactly the lines accepted here.
+    The accepted events share one string per distinct path (rename
+    sources included), one string per distinct commit id and one ``int``
+    per distinct timestamp, where the decoder makes new ones on each line.
     """
     events: list[ChangeEvent] = []
     append = events.append
     new = tuple.__new__
-    shared_path = {}.setdefault  # one string per distinct path, shared by its events
+    shared_path = {}.setdefault
+    shared_commit = {}.setdefault
+    shared_timestamp = {}.setdefault
     for lineno, line in numbered_lines(stream):
         line = line.strip()
         if not line:
@@ -180,6 +186,10 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
                     and (renamed_from is None or type(renamed_from) is str)
                 ):
                     path = shared_path(path, path)
+                    if renamed_from is not None:
+                        renamed_from = shared_path(renamed_from, renamed_from)
+                    ts = shared_timestamp(ts, ts)
+                    commit = shared_commit(commit, commit)
                     append(new(ChangeEvent, (path, ts, added, deleted, modified, commit, renamed_from)))
                     continue
         except (ValueError, RecursionError, KeyError):  # not JSON, or a required field missing
@@ -272,8 +282,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     events: list[ChangeEvent] = []
     append = events.append
     new = tuple.__new__
-    shared_path = {}.setdefault  # one string per distinct path, shared by its events
-    commit: str | None = None  # the id and timestamp of the last commit header
+    shared_path = {}.setdefault  # one string per distinct path, shared by its events and rename sources
+    commit: str | None = None  # the id and timestamp of the last commit header, shared by its events
     timestamp = 0
     binary_lines: list[int] = []
     for lineno, line in numbered_lines(stream):
@@ -305,6 +315,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
         renamed_from = None
         if "=>" in path:
             renamed_from, path = _split_rename(path)
+            if renamed_from is not None:
+                renamed_from = shared_path(renamed_from, renamed_from)
         path = shared_path(path, path)
         append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
     if binary_lines:

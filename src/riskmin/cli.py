@@ -223,21 +223,25 @@ class ProjectInputs:
 def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
     """The project's class histories, entry points and dependency map, and the seconds taken to build them.
 
-    This is the one place a command builds the dependency map; the call
-    graph is freed once the map is built.
+    This is the one place a command builds the dependency map. The call
+    graph is read first and freed once the map is built, before the change
+    log is read, so the graph and the events are never alive together.
+    Hence an unreadable or malformed call graph is reported before any
+    fault of the change log.
     """
     started = time.perf_counter()
+    graph = _parse_input(
+        manifest.callgraph_path, lambda handle: parse_callgraph_edges(handle, manifest.callgraph_format)
+    )
+    entries = frozenset(test_entry_points(graph, manifest.entry_selector))
+    dep_map = build_dependency_map(graph, entries, entry_class_filter(entries, manifest.exclude_classes))
+    del graph
     parse_events = parse_git_numstat if manifest.change_log_format == "numstat" else parse_change_log
     events = _parse_input(manifest.change_log_path, parse_events)
     source_cfg = SourceRootConfig(
         roots=tuple(manifest.source_roots), extensions=tuple(manifest.extensions)
     )
     histories = consolidate(events, source_cfg)
-    graph = _parse_input(
-        manifest.callgraph_path, lambda handle: parse_callgraph_edges(handle, manifest.callgraph_format)
-    )
-    entries = frozenset(test_entry_points(graph, manifest.entry_selector))
-    dep_map = build_dependency_map(graph, entries, entry_class_filter(entries, manifest.exclude_classes))
     return ProjectInputs(histories, entries, dep_map, time.perf_counter() - started)
 
 
@@ -372,38 +376,50 @@ def _evaluate_manifests(
     Each project's ``ProjectInputs.seconds`` (ingestion and dependency
     analysis) is charged to every one of its outcomes. A project with no
     labelled versions adds nothing, so both are empty if none has any.
-    A version id may occur only once in the pool.
+    A version id may occur only once in the pool. Each project is loaded
+    and evaluated by its own ``_pool_project`` call, so its inputs, labels
+    and cells are freed before the next manifest is loaded, and a pooled
+    run holds one project's inputs at a time.
     """
     pooled: list[GridCell] = []
     by_project: dict[str, list[VersionOutcome]] = {}
     version_ids: set[str] = set()
     for manifest_path in args.manifests:
-        manifest = load_manifest(Path(manifest_path))
-        inputs = load_project_inputs(manifest)
-        labels = load_labels(manifest.labels_path, manifest.project_id)
-        for label in labels:
-            if label.version_id in version_ids:
-                raise LabelError(
-                    f"version {label.version_id!r} of {manifest_path} "
-                    "is already labelled by an earlier manifest"
-                )
-            version_ids.add(label.version_id)
-        if not labels:
-            continue
-        unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - inputs.dep_map.keys()
-        if unreachable:
-            logger.warning(
-                "project %r: %d fault-revealing test id(s) are not entry points and always count as missed",
-                manifest.project_id,
-                len(unreachable),
-            )
-        cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds)
-        by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
-        # Every project's cells follow the grid order, so they pool position by position.
-        pooled = cells if not pooled else [
-            (key, pool + group) for (key, pool), (_, group) in zip(pooled, cells)
-        ]
+        pooled = _pool_project(manifest_path, grid, pooled, by_project, version_ids)
     return pooled, by_project
+
+
+def _pool_project(
+    manifest_path: str,
+    grid: SweepGrid,
+    pooled: list[GridCell],
+    by_project: dict[str, list[VersionOutcome]],
+    version_ids: set[str],
+) -> list[GridCell]:
+    """``pooled`` with one manifest's cells added; its outcomes and version ids join ``by_project`` and ``version_ids``."""
+    manifest = load_manifest(Path(manifest_path))
+    inputs = load_project_inputs(manifest)
+    labels = load_labels(manifest.labels_path, manifest.project_id)
+    for label in labels:
+        if label.version_id in version_ids:
+            raise LabelError(
+                f"version {label.version_id!r} of {manifest_path} "
+                "is already labelled by an earlier manifest"
+            )
+        version_ids.add(label.version_id)
+    if not labels:
+        return pooled
+    unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - inputs.dep_map.keys()
+    if unreachable:
+        logger.warning(
+            "project %r: %d fault-revealing test id(s) are not entry points and always count as missed",
+            manifest.project_id,
+            len(unreachable),
+        )
+    cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds)
+    by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
+    # Every project's cells follow the grid order, so they pool position by position.
+    return cells if not pooled else [(key, pool + group) for (key, pool), (_, group) in zip(pooled, cells)]
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -124,16 +124,22 @@ class TestParseChangeLog:
         assert event.renamed_from == "a/Old.java"
 
     def test_events_of_one_path_share_one_string(self):
+        # Timestamps above 256, which CPython does not cache, so a shared int is the parser's doing.
         records = [
-            {"path": "a/B.java", "ts": 1, "add": 1, "del": 0, "commit": "c1"},
-            {"path": "a/C.java", "ts": 2, "add": 1, "del": 0, "commit": "c2"},
-            {"path": "a/B.java", "ts": 3, "add": 2, "del": 1, "mod": 4, "commit": "c3"},
-            {"path": "a/B.java", "ts": 4, "add": 0, "del": 0, "commit": "c4", "renamed_from": "a/Old.java"},
+            {"path": "a/B.java", "ts": 1000, "add": 1, "del": 0, "commit": "c1"},
+            {"path": "a/C.java", "ts": 2000, "add": 1, "del": 0, "commit": "c2"},
+            {"path": "a/B.java", "ts": 3000, "add": 2, "del": 1, "mod": 4, "commit": "c3"},
+            {"path": "a/C.java", "ts": 3000, "add": 1, "del": 1, "commit": "c3"},
+            {"path": "a/B.java", "ts": 4000, "add": 0, "del": 0, "commit": "c4", "renamed_from": "a/Old.java"},
+            {"path": "a/D.java", "ts": 5000, "add": 0, "del": 0, "commit": "c5", "renamed_from": "a/C.java"},
         ]
         events = _parse_jsonl("\n".join(json.dumps(r) for r in records))
         assert [e.path for e in events] == [r["path"] for r in records]
-        assert events[0].path is events[2].path is events[3].path
-        assert events[1].path is not events[0].path
+        assert events[0].path is events[2].path is events[4].path
+        assert events[1].path is events[3].path is not events[0].path
+        assert events[2].commit_id is events[3].commit_id
+        assert events[2].timestamp is events[3].timestamp
+        assert events[5].renamed_from is events[1].path
 
 
 class TestParseGitNumstat:
@@ -227,12 +233,18 @@ class TestParseGitNumstat:
             "COMMIT c2 2000\n-\t-\tsrc/a/B.java\n"
             f"COMMIT c3 3000\n{BOUND}\t0\tsrc/a/B.java\n"
             "COMMIT c4 4000\n0\t0\tsrc/{x => a}/B.java\n5\t5\tsrc/x/C.java => src/a/B.java\n"
+            "COMMIT c5 5000\n1\t1\tsrc/{a => b}/C.java\n"
         )
         events = parse_git_numstat(io.StringIO(text))
-        assert [e.path for e in events] == ["src/a/B.java", "src/a/C.java"] + ["src/a/B.java"] * 4
+        assert [e.path for e in events] == (
+            ["src/a/B.java", "src/a/C.java"] + ["src/a/B.java"] * 4 + ["src/b/C.java"]
+        )
         first = events[0].path
         assert all(e.path is first for e in events if e.path == first)
         assert events[1].path is not first
+        assert events[0].commit_id is events[1].commit_id
+        assert events[0].timestamp is events[1].timestamp
+        assert events[-1].renamed_from is events[1].path
 
     def test_zero_header_timestamp_is_an_error(self):
         text = "COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def 0\n1\t2\tsrc/A.java\n"

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import types
+import weakref
 
 import pytest
 
@@ -1194,3 +1195,58 @@ class TestParseErrorsNameTheFile:
         assert caught.value.line == 2 and str(caught.value) == (
             f"{tmp_path / 'callgraph.txt'}: malformed call-graph line at line 2"
         )
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_ARGV))
+    def test_a_malformed_call_graph_is_reported_before_a_missing_change_log(self, tmp_path, capsys, command):
+        manifest = _write_project(tmp_path / "p", callgraph_format="callgraph-text")
+        (tmp_path / "p" / "changes.jsonl").unlink()
+        _break_line(tmp_path / "p" / "callgraph.txt", 2, "M:a.T:t")
+        argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'p' / 'callgraph.txt'}: malformed call-graph line at line 2" in err
+        assert "changes.jsonl" not in err
+
+
+class TestOneInputAtATime:
+    """A command holds one project's inputs at a time, freed by reference counting alone."""
+
+    @pytest.mark.parametrize("change_log_format", ["jsonl", "numstat"])
+    def test_the_call_graph_is_freed_before_the_change_log_is_read(self, tmp_path, monkeypatch, change_log_format):
+        graphs, freed = [], []
+        parse_graph = cli.parse_callgraph_edges
+        parser_name = "parse_change_log" if change_log_format == "jsonl" else "parse_git_numstat"
+        parse_events = getattr(cli, parser_name)
+
+        def keeping_a_weakref(*args, **kwargs):
+            graph = parse_graph(*args, **kwargs)
+            graphs.append(weakref.ref(graph))
+            return graph
+
+        def checking_the_graph_is_gone(*args, **kwargs):
+            freed.append([ref() is None for ref in graphs])
+            return parse_events(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_callgraph_edges", keeping_a_weakref)
+        monkeypatch.setattr(cli, parser_name, checking_the_graph_is_gone)
+        manifest = _write_project(tmp_path, change_log_format=change_log_format)
+        assert cli.main(["minimize", str(manifest), "--as-of", str(REF), "--output", str(tmp_path / "out")]) == 0
+        assert freed == [[True]]
+
+    def test_a_pooled_evaluate_frees_each_project_before_loading_the_next(self, tmp_path, monkeypatch):
+        first = _write_project(tmp_path / "p1", project_id="one")
+        versions = [{"version_id": "w1", "as_of": REF, "fault_revealing_tests": ["app.T1Test#t1"]}]
+        second = _write_project(tmp_path / "p2", project_id="two", versions=versions)
+        loaded, freed = [], []
+        load = cli.load_project_inputs
+
+        def checking_the_last_project_is_gone(manifest):
+            freed.append([ref() is None for ref in loaded])
+            inputs = load(manifest)
+            # ProjectInputs, and one of its class histories, standing for what it holds.
+            loaded.extend((weakref.ref(inputs), weakref.ref(inputs.histories["app.A"])))
+            return inputs
+
+        monkeypatch.setattr(cli, "load_project_inputs", checking_the_last_project_is_gone)
+        assert cli.main(["evaluate", str(first), str(second), "--output", str(tmp_path / "out")]) == 0
+        assert freed == [[], [True, True]]
