@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, NamedTuple
 
-from .errors import ParseError, numbered_lines
+from .errors import ParseError, text_lines, undecodable_after
 
 logger = logging.getLogger(__name__)
 
@@ -137,17 +137,23 @@ class SourceRootConfig:
             raise ValueError("an empty extension would make every file a class file")
         object.__setattr__(self, "roots", tuple(r.rstrip("/") for r in self.roots))
         object.__setattr__(self, "extensions", tuple(self.extensions))
+        # Not a field: the non-empty roots, longest first, as path_to_class tries them.
+        object.__setattr__(
+            self, "_longest_roots_first", tuple(r for r in sorted(self.roots, key=len, reverse=True) if r)
+        )
 
 
 _REQUIRED_JSONL_FIELDS = ("path", "ts", "add", "del", "commit")
 _REQUIRED_JSONL_VALUES = itemgetter(*_REQUIRED_JSONL_FIELDS)
-_decode_json = json.JSONDecoder().raw_decode
+_scan_json = json.JSONDecoder().scan_once  # what raw_decode calls, less its Python frame
 
 
 def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     """Parse change-event JSONL into a list of events, in input order.
 
-    Each stripped line is decoded by one call into the C scanner, and its
+    A text stream is enumerated directly, and a line iterable, which may
+    hold bytes, goes through ``numbered_lines`` (see ``text_lines``). Each
+    stripped line is decoded by one call into the C scanner, and its
     fields are checked in one expression. A line failing either is handed
     to ``_checked_event``, whose field-by-field checks name the first
     thing wrong with it; they accept exactly the lines accepted here.
@@ -161,40 +167,45 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     shared_path = {}.setdefault
     shared_commit = {}.setdefault
     shared_timestamp = {}.setdefault
-    for lineno, line in numbered_lines(stream):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record, end = _decode_json(line)
-            if end == len(line) and type(record) is dict:
-                path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
-                modified = record.get("mod", 0)
-                renamed_from = record.get("renamed_from")
-                # JSON yields no int subclass but bool, which `type(...) is int` rejects.
-                if (
-                    type(ts) is int
-                    and type(added) is int
-                    and type(deleted) is int
-                    and type(modified) is int
-                    and 0 < ts <= MAX_INTEGER
-                    and 0 <= added <= MAX_INTEGER
-                    and 0 <= deleted <= MAX_INTEGER
-                    and 0 <= modified <= MAX_INTEGER
-                    and type(path) is str
-                    and type(commit) is str
-                    and (renamed_from is None or type(renamed_from) is str)
-                ):
-                    path = shared_path(path, path)
-                    if renamed_from is not None:
-                        renamed_from = shared_path(renamed_from, renamed_from)
-                    ts = shared_timestamp(ts, ts)
-                    commit = shared_commit(commit, commit)
-                    append(new(ChangeEvent, (path, ts, added, deleted, modified, commit, renamed_from)))
-                    continue
-        except (ValueError, RecursionError, KeyError):  # not JSON, or a required field missing
-            pass
-        append(_checked_event(line, lineno))
+    lineno = 0
+    try:
+        for lineno, line in text_lines(stream):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record, end = _scan_json(line, 0)
+                if end == len(line) and type(record) is dict:
+                    path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
+                    modified = record.get("mod", 0)
+                    renamed_from = record.get("renamed_from")
+                    # JSON yields no int subclass but bool, which `type(...) is int` rejects.
+                    if (
+                        type(ts) is int
+                        and type(added) is int
+                        and type(deleted) is int
+                        and type(modified) is int
+                        and 0 < ts <= MAX_INTEGER
+                        and 0 <= added <= MAX_INTEGER
+                        and 0 <= deleted <= MAX_INTEGER
+                        and 0 <= modified <= MAX_INTEGER
+                        and type(path) is str
+                        and type(commit) is str
+                        and (renamed_from is None or type(renamed_from) is str)
+                    ):
+                        path = shared_path(path, path)
+                        if renamed_from is not None:
+                            renamed_from = shared_path(renamed_from, renamed_from)
+                        ts = shared_timestamp(ts, ts)
+                        commit = shared_commit(commit, commit)
+                        append(new(ChangeEvent, (path, ts, added, deleted, modified, commit, renamed_from)))
+                        continue
+            # StopIteration: no JSON value at all; KeyError: a required field missing
+            except (StopIteration, ValueError, RecursionError, KeyError):
+                pass
+            append(_checked_event(line, lineno))
+    except UnicodeDecodeError:
+        raise undecodable_after(lineno) from None
     return events
 
 
@@ -277,7 +288,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     A file line is two counts and a path, separated by tabs. A count is
     ``-`` or decimal digits (``str.isdecimal``: the characters the regex
     ``\\d`` matches); the path is the rest of the line, non-empty and
-    without a line break.
+    without a line break. A text stream is enumerated directly, and a line
+    iterable, which may hold bytes, goes through ``numbered_lines``.
     """
     events: list[ChangeEvent] = []
     append = events.append
@@ -286,39 +298,43 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     commit: str | None = None  # the id and timestamp of the last commit header, shared by its events
     timestamp = 0
     binary_lines: list[int] = []
-    for lineno, line in numbered_lines(stream):
-        line = line.rstrip("\n")
-        if not line or line.isspace():
-            continue
-        if line.startswith("COMMIT"):
-            fields = line.split()
-            if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
-                raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
-            commit, timestamp = fields[1], _number(fields[2], lineno)
-            if timestamp <= 0:
-                raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
-            continue
-        added_text, _, rest = line.partition("\t")
-        deleted_text, _, path = rest.partition("\t")
-        numeric = added_text.isdecimal() and deleted_text.isdecimal()
-        if not (numeric or _is_count(added_text) and _is_count(deleted_text)) or not path or "\n" in path:
-            raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
-        if commit is None:
-            raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
-        if numeric:
-            # Fewer than 19 digits cannot exceed MAX_INTEGER.
-            added = int(added_text) if len(added_text) < 19 else _number(added_text, lineno)
-            deleted = int(deleted_text) if len(deleted_text) < 19 else _number(deleted_text, lineno)
-        else:
-            binary_lines.append(lineno)
-            added = deleted = 0
-        renamed_from = None
-        if "=>" in path:
-            renamed_from, path = _split_rename(path)
-            if renamed_from is not None:
-                renamed_from = shared_path(renamed_from, renamed_from)
-        path = shared_path(path, path)
-        append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
+    lineno = 0
+    try:
+        for lineno, line in text_lines(stream):
+            line = line.rstrip("\n")
+            if not line or line.isspace():
+                continue
+            if line.startswith("COMMIT"):
+                fields = line.split()
+                if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
+                    raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
+                commit, timestamp = fields[1], _number(fields[2], lineno)
+                if timestamp <= 0:
+                    raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
+                continue
+            added_text, _, rest = line.partition("\t")
+            deleted_text, _, path = rest.partition("\t")
+            numeric = added_text.isdecimal() and deleted_text.isdecimal()
+            if not (numeric or _is_count(added_text) and _is_count(deleted_text)) or not path or "\n" in path:
+                raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
+            if commit is None:
+                raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
+            if numeric:
+                # Fewer than 19 digits cannot exceed MAX_INTEGER.
+                added = int(added_text) if len(added_text) < 19 else _number(added_text, lineno)
+                deleted = int(deleted_text) if len(deleted_text) < 19 else _number(deleted_text, lineno)
+            else:
+                binary_lines.append(lineno)
+                added = deleted = 0
+            renamed_from = None
+            if "=>" in path:
+                renamed_from, path = _split_rename(path)
+                if renamed_from is not None:
+                    renamed_from = shared_path(renamed_from, renamed_from)
+            path = shared_path(path, path)
+            append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
+    except UnicodeDecodeError:
+        raise undecodable_after(lineno) from None
     if binary_lines:
         logger.warning(
             "%d line(s) with binary file counts recorded as 0/0; the first at line %d",
@@ -340,8 +356,8 @@ def path_to_class(path: str, cfg: SourceRootConfig) -> str | None:
     if extension is None:
         return None
     relative = path
-    for root in sorted(cfg.roots, key=len, reverse=True):
-        if root and path.startswith(root + "/"):
+    for root in cfg._longest_roots_first:
+        if path.startswith(root + "/"):
             relative = path[len(root) + 1 :]
             break
     stem = relative[: -len(extension)]
@@ -369,7 +385,9 @@ class _UnionFind:
             self._parent[ra] = rb
 
 
-_BY_TIME_THEN_COMMIT = itemgetter(1, 5)  # (timestamp, commit_id) of a ChangeEvent
+_PATH = itemgetter(0)  # of a ChangeEvent
+_RENAMED_FROM = itemgetter(6)
+_BY_TIME_THEN_COMMIT = itemgetter(1, 5)
 
 
 def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[str, ClassHistory]:
@@ -377,21 +395,23 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
 
     Paths are linked by explicit rename annotations first, then by equal
     resolved class ids. Each history is sorted by (timestamp, commit_id)
-    and deduplicated on (commit_id, path). The merged identity is the
-    class id resolved from the path of the newest event in the group.
+    and deduplicated on (commit_id, path), keeping the first event of the
+    input. The merged identity is the class id resolved from the path of
+    the newest event in the group. Histories come in the input order of
+    their first events.
+
+    Two passes over the events, which are first made a list if they are
+    not one: the first links the paths, the second appends each event of a
+    class file to its group's list. No list holds every kept event, and
+    a group's list is emptied once its history holds its events.
     """
+    if not isinstance(events, list):
+        events = list(events)
+    class_of = {path: path_to_class(path, cfg) for path in dict.fromkeys(map(_PATH, events))}
     groups = _UnionFind()
-    class_of: dict[str, str | None] = {}
-    kept: list[ChangeEvent] = []
-    for event in events:
-        path = event.path
-        if path not in class_of:
-            class_of[path] = path_to_class(path, cfg)
-        if class_of[path] is None:
-            continue
-        kept.append(event)
-        if event.renamed_from:
-            groups.union(event.renamed_from, path)
+    for event in filter(_RENAMED_FROM, events):
+        if class_of[event.path] is not None:
+            groups.union(event.renamed_from, event.path)
 
     # Same resolved class id links otherwise-unrelated path groups. Only paths
     # with events of their own take part: a rename source without events stays
@@ -401,10 +421,19 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
         if class_id is not None:
             groups.union(path, class_anchor.setdefault(class_id, path))
 
-    group_of = {path: groups.find(path) for path, class_id in class_of.items() if class_id is not None}
+    # One list per group, in the order of each group's first path, which is
+    # the order of its first event; every path of a class file maps to its list.
     by_group: dict[str, list[ChangeEvent]] = {}
-    for event in kept:
-        by_group.setdefault(group_of[event.path], []).append(event)
+    members_of = {
+        path: by_group.setdefault(groups.find(path), [])
+        for path, class_id in class_of.items()
+        if class_id is not None
+    }
+    members_for = members_of.get
+    for event in events:
+        members = members_for(event[0])
+        if members is not None:
+            members.append(event)
 
     histories: dict[str, ClassHistory] = {}
     for members in by_group.values():
@@ -415,6 +444,7 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
             if key not in seen:
                 seen.add(key)
                 unique.append(event)
+        members.clear()  # so that each group's list is freed once its history holds the events
         unique.sort(key=_BY_TIME_THEN_COMMIT)
         class_id = class_of[unique[-1].path]
         histories[class_id] = ClassHistory(class_id=class_id, events=tuple(unique))

@@ -22,7 +22,7 @@ import re
 from bisect import bisect_left
 from typing import IO, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ParseError, numbered_lines
+from .errors import ParseError, text_lines, undecodable_after
 
 logger = logging.getLogger(__name__)
 
@@ -110,35 +110,44 @@ _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
 
 
 def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEXT) -> CallGraph:
-    """Build a call graph from an edge-list stream in the given format."""
+    """Build a call graph from an edge-list stream in the given format.
+
+    A text stream is enumerated directly, and a line iterable, which may
+    hold bytes, goes through ``numbered_lines`` (see ``text_lines``).
+    """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown call-graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
     graph = CallGraph()
+    add_edge = graph.add_edge
     unknown_tag_lines: list[int] = []
     text = fmt == FORMAT_CALLGRAPH_TEXT
     parse_token = _parse_method_token if text else parse_test_id
     refs: dict[str, MethodRef] = {}  # one record per distinct token, shared by its edges
-    for lineno, line in numbered_lines(stream):
-        line = line.strip()
-        if not line:
-            continue
-        if text:
-            if line.startswith("C:"):
+    lineno = 0
+    try:
+        for lineno, line in text_lines(stream):
+            line = line.strip()
+            if not line:
                 continue
-            match = _TEXT_EDGE.match(line)
-            if match is None:
-                raise ParseError(f"malformed call-graph line at line {lineno}", line=lineno)
-            caller_token, tag, callee_token = match.groups()
-            if tag not in _INVOCATION_TAGS:
-                unknown_tag_lines.append(lineno)
-        else:
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)
-            caller_token, callee_token = parts[0].strip(), parts[1].strip()
-        caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_token(caller_token, lineno))
-        callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_token(callee_token, lineno))
-        graph.add_edge(caller, callee)
+            if text:
+                if line.startswith("C:"):
+                    continue
+                match = _TEXT_EDGE.match(line)
+                if match is None:
+                    raise ParseError(f"malformed call-graph line at line {lineno}", line=lineno)
+                caller_token, tag, callee_token = match.groups()
+                if tag not in _INVOCATION_TAGS:
+                    unknown_tag_lines.append(lineno)
+            else:
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)
+                caller_token, callee_token = parts[0].strip(), parts[1].strip()
+            caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_token(caller_token, lineno))
+            callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_token(callee_token, lineno))
+            add_edge(caller, callee)
+    except UnicodeDecodeError:
+        raise undecodable_after(lineno) from None
     if unknown_tag_lines:
         logger.warning(
             "%d edge(s) with an unknown invocation type kept; the first at line %d",

@@ -6,6 +6,7 @@ individually.
 
 from __future__ import annotations
 
+from io import TextIOBase
 from typing import IO, Iterable, Iterator
 
 
@@ -51,11 +52,13 @@ class AlignmentError(ValueError):
 
 
 def numbered_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
-    """(line number from 1, text) of each line of a text stream or of UTF-8 bytes.
+    """(line number from 1, text) of each line of an iterable of lines, ``str`` or UTF-8 bytes.
 
-    Input that is not valid UTF-8 raises ``ParseError``: at its line for
-    bytes, after the last line returned for a text stream, which decodes
-    ahead of the lines it returns.
+    The parsers take a text stream through ``text_lines``, which enumerates
+    it directly; this generator serves lists of lines, lines of bytes and
+    the CSV reader. Input that is not valid UTF-8 raises ``ParseError``: at
+    its line for bytes, after the last line returned for a text stream,
+    which decodes ahead of the lines it returns.
     """
     lineno = 0
     try:
@@ -67,4 +70,19 @@ def numbered_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
                     raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
             yield lineno, raw
     except UnicodeDecodeError:
-        raise ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1) from None
+        raise undecodable_after(lineno) from None
+
+
+def text_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
+    """(line number from 1, text) of each line: ``enumerate`` of a text stream, or ``numbered_lines``.
+
+    No generator frame is resumed per line of a text stream, so its
+    ``UnicodeDecodeError`` reaches the caller, which raises
+    ``undecodable_after`` of the last line it was given in its place.
+    """
+    return enumerate(stream, 1) if isinstance(stream, TextIOBase) else numbered_lines(stream)
+
+
+def undecodable_after(lineno: int) -> ParseError:
+    """The error for a text stream that fails to decode after line ``lineno``."""
+    return ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1)

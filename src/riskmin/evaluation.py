@@ -182,6 +182,9 @@ def _scoring_passes(
     Yields the grid index of the pass's first cell (its first budget), the
     index of the evaluation instant in ``as_ofs``, every test's score, the
     tests in ``rank`` order, and the seconds of the shared work the pass used.
+    Only the classes that some dependency signature reaches are folded: a
+    class's fold does not depend on any other's, so the risks that are read
+    are the same, bit for bit.
     """
     n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
     by_signature: dict[tuple[str, ...], list[str]] = {}
@@ -191,6 +194,9 @@ def _scoring_passes(
         (test_id, k) for k, test_ids in enumerate(by_signature.values()) for test_id in test_ids
     ]
     t0 = time.perf_counter()
+    reached = {class_id for signature in by_signature for class_id in signature}
+    histories = {class_id: history for class_id, history in histories.items() if class_id in reached}
+    del reached  # this generator lives through the whole grid
     by_instant = risk_tables_by_instant(histories, grid.metrics, grid.horizons, as_ofs)
     weights_seconds = (time.perf_counter() - t0) / max(len(as_ofs), 1)  # derived once, shared by every instant
     for v in range(len(as_ofs)):

@@ -252,6 +252,27 @@ class TestParseGitNumstat:
             parse_git_numstat(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    ("parse", "line"),
+    [
+        (parse_git_numstat, lambda i: f"COMMIT c{i} {i + 1}\n1\t2\tsrc/A{i % 9}.java\n"),
+        (parse_change_log, lambda i: json.dumps({"path": "a/B.java", "ts": i + 1, "add": 1, "del": 0, "commit": "c"}) + "\n"),
+    ],
+    ids=["numstat", "jsonl"],
+)
+def test_a_file_that_fails_to_decode_names_the_last_line_read(tmp_path, parse, line):
+    """A text stream is enumerated directly; its decode error names the line the
+    generator over the same file names."""
+    path = tmp_path / "log"
+    path.write_bytes("".join(map(line, range(600))).encode() + b"\xff\n")
+    with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as through_generator:
+        parse(line for line in handle)
+    with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as direct:
+        parse(handle)
+    assert (direct.value.line, str(direct.value)) == (through_generator.value.line, str(through_generator.value))
+    assert str(direct.value).startswith("invalid UTF-8 after line") and direct.value.line > 300
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not available")
 def test_numstat_adapter_against_real_git_rename_output(tmp_path):
     """Round-trip a two-commit repository with a rename through git itself."""
@@ -314,6 +335,15 @@ class TestPathToClass:
     def test_longest_root_wins(self):
         cfg = SourceRootConfig(roots=("src", "src/main/java"))
         assert path_to_class("src/main/java/a/B.java", cfg) == "a.B"
+
+    def test_roots_stay_as_given_while_the_longest_is_tried_first(self):
+        cfg = SourceRootConfig(roots=("src", "/", "src/main/java/"))
+        assert cfg.roots == ("src", "", "src/main/java")
+        assert cfg == SourceRootConfig(roots=("src", "", "src/main/java"))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert path_to_class("src/main/java/a/B.java", cfg) == "a.B"
+        assert path_to_class("src/a/B.java", cfg) == "a.B"
+        assert path_to_class("/a/B.java", cfg) == ".a.B"  # the empty root matches nothing
 
     def test_total_and_deterministic_over_valid_extensions(self):
         rng = random.Random(7)
@@ -488,6 +518,75 @@ class TestConsolidate:
         ]
         histories = consolidate(events, cfg)
         assert sorted(histories) == ["a.Foo", "b.Bar"]
+
+    # The next four pin the exact events and key order of a history where the
+    # order cannot follow from the timestamps alone.
+    def test_one_commit_on_both_paths_of_a_renamed_class_keeps_input_order(self):
+        events = [
+            _event("a/C.java", 9, "c9"),
+            _event("a/Old.java", 1, "c0"),
+            _event("a/New.java", 2, "c1", renamed_from="a/Old.java"),
+            _event("a/New.java", 3, "c2", add=4),
+            _event("a/Old.java", 3, "c2", add=5),
+        ]
+        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        assert list(histories) == ["C", "Old"]
+        assert histories["Old"].events == (
+            ChangeEvent("a/Old.java", 1, 1, 0, 0, "c0"),
+            ChangeEvent("a/New.java", 2, 1, 0, 0, "c1", "a/Old.java"),
+            ChangeEvent("a/New.java", 3, 4, 0, 0, "c2"),
+            ChangeEvent("a/Old.java", 3, 5, 0, 0, "c2"),
+        )
+        assert histories["C"].events == (ChangeEvent("a/C.java", 9, 1, 0, 0, "c9"),)
+
+    def test_equal_timestamps_order_commit_ids_against_input_order(self):
+        events = [
+            _event("a/B.java", 5, "c3", add=1),
+            _event("a/B.java", 5, "c2", add=2),
+            _event("a/B.java", 4, "c9", add=3),
+            _event("a/B.java", 5, "c1", add=4),
+            _event("a/B.java", 6, "c0", add=5),
+        ]
+        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        assert list(histories) == ["B"]
+        assert histories["B"].events == (
+            ChangeEvent("a/B.java", 4, 3, 0, 0, "c9"),
+            ChangeEvent("a/B.java", 5, 4, 0, 0, "c1"),
+            ChangeEvent("a/B.java", 5, 2, 0, 0, "c2"),
+            ChangeEvent("a/B.java", 5, 1, 0, 0, "c3"),
+            ChangeEvent("a/B.java", 6, 5, 0, 0, "c0"),
+        )
+
+    def test_a_repeated_commit_path_line_keeps_the_first_event_in_a_renamed_class(self):
+        events = [
+            _event("a/D.java", 2, "c1", add=1),
+            _event("a/E.java", 3, "c2", renamed_from="a/D.java", add=2),
+            _event("a/D.java", 2, "c1", add=3),
+            _event("a/E.java", 1, "c2", renamed_from="a/D.java", add=4),
+            _event("a/B.java", 1, "c1", add=5),
+        ]
+        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        assert list(histories) == ["E", "B"]
+        assert histories["E"].events == (
+            ChangeEvent("a/D.java", 2, 1, 0, 0, "c1"),
+            ChangeEvent("a/E.java", 3, 2, 0, 0, "c2", "a/D.java"),
+        )
+        assert histories["B"].events == (ChangeEvent("a/B.java", 1, 5, 0, 0, "c1"),)
+
+    def test_consolidate_of_a_generator(self):
+        events = [
+            _event("a/C.java", 3, "c3"),
+            _event("README.md", 1, "c1"),
+            _event("a/B.java", 2, "c2"),
+            _event("a/C.java", 1, "c1"),
+        ]
+        histories = consolidate((event for event in events), SourceRootConfig(roots=("a",)))
+        assert list(histories) == ["C", "B"]
+        assert histories["C"].events == (
+            ChangeEvent("a/C.java", 1, 1, 0, 0, "c1"),
+            ChangeEvent("a/C.java", 3, 1, 0, 0, "c3"),
+        )
+        assert histories["B"].events == (ChangeEvent("a/B.java", 2, 1, 0, 0, "c2"),)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskmin import cli
 from riskmin.dependency_graph import (
     CallGraph,
     MethodRef,
@@ -87,6 +88,56 @@ class TestParseCallgraphText:
 def test_undecodable_bytes_name_the_line(fmt, good):
     with pytest.raises(ParseError, match="UTF-8 at line 2"):
         parse_callgraph_edges([good, b"\xff" + good], fmt)
+
+
+def _edge_lines(count):
+    return [f"M:a.T:t{i % 7} (M)a.F:b{i}\n" for i in range(count)]
+
+
+class TestCallgraphTextStream:
+    """A text stream is enumerated directly, without a generator over its lines."""
+
+    def test_invalid_utf8_names_the_line_of_the_generator_over_the_same_file(self, tmp_path):
+        # About 22 bytes a line: line 901 is in the third 8 KiB block the stream decodes.
+        lines = [line.encode() for line in _edge_lines(2000)]
+        lines[900] = b"M:a.T:t (M)a.F:\xff\n"
+        path = tmp_path / "callgraph.txt"
+        path.write_bytes(b"".join(lines))
+        with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as through_generator:
+            parse_callgraph_edges(line for line in handle)
+        with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as direct:
+            parse_callgraph_edges(handle)
+        assert (direct.value.line, str(direct.value)) == (through_generator.value.line, str(through_generator.value))
+        assert str(direct.value).startswith("invalid UTF-8 after line") and direct.value.line > 300
+
+    def test_a_file_advanced_by_next_is_read_from_where_it_stands(self, tmp_path):
+        path = tmp_path / "callgraph.txt"
+        path.write_text("not an edge\n" + "".join(_edge_lines(3)) + "M:broken\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            next(handle)
+            with pytest.raises(ParseError, match="malformed call-graph line at line 4$"):
+                parse_callgraph_edges(handle)
+        with open(path, encoding="utf-8") as handle:
+            next(handle)
+            graph = parse_callgraph_edges(line for line in handle if line != "M:broken\n")
+        assert graph.edge_count == 3
+
+    def test_invalid_utf8_exits_3(self, tmp_path, capsys):
+        manifest = {
+            "project_id": "p",
+            "change_log_path": "changes.jsonl",
+            "callgraph_path": "callgraph.txt",
+            "callgraph_format": "callgraph-text",
+            "entry_selector": {"pattern": {"class_suffix": "T"}},
+            "source_roots": ["src"],
+        }
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        (tmp_path / "changes.jsonl").write_text("", encoding="utf-8")
+        lines = [line.encode() for line in _edge_lines(2000)]
+        lines[1500] = b"\xfe" + lines[1500]
+        (tmp_path / "callgraph.txt").write_bytes(b"".join(lines))
+        assert cli.main(["score", str(tmp_path / "manifest.json"), "--as-of", "1"]) == 3
+        assert "callgraph.txt: invalid UTF-8 after line" in capsys.readouterr().err
 
 
 class TestParseCallgraphCsv:

@@ -258,8 +258,38 @@ def test_callgraph_text_parser_agrees_with_the_reference_grammar(lines):
 
 
 def _assert_callgraph_text_agrees(lines):
-    graph, error = _outcome(lambda ls: parse_callgraph_edges(ls, FORMAT_CALLGRAPH_TEXT), lines)
-    edges, reference_error = _outcome(reference_callgraph_text, lines)
+    """Parser and reference agree on the lines, and on them read from a text stream.
+
+    The lines are also read from a UTF-8 file whose 16-byte blocks are decoded one at a
+    time, so that a decode error falls within the lines; the parser reading the same
+    file through a generator over its lines is the reference there.
+    """
+    _assert_callgraph_text_outcomes_agree(lines, reference_callgraph_text)
+    data = b"".join(
+        (line if isinstance(line, bytes) else line.encode()).removesuffix(b"\n") + b"\n" for line in lines
+    )
+    with contextlib.suppress(UnicodeDecodeError):
+        text = io.StringIO(data.decode(), newline=None)
+        _assert_callgraph_text_outcomes_agree(text, reference_callgraph_text)
+    file = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+    file._CHUNK_SIZE = 16
+    _assert_callgraph_text_outcomes_agree(file, lambda f: _edges(_parse_text(line for line in f)))
+
+
+def _parse_text(source):
+    return parse_callgraph_edges(source, FORMAT_CALLGRAPH_TEXT)
+
+
+def _edges(graph):
+    return [(caller, callee) for caller in graph.nodes() for callee in graph.successors(caller)]
+
+
+def _assert_callgraph_text_outcomes_agree(source, reference):
+    """``source`` is a list of lines or a text stream, which each side reads from its start."""
+    graph, error = _outcome(_parse_text, source)
+    if not isinstance(source, list):
+        source.seek(0)
+    edges, reference_error = _outcome(reference, source)
     assert error == reference_error
     if graph is not None:
         expected = {}
@@ -385,7 +415,8 @@ def test_jsonl_parser_agrees_with_the_reference_checks_on_tricky_lines(line):
 
 @pytest.mark.parametrize("line", _TRICKY_TEXT_EDGES)
 def test_callgraph_text_parser_agrees_with_the_reference_grammar_on_tricky_lines(line):
-    for lines in (["M:a.T:t (M)a.F:b\n", line + "\n"], [line]):
+    edge = "M:a.T:t (M)a.F:b\n"
+    for lines in ([edge, line + "\n"], [line], [edge, line + "\n", *[edge] * 4, b"\xfe\n"]):
         _assert_callgraph_text_agrees(lines)
 
 
