@@ -22,11 +22,11 @@ Line counts and timestamps may not exceed ``MAX_INTEGER``.
 
 Both parsers keep one object per distinct path, commit id and timestamp,
 shared by every event that holds it; a rename source equal to a path is
-that path's string. The JSONL parser accepts the common record in one
-call into the C scanner and one expression; every other line takes
-field-by-field checks that accept the same lines and name the first
-thing wrong with a rejected one. ``consolidate`` then groups the events per class;
-``path_to_class`` decides which paths are class files.
+that path's string. The JSONL parser decodes each line with one call
+into the C scanner and then checks it in one fixed order, so a rejected
+line is named by the first check it fails. ``consolidate`` then groups
+the events per class; ``path_to_class`` decides which paths are class
+files.
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ class ClassHistory:
     events: tuple[ChangeEvent, ...]
 
     def __post_init__(self) -> None:
-        timestamps = list(map(_TIMESTAMP, self.events))
-        if timestamps != sorted(timestamps):
-            raise ValueError(f"the events of class {self.class_id!r} are not in time order")
+        previous = 0  # below every ChangeEvent timestamp, which is positive
+        for timestamp in map(_TIMESTAMP, self.events):
+            if timestamp < previous:
+                raise ValueError(f"the events of class {self.class_id!r} are not in time order")
+            previous = timestamp
 
 
 @dataclass(frozen=True)
@@ -143,9 +145,8 @@ class SourceRootConfig:
         )
 
 
-_REQUIRED_JSONL_FIELDS = ("path", "ts", "add", "del", "commit")
-_REQUIRED_JSONL_VALUES = itemgetter(*_REQUIRED_JSONL_FIELDS)
-_scan_json = json.JSONDecoder().scan_once  # what raw_decode calls, less its Python frame
+_REQUIRED_JSONL_VALUES = itemgetter("path", "ts", "add", "del", "commit")
+_scan_json = json.JSONDecoder().scan_once  # what json.loads calls, less its Python frames
 
 
 def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
@@ -153,13 +154,14 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
 
     A text stream is enumerated directly, and a line iterable, which may
     hold bytes, goes through ``numbered_lines`` (see ``text_lines``). Each
-    stripped line is decoded by one call into the C scanner, and its
-    fields are checked in one expression. A line failing either is handed
-    to ``_checked_event``, whose field-by-field checks name the first
-    thing wrong with it; they accept exactly the lines accepted here.
-    The accepted events share one string per distinct path (rename
-    sources included), one string per distinct commit id and one ``int``
-    per distinct timestamp, where the decoder makes new ones on each line.
+    stripped line is decoded by one call into the C scanner, then checked
+    in one sequence: an object, the required fields present, the three
+    counts, ``ts``, ``path``, ``commit`` and ``renamed_from``. A line is
+    rejected at the first check it fails, with the message ``json.loads``
+    and that check give. The accepted events share one string per
+    distinct path (rename sources included), one string per distinct
+    commit id and one ``int`` per distinct timestamp, where the decoder
+    makes new ones on each line.
     """
     events: list[ChangeEvent] = []
     append = events.append
@@ -175,76 +177,60 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
                 continue
             try:
                 record, end = _scan_json(line, 0)
-                if end == len(line) and type(record) is dict:
-                    path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
-                    modified = record.get("mod", 0)
-                    renamed_from = record.get("renamed_from")
-                    # JSON yields no int subclass but bool, which `type(...) is int` rejects.
-                    if (
-                        type(ts) is int
-                        and type(added) is int
-                        and type(deleted) is int
-                        and type(modified) is int
-                        and 0 < ts <= MAX_INTEGER
-                        and 0 <= added <= MAX_INTEGER
-                        and 0 <= deleted <= MAX_INTEGER
-                        and 0 <= modified <= MAX_INTEGER
-                        and type(path) is str
-                        and type(commit) is str
-                        and (renamed_from is None or type(renamed_from) is str)
-                    ):
-                        path = shared_path(path, path)
-                        if renamed_from is not None:
-                            renamed_from = shared_path(renamed_from, renamed_from)
-                        ts = shared_timestamp(ts, ts)
-                        commit = shared_commit(commit, commit)
-                        append(new(ChangeEvent, (path, ts, added, deleted, modified, commit, renamed_from)))
-                        continue
-            # StopIteration: no JSON value at all; KeyError: a required field missing
-            except (StopIteration, ValueError, RecursionError, KeyError):
-                pass
-            append(_checked_event(line, lineno))
+            except StopIteration:  # no JSON value at the start of the line; json.loads names a BOM there
+                bom = line[0] == "\ufeff"
+                problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else "Expecting value"
+                raise ParseError(f"malformed JSON at line {lineno}: {problem}", line=lineno) from None
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno) from None
+            except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+                raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
+            if end != len(line):
+                raise ParseError(f"malformed JSON at line {lineno}: Extra data", line=lineno)
+            if type(record) is not dict:
+                raise ParseError(f"expected an object at line {lineno}", line=lineno)
+            try:
+                path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
+            except KeyError as exc:  # the first one missing, in the getter's order
+                field = exc.args[0]
+                raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno) from None
+            # JSON yields no int subclass but bool, which `type(...) is int` rejects.
+            if type(added) is not int or not 0 <= added <= MAX_INTEGER:
+                raise _count_error("add", added, lineno)
+            if type(deleted) is not int or not 0 <= deleted <= MAX_INTEGER:
+                raise _count_error("del", deleted, lineno)
+            modified = record.get("mod", 0)
+            if type(modified) is not int or not 0 <= modified <= MAX_INTEGER:
+                raise _count_error("mod", modified, lineno)
+            if type(ts) is not int or ts <= 0:
+                raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
+            if ts > MAX_INTEGER:
+                raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
+            if type(path) is not str:
+                raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
+            if type(commit) is not str:
+                raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
+            renamed_from = record.get("renamed_from")
+            if renamed_from is not None:
+                if type(renamed_from) is not str:
+                    raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
+                renamed_from = shared_path(renamed_from, renamed_from)
+            append(new(ChangeEvent, (
+                shared_path(path, path), shared_timestamp(ts, ts), added, deleted, modified,
+                shared_commit(commit, commit), renamed_from,
+            )))
     except UnicodeDecodeError:
         raise undecodable_after(lineno) from None
     return events
 
 
-def _checked_event(line: str, lineno: int) -> ChangeEvent:
-    """The event of one stripped JSONL line, or the ``ParseError`` naming the first check it fails."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno)
-    except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
-        raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
-    if not isinstance(record, dict):
-        raise ParseError(f"expected an object at line {lineno}", line=lineno)
-    for field in _REQUIRED_JSONL_FIELDS:
-        if field not in record:
-            raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno)
-    counts = []
-    for field in ("add", "del", "mod"):
-        value = record.get(field, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"field '{field}' must be an integer at line {lineno}", line=lineno)
-        if value < 0:
-            raise ParseError(f"negative line count at line {lineno}", line=lineno)
-        if value > MAX_INTEGER:
-            raise ParseError(f"field '{field}' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
-        counts.append(value)
-    ts = record["ts"]
-    if not isinstance(ts, int) or isinstance(ts, bool) or ts <= 0:
-        raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
-    if ts > MAX_INTEGER:
-        raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
-    if not isinstance(record["path"], str):
-        raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
-    if not isinstance(record["commit"], str):
-        raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
-    renamed_from = record.get("renamed_from")
-    if renamed_from is not None and not isinstance(renamed_from, str):
-        raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
-    return tuple.__new__(ChangeEvent, (record["path"], ts, *counts, record["commit"], renamed_from))
+def _count_error(field: str, value: object, lineno: int) -> ParseError:
+    """The error for a line count that is not an integer from 0 to ``MAX_INTEGER``."""
+    if type(value) is not int:
+        return ParseError(f"field '{field}' must be an integer at line {lineno}", line=lineno)
+    if value < 0:
+        return ParseError(f"negative line count at line {lineno}", line=lineno)
+    return ParseError(f"field '{field}' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
 
 
 _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")

@@ -120,52 +120,58 @@ _Parsed = TypeVar("_Parsed")
 
 
 def _parse_input(path: Path, parse: Callable[[IO[str]], _Parsed]) -> _Parsed:
-    """``parse`` of an input file, whose ``ParseError`` then names the file as well as the line."""
+    """``parse`` of an input file, whose ``ParseError`` then names the file as well as the line.
+
+    A read that fails once the file is open raises ``InputError`` naming it, as a failed open does.
+    """
     with _open_input(path) as handle:
         try:
             return parse(handle)
         except ParseError as exc:
             raise ParseError(str(exc), line=exc.line, path=str(path)) from None
+        except OSError as exc:
+            raise InputError(path, exc) from None
 
 
 def load_manifest(path: Path) -> RunManifest:
     """Read a project manifest; relative paths resolve against its directory."""
-    with _open_input(path) as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed manifest JSON: {exc}", path=str(path))
-        except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
-            raise ParseError(f"unreadable manifest JSON: {exc}", path=str(path)) from None
+    return _parse_input(path, lambda handle: _read_manifest(handle, Path(path).parent))
+
+
+def _read_manifest(handle: IO[str], base: Path) -> RunManifest:
+    """The manifest in an open file, its relative paths resolved against ``base``."""
+    try:
+        raw = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed manifest JSON: {exc}")
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
+        raise ParseError(f"unreadable manifest JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise ParseError("manifest must be a JSON object", path=str(path))
-    base = Path(path).parent
+        raise ParseError("manifest must be a JSON object")
     for key in ("project_id", "change_log_path", "callgraph_path", "entry_selector", "source_roots"):
         if key not in raw:
-            raise ParseError(f"manifest missing required key '{key}'", path=str(path))
+            raise ParseError(f"manifest missing required key '{key}'")
     if not isinstance(raw["project_id"], str):
-        raise ParseError("manifest key 'project_id' must be a string", path=str(path))
+        raise ParseError("manifest key 'project_id' must be a string")
     change_log_format = raw.get("change_log_format", "jsonl")
     if change_log_format not in CHANGE_LOG_FORMATS:
-        raise ParseError(
-            f"unknown change_log_format {change_log_format!r}", path=str(path)
-        )
+        raise ParseError(f"unknown change_log_format {change_log_format!r}")
     callgraph_format = raw.get("callgraph_format", FORMAT_CALLGRAPH_TEXT)
     if callgraph_format not in GRAPH_FORMATS:
-        raise ParseError(f"unknown callgraph_format {callgraph_format!r}", path=str(path))
-    _check_entry_selector(raw["entry_selector"], path)
+        raise ParseError(f"unknown callgraph_format {callgraph_format!r}")
+    _check_entry_selector(raw["entry_selector"])
     for key in ("change_log_path", "callgraph_path", "labels_path"):
         value = raw.get(key)
         if not isinstance(value, str) and not (value is None and key == "labels_path"):
-            raise ParseError(f"manifest key '{key}' must be a path string", path=str(path))
+            raise ParseError(f"manifest key '{key}' must be a path string")
     for key in ("source_roots", "extensions", "exclude_classes"):
         value = raw.get(key, [])
         if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-            raise ParseError(f"manifest key '{key}' must be a list of strings", path=str(path))
+            raise ParseError(f"manifest key '{key}' must be a list of strings")
     if not raw["source_roots"]:
-        raise ParseError("manifest key 'source_roots' must name at least one root", path=str(path))
+        raise ParseError("manifest key 'source_roots' must name at least one root")
     if "" in raw.get("extensions", []):  # every path would end in it, and its class id would be empty
-        raise ParseError("manifest key 'extensions' must not hold an empty string", path=str(path))
+        raise ParseError("manifest key 'extensions' must not hold an empty string")
     return RunManifest(
         project_id=raw["project_id"],
         change_log_path=base / raw["change_log_path"],
@@ -180,36 +186,28 @@ def load_manifest(path: Path) -> RunManifest:
     )
 
 
-def _check_entry_selector(selector: object, path: Path) -> None:
+def _check_entry_selector(selector: object) -> None:
     """``explicit`` (a list of test id strings) wins over ``pattern`` (an object of strings)."""
     if not isinstance(selector, dict):
-        raise ParseError("manifest key 'entry_selector' must be a JSON object", path=str(path))
+        raise ParseError("manifest key 'entry_selector' must be a JSON object")
     if "explicit" in selector:
         explicit = selector["explicit"]
         if not isinstance(explicit, list) or not all(isinstance(item, str) for item in explicit):
-            raise ParseError(
-                "manifest key 'entry_selector.explicit' must be a list of strings", path=str(path)
-            )
+            raise ParseError("manifest key 'entry_selector.explicit' must be a list of strings")
         for test_id in explicit:
             try:
                 parse_test_id(test_id)
             except ParseError as exc:
-                raise ParseError(f"manifest key 'entry_selector.explicit': {exc}", path=str(path)) from None
+                raise ParseError(f"manifest key 'entry_selector.explicit': {exc}") from None
     elif "pattern" in selector:
         pattern = selector["pattern"]
         if not isinstance(pattern, dict):
-            raise ParseError(
-                "manifest key 'entry_selector.pattern' must be a JSON object", path=str(path)
-            )
+            raise ParseError("manifest key 'entry_selector.pattern' must be a JSON object")
         for key in ("class_suffix", "class_prefix", "method_prefix"):
             if not isinstance(pattern.get(key, ""), str):
-                raise ParseError(
-                    f"manifest key 'entry_selector.pattern.{key}' must be a string", path=str(path)
-                )
+                raise ParseError(f"manifest key 'entry_selector.pattern.{key}' must be a string")
     else:
-        raise ParseError(
-            "manifest key 'entry_selector' needs an 'explicit' or a 'pattern' key", path=str(path)
-        )
+        raise ParseError("manifest key 'entry_selector' needs an 'explicit' or a 'pattern' key")
 
 
 @dataclass
@@ -521,42 +519,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _DETECTED_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _csv_rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each record of a CSV file, numbered by the line it ends on.
+def _csv_rows(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each record of an open CSV file, numbered by the line it ends on.
 
-    Lines end in LF, CRLF or CR. A line that is not UTF-8, or that
-    the csv module rejects (such as a field past its size limit), raises
-    ``ParseError`` naming the file and the line.
+    Lines end in LF, CRLF or CR. The lines are split and decoded from the
+    file's bytes, so that a line that is not UTF-8 raises ``ParseError``
+    at its own number; so does a line that the csv module rejects (such
+    as a field past its size limit).
     """
-    try:
-        data = path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputError(path, exc) from None
-    lines = numbered_lines(data.splitlines(keepends=True))
+    lines = numbered_lines(handle.buffer.read().splitlines(keepends=True))
     reader = csv.reader(text for _, text in lines)
     try:
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
         line = reader.line_num
-        raise ParseError(f"malformed CSV at line {line}: {exc}", path=str(path), line=line) from None
-    except ParseError as exc:  # a line that is not UTF-8
-        raise ParseError(str(exc), path=str(path), line=exc.line) from None
+        raise ParseError(f"malformed CSV at line {line}: {exc}", line=line) from None
 
 
-def _read_outcomes_csv(path: Path) -> dict[str, tuple[float, bool]]:
-    """Each version's (accuracy, detected) from an outcomes file.
+def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
+    """Each version's (accuracy, detected) from an open outcomes file.
 
     An accuracy is a finite number in [0, 1]; ``detected`` is ``true``,
     ``false``, ``1`` or ``0`` after stripping and case-folding. Any other value,
     a short row or a repeated version id raises ``ParseError`` with its line,
-    and so does a file without a single outcome row, naming only the file.
+    and so does a file without a single outcome row, without a line.
     """
     outcomes: dict[str, tuple[float, bool]] = {}
-    rows = _csv_rows(path)
+    rows = _csv_rows(handle)
     _, header = next(rows, (1, []))
     if not set(OUTCOME_COLUMNS[:3]) <= set(header):
-        raise ParseError(f"expected columns {','.join(OUTCOME_COLUMNS[:3])}", path=str(path))
+        raise ParseError(f"expected columns {','.join(OUTCOME_COLUMNS[:3])}")
     for lineno, row in rows:
         if not row:
             continue  # a blank line
@@ -577,17 +570,17 @@ def _read_outcomes_csv(path: Path) -> dict[str, tuple[float, bool]]:
         else:
             outcomes[version_id] = (acc, _DETECTED_VALUES[detected_text.strip().lower()])
             continue
-        raise ParseError(f"{problem} at line {lineno}", path=str(path), line=lineno)
+        raise ParseError(f"{problem} at line {lineno}", line=lineno)
     if not outcomes:  # nothing to compare; a quote left open at the header also swallows every row
-        raise ParseError("no outcome rows", path=str(path))
+        raise ParseError("no outcome rows")
     return outcomes
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from . import stats
 
-    outcomes_a = _read_outcomes_csv(Path(args.outcomes_a))
-    outcomes_b = _read_outcomes_csv(Path(args.outcomes_b))
+    outcomes_a = _parse_input(Path(args.outcomes_a), _read_outcomes_csv)
+    outcomes_b = _parse_input(Path(args.outcomes_b), _read_outcomes_csv)
     ids_a, ids_b = set(outcomes_a), set(outcomes_b)
     if ids_a != ids_b:
         raise AlignmentError(missing_in_a=ids_b - ids_a, missing_in_b=ids_a - ids_b)

@@ -56,29 +56,27 @@ def numbered_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
 
     The parsers take a text stream through ``text_lines``, which enumerates
     it directly; this generator serves lists of lines, lines of bytes and
-    the CSV reader. Input that is not valid UTF-8 raises ``ParseError``: at
-    its line for bytes, after the last line returned for a text stream,
-    which decodes ahead of the lines it returns.
+    the outcomes reader. A line of bytes that is not valid UTF-8 raises
+    ``ParseError`` at its line. A ``UnicodeDecodeError`` raised by the
+    iterable itself passes through to the caller, as from ``text_lines``.
     """
-    lineno = 0
-    try:
-        for lineno, raw in enumerate(stream, start=1):
-            if isinstance(raw, bytes):
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
-            yield lineno, raw
-    except UnicodeDecodeError:
-        raise undecodable_after(lineno) from None
+    for lineno, raw in enumerate(stream, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
+        yield lineno, raw
 
 
 def text_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
     """(line number from 1, text) of each line: ``enumerate`` of a text stream, or ``numbered_lines``.
 
-    No generator frame is resumed per line of a text stream, so its
-    ``UnicodeDecodeError`` reaches the caller, which raises
-    ``undecodable_after`` of the last line it was given in its place.
+    A ``UnicodeDecodeError`` of the stream reaches the caller, which raises
+    ``undecodable_after`` of the last line it was given in its place; a
+    text stream decodes ahead of the lines it returns, so that line is the
+    last one known to be whole. No generator frame is resumed per line of
+    a text stream.
     """
     return enumerate(stream, 1) if isinstance(stream, TextIOBase) else numbered_lines(stream)
 

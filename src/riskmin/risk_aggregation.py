@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import exp, fsum, log
+from math import exp, fsum, inf, log
 from typing import Iterable, Mapping, Sequence
 
 OP_AVG = "avg"
@@ -56,6 +56,10 @@ def _reduce_sorted(ordered: list[float], op: str) -> float:
         reciprocals = 0.0
         for value in ordered:
             reciprocals += 1.0 / value
-        return n / reciprocals
+        if reciprocals != inf:
+            return n / reciprocals
+        # A value below about 1e-308 overflows the sum; scaled by the smallest value, no term exceeds 1.
+        smallest = ordered[0]
+        return smallest * (n / fsum(smallest / value for value in ordered))
     middle = n // 2  # OP_MEDIAN, the last of the operators score_multisets accepts
     return ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2

@@ -299,6 +299,8 @@ def naive_aggregate(values, op):
         reciprocals = 0.0
         for v in values:
             reciprocals += 1.0 / v
+        if reciprocals == math.inf:  # a value below about 1e-308; divided by the smallest, none exceeds 1
+            return values[0] * (n / math.fsum(values[0] / v for v in values))
         return n / reciprocals
     if op == "median":
         return statistics.median(values)

@@ -187,6 +187,17 @@ class TestRunVersion:
             second.version_id, second.accuracy, second.detected, second.config_fingerprint
         )
 
+    def test_hmean_keeps_a_test_whose_only_risk_is_subnormal(self):
+        # One event 1,050 half-lives before as_of: a frequency risk of 2**-1050, about 8.29e-317.
+        event = ChangeEvent("src/p/C.java", REF - 1050 * DAY, 1, 0, 0, "c1")
+        histories = {"p.C": ClassHistory("p.C", (event,))}
+        dep_map = {"t.T#a": [], "t.T#b": ["p.C"]}
+        for operator in ("hmean", "avg"):
+            result = minimize_suite(histories, dep_map, metric="frequency", half_life_days=1.0,
+                                    operator=operator, budget=Budget(0.5), as_of=REF)
+            assert result.selected == ("t.T#b",)
+            assert result.scores["t.T#b"] == 2.0**-1050
+
     def test_extra_seconds_are_added_to_wall_time(self):
         outcome = _single_cell_outcome(
             _label({"app.T2Test#t2"}),

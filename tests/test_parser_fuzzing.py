@@ -358,6 +358,11 @@ _TRICKY_JSONL_LINES = [
     _jsonl(path='"a\\u0000b"'), _jsonl(path='"\\ud800"'), '{"path": "a", "ts": 5, "add": 1, "del": 2}',
     '{"ts": 5, "add": 1, "del": 2, "commit": "c"}', "[]", "5", '"text"', "null", "true", "{", "}", "{}",
     '{"path": "a" "ts": 5}', "{'path': 'a'}", '{"path": "a\tb", "ts": 5, "add": 1, "del": 2, "commit": "c"}',
+    # two faults on one line, so that the order of the checks decides the message
+    _jsonl(add="-1", ts="0"), _jsonl(mod="true", path="5"), '{"path": "a", "ts": 5, "add": -1, "del": 2}',
+    _jsonl(ts="0", commit="5"), _jsonl(commit="5", renamed_from="5"), _jsonl(add="1.5", **{"del": "-1"}),
+    _jsonl(**{"del": str(2**63)}, mod="-1"), _jsonl(ts=str(2**63), path="null"), _jsonl(path="5", commit="5"),
+    "\ufeff[]", _VALID_JSONL[:-1] + "x",
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,13 @@ class TestAggregate:
     def test_hmean_adds_reciprocals_sequentially_in_ascending_order(self):
         # 1/2 + 1/5 + 1/10 is 0.7999999999999999 added in that order; math.fsum gives 0.8 (hmean 3.75).
         assert _multiset_score([10.0, 2.0, 5.0], "hmean") == 3 / _sequential_sum([0.5, 0.2, 0.1]) == 3.7500000000000004
+
+    @pytest.mark.parametrize("values", [[1e-310], [5e-324, 10.0], [1e-308] * 3])
+    def test_hmean_of_risks_whose_reciprocals_overflow_is_exact_and_positive(self, values):
+        exact = len(values) / sum(1 / Fraction(value) for value in values)
+        score = _multiset_score(values, "hmean")
+        assert score > 0
+        assert abs(Fraction(score) - exact) <= exact * Fraction(1, 10**12)
 
     def test_median_even_count_averages_middle_pair(self):
         assert _multiset_score([1.0, 3.0], "median") == 2.0
