@@ -6,8 +6,8 @@ invocations stay reproducible. All outputs are deterministic byte-for-byte
 for identical inputs and flags, except wall-clock time, which is isolated
 to designated columns/keys.
 
-Exit codes: 0 success, 1 usage, 2 missing or unreadable input, 3 parse
-error, 4 label error, 5 alignment error.
+Exit codes: 0 success, 1 usage or an unwritable output, 2 missing or
+unreadable input, 3 parse error, 4 label error, 5 alignment error.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ _Parsed = TypeVar("_Parsed")
 
 
 def _parse_input(path: Path, parse: Callable[[IO[str]], _Parsed]) -> _Parsed:
-    """``parse`` of an input file, whose ``ParseError`` then names the file as well as the line.
+    """``parse`` of an input file, whose ``ParseError`` or ``LabelError`` then names the file.
 
     A read that fails once the file is open raises ``InputError`` naming it, as a failed open does.
     """
@@ -129,8 +129,20 @@ def _parse_input(path: Path, parse: Callable[[IO[str]], _Parsed]) -> _Parsed:
             return parse(handle)
         except ParseError as exc:
             raise ParseError(str(exc), line=exc.line, path=str(path)) from None
+        except LabelError as exc:
+            raise LabelError(f"{path}: {exc}") from None
         except OSError as exc:
             raise InputError(path, exc) from None
+
+
+def _read_json(handle: IO[str], error: type[ValueError], what: str):
+    """The JSON value in an open file; JSON that cannot be read raises ``error`` saying it is ``what``."""
+    try:
+        return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what} JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
+        raise error(f"unreadable {what} JSON: {exc}") from None
 
 
 def load_manifest(path: Path) -> RunManifest:
@@ -140,12 +152,7 @@ def load_manifest(path: Path) -> RunManifest:
 
 def _read_manifest(handle: IO[str], base: Path) -> RunManifest:
     """The manifest in an open file, its relative paths resolved against ``base``."""
-    try:
-        raw = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed manifest JSON: {exc}")
-    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
-        raise ParseError(f"unreadable manifest JSON: {exc}") from None
+    raw = _read_json(handle, ParseError, "manifest")
     if not isinstance(raw, dict):
         raise ParseError("manifest must be a JSON object")
     for key in ("project_id", "change_log_path", "callgraph_path", "entry_selector", "source_roots"):
@@ -248,47 +255,42 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
     if path is None:
         raise LabelError(f"project {project_id!r} has no labels_path in its manifest")
     try:
-        with _open_input(path) as handle:
-            raw = json.load(handle)
+        return _parse_input(path, _read_labels)
     except InputError as exc:
         if not exc.missing:
             raise
         raise LabelError(f"label file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise LabelError(f"malformed label JSON in {path}: {exc}")
-    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long integer, or nesting too deep
-        raise LabelError(f"unreadable label JSON in {path}: {exc}") from None
+
+
+def _read_labels(handle: IO[str]) -> list[VersionLabel]:
+    """The version labels in an open file; each fault is a ``LabelError`` without the file's name."""
+    raw = _read_json(handle, LabelError, "label")
     records = raw if isinstance(raw, list) else [raw]
     labels: dict[str, VersionLabel] = {}
     for position, record in enumerate(records, start=1):
         if not isinstance(record, dict):
-            raise LabelError(f"label record {position} in {path} is not a JSON object")
+            raise LabelError(f"label record {position} is not a JSON object")
         for key in ("version_id", "as_of", "fault_revealing_tests"):
             if key not in record:
-                raise LabelError(f"label in {path} missing required key '{key}'")
+                raise LabelError(f"label record {position} missing required key '{key}'")
         version_id = record["version_id"]
         if not isinstance(version_id, str):
-            raise LabelError(f"label record {position} in {path}: version_id must be a string")
+            raise LabelError(f"label record {position}: version_id must be a string")
         fault_list = record["fault_revealing_tests"]
         if not isinstance(fault_list, list) or not all(isinstance(t, str) for t in fault_list):
             raise LabelError(
-                f"version {version_id!r} in {path}: "
-                "fault_revealing_tests must be a list of test id strings"
+                f"version {version_id!r}: fault_revealing_tests must be a list of test id strings"
             )
         fault_tests = frozenset(fault_list)
         if not fault_tests:
-            raise LabelError(
-                f"version {version_id!r} has no fault-revealing tests"
-            )
+            raise LabelError(f"version {version_id!r} has no fault-revealing tests")
         as_of = record["as_of"]
         if not isinstance(as_of, int) or isinstance(as_of, bool):
-            raise LabelError(f"version {version_id!r} in {path}: as_of must be an integer")
+            raise LabelError(f"version {version_id!r}: as_of must be an integer")
         if abs(as_of) > MAX_INTEGER:
-            raise LabelError(
-                f"version {version_id!r} in {path}: as_of exceeds {MAX_INTEGER} in magnitude"
-            )
+            raise LabelError(f"version {version_id!r}: as_of exceeds {MAX_INTEGER} in magnitude")
         if version_id in labels:
-            raise LabelError(f"version {version_id!r} is labelled more than once in {path}")
+            raise LabelError(f"version {version_id!r} is labelled more than once")
         labels[version_id] = VersionLabel(
             version_id=version_id, as_of=as_of, fault_revealing_tests=fault_tests
         )
@@ -299,11 +301,20 @@ def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
 # Output helpers
 
 
-def _write_text(directory: Path, name: str, content: str) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / name
-    target.write_text(content, encoding="utf-8")
-    return target
+def _write_text(output: str | None, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` in the directory ``output``, made if absent; without one, to stdout.
+
+    An output that cannot be written raises ``ValueError`` (a usage error) naming it.
+    """
+    if not output:
+        sys.stdout.write(text)
+        return
+    target = Path(output) / name
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ValueError(f"cannot write output: {target} ({getattr(exc, 'strerror', None) or exc})") from None
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -337,11 +348,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         if not (math.isfinite(risk) and risk >= 0):
             raise AssertionError(f"invalid risk score for {class_id}")
     rows = [(class_id, str(table[class_id])) for class_id in sorted(table)]
-    text = _csv_text(("class_id", "risk"), rows)
-    if args.output:
-        _write_text(Path(args.output), "risks.csv", text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, "risks.csv", _csv_text(("class_id", "risk"), rows))
     return EXIT_OK
 
 
@@ -359,9 +366,8 @@ def cmd_minimize(args: argparse.Namespace) -> int:
         as_of=args.as_of,
     )
     check_result_invariants(result, budget)
-    out_dir = Path(args.output or ".")
-    selected_text = "".join(test_id + "\n" for test_id in result.selected)
-    _write_text(out_dir, "selected.txt", selected_text)
+    out_dir = args.output or "."
+    _write_text(out_dir, "selected.txt", "".join(test_id + "\n" for test_id in result.selected))
     _write_text(out_dir, "result.json", _json_text(result.to_json_dict()))
     return EXIT_OK
 
@@ -373,51 +379,44 @@ def _evaluate_manifests(
 
     Each project's ``ProjectInputs.seconds`` (ingestion and dependency
     analysis) is charged to every one of its outcomes. A project with no
-    labelled versions adds nothing, so both are empty if none has any.
-    A version id may occur only once in the pool. Each project is loaded
-    and evaluated by its own ``_pool_project`` call, so its inputs, labels
-    and cells are freed before the next manifest is loaded, and a pooled
-    run holds one project's inputs at a time.
+    labelled versions adds nothing; a pool with none at all is a
+    ``LabelError``, as is a version id that occurs twice in the pool. Each
+    project's inputs, labels and cells are freed before the next manifest
+    is loaded, so a pooled run holds one project's inputs at a time.
     """
     pooled: list[GridCell] = []
     by_project: dict[str, list[VersionOutcome]] = {}
     version_ids: set[str] = set()
     for manifest_path in args.manifests:
-        pooled = _pool_project(manifest_path, grid, pooled, by_project, version_ids)
-    return pooled, by_project
-
-
-def _pool_project(
-    manifest_path: str,
-    grid: SweepGrid,
-    pooled: list[GridCell],
-    by_project: dict[str, list[VersionOutcome]],
-    version_ids: set[str],
-) -> list[GridCell]:
-    """``pooled`` with one manifest's cells added; its outcomes and version ids join ``by_project`` and ``version_ids``."""
-    manifest = load_manifest(Path(manifest_path))
-    inputs = load_project_inputs(manifest)
-    labels = load_labels(manifest.labels_path, manifest.project_id)
-    for label in labels:
-        if label.version_id in version_ids:
-            raise LabelError(
-                f"version {label.version_id!r} of {manifest_path} "
-                "is already labelled by an earlier manifest"
+        manifest = load_manifest(Path(manifest_path))
+        inputs = load_project_inputs(manifest)
+        labels = load_labels(manifest.labels_path, manifest.project_id)
+        for label in labels:
+            if label.version_id in version_ids:
+                raise LabelError(
+                    f"version {label.version_id!r} of {manifest_path} "
+                    "is already labelled by an earlier manifest"
+                )
+            version_ids.add(label.version_id)
+        unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - inputs.dep_map.keys()
+        if unreachable:
+            logger.warning(
+                "project %r: %d fault-revealing test id(s) are not entry points and always count as missed",
+                manifest.project_id,
+                len(unreachable),
             )
-        version_ids.add(label.version_id)
-    if not labels:
-        return pooled
-    unreachable = set().union(*(label.fault_revealing_tests for label in labels)) - inputs.dep_map.keys()
-    if unreachable:
-        logger.warning(
-            "project %r: %d fault-revealing test id(s) are not entry points and always count as missed",
-            manifest.project_id,
-            len(unreachable),
-        )
-    cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds)
-    by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
-    # Every project's cells follow the grid order, so they pool position by position.
-    return cells if not pooled else [(key, pool + group) for (key, pool), (_, group) in zip(pooled, cells)]
+        if labels:
+            cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds)
+            by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
+            # Every project's cells follow the grid order, so they pool position by position.
+            pooled = cells if not pooled else [
+                (key, pool + group) for (key, pool), (_, group) in zip(pooled, cells)
+            ]
+            del cells
+        del manifest, inputs, labels
+    if not pooled:
+        raise LabelError(f"no labeled versions to {args.command}")
+    return pooled, by_project
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -444,8 +443,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         budgets=(args.budget,),
     )
     pooled, by_project = _evaluate_manifests(args, grid)
-    if not pooled:
-        raise LabelError("no labeled versions to evaluate")
     ((_, outcomes),) = pooled
     rows = [
         (o.version_id, str(o.accuracy), "true" if o.detected else "false", str(o.wall_time))
@@ -474,7 +471,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         },
         "mean_wall_time_s": _mean([o.wall_time for o in outcomes]),
     }
-    out_dir = Path(args.output or ".")
+    out_dir = args.output or "."
     _write_text(out_dir, "outcomes.csv", _csv_text(OUTCOME_COLUMNS, rows))
     _write_text(out_dir, "summary.json", _json_text(summary))
     return EXIT_OK
@@ -488,8 +485,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budgets=tuple(args.budgets),
     )
     pooled, _ = _evaluate_manifests(args, grid)
-    if not pooled:
-        raise LabelError("no labeled versions to sweep")
     rows = sweep_rows(pooled)
     csv_rows = [
         (
@@ -508,11 +503,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         for row in rows
     ]
-    text = _csv_text(SWEEP_COLUMNS, csv_rows)
-    if args.output:
-        _write_text(Path(args.output), "sweep.csv", text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, "sweep.csv", _csv_text(SWEEP_COLUMNS, csv_rows))
     return EXIT_OK
 
 
@@ -626,11 +617,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "cliffs_delta": delta,
         "bonferroni": adjusted,
     }
-    text = _json_text(report)
-    if args.output:
-        _write_text(Path(args.output), "comparison.json", text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, "comparison.json", _json_text(report))
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
+import errno
 import gc
 import hashlib
+import io
 import json
 import math
 import types
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -322,10 +325,11 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", str(manifest)]) == 4
         assert "label" in capsys.readouterr().err.lower()
 
-    def test_empty_fault_set_exits_4(self, tmp_path):
+    def test_empty_fault_set_exits_4(self, tmp_path, capsys):
         versions = [{"version_id": "v1", "as_of": REF, "fault_revealing_tests": []}]
         manifest = _write_project(tmp_path, versions=versions)
         assert cli.main(["evaluate", str(manifest)]) == 4
+        assert f"{tmp_path / 'labels.json'}: version 'v1' has no fault-revealing tests" in capsys.readouterr().err
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
         _assert_jobs_agree_with_serial(tmp_path, "evaluate", "outcomes.csv")
@@ -377,6 +381,52 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", str(manifest), "--output", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert "labels.json" in err and "v7" in err
+
+    # Each fault of a labels file, and the start of its message.
+    LABEL_FAULTS = {
+        "malformed-json": ("[{", "malformed label JSON"),
+        "unreadable-json": ("[" * 100_000, "unreadable label JSON"),
+        "record-not-an-object": ("[5]", "label record 1 is not a JSON object"),
+        "missing-key": ('[{"version_id": "w1", "as_of": 1}]', "label record 1 missing required key"),
+        "version-id-not-a-string": (
+            '[{"version_id": 7, "as_of": 1, "fault_revealing_tests": ["app.T1Test#t1"]}]',
+            "label record 1: version_id must be a string",
+        ),
+        "fault-tests-not-a-list": (
+            '{"version_id": "w1", "as_of": 1, "fault_revealing_tests": "app.T1Test#t1"}',
+            "version 'w1': fault_revealing_tests must be a list",
+        ),
+        "no-fault-tests": (
+            '{"version_id": "w1", "as_of": 1, "fault_revealing_tests": []}',
+            "version 'w1' has no fault-revealing tests",
+        ),
+        "as-of-not-an-integer": (
+            '{"version_id": "w1", "as_of": "soon", "fault_revealing_tests": ["app.T1Test#t1"]}',
+            "version 'w1': as_of must be an integer",
+        ),
+        "as-of-past-the-bound": (
+            '{"version_id": "w1", "as_of": %d, "fault_revealing_tests": ["app.T1Test#t1"]}' % 10**400,
+            "version 'w1': as_of exceeds",
+        ),
+        "version-id-repeated": (
+            '[{"version_id": "w1", "as_of": 1, "fault_revealing_tests": ["app.T1Test#t1"]},'
+            ' {"version_id": "w1", "as_of": 2, "fault_revealing_tests": ["app.T1Test#t1"]}]',
+            "version 'w1' is labelled more than once",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(LABEL_FAULTS))
+    def test_every_label_fault_names_the_labels_file_in_a_pooled_run(self, tmp_path, capsys, fault):
+        first = _write_project(tmp_path / "p1", project_id="one")
+        second = _write_project(tmp_path / "p2", project_id="two")
+        text, message = self.LABEL_FAULTS[fault]
+        (tmp_path / "p2" / "labels.json").write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["evaluate", str(first), str(second), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert f"riskmin: error: {tmp_path / 'p2' / 'labels.json'}: {message}" in err
+        assert str(tmp_path / "p1") not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_version_id_repeated_across_pooled_manifests_exits_4(self, tmp_path, capsys, command):
@@ -1132,15 +1182,82 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert "missing input" in err and "nope.csv" in err
 
-    def test_a_failed_output_write_is_not_a_missing_input(self, tmp_path, monkeypatch):
+    def test_a_failed_output_write_is_not_a_missing_input(self, tmp_path, capsys):
         manifest = _write_project(tmp_path)
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory", encoding="utf-8")
+        assert cli.main(["score", str(manifest), "--as-of", str(REF), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"riskmin: error: cannot write output: {out / 'risks.csv'} (" in err
+        assert "missing input" not in err and "Traceback" not in err
 
-        def failing_write(directory, name, content):
-            raise FileNotFoundError(2, "No such file or directory", str(directory / name))
+    FIRST_OUTPUT = {
+        "score": "risks.csv",
+        "minimize": "selected.txt",
+        "evaluate": "outcomes.csv",
+        "sweep": "sweep.csv",
+        "compare": "comparison.json",
+    }
 
-        monkeypatch.setattr(cli, "_write_text", failing_write)
-        with pytest.raises(FileNotFoundError):
-            cli.main(["score", str(manifest), "--as-of", str(REF), "--output", str(tmp_path / "out")])
+    @pytest.mark.parametrize(
+        "command, under_a_file",
+        [
+            pytest.param(command, under_a_file, id=f"{command}-{'under-a-file' if under_a_file else 'a-file'}")
+            for command in sorted(FIRST_OUTPUT)
+            for under_a_file in (False, True)
+            if (command, under_a_file) != ("score", False)  # test_a_failed_output_write_is_not_a_missing_input
+        ],
+    )
+    def test_an_unwritable_output_exits_1_naming_it(self, tmp_path, capsys, command, under_a_file):
+        if command == "compare":
+            a = tmp_path / "a.csv"
+            _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+            argv = [command, str(a), str(a)]
+        else:
+            argv = [command, str(_write_project(tmp_path / "p")), *_INPUT_ARGV[command]]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory", encoding="utf-8")
+        out = blocker / "out" if under_a_file else blocker
+        assert cli.main([*argv, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"riskmin: error: cannot write output: {out / self.FIRST_OUTPUT[command]} (" in err
+        assert "missing input" not in err
+        assert blocker.read_text(encoding="utf-8") == "a file, not a directory"
+
+
+class _FailingReads(io.RawIOBase):
+    """A file that opens but fails on its first read, as a disk error would."""
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, "Input/output error")
+
+
+class TestFailedReads:
+    """A read that fails after its input was opened exits 2 naming the input, whichever input it is."""
+
+    @pytest.mark.parametrize("name", ["manifest.json", "callgraph.csv", "changes.jsonl", "labels.json", "a.csv"])
+    def test_a_read_failure_after_open_exits_2_naming_the_file(self, tmp_path, capsys, monkeypatch, name):
+        manifest = _write_project(tmp_path)
+        a = tmp_path / "a.csv"
+        _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+        open_input = cli._open_input
+
+        def failing_reads_of_one_file(path):
+            if Path(path).name == name:
+                return io.TextIOWrapper(io.BufferedReader(_FailingReads()), encoding="utf-8")
+            return open_input(path)
+
+        monkeypatch.setattr(cli, "_open_input", failing_reads_of_one_file)
+        if name == "a.csv":
+            argv = ["compare", str(a), str(a)]
+        else:
+            argv = ["evaluate", str(manifest), "--output", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"riskmin: error: unreadable input: {tmp_path / name} (Input/output error)" in err
 
 
 def _break_line(path, lineno, text):
