@@ -6,19 +6,22 @@ invocations stay reproducible. All outputs are deterministic byte-for-byte
 for identical inputs and flags, except wall-clock time, which is isolated
 to designated columns/keys.
 
-Exit codes: 0 success, 1 usage or an unwritable output, 2 missing or
-unreadable input, 3 parse error, 4 label error, 5 alignment error.
+Exit codes: 0 success, 1 usage or an unwritable output (stdout included),
+2 missing or unreadable input, 3 parse error, 4 label error, 5 alignment
+error. ``main`` takes each error's code from one table, ``EXIT_CODES``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
 import io
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -48,6 +51,7 @@ from .evaluation import (
     CANONICAL_HORIZONS,
     GridCell,
     SweepGrid,
+    SweepRow,
     VersionLabel,
     VersionOutcome,
     describe,
@@ -64,30 +68,15 @@ logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_MISSING_INPUT = 2
-EXIT_PARSE = 3
-EXIT_LABEL = 4
-EXIT_ALIGNMENT = 5
+# The exit code of each error a command may raise, the first type that matches: ParseError,
+# LabelError and AlignmentError are ValueErrors, and any other ValueError is a usage error.
+EXIT_CODES = ((InputError, 2), (ParseError, 3), (LabelError, 4), (AlignmentError, 5), (ValueError, EXIT_USAGE))
 
 CHANGE_LOG_FORMATS = ("jsonl", "numstat")
 
 JOBS_HELP = "accepted for compatibility; versions are evaluated serially"
 
 OUTCOME_COLUMNS = ("version_id", "accuracy", "detected", "wall_time_s")
-SWEEP_COLUMNS = (
-    "metric",
-    "horizon_days",
-    "operator",
-    "budget",
-    "mean_accuracy",
-    "fdr",
-    "min_acc",
-    "q1_acc",
-    "median_acc",
-    "q3_acc",
-    "max_acc",
-    "mean_time_s",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +149,13 @@ def _read_manifest(handle: IO[str], base: Path) -> RunManifest:
             raise ParseError(f"manifest missing required key '{key}'")
     if not isinstance(raw["project_id"], str):
         raise ParseError("manifest key 'project_id' must be a string")
-    change_log_format = raw.get("change_log_format", "jsonl")
-    if change_log_format not in CHANGE_LOG_FORMATS:
-        raise ParseError(f"unknown change_log_format {change_log_format!r}")
-    callgraph_format = raw.get("callgraph_format", FORMAT_CALLGRAPH_TEXT)
-    if callgraph_format not in GRAPH_FORMATS:
-        raise ParseError(f"unknown callgraph_format {callgraph_format!r}")
+    for key, default, known in (
+        ("change_log_format", "jsonl", CHANGE_LOG_FORMATS),
+        ("callgraph_format", FORMAT_CALLGRAPH_TEXT, GRAPH_FORMATS),
+    ):
+        raw.setdefault(key, default)
+        if raw[key] not in known:
+            raise ParseError(f"manifest key '{key}' must be one of {', '.join(known)}, got {raw[key]!r}")
     _check_entry_selector(raw["entry_selector"])
     for key in ("change_log_path", "callgraph_path", "labels_path"):
         value = raw.get(key)
@@ -182,9 +172,9 @@ def _read_manifest(handle: IO[str], base: Path) -> RunManifest:
     return RunManifest(
         project_id=raw["project_id"],
         change_log_path=base / raw["change_log_path"],
-        change_log_format=change_log_format,
+        change_log_format=raw["change_log_format"],
         callgraph_path=base / raw["callgraph_path"],
-        callgraph_format=callgraph_format,
+        callgraph_format=raw["callgraph_format"],
         entry_selector=raw["entry_selector"],
         source_roots=list(raw["source_roots"]),
         extensions=list(raw.get("extensions", [".java"])),
@@ -306,14 +296,18 @@ def _write_text(output: str | None, name: str, text: str) -> None:
 
     An output that cannot be written raises ``ValueError`` (a usage error) naming it.
     """
-    if not output:
-        sys.stdout.write(text)
-        return
-    target = Path(output) / name
+    target = Path(output) / name if output else "<stdout>"
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
+        if output:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        if not output:  # so that the interpreter's flush at exit writes what is left to the null device
+            with contextlib.suppress(OSError, ValueError):  # a stdout without a file descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write output: {target} ({getattr(exc, 'strerror', None) or exc})") from None
 
 
@@ -485,25 +479,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         budgets=tuple(args.budgets),
     )
     pooled, _ = _evaluate_manifests(args, grid)
-    rows = sweep_rows(pooled)
     csv_rows = [
-        (
-            row.metric,
-            format_horizon(row.horizon_days),
-            row.operator,
-            f"{row.budget:g}",
-            str(row.mean_accuracy),
-            str(row.fdr),
-            str(row.min_acc),
-            str(row.q1_acc),
-            str(row.median_acc),
-            str(row.q3_acc),
-            str(row.max_acc),
-            str(row.mean_time_s),
-        )
-        for row in rows
+        (metric, format_horizon(horizon), operator, f"{budget:g}", *map(str, values))
+        for metric, horizon, operator, budget, *values in sweep_rows(pooled)
     ]
-    _write_text(args.output, "sweep.csv", _csv_text(SWEEP_COLUMNS, csv_rows))
+    _write_text(args.output, "sweep.csv", _csv_text(SweepRow._fields, csv_rows))
     return EXIT_OK
 
 
@@ -813,21 +793,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_INPUT
-    except ParseError as exc:
-        print(f"riskmin: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except LabelError as exc:
-        print(f"riskmin: error: {exc}", file=sys.stderr)
-        return EXIT_LABEL
-    except AlignmentError as exc:
-        print(f"riskmin: error: {exc}", file=sys.stderr)
-        return EXIT_ALIGNMENT
-    except ValueError as exc:
-        print(f"riskmin: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
     finally:
         if collecting:
             gc.enable()

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the input line reader.
 
-The CLI maps these to stable exit codes; library callers can catch them
-individually.
+The CLI maps these to stable exit codes through one table,
+``riskmin.cli.EXIT_CODES``; library callers can catch them individually.
 """
 
 from __future__ import annotations

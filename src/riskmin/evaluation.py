@@ -17,7 +17,7 @@ import itertools
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .change_history import ClassHistory
 from .errors import LabelError
@@ -92,8 +92,9 @@ class SweepGrid:
     budgets: tuple[float, ...] = CANONICAL_BUDGETS
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One ``sweep.csv`` row; the field names, in order, are the file's header."""
+
     metric: str
     horizon_days: float | None
     operator: str
@@ -230,20 +231,6 @@ def sweep_rows(cells: Iterable[GridCell]) -> list[SweepRow]:
         if not outcomes:
             continue
         lo, q1, mean, med, q3, hi = describe([o.accuracy for o in outcomes])
-        rows.append(
-            SweepRow(
-                metric=metric,
-                horizon_days=horizon,
-                operator=operator,
-                budget=fraction,
-                mean_accuracy=mean,
-                fdr=fdr(outcomes),
-                min_acc=lo,
-                q1_acc=q1,
-                median_acc=med,
-                q3_acc=q3,
-                max_acc=hi,
-                mean_time_s=statistics.fmean([o.wall_time for o in outcomes]),
-            )
-        )
+        mean_time = statistics.fmean([o.wall_time for o in outcomes])
+        rows.append(SweepRow(metric, horizon, operator, fraction, mean, fdr(outcomes), lo, q1, med, q3, hi, mean_time))
     return rows

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import weakref
 from pathlib import Path
@@ -463,6 +466,15 @@ class TestEvaluateCommand:
         assert summary["n_versions"] == 2
         assert sorted(summary["per_project"]) == ["one"]
 
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_a_pool_without_labelled_versions_exits_4(self, tmp_path, capsys, command):
+        first = _write_project(tmp_path / "p1", project_id="one", versions=[])
+        second = _write_project(tmp_path / "p2", project_id="two", versions=[])
+        out = tmp_path / "out"
+        assert cli.main([command, str(first), str(second), "--output", str(out)]) == 4
+        assert capsys.readouterr().err == f"riskmin: error: no labeled versions to {command}\n"
+        assert not out.exists()
+
     def test_multiple_manifests_are_concatenated(self, tmp_path):
         first = _write_project(tmp_path / "p1")
         versions = [
@@ -680,6 +692,18 @@ class TestOutcomesFileErrors:
         table = json.loads(capsys.readouterr().out)["fisher"]["table"]
         assert table == {"a": 2, "b": 2, "c": 0, "d": 4}
 
+    def test_a_blank_line_between_rows_is_skipped(self, tmp_path, capsys):
+        a, b, gapped = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "gapped.csv"
+        _write_outcomes(a, [("v1", 1.0), ("v2", 0.5), ("v3", 0.0)])
+        _write_outcomes(b, [("v1", 0.0), ("v2", 0.25), ("v3", 0.0)])
+        header, *rows = a.read_text(encoding="utf-8").splitlines(keepends=True)
+        gapped.write_text(header + rows[0] + "\n" + "".join(rows[1:]), encoding="utf-8")
+        reports = []
+        for first in (a, gapped):
+            assert cli.main(["compare", str(first), str(b)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 class TestUsageErrors:
     def test_no_command_exits_1(self, capsys):
@@ -712,6 +736,11 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
 
+    def test_a_list_flag_without_an_entry_exits_1(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path)
+        assert cli.main(["sweep", str(manifest), "--budgets", ","]) == 1
+        assert "argument --budgets: expected a non-empty comma-separated list" in capsys.readouterr().err
+
 
 class TestManifestShape:
     @pytest.mark.parametrize("content", ["5", "[]", '"manifest"', "null"])
@@ -743,6 +772,8 @@ class TestManifestShape:
             ("change_log_path", None),
             ("callgraph_path", None),
             ("extensions", [".java", ""]),
+            ("change_log_format", "xml"),
+            ("callgraph_format", "dot"),
         ],
     )
     def test_key_of_the_wrong_type_exits_3_naming_it(self, tmp_path, capsys, key, value):
@@ -1223,6 +1254,65 @@ class TestUnreadableInputs:
         assert f"riskmin: error: cannot write output: {out / self.FIRST_OUTPUT[command]} (" in err
         assert "missing input" not in err
         assert blocker.read_text(encoding="utf-8") == "a file, not a directory"
+
+
+class TestUnwritableStdout:
+    """A command whose stdout cannot take its output exits 1 with one error line naming stdout.
+
+    Each runs ``python -m riskmin.cli`` in a child process, so that the
+    interpreter's own flush of stdout at exit is part of what is checked.
+    """
+
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+
+    def _run(self, tmp_path, command, stdout, unbuffered):
+        if command == "compare":
+            a = tmp_path / "a.csv"
+            _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+            argv = [command, str(a), str(a)]
+        else:
+            argv = [command, str(_write_project(tmp_path / "p"))] + (["--as-of", str(REF)] if command == "score" else [])
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "riskmin.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize("command", ["compare", "score", "sweep"])
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_full_device_exits_1(self, tmp_path, command, unbuffered):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            done = self._run(tmp_path, command, full, unbuffered)
+        assert done.returncode == 1
+        assert done.stderr.decode().splitlines() == [
+            f"riskmin: error: cannot write output: <stdout> ({os.strerror(errno.ENOSPC)})"
+        ]
+
+    @pytest.mark.parametrize("command", ["compare", "score", "sweep"])
+    def test_a_pipe_closed_by_its_reader_exits_1(self, tmp_path, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = self._run(tmp_path, command, write_end, unbuffered=False)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr.decode().splitlines() == [
+            f"riskmin: error: cannot write output: <stdout> ({os.strerror(errno.EPIPE)})"
+        ]
+
+    def test_a_stdout_without_a_file_descriptor_exits_1_in_process(self, tmp_path, capsys, monkeypatch):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        assert cli.main(["score", str(_write_project(tmp_path)), "--as-of", str(REF)]) == 1
+        assert capsys.readouterr().err == f"riskmin: error: cannot write output: <stdout> ({os.strerror(errno.ENOSPC)})\n"
 
 
 class _FailingReads(io.RawIOBase):

@@ -41,6 +41,10 @@ class TestBudgetCount:
     def test_never_exceeds_suite_size(self):
         assert budget_count(3, Budget(1.0)) == 3
 
+    def test_negative_suite_size_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            budget_count(-1, Budget(0.5))
+
     def test_rule_table(self):
         # round-half-up(n * f), clamped to [min(1, n), n]
         table = [
@@ -137,6 +141,20 @@ class TestSelect:
             selected=("a",), excluded=("b",), scores={"a": 1.0, "b": 2.0},
         )
         with pytest.raises(AssertionError):
+            check_result_invariants(broken, Budget(0.5))
+
+    @pytest.mark.parametrize(
+        "selected, excluded, scores, message",
+        [
+            (("a",), ("b", "c"), {"a": 3.0, "b": 2.0, "c": 1.0}, "selected count does not match the budget rule"),
+            (("a",), ("a",), {"a": 1.0}, "selected and excluded overlap"),
+            (("b",), ("a",), {"a": 1.0, "b": 1.0}, "tie crossed against lexicographic order"),
+        ],
+        ids=["wrong-count", "overlap", "tie-crossed"],
+    )
+    def test_check_result_invariants_names_each_broken_rule(self, selected, excluded, scores, message):
+        broken = MinimizationResult(selected=selected, excluded=excluded, scores=scores)
+        with pytest.raises(AssertionError, match=message):
             check_result_invariants(broken, Budget(0.5))
 
 
