@@ -6,7 +6,7 @@ invocations stay reproducible. All outputs are deterministic byte-for-byte
 for identical inputs and flags, except wall-clock time, which is isolated
 to designated columns/keys.
 
-Exit codes: 0 success, 1 usage or an unwritable output (stdout included),
+Exit codes: 0 success, 1 usage or an unwritable output (stdout included, help too),
 2 missing or unreadable input, 3 parse error, 4 label error, 5 alignment
 error. ``main`` takes each error's code from one table, ``EXIT_CODES``.
 """
@@ -74,7 +74,10 @@ EXIT_CODES = ((InputError, 2), (ParseError, 3), (LabelError, 4), (AlignmentError
 
 CHANGE_LOG_FORMATS = ("jsonl", "numstat")
 
-JOBS_HELP = "accepted for compatibility; versions are evaluated serially"
+JOBS_HELP = (
+    "score each project's (version, horizon) units in up to N processes, at most one per CPU "
+    "(default: 1); the outputs do not depend on N"
+)
 
 OUTCOME_COLUMNS = ("version_id", "accuracy", "detected", "wall_time_s")
 
@@ -400,7 +403,7 @@ def _evaluate_manifests(
                 len(unreachable),
             )
         if labels:
-            cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds)
+            cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds, args.jobs)
             by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
             # Every project's cells follow the grid order, so they pool position by position.
             pooled = cells if not pooled else [
@@ -606,7 +609,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage failures exit 1 instead of argparse's 2."""
+    """ArgumentParser whose usage failures exit 1 instead of argparse's 2, and whose help on stdout
+    is written by ``_write_text``, so that an unwritable stdout is an output error (exit 1)."""
+
+    def print_help(self, file=None):
+        if file is None:
+            _write_text(None, "", self.format_help())
+        else:
+            super().print_help(file)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -785,14 +795,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     if _PARSER is None:
         _PARSER = build_parser()
-    try:
-        args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits after a usage error, and after printing help
+        return 0 if exc.code is None else int(exc.code)
     except (InputError, ValueError) as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

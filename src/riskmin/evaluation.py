@@ -7,13 +7,17 @@ keeping at least one of them. ``evaluate_grid`` takes these measurements
 over metric, horizon, operator, and budget (a single run is the 1x1x1x1
 grid), sharing each version's decay pass across horizons and metrics, each
 dependency signature's risks across its tests and operators, and each
-ranking across budgets;
+ranking across budgets. With ``jobs`` above 1 it cuts a project's
+(version, horizon) units into contiguous shares, scores every share but the
+first in a forked child process, and merges the cells by grid index, so
+they equal those of one share;
 ``sweep_rows`` summarises each cell over the versions.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import statistics
 import time
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from .change_history import ClassHistory
 from .errors import LabelError
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import OPERATORS, check_operator, positive_multisets, score_multisets
-from .temporal_risk import METRICS, risk_tables_by_instant
+from .temporal_risk import METRICS, risk_folder
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ def minimize_suite(
     """The tests of ``dep_map`` (from ``build_dependency_map``) scored at ``as_of`` by the
     1x1x1x1 grid's one scoring pass, and that ranking cut at the budget."""
     grid = SweepGrid((metric,), (half_life_days,), (operator,), (budget.fraction,))
-    ((_, _, scores, ranked, _),) = _scoring_passes(histories, dep_map, (as_of,), grid)
+    ((_, _, scores, ranked, _),) = _scoring_passes(_prepare(histories, dep_map, grid, 1), (as_of,), grid, range(1))
     fingerprint = config_fingerprint(metric, half_life_days, operator, budget.fraction, as_of)
     return cut_ranking(ranked, scores, budget, fingerprint)
 
@@ -132,62 +136,111 @@ def evaluate_grid(
     labels: Sequence[VersionLabel],
     grid: SweepGrid,
     base_seconds: float = 0.0,
+    jobs: int = 1,
 ) -> list[GridCell]:
     """Minimize every labelled version under every grid cell and measure fault preservation.
 
     Cells come back in grid order, each with one outcome per label in label
     order. Work is shared wherever cells agree: each event's weight is
-    derived once for every version; per version one decay pass over each
-    class's history serves every horizon and metric; per
-    (horizon, metric) each distinct dependency signature gets one sorted
-    positive-risk multiset; per operator each signature is scored once and
-    the tests are ranked once, and every budget keeps a prefix of that
-    ranking. Scores and selections equal, bit for bit, those of the cell
-    run alone: ``decayed_risks`` at the label's ``as_of``, then
+    derived once for every version; per version and share one decay pass
+    over each class's history serves every horizon of the share and every
+    metric; per (horizon, metric) each distinct dependency signature gets
+    one sorted positive-risk multiset; per operator each signature is scored
+    once and the tests are ranked once, and every budget keeps a prefix of
+    that ranking. Scores and selections equal, bit for bit, those of the
+    cell run alone: ``decayed_risks`` at the label's ``as_of``, then
     ``score_multisets(positive_multisets(...))`` and
     ``cut_ranking(rank(scores), ...)``. A cell's ``wall_time``
     is ``base_seconds`` (ingestion and dependency analysis, measured by the
-    caller) plus the measured cost of the work it used: its metric's share
-    of its horizon's share of the version's decay pass (which includes the
-    version's equal share of deriving the weights), its metric's
-    multisets, its scoring pass and ranking, and its own selection.
-    Every axis is checked before any version is scored, with or without labels.
+    caller) plus the measured cost of the work it used: its equal share of
+    deriving the weights, its metric's share of its horizon's share of its
+    decay pass, its metric's multisets, its scoring pass and ranking, and
+    its own selection. Every axis is checked before any version is scored,
+    with or without labels.
+
+    The (version, horizon) units, version-major, are cut into
+    ``min(jobs, units, os.cpu_count())`` contiguous shares (one where
+    ``os.fork`` does not exist). The weights, the signatures and the
+    reached classes are derived here, once; then every share but the first
+    is scored in a forked child process, which charges its own measured
+    time, and the first in this one. The cells are filled by grid index, so
+    they equal those of ``jobs=1`` apart from ``wall_time``.
     """
     for operator in grid.operators:
         check_operator(operator)
     budgets = [Budget(fraction) for fraction in grid.budgets]
+    prepared = _prepare(histories, dep_map, grid, len(labels))
+    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    shares = _shares(len(labels) * len(grid.horizons), jobs, cpus)
+    work = lambda units: _score_share(prepared, labels, grid, budgets, base_seconds, units)  # noqa: E731
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
-    cells: list[GridCell] = [(key, []) for key in keys]
-    passes = _scoring_passes(histories, dep_map, [label.as_of for label in labels], grid)
-    for first_cell, v, _, ranked, shared_seconds in passes:
+    cells: list[GridCell] = [(key, [None] * len(labels)) for key in keys]
+    if len(shares) == 1:
+        results = [work(shares[0])]
+    else:
+        from .workers import run_shares  # so that a command that does not fork does not load it
+
+        results = run_shares(work, shares)
+    for first_cell, v, measured in itertools.chain.from_iterable(results):
         label = labels[v]
-        budget_cells = cells[first_cell : first_cell + len(budgets)]
-        for ((metric, horizon, operator, fraction), outcomes), budget in zip(budget_cells, budgets):
-            t0 = time.perf_counter()
-            fingerprint = config_fingerprint(metric, horizon, operator, fraction, label.as_of)
-            keep = budget_count(len(ranked), budget)
-            acc = accuracy(set(ranked[:keep]), label)
-            seconds = base_seconds + shared_seconds + (time.perf_counter() - t0)
-            outcomes.append(VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint))
+        for (key, outcomes), (acc, seconds) in zip(cells[first_cell : first_cell + len(budgets)], measured):
+            fingerprint = config_fingerprint(*key, label.as_of)
+            outcomes[v] = VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint)
     return cells
 
 
-def _scoring_passes(
-    histories: Mapping[str, ClassHistory],
-    dep_map: Mapping[str, list[str]],
-    as_ofs: Sequence[int],
-    grid: SweepGrid,
-) -> Iterator[tuple[int, int, dict[str, float], list[str], float]]:
-    """Every (instant, metric, horizon, operator) scoring pass of the grid, horizon-outer.
+def _shares(units: int, jobs: int, cpus: int) -> list[range]:
+    """``range(units)`` cut into ``min(jobs, units, cpus)`` contiguous shares (at least one), in order.
 
-    Yields the grid index of the pass's first cell (its first budget), the
-    index of the evaluation instant in ``as_ofs``, every test's score, the
-    tests in ``rank`` order, and the seconds of the shared work the pass used.
-    Only the classes that some dependency signature reaches are folded: a
-    class's fold does not depend on any other's, so the risks that are read
-    are the same, bit for bit.
+    Share sizes differ by at most one. At most ``units`` shares, so a huge
+    ``jobs`` costs nothing.
     """
-    n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
+    n = max(1, min(jobs, units, cpus))
+    return [range(units * k // n, units * (k + 1) // n) for k in range(n)]
+
+
+_Measured = list[tuple[int, int, list[tuple[float, float]]]]
+
+
+def _score_share(
+    prepared: tuple,
+    labels: Sequence[VersionLabel],
+    grid: SweepGrid,
+    budgets: Sequence[Budget],
+    base_seconds: float,
+    units: range,
+) -> _Measured:
+    """(first cell, label index, (accuracy, seconds) per budget) of every scoring pass of ``units``.
+
+    ``prepared`` is as returned by ``_prepare``.
+    """
+    measured: _Measured = []
+    as_ofs = [label.as_of for label in labels]
+    for first_cell, v, _, ranked, shared_seconds in _scoring_passes(prepared, as_ofs, grid, units):
+        label = labels[v]
+        per_budget = []
+        for budget in budgets:
+            t0 = time.perf_counter()
+            acc = accuracy(set(ranked[: budget_count(len(ranked), budget)]), label)
+            per_budget.append((acc, base_seconds + shared_seconds + (time.perf_counter() - t0)))
+        measured.append((first_cell, v, per_budget))
+    return measured
+
+
+def _prepare(
+    histories: Mapping[str, ClassHistory], dep_map: Mapping[str, list[str]], grid: SweepGrid, n_instants: int
+) -> tuple:
+    """What every share of one project's grid reads; derived once, before any child is forked.
+
+    That is ``by_signature`` (each dependency signature of ``dep_map`` and
+    its tests, in ``dep_map`` order), ``signature_of`` (each test id with
+    the index of its signature), ``fold`` (``risk_folder`` of the grid's
+    metrics and horizons over the classes some signature reaches) and
+    ``weights_seconds`` (the time taken to derive the weights, per
+    instant). Only the reached classes are folded: a class's fold does not
+    depend on any other's, so the risks that are read are the same, bit for
+    bit. Checks the grid's metrics and horizons.
+    """
     by_signature: dict[tuple[str, ...], list[str]] = {}
     for test_id, deps in dep_map.items():
         by_signature.setdefault(tuple(deps), []).append(test_id)
@@ -197,15 +250,38 @@ def _scoring_passes(
     t0 = time.perf_counter()
     reached = {class_id for signature in by_signature for class_id in signature}
     histories = {class_id: history for class_id, history in histories.items() if class_id in reached}
-    del reached  # this generator lives through the whole grid
-    by_instant = risk_tables_by_instant(histories, grid.metrics, grid.horizons, as_ofs)
-    weights_seconds = (time.perf_counter() - t0) / max(len(as_ofs), 1)  # derived once, shared by every instant
-    for v in range(len(as_ofs)):
+    fold = risk_folder(histories, grid.metrics, grid.horizons)
+    return by_signature, signature_of, fold, (time.perf_counter() - t0) / max(n_instants, 1)
+
+
+def _scoring_passes(
+    prepared: tuple,
+    as_ofs: Sequence[int],
+    grid: SweepGrid,
+    units: range,
+) -> Iterator[tuple[int, int, dict[str, float], list[str], float]]:
+    """Every (metric, operator) scoring pass of the (instant, horizon) units ``units``, in unit order.
+
+    Unit ``u`` is the instant ``as_ofs[u // len(grid.horizons)]`` at the
+    horizon ``u % len(grid.horizons)``. Per instant, one decay pass folds
+    the run of its horizons that ``units`` holds. Yields the grid index of
+    the pass's first cell (its first budget), the index of the evaluation
+    instant in ``as_ofs``, every test's score, the tests in ``rank`` order,
+    and the seconds of the shared work the pass used.
+    """
+    n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
+    by_signature, signature_of, fold, weights_seconds = prepared
+    if not units:  # also the only case of a grid without horizons
+        return
+    for v in range(units.start // n_horizons, (units.stop - 1) // n_horizons + 1):
+        first = max(units.start - v * n_horizons, 0)
+        last = min(units.stop - v * n_horizons, n_horizons)
         t0 = time.perf_counter()
-        tables = next(by_instant)
-        decay_seconds = (weights_seconds + time.perf_counter() - t0) / max(n_horizons, 1)
-        for h in range(n_horizons):
-            risks, tables[h] = tables[h], {}  # so that a horizon's table is freed once its multisets are built
+        tables = fold(as_ofs[v], slice(first, last))
+        decay_seconds = weights_seconds / n_horizons + (time.perf_counter() - t0) / (last - first)
+        for h in range(first, last):
+            # so that a horizon's table is freed once its multisets are built
+            risks, tables[h - first] = tables[h - first], {}
             for m, metric in enumerate(grid.metrics):
                 t0 = time.perf_counter()
                 multisets = positive_multisets(by_signature, risks[metric])

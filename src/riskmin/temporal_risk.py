@@ -13,7 +13,7 @@ import math
 import operator
 from array import array
 from bisect import bisect_right
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .change_history import ClassHistory
 
@@ -57,7 +57,7 @@ def decayed_risks(
     reference_time: int,
 ) -> dict[str, dict[str, float]]:
     """``risk_tables_by_instant`` at one instant and one horizon: metric -> class id -> risk."""
-    return next(risk_tables_by_instant(histories, metrics, (half_life_days,), (reference_time,)))[0]
+    return risk_folder(histories, metrics, (half_life_days,))(reference_time)[0]
 
 
 _TIMESTAMP = operator.itemgetter(1)  # of a ChangeEvent
@@ -85,6 +85,23 @@ def risk_tables_by_instant(
     the history's chronological order: never the builtin ``sum``, whose
     float summation is compensated since Python 3.12.
     """
+    fold = risk_folder(histories, metrics, half_lives)
+    return (fold(as_of) for as_of in as_ofs)
+
+
+def risk_folder(
+    histories: Mapping[str, ClassHistory],
+    metrics: Sequence[str],
+    half_lives: Sequence[float | None],
+) -> Callable[[int, slice], list[dict[str, dict[str, float]]]]:
+    """``fold(as_of, horizons=slice(None))``: the tables of ``risk_tables_by_instant`` at one instant,
+    for the half-lives ``half_lives[horizons]``.
+
+    The arguments are checked, and each event's extent weight is derived,
+    when this is called; each call of ``fold`` is one decay pass. A
+    half-life's table does not depend on the others folded with it, so the
+    tables of a slice equal, bit for bit, those of the whole.
+    """
     alphas = _checked_alphas(metrics, half_lives)
     # class id -> the extent weight of each of its events; empty without extent
     weights: dict[str, array[float]] = {}
@@ -96,7 +113,11 @@ def risk_tables_by_instant(
             weights[class_id] = array(  # event.churn, inlined
                 "d", [log1p(event.added + event.deleted + event.modified) for event in history.events]
             )
-    return (_tables_at(histories, metrics, alphas, as_of, weights) for as_of in as_ofs)
+
+    def fold(as_of: int, horizons: slice = slice(None)) -> list[dict[str, dict[str, float]]]:
+        return _tables_at(histories, metrics, alphas[horizons], as_of, weights)
+
+    return fold
 
 
 def _tables_at(
@@ -106,7 +127,7 @@ def _tables_at(
     as_of: int,
     weights: Mapping[str, array[float]],
 ) -> list[dict[str, dict[str, float]]]:
-    """The tables of one instant; ``weights`` as built by ``risk_tables_by_instant``."""
+    """The tables of one instant; ``weights`` as built by ``risk_folder``."""
     tables: list[dict[str, dict[str, float]]] = [{metric: {} for metric in metrics} for _ in alphas]
     if not metrics:
         return tables

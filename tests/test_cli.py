@@ -10,6 +10,7 @@ import sys
 import types
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -267,6 +268,38 @@ def _assert_jobs_agree_with_serial(tmp_path, command, output_name):
     assert texts[0] == texts[1]
 
 
+def _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, command):
+    """``--jobs 2`` on two CPUs forks one child per project, and every child is reaped when the command ends."""
+    fork = mock.Mock(wraps=os.fork)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli.main([command, str(_write_project(tmp_path)), "--jobs", "2", "--output", str(tmp_path / "out")]) == 0
+    assert fork.call_count == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs, forks", [("1", False), ("2", True)])
+def test_a_sweep_loads_no_process_pool(tmp_path, jobs, forks):
+    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded, and the
+    worker module only once a command forks."""
+    script = (
+        "import os, sys\n"
+        "from riskmin import cli\n"
+        "os.cpu_count = lambda: 2\n"
+        f"assert cli.main(['sweep', sys.argv[1], '--jobs', '{jobs}', '--output', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in ('multiprocessing', 'pickle', 'riskmin.workers') if m in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(_write_project(tmp_path)), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (str(["riskmin.workers"]) if forks else "[]") + "\n"
+
+
 class TestEvaluateCommand:
     def test_outcome_rows_match_pipeline(self, tmp_path):
         manifest = _write_project(tmp_path)
@@ -336,6 +369,9 @@ class TestEvaluateCommand:
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
         _assert_jobs_agree_with_serial(tmp_path, "evaluate", "outcomes.csv")
+
+    def test_jobs_2_forks_and_leaves_no_child_process(self, tmp_path, monkeypatch):
+        _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, "evaluate")
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3", "two", "1.5"])
@@ -516,6 +552,9 @@ class TestSweepCommand:
 
     def test_parallel_jobs_agree_with_serial(self, tmp_path):
         _assert_jobs_agree_with_serial(tmp_path, "sweep", "sweep.csv")
+
+    def test_jobs_2_forks_and_leaves_no_child_process(self, tmp_path, monkeypatch):
+        _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, "sweep")
 
     def test_dependency_map_is_built_once_per_project(self, tmp_path, monkeypatch):
         calls = []
@@ -735,6 +774,13 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["score", "minimize", "evaluate", "sweep", "compare"])
+    def test_help_is_written_to_stdout(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: riskmin {command} ")
+        assert captured.err == ""
 
     def test_a_list_flag_without_an_entry_exits_1(self, tmp_path, capsys):
         manifest = _write_project(tmp_path)
@@ -1272,6 +1318,9 @@ class TestUnwritableStdout:
             argv = [command, str(a), str(a)]
         else:
             argv = [command, str(_write_project(tmp_path / "p"))] + (["--as-of", str(REF)] if command == "score" else [])
+        return self._spawn(argv, stdout, unbuffered)
+
+    def _spawn(self, argv, stdout, unbuffered):
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
         if unbuffered:
@@ -1287,6 +1336,19 @@ class TestUnwritableStdout:
             pytest.skip("no /dev/full on this system")
         with open("/dev/full", "wb") as full:
             done = self._run(tmp_path, command, full, unbuffered)
+        assert done.returncode == 1
+        assert done.stderr.decode().splitlines() == [
+            f"riskmin: error: cannot write output: <stdout> ({os.strerror(errno.ENOSPC)})"
+        ]
+
+    @pytest.mark.parametrize("command", [[], ["score"], ["minimize"], ["evaluate"], ["sweep"], ["compare"]],
+                             ids=["top-level", "score", "minimize", "evaluate", "sweep", "compare"])
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_help_on_a_full_device_exits_1(self, command, unbuffered):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            done = self._spawn([*command, "--help"], full, unbuffered)
         assert done.returncode == 1
         assert done.stderr.decode().splitlines() == [
             f"riskmin: error: cannot write output: <stdout> ({os.strerror(errno.ENOSPC)})"

@@ -1,21 +1,31 @@
 import dataclasses
+import errno
 import itertools
 import json
+import logging
+import marshal
 import math
+import os
 import random
+import signal
+import time
+import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmin import cli
+from riskmin import cli, evaluation, workers
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.errors import LabelError
 from riskmin.evaluation import (
     SweepGrid,
+    _prepare,
     _scoring_passes,
+    _shares,
     VersionLabel,
     VersionOutcome,
     accuracy,
@@ -393,7 +403,9 @@ class TestSharedScoringPath:
         cells = evaluate_grid(histories, dep_map, labels, grid)
         passes = 0
         as_ofs = [label.as_of for label in labels]
-        for first_cell, v, scores, ranked, _ in _scoring_passes(histories, dep_map, as_ofs, grid):
+        prepared = _prepare(histories, dep_map, grid, len(as_ofs))
+        units = range(len(as_ofs) * len(grid.horizons))
+        for first_cell, v, scores, ranked, _ in _scoring_passes(prepared, as_ofs, grid, units):
             label = labels[v]
             passes += 1
             metric, horizon, operator, _ = keys[first_cell]
@@ -415,6 +427,138 @@ class TestSharedScoringPath:
                 assert (list(result.selected), list(result.excluded)) == (chosen, dropped)
                 assert list(result.scores.items()) == [(test_id, expected[test_id]) for test_id in whole]
         assert passes == len(labels) * len(grid.metrics) * len(grid.horizons) * len(grid.operators)
+
+
+def _untimed(cells):
+    """Each cell's key and, in order, its outcomes without their wall time."""
+    return [
+        (key, [(o.version_id, o.accuracy, o.detected, o.config_fingerprint) for o in outcomes])
+        for key, outcomes in cells
+    ]
+
+
+def _assert_no_child_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShares:
+    """The split of a project's (version, horizon) units into contiguous shares; no process is started."""
+
+    @pytest.mark.parametrize(
+        "units, jobs, cpus, expected",
+        [
+            (30, 2, 2, [range(0, 15), range(15, 30)]),
+            (30, 10**18, 2, [range(0, 15), range(15, 30)]),
+            (3, 10**18, 10**18, [range(0, 1), range(1, 2), range(2, 3)]),
+            (7, 3, 64, [range(0, 2), range(2, 4), range(4, 7)]),
+            (7, 3, 1, [range(0, 7)]),
+            (5, 1, 64, [range(0, 5)]),
+            (0, 10**6, 4, [range(0, 0)]),
+        ],
+    )
+    def test_known_splits(self, units, jobs, cpus, expected):
+        assert _shares(units, jobs, cpus) == expected
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 5_000), st.integers(1, 10**30), st.integers(1, 10**30))
+    def test_shares_cover_the_units_in_order_and_are_capped(self, units, jobs, cpus):
+        shares = _shares(units, jobs, cpus)
+        assert len(shares) == max(1, min(jobs, units, cpus))
+        assert [u for share in shares for u in share] == list(range(units))
+        assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
+class TestForkedShares:
+    """``jobs`` above 1 scores the shares in forked children; the cells equal those of ``jobs=1``."""
+
+    GRID = TestSharedScoringPath.GRID
+
+    @settings(max_examples=6, deadline=None)
+    @given(_scoring_projects())
+    def test_every_jobs_value_gives_the_cells_of_one_share(self, project):
+        histories, dep_map, labels = project
+        units = len(labels) * len(self.GRID.horizons)
+        expected = _untimed(evaluate_grid(histories, dep_map, labels, self.GRID, jobs=1))
+        with mock.patch.object(os, "cpu_count", return_value=4), mock.patch.object(
+            os, "fork", wraps=os.fork
+        ) as fork, mock.patch.object(workers.logger, "warning", side_effect=AssertionError("a share was lost")):
+            for jobs in range(1, 5):
+                assert _untimed(evaluate_grid(histories, dep_map, labels, self.GRID, jobs=jobs)) == expected
+        assert fork.call_count == sum(min(jobs, units, 4) - 1 for jobs in range(1, 5))
+        _assert_no_child_process_left()
+
+    def test_without_fork_one_share_is_scored(self, monkeypatch):
+        _, histories, dep_map, label = _project_version(4, "v0")
+        expected = _untimed(evaluate_grid(histories, dep_map, [label], self.GRID))
+        monkeypatch.delattr(os, "fork")
+        assert _untimed(evaluate_grid(histories, dep_map, [label], self.GRID, jobs=4)) == expected
+
+
+class TestWorkerLifecycle:
+    """A share that a child does not deliver is scored in the parent; no child outlives ``evaluate_grid``."""
+
+    GRID = SweepGrid(metrics=("frequency", "extent"), horizons=(None, 4.0, 32.0),
+                     operators=("avg", "gmean"), budgets=(0.25, 0.5))
+
+    def _inputs(self):
+        _, histories, dep_map, label = _project_version(3, "v0")
+        labels = [
+            VersionLabel(f"v{k}", label.as_of - days * DAY, label.fault_revealing_tests)
+            for k, days in enumerate((0, 30, 200))
+        ]
+        return histories, dep_map, labels
+
+    @pytest.mark.parametrize(
+        "failure", [RuntimeError, KeyboardInterrupt, SystemExit, "killed", "short payload", "no fork"]
+    )
+    def test_a_share_a_child_does_not_deliver_is_scored_in_the_parent(self, monkeypatch, caplog, failure):
+        histories, dep_map, labels = self._inputs()
+        expected = _untimed(evaluate_grid(histories, dep_map, labels, self.GRID))
+        parent, score_share = os.getpid(), evaluation._score_share
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                elif failure != "short payload":
+                    raise failure("in a child")
+            return score_share(*args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(evaluation, "_score_share", failing_in_children)
+        if failure == "short payload":  # the child writes all but the last byte and exits 0
+            monkeypatch.setattr(
+                workers, "marshal", types.SimpleNamespace(dumps=lambda value: marshal.dumps(value)[:-1],
+                                                             loads=marshal.loads)
+            )
+        if failure == "no fork":  # as at a limit on the number of processes
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(errno.EAGAIN, "no process")))
+        with caplog.at_level(logging.WARNING, logger="riskmin.workers"):
+            cells = evaluate_grid(histories, dep_map, labels, self.GRID, jobs=3)
+        assert _untimed(cells) == expected
+        warnings = [record.getMessage() for record in caplog.records if record.name == "riskmin.workers"]
+        assert warnings == ["a worker process delivered nothing; its share of 3 units is scored here"] * 2
+        _assert_no_child_process_left()
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+    def test_a_failure_in_the_parents_share_kills_and_reaps_every_child(self, monkeypatch, failure):
+        histories, dep_map, labels = self._inputs()
+        parent = os.getpid()
+
+        def failing_in_the_parent(*args):
+            if os.getpid() == parent:
+                raise failure("in the parent")
+            time.sleep(60)  # a child still at work when the parent fails; only SIGKILL ends it in time
+            return []
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(evaluation, "_score_share", failing_in_the_parent)
+        started = time.monotonic()
+        with pytest.raises(failure, match="in the parent"):
+            evaluate_grid(histories, dep_map, labels, self.GRID, jobs=3)
+        assert time.monotonic() - started < 30
+        _assert_no_child_process_left()
 
 
 def _write_library_project(directory):
