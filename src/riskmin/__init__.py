@@ -47,6 +47,6 @@ from .stats import (
     fisher_exact_2x2,
     wilcoxon_signed_rank,
 )
-from .temporal_risk import METRICS, alpha_from_half_life, decayed_risks
+from .temporal_risk import METRICS, alpha_from_half_life, risk_folder
 
 __version__ = "0.1.0"

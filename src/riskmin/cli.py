@@ -62,7 +62,7 @@ from .evaluation import (
 )
 from .minimizer import Budget, check_result_invariants, format_horizon
 from .risk_aggregation import OPERATORS, OP_GMEAN
-from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, decayed_risks
+from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, risk_folder
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +76,7 @@ CHANGE_LOG_FORMATS = ("jsonl", "numstat")
 
 JOBS_HELP = (
     "score each project's (version, horizon) units in up to N processes, at most one per CPU "
-    "(default: 1); the outputs do not depend on N"
+    "this process may run on (default: 1); the outputs do not depend on N"
 )
 
 OUTCOME_COLUMNS = ("version_id", "accuracy", "detected", "wall_time_s")
@@ -340,7 +340,7 @@ def _json_float(value: float):
 def cmd_score(args: argparse.Namespace) -> int:
     manifest = load_manifest(Path(args.manifest))
     inputs = load_project_inputs(manifest)
-    table = decayed_risks(inputs.histories, (args.metric,), args.horizon, args.as_of)[args.metric]
+    table = risk_folder(inputs.histories, (args.metric,), (args.horizon,))(args.as_of)[0][args.metric]
     for class_id, risk in table.items():
         if not (math.isfinite(risk) and risk >= 0):
             raise AssertionError(f"invalid risk score for {class_id}")

@@ -148,8 +148,8 @@ def evaluate_grid(
     one sorted positive-risk multiset; per operator each signature is scored
     once and the tests are ranked once, and every budget keeps a prefix of
     that ranking. Scores and selections equal, bit for bit, those of the
-    cell run alone: ``decayed_risks`` at the label's ``as_of``, then
-    ``score_multisets(positive_multisets(...))`` and
+    cell run alone: ``risk_folder`` of its metric and horizon at the
+    label's ``as_of``, then ``score_multisets(positive_multisets(...))`` and
     ``cut_ranking(rank(scores), ...)``. A cell's ``wall_time``
     is ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its equal share of
@@ -159,18 +159,19 @@ def evaluate_grid(
     with or without labels.
 
     The (version, horizon) units, version-major, are cut into
-    ``min(jobs, units, os.cpu_count())`` contiguous shares (one where
-    ``os.fork`` does not exist). The weights, the signatures and the
-    reached classes are derived here, once; then every share but the first
-    is scored in a forked child process, which charges its own measured
-    time, and the first in this one. The cells are filled by grid index, so
+    ``min(jobs, units, cpus)`` contiguous shares, where ``cpus`` counts the
+    CPUs this process may run on (one share where ``os.fork`` does not
+    exist). The weights, the signatures and the reached classes are
+    derived here, once; then every share but the first is scored in a
+    forked child process, which charges its own measured time, and the
+    first in this one. The cells are filled by grid index, so
     they equal those of ``jobs=1`` apart from ``wall_time``.
     """
     for operator in grid.operators:
         check_operator(operator)
     budgets = [Budget(fraction) for fraction in grid.budgets]
     prepared = _prepare(histories, dep_map, grid, len(labels))
-    cpus = (os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
     shares = _shares(len(labels) * len(grid.horizons), jobs, cpus)
     work = lambda units: _score_share(prepared, labels, grid, budgets, base_seconds, units)  # noqa: E731
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
@@ -187,6 +188,13 @@ def evaluate_grid(
             fingerprint = config_fingerprint(*key, label.as_of)
             outcomes[v] = VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint)
     return cells
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where ``os`` reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _shares(units: int, jobs: int, cpus: int) -> list[range]:

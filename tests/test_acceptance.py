@@ -21,7 +21,7 @@ from riskmin.evaluation import VersionLabel, VersionOutcome, accuracy, fdr, mini
 from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
 from riskmin.risk_aggregation import OPERATORS, positive_multisets, score_multisets
 from riskmin.stats import cliffs_delta, fisher_exact_2x2, wilcoxon_signed_rank
-from riskmin.temporal_risk import decayed_risks, risk_tables_by_instant
+from riskmin.temporal_risk import risk_folder
 
 from microproject import AS_OF, random_micro_project
 from oracles import (
@@ -110,7 +110,7 @@ def test_half_life_exactness():
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
                 expected = weight * 2.0 ** (-k)
                 # at one instant, as minimize and score fold
-                risks = decayed_risks({"a.B": history}, ("frequency", "extent"), half_life, reference)
+                (risks,) = risk_folder({"a.B": history}, ("frequency", "extent"), (half_life,))(reference)
                 assert risks[metric]["a.B"] == pytest.approx(expected, rel=1e-12)
         # at several instants, as evaluate and sweep fold: one event, aged k half-lives at the k-th instant
         event = ChangeEvent(
@@ -118,7 +118,8 @@ def test_half_life_exactness():
         )
         history = ClassHistory(class_id="a.B", events=(event,))
         instants = [reference + int(k * half_life * DAY) for k in range(0, 7)]
-        tables = risk_tables_by_instant({"a.B": history}, ("frequency", "extent"), (half_life,), instants)
+        fold = risk_folder({"a.B": history}, ("frequency", "extent"), (half_life,))
+        tables = [fold(instant) for instant in instants]
         for k, (risks,) in enumerate(tables):
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
                 assert risks[metric]["a.B"] == pytest.approx(weight * 2.0 ** (-k), rel=1e-12)
@@ -197,7 +198,7 @@ def test_selection_invariant_under_risk_rescaling():
         project = random_micro_project(seed)
         histories, graph, entries, test_filter = project.library_inputs()
         dep_map = build_dependency_map(graph, entries, test_filter)
-        table = decayed_risks(histories, ("extent",), 32.0, project.as_of)["extent"]
+        table = risk_folder(histories, ("extent",), (32.0,))(project.as_of)[0]["extent"]
         for op in OPERATORS:
             for fraction in (0.25, 0.5, 0.75):
                 baseline = None

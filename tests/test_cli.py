@@ -111,7 +111,7 @@ class TestScoreCommand:
             "class_id,risk", "app.A,10.0", "app.B,4.0", "app.C,1.0",
         ]
 
-    def test_decayed_risks_match_the_exact_oracle(self, tmp_path, capsys):
+    def test_decayed_risk_table_matches_the_exact_oracle(self, tmp_path, capsys):
         manifest = _write_project(tmp_path)
         code = cli.main(
             ["score", str(manifest), "--metric", "extent", "--horizon", "32",
@@ -128,7 +128,7 @@ class TestScoreCommand:
     @pytest.mark.parametrize("risk", [math.nan, math.inf, -1.0])
     def test_every_score_checks_its_risks(self, tmp_path, monkeypatch, risk):
         manifest = _write_project(tmp_path)
-        monkeypatch.setattr(cli, "decayed_risks", lambda _, metrics, *rest: {metrics[0]: {"app.A": risk}})
+        monkeypatch.setattr(cli, "risk_folder", lambda _, metrics, *rest: lambda as_of: [{metrics[0]: {"app.A": risk}}])
         with pytest.raises(AssertionError, match="app.A"):
             cli.main(["score", str(manifest), "--as-of", str(REF)])
 
@@ -272,7 +272,7 @@ def _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, command):
     """``--jobs 2`` on two CPUs forks one child per project, and every child is reaped when the command ends."""
     fork = mock.Mock(wraps=os.fork)
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli.main([command, str(_write_project(tmp_path)), "--jobs", "2", "--output", str(tmp_path / "out")]) == 0
     assert fork.call_count == 1
     with pytest.raises(ChildProcessError):
@@ -286,7 +286,7 @@ def test_a_sweep_loads_no_process_pool(tmp_path, jobs, forks):
     script = (
         "import os, sys\n"
         "from riskmin import cli\n"
-        "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"assert cli.main(['sweep', sys.argv[1], '--jobs', '{jobs}', '--output', sys.argv[2]]) == 0\n"
         "print(sorted(m for m in ('multiprocessing', 'pickle', 'riskmin.workers') if m in sys.modules))\n"
     )
@@ -555,6 +555,22 @@ class TestSweepCommand:
 
     def test_jobs_2_forks_and_leaves_no_child_process(self, tmp_path, monkeypatch):
         _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, "sweep")
+
+    def test_jobs_2_on_one_allowed_cpu_forks_nothing_and_gives_the_rows_of_jobs_1(self, tmp_path, monkeypatch):
+        manifest = _write_project(tmp_path)
+        assert cli.main(["sweep", str(manifest), "--jobs", "1", "--output", str(tmp_path / "s")]) == 0
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the machine has two CPUs; this process may use one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli.main(["sweep", str(manifest), "--jobs", "2", "--output", str(tmp_path / "p")]) == 0
+        assert fork.call_count == 0
+        serial, capped = (
+            [line.rsplit(",", 1)[0] for line in (tmp_path / name / "sweep.csv").read_text().splitlines()]
+            for name in ("s", "p")
+        )
+        assert len(serial) == 1 + 80 * 3
+        assert capped == serial
 
     def test_dependency_map_is_built_once_per_project(self, tmp_path, monkeypatch):
         calls = []

@@ -480,7 +480,7 @@ class TestForkedShares:
         histories, dep_map, labels = project
         units = len(labels) * len(self.GRID.horizons)
         expected = _untimed(evaluate_grid(histories, dep_map, labels, self.GRID, jobs=1))
-        with mock.patch.object(os, "cpu_count", return_value=4), mock.patch.object(
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1, 2, 3}, create=True), mock.patch.object(
             os, "fork", wraps=os.fork
         ) as fork, mock.patch.object(workers.logger, "warning", side_effect=AssertionError("a share was lost")):
             for jobs in range(1, 5):
@@ -525,7 +525,7 @@ class TestWorkerLifecycle:
                     raise failure("in a child")
             return score_share(*args)
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(evaluation, "_score_share", failing_in_children)
         if failure == "short payload":  # the child writes all but the last byte and exits 0
             monkeypatch.setattr(
@@ -552,7 +552,7 @@ class TestWorkerLifecycle:
             time.sleep(60)  # a child still at work when the parent fails; only SIGKILL ends it in time
             return []
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setattr(evaluation, "_score_share", failing_in_the_parent)
         started = time.monotonic()
         with pytest.raises(failure, match="in the parent"):
@@ -587,7 +587,7 @@ def _write_library_project(directory):
     (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def test_readme_library_use_runs_and_selects_what_minimize_selects(tmp_path, monkeypatch, capsys):
+def test_readme_library_use_runs_and_selects_and_scores_what_the_commands_do(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     _write_library_project(tmp_path)
@@ -596,9 +596,14 @@ def test_readme_library_use_runs_and_selects_what_minimize_selects(tmp_path, mon
     exec(compile(snippet, "README.md", "exec"), namespace)
     selected = namespace["result"].selected
     assert selected == ("app.T1Test#test1", "app.T2Test#test2")
-    assert capsys.readouterr().out == f"{selected}\n"
+    assert capsys.readouterr().out == f"{selected}\napp.A\n"
     assert cli.main(
         ["minimize", "manifest.json", "--metric", "extent", "--horizon", "32", "--aggregate", "gmean",
          "--budget", "0.5", "--as-of", "1700000000", "--output", "out"]
     ) == 0
     assert (tmp_path / "out" / "selected.txt").read_text(encoding="utf-8").splitlines() == list(selected)
+    assert cli.main(
+        ["score", "manifest.json", "--metric", "extent", "--horizon", "32", "--as-of", "1700000000", "--output", "out"]
+    ) == 0
+    rows = (tmp_path / "out" / "risks.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows == [f"{class_id},{namespace['risks'][class_id]}" for class_id in sorted(namespace["risks"])]

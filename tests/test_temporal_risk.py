@@ -10,8 +10,7 @@ from riskmin.temporal_risk import (
     METRIC_EXTENT,
     METRIC_FREQUENCY,
     alpha_from_half_life,
-    decayed_risks,
-    risk_tables_by_instant,
+    risk_folder,
 )
 
 from oracles import exact_risk_table
@@ -33,13 +32,18 @@ def _in_time_order(events):
     return sorted(events, key=lambda e: (e.timestamp, e.commit_id))
 
 
+def _tables(histories, metrics, half_life, as_of=REF):
+    """Every metric's table at one horizon and one instant, as ``score`` asks for them."""
+    return risk_folder(histories, metrics, (half_life,))(as_of)[0]
+
+
 def _risk(history, metric, half_life, as_of=REF):
     """One class's risk, as the commands compute it."""
-    return decayed_risks({history.class_id: history}, (metric,), half_life, as_of)[metric][history.class_id]
+    return _tables({history.class_id: history}, (metric,), half_life, as_of)[metric][history.class_id]
 
 
 def _literal_tables(histories, metrics, half_lives, as_of):
-    """The tables ``risk_tables_by_instant`` gives at one instant, from the literal per-event loop."""
+    """The tables a ``risk_folder`` fold gives at one instant, from the literal per-event loop."""
     return [
         {metric: exact_risk_table(histories, metric, half_life, as_of) for metric in metrics}
         for half_life in half_lives
@@ -66,9 +70,7 @@ class TestAlphaFromHalfLife:
         with pytest.raises(ValueError, match="not finite"):
             alpha_from_half_life(tiny)
         with pytest.raises(ValueError, match="not finite"):
-            decayed_risks({}, (METRIC_FREQUENCY,), tiny, REF)
-        with pytest.raises(ValueError, match="not finite"):
-            risk_tables_by_instant({}, (METRIC_FREQUENCY,), (tiny,), (REF,))
+            risk_folder({}, (METRIC_FREQUENCY,), (tiny,))
 
     def test_smallest_half_life_with_a_finite_rate_is_accepted(self):
         assert math.isfinite(alpha_from_half_life(1e-300))
@@ -108,7 +110,7 @@ class TestEventWeight:
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            decayed_risks({}, ("momentum",), None, REF)
+            risk_folder({}, ("momentum",), (None,))
 
 
 class TestClassRisk:
@@ -192,14 +194,14 @@ class TestClassRisk:
 
 class TestRiskTable:
     def test_empty_map_yields_empty_table(self):
-        assert decayed_risks({}, (METRIC_FREQUENCY,), None, REF) == {METRIC_FREQUENCY: {}}
+        assert _tables({}, (METRIC_FREQUENCY,), None) == {METRIC_FREQUENCY: {}}
 
     def test_classes_scored_independently(self):
         histories = {
             "a.B": _history([_event(REF, commit="c1")], class_id="a.B"),
             "a.C": _history([_event(REF - 2 * DAY, commit="c2")], class_id="a.C"),
         }
-        table = decayed_risks(histories, (METRIC_FREQUENCY,), 2.0, REF)[METRIC_FREQUENCY]
+        table = _tables(histories, (METRIC_FREQUENCY,), 2.0)[METRIC_FREQUENCY]
         assert table == {
             "a.B": _risk(histories["a.B"], METRIC_FREQUENCY, 2.0),
             "a.C": _risk(histories["a.C"], METRIC_FREQUENCY, 2.0),
@@ -223,14 +225,11 @@ class TestRiskTable:
 
 
 class TestArgumentChecks:
-    """``decayed_risks`` and ``risk_tables_by_instant`` reject the same arguments."""
+    """``risk_folder`` checks its arguments when it is called."""
 
     def test_static_mode_applies_no_decay(self):
         history = _history([_event(REF - 10_000 * DAY)])
-        assert decayed_risks({"a.B": history}, (METRIC_FREQUENCY,), None, REF) == {METRIC_FREQUENCY: {"a.B": 1.0}}
-        assert list(risk_tables_by_instant({"a.B": history}, (METRIC_FREQUENCY,), (None,), (REF,))) == [
-            [{METRIC_FREQUENCY: {"a.B": 1.0}}]
-        ]
+        assert risk_folder({"a.B": history}, (METRIC_FREQUENCY,), (None,))(REF) == [{METRIC_FREQUENCY: {"a.B": 1.0}}]
 
     def test_decay_follows_the_half_life_rule(self):
         history = _history([_event(REF - 3 * DAY)])
@@ -239,16 +238,14 @@ class TestArgumentChecks:
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
-            decayed_risks({}, ("entropy",), 1.0, REF)
-        with pytest.raises(ValueError, match="unknown metric"):
-            risk_tables_by_instant({}, ("entropy",), (1.0,), (REF,))
+            risk_folder({}, ("entropy",), (1.0,))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_bad_half_life_rejected(self, bad):
         with pytest.raises(ValueError, match="must be positive"):
-            decayed_risks({}, (METRIC_FREQUENCY,), bad, REF)
+            risk_folder({}, (METRIC_FREQUENCY,), (bad,))
         with pytest.raises(ValueError, match="must be positive"):
-            risk_tables_by_instant({}, (METRIC_FREQUENCY,), (8.0, bad), (REF,))
+            risk_folder({}, (METRIC_FREQUENCY,), (8.0, bad))
 
 
 class TestDecayedRisks:
@@ -272,20 +269,20 @@ class TestDecayedRisks:
     def test_equals_each_metric_alone_and_the_literal_loop_bit_for_bit(self, half_life):
         for seed in range(5):
             histories = self._histories(seed)
-            tables = decayed_risks(histories, (METRIC_FREQUENCY, METRIC_EXTENT), half_life, REF)
+            tables = _tables(histories, (METRIC_FREQUENCY, METRIC_EXTENT), half_life)
             for metric in (METRIC_FREQUENCY, METRIC_EXTENT):
-                alone = decayed_risks(histories, (metric,), half_life, REF)[metric]
+                alone = _tables(histories, (metric,), half_life)[metric]
                 assert repr(tables[metric]) == repr(alone)
                 assert repr(tables[metric]) == repr(exact_risk_table(histories, metric, half_life, REF))
 
     def test_only_the_requested_metrics_are_returned(self):
-        tables = decayed_risks(self._histories(0), (METRIC_EXTENT,), 8.0, REF)
+        tables = _tables(self._histories(0), (METRIC_EXTENT,), 8.0)
         assert list(tables) == [METRIC_EXTENT]
 
     @pytest.mark.parametrize(("metrics", "half_life"), [(("entropy",), 1.0), ((METRIC_EXTENT,), 0.0)])
     def test_bad_metric_or_half_life_rejected(self, metrics, half_life):
         with pytest.raises(ValueError):
-            decayed_risks(self._histories(0), metrics, half_life, REF)
+            risk_folder(self._histories(0), metrics, (half_life,))
 
 
 @st.composite
@@ -333,7 +330,8 @@ class TestDecayAgainstTheLiteralLoop:
     def test_every_horizon_equals_a_plain_loop_bit_for_bit(self, project, metrics, half_lives, offsets):
         histories, as_of = project
         instants = [as_of] + [as_of + offset for offset in offsets]
-        by_instant = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
+        fold = risk_folder(histories, metrics, half_lives)
+        by_instant = [fold(instant) for instant in instants]
         assert len(by_instant) == len(instants)
         for instant, tables in zip(instants, by_instant):
             assert len(tables) == len(half_lives)
@@ -347,7 +345,7 @@ class TestDecayAgainstTheLiteralLoop:
 
     def test_a_one_day_half_life_underflows_old_events_to_zero(self):
         history = _history([_event(REF - 2_000 * DAY, add=5, commit="c0"), _event(REF + DAY, add=3, commit="c1")])
-        table = decayed_risks({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), 1.0, REF)
+        table = _tables({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), 1.0)
         assert table == {METRIC_FREQUENCY: {"a.B": 0.0}, METRIC_EXTENT: {"a.B": 0.0}}
 
 
@@ -372,7 +370,8 @@ class TestRiskTablesByInstant:
             max_size=6,
         ))
         instants += instants[:data.draw(st.integers(0, 2))]  # repeated instants
-        tables = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
+        fold = risk_folder(histories, metrics, half_lives)
+        tables = [fold(instant) for instant in instants]
         assert len(tables) == len(instants)
         for instant, table in zip(instants, tables):
             assert repr(table) == repr(_literal_tables(histories, metrics, half_lives, instant))
@@ -383,15 +382,43 @@ class TestRiskTablesByInstant:
         history = _history([_event(REF - DAY, add=3, commit="c0"), _event(REF + DAY, add=5, commit="c1")])
         for histories in ({}, {"a.B": history}):
             instants = [REF + DAY, REF - 2 * DAY, REF, REF]
-            tables = list(risk_tables_by_instant(histories, metrics, half_lives, instants))
+            fold = risk_folder(histories, metrics, half_lives)
+            tables = [fold(instant) for instant in instants]
             assert [repr(t) for t in tables] == [
                 repr(_literal_tables(histories, metrics, half_lives, instant)) for instant in instants
             ]
 
-    def test_no_instants_yield_nothing(self):
-        assert list(risk_tables_by_instant({"a.B": _history([_event(REF)])}, (METRIC_EXTENT,), (8.0,), [])) == []
-
     @pytest.mark.parametrize(("metrics", "half_lives"), [(("entropy",), (1.0,)), ((METRIC_EXTENT,), (8.0, 0.0))])
     def test_bad_arguments_are_rejected_when_called(self, metrics, half_lives):
         with pytest.raises(ValueError):
-            risk_tables_by_instant({}, metrics, half_lives, [REF, REF + DAY])
+            risk_folder({}, metrics, half_lives)
+
+
+_slice_bounds = st.one_of(st.none(), st.integers(-7, 7))  # out of range too: at most five half-lives
+
+
+class TestRiskFolder:
+    """A fold of a slice of the half-lives gives that slice of the whole fold; arguments are checked first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_time_ordered_histories(), _metric_lists_or_none, _half_lives, _slice_bounds, _slice_bounds,
+           st.integers(-3_100 * DAY, 40 * DAY))
+    def test_the_tables_of_a_slice_equal_that_slice_of_the_whole(self, project, metrics, half_lives, a, b, offset):
+        histories, as_of = project
+        fold = risk_folder(histories, metrics, half_lives)
+        for instant in (as_of, as_of + offset):
+            assert repr(fold(instant, slice(a, b))) == repr(fold(instant)[a:b])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_time_ordered_histories(), _metric_lists_or_none, _half_lives,
+           st.sampled_from(["entropy", "", 0.0, -1.0, math.nan, 1e-320]), st.data())
+    def test_a_bad_metric_or_half_life_raises_when_called(self, project, metrics, half_lives, bad, data):
+        histories, _ = project
+        if isinstance(bad, str):
+            k = data.draw(st.integers(0, len(metrics)))
+            metrics = (*metrics[:k], bad, *metrics[k:])
+        else:
+            k = data.draw(st.integers(0, len(half_lives)))
+            half_lives = [*half_lives[:k], bad, *half_lives[k:]]
+        with pytest.raises(ValueError):
+            risk_folder(histories, metrics, half_lives)
