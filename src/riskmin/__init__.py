@@ -30,7 +30,6 @@ from .evaluation import (
     SweepGrid,
     SweepRow,
     VersionLabel,
-    VersionOutcome,
     accuracy,
     evaluate_grid,
     fdr,

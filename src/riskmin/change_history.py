@@ -126,7 +126,8 @@ class SourceRootConfig:
 
     ``roots`` are path prefixes stripped before conversion (longest match
     wins); ``extensions`` lists the suffixes recognized as class files.
-    An empty extension raises ``ValueError``: every path ends in it.
+    No extensions, or an empty one, raises ``ValueError``: no path, or
+    every path, would name a class.
     """
 
     roots: tuple[str, ...]
@@ -135,6 +136,8 @@ class SourceRootConfig:
     def __post_init__(self) -> None:
         if not self.roots:
             raise ValueError("at least one source root is required")
+        if not self.extensions:
+            raise ValueError("an empty extension list would make no file a class file")
         if "" in self.extensions:
             raise ValueError("an empty extension would make every file a class file")
         object.__setattr__(self, "roots", tuple(r.rstrip("/") for r in self.roots))

@@ -53,14 +53,13 @@ from .evaluation import (
     SweepGrid,
     SweepRow,
     VersionLabel,
-    VersionOutcome,
     describe,
     evaluate_grid,
     fdr,
     minimize_suite,
     sweep_rows,
 )
-from .minimizer import Budget, check_result_invariants, format_horizon
+from .minimizer import Budget, check_result_invariants, config_fingerprint, format_horizon
 from .risk_aggregation import OPERATORS, OP_GMEAN
 from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, risk_folder
 
@@ -164,13 +163,16 @@ def _read_manifest(handle: IO[str], base: Path) -> RunManifest:
         value = raw.get(key)
         if not isinstance(value, str) and not (value is None and key == "labels_path"):
             raise ParseError(f"manifest key '{key}' must be a path string")
+    raw.setdefault("extensions", [".java"])
     for key in ("source_roots", "extensions", "exclude_classes"):
         value = raw.get(key, [])
         if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
             raise ParseError(f"manifest key '{key}' must be a list of strings")
     if not raw["source_roots"]:
         raise ParseError("manifest key 'source_roots' must name at least one root")
-    if "" in raw.get("extensions", []):  # every path would end in it, and its class id would be empty
+    if not raw["extensions"]:  # no path would name a class, so every score would be zero
+        raise ParseError("manifest key 'extensions' must name at least one extension")
+    if "" in raw["extensions"]:  # every path would end in it, and its class id would be empty
         raise ParseError("manifest key 'extensions' must not hold an empty string")
     return RunManifest(
         project_id=raw["project_id"],
@@ -180,7 +182,7 @@ def _read_manifest(handle: IO[str], base: Path) -> RunManifest:
         callgraph_format=raw["callgraph_format"],
         entry_selector=raw["entry_selector"],
         source_roots=list(raw["source_roots"]),
-        extensions=list(raw.get("extensions", [".java"])),
+        extensions=list(raw["extensions"]),
         exclude_classes=list(raw.get("exclude_classes", [])),
         labels_path=(base / raw["labels_path"]) if raw.get("labels_path") else None,
     )
@@ -371,18 +373,21 @@ def cmd_minimize(args: argparse.Namespace) -> int:
 
 def _evaluate_manifests(
     args: argparse.Namespace, grid: SweepGrid
-) -> tuple[list[GridCell], dict[str, list[VersionOutcome]]]:
-    """The grid's cells pooled over every manifest's labelled versions, and each project's outcomes.
+) -> tuple[list[GridCell], list[VersionLabel], list[str]]:
+    """The grid's cells pooled over every manifest's labelled versions, the pooled labels, and each one's project id.
 
+    Versions pool in manifest order, then label order: per version, a label,
+    a project id and, in each cell, one accuracy and one seconds double.
     Each project's ``ProjectInputs.seconds`` (ingestion and dependency
-    analysis) is charged to every one of its outcomes. A project with no
+    analysis) is charged to every one of its versions. A project with no
     labelled versions adds nothing; a pool with none at all is a
     ``LabelError``, as is a version id that occurs twice in the pool. Each
-    project's inputs, labels and cells are freed before the next manifest
-    is loaded, so a pooled run holds one project's inputs at a time.
+    project's inputs and cells are freed before the next manifest is
+    loaded, so a pooled run holds one project's inputs at a time.
     """
     pooled: list[GridCell] = []
-    by_project: dict[str, list[VersionOutcome]] = {}
+    pooled_labels: list[VersionLabel] = []
+    project_ids: list[str] = []
     version_ids: set[str] = set()
     for manifest_path in args.manifests:
         manifest = load_manifest(Path(manifest_path))
@@ -404,16 +409,18 @@ def _evaluate_manifests(
             )
         if labels:
             cells = evaluate_grid(inputs.histories, inputs.dep_map, labels, grid, inputs.seconds, args.jobs)
-            by_project.setdefault(manifest.project_id, []).extend(o for _, group in cells for o in group)
             # Every project's cells follow the grid order, so they pool position by position.
-            pooled = cells if not pooled else [
-                (key, pool + group) for (key, pool), (_, group) in zip(pooled, cells)
-            ]
+            for (_, accuracies, seconds), (_, more_accuracies, more_seconds) in zip(pooled, cells):
+                accuracies.extend(more_accuracies)
+                seconds.extend(more_seconds)
+            pooled = pooled or cells
+            pooled_labels.extend(labels)
+            project_ids.extend([manifest.project_id] * len(labels))
             del cells
         del manifest, inputs, labels
     if not pooled:
         raise LabelError(f"no labeled versions to {args.command}")
-    return pooled, by_project
+    return pooled, pooled_labels, project_ids
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -439,34 +446,29 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         operators=(args.aggregate,),
         budgets=(args.budget,),
     )
-    pooled, by_project = _evaluate_manifests(args, grid)
-    ((_, outcomes),) = pooled
+    ((key, accuracies, seconds),), labels, project_ids = _evaluate_manifests(args, grid)
     rows = [
-        (o.version_id, str(o.accuracy), "true" if o.detected else "false", str(o.wall_time))
-        for o in outcomes
+        (label.version_id, str(acc), "true" if acc > 0 else "false", str(secs))
+        for label, acc, secs in zip(labels, accuracies, seconds)
     ]
-    accuracies = [o.accuracy for o in outcomes]
+    by_project: dict[str, list[float]] = {}
+    for project_id, acc in zip(project_ids, accuracies):
+        by_project.setdefault(project_id, []).append(acc)
     summary = {
-        "config_fingerprint": outcomes[0].config_fingerprint,
-        "n_versions": len(outcomes),
+        "config_fingerprint": config_fingerprint(*key, labels[0].as_of),
+        "n_versions": len(accuracies),
         "mean_accuracy": _mean(accuracies),
-        "fdr": fdr(outcomes),
+        "fdr": fdr(accuracies),
         "accuracy_stats": _stats_block(accuracies),
         "per_project": {
-            project_id: {
-                "n_versions": len(group),
-                "mean_accuracy": _mean([o.accuracy for o in group]),
-                "fdr": fdr(group),
-            }
+            project_id: {"n_versions": len(group), "mean_accuracy": _mean(group), "fdr": fdr(group)}
             for project_id, group in sorted(by_project.items())
         },
         "project_stats": {
-            "accuracy": _stats_block(
-                [_mean([o.accuracy for o in g]) for g in by_project.values()]
-            ),
-            "fdr": _stats_block([fdr(g) for g in by_project.values()]),
+            "accuracy": _stats_block([_mean(group) for group in by_project.values()]),
+            "fdr": _stats_block([fdr(group) for group in by_project.values()]),
         },
-        "mean_wall_time_s": _mean([o.wall_time for o in outcomes]),
+        "mean_wall_time_s": _mean(seconds),
     }
     out_dir = args.output or "."
     _write_text(out_dir, "outcomes.csv", _csv_text(OUTCOME_COLUMNS, rows))
@@ -481,7 +483,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         operators=tuple(args.operators),
         budgets=tuple(args.budgets),
     )
-    pooled, _ = _evaluate_manifests(args, grid)
+    pooled, _, _ = _evaluate_manifests(args, grid)
     csv_rows = [
         (metric, format_horizon(horizon), operator, f"{budget:g}", *map(str, values))
         for metric, horizon, operator, budget, *values in sweep_rows(pooled)

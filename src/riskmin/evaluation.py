@@ -1,17 +1,18 @@
-"""Fault-preservation evaluation over per-version minimization outcomes.
+"""Fault-preservation evaluation of minimized suites over labelled versions.
 
 A version label names the tests that reveal the version's fault and the
-evaluation instant. Accuracy is the fraction of those tests retained;
-the fault detection rate over many versions is the fraction of versions
-keeping at least one of them. ``evaluate_grid`` takes these measurements
-over metric, horizon, operator, and budget (a single run is the 1x1x1x1
-grid), sharing each version's decay pass across horizons and metrics, each
-dependency signature's risks across its tests and operators, and each
-ranking across budgets. With ``jobs`` above 1 it cuts a project's
-(version, horizon) units into contiguous shares, scores every share but the
-first in a forked child process, and merges the cells by grid index, so
-they equal those of one share;
-``sweep_rows`` summarises each cell over the versions.
+evaluation instant. Accuracy is the fraction of those tests retained, and a
+version is detected when its accuracy is above zero; the fault detection
+rate over many versions is the fraction detected. ``evaluate_grid`` takes
+these measurements over metric, horizon, operator, and budget (a single run
+is the 1x1x1x1 grid) and keeps them as columns: per cell, one accuracy and
+one seconds double per version, in label order. It shares each version's
+decay pass across horizons and metrics, each dependency signature's risks
+across its tests and operators, and each ranking across budgets. With
+``jobs`` above 1 it cuts a project's (version, horizon) units into
+contiguous shares, scores every share but the first in a forked child
+process, and merges the cells by grid index, so they equal those of one
+share; ``sweep_rows`` summarises each cell over the versions.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import os
 import statistics
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,15 +39,6 @@ class VersionLabel:
     fault_revealing_tests: frozenset[str]
 
 
-@dataclass(frozen=True)
-class VersionOutcome:
-    version_id: str
-    accuracy: float
-    detected: bool
-    wall_time: float
-    config_fingerprint: str
-
-
 def accuracy(selected: set[str], label: VersionLabel) -> float:
     """Fraction of the version's fault-revealing tests that were retained."""
     if not label.fault_revealing_tests:
@@ -54,11 +47,11 @@ def accuracy(selected: set[str], label: VersionLabel) -> float:
     return len(selected & fault_tests) / len(fault_tests)
 
 
-def fdr(outcomes: Sequence[VersionOutcome]) -> float:
-    """Fraction of versions whose minimized suite kept at least one fault test."""
-    if not outcomes:
-        raise ValueError("fdr() requires at least one outcome")
-    return sum(1 for o in outcomes if o.detected) / len(outcomes)
+def fdr(accuracies: Sequence[float]) -> float:
+    """Fraction of versions whose minimized suite kept at least one fault test, from their accuracies."""
+    if not accuracies:
+        raise ValueError("fdr() requires at least one accuracy")
+    return sum(1 for acc in accuracies if acc > 0) / len(accuracies)
 
 
 def minimize_suite(
@@ -127,7 +120,7 @@ def describe(values: Sequence[float]) -> tuple[float, float, float, float, float
 
 
 GridKey = tuple[str, float | None, str, float]  # metric, horizon, operator, budget
-GridCell = tuple[GridKey, list[VersionOutcome]]
+GridCell = tuple[GridKey, array, array]  # key, accuracies, seconds: array('d') columns in label order
 
 
 def evaluate_grid(
@@ -140,18 +133,19 @@ def evaluate_grid(
 ) -> list[GridCell]:
     """Minimize every labelled version under every grid cell and measure fault preservation.
 
-    Cells come back in grid order, each with one outcome per label in label
-    order. Work is shared wherever cells agree: each event's weight is
-    derived once for every version; per version and share one decay pass
-    over each class's history serves every horizon of the share and every
-    metric; per (horizon, metric) each distinct dependency signature gets
+    Cells come back in grid order, each as ``(key, accuracies, seconds)``:
+    two ``array('d')`` columns holding one value per label, in label order;
+    a label's version is detected when its accuracy is above zero. Work is
+    shared wherever cells agree: each event's weight is derived once for
+    every version; per version and share one decay pass over each class's
+    history serves every horizon of the share and every metric; per (horizon, metric) each distinct dependency signature gets
     one sorted positive-risk multiset; per operator each signature is scored
     once and the tests are ranked once, and every budget keeps a prefix of
     that ranking. Scores and selections equal, bit for bit, those of the
     cell run alone: ``risk_folder`` of its metric and horizon at the
     label's ``as_of``, then ``score_multisets(positive_multisets(...))`` and
-    ``cut_ranking(rank(scores), ...)``. A cell's ``wall_time``
-    is ``base_seconds`` (ingestion and dependency analysis, measured by the
+    ``cut_ranking(rank(scores), ...)``. A cell's seconds for a label
+    are ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its equal share of
     deriving the weights, its metric's share of its horizon's share of its
     decay pass, its metric's multisets, its scoring pass and ranking, and
@@ -165,7 +159,7 @@ def evaluate_grid(
     derived here, once; then every share but the first is scored in a
     forked child process, which charges its own measured time, and the
     first in this one. The cells are filled by grid index, so
-    they equal those of ``jobs=1`` apart from ``wall_time``.
+    they equal those of ``jobs=1`` apart from the seconds.
     """
     for operator in grid.operators:
         check_operator(operator)
@@ -175,7 +169,8 @@ def evaluate_grid(
     shares = _shares(len(labels) * len(grid.horizons), jobs, cpus)
     work = lambda units: _score_share(prepared, labels, grid, budgets, base_seconds, units)  # noqa: E731
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
-    cells: list[GridCell] = [(key, [None] * len(labels)) for key in keys]
+    zeros = array("d", [0.0]) * len(labels)
+    cells: list[GridCell] = [(key, array("d", zeros), array("d", zeros)) for key in keys]
     if len(shares) == 1:
         results = [work(shares[0])]
     else:
@@ -183,10 +178,8 @@ def evaluate_grid(
 
         results = run_shares(work, shares)
     for first_cell, v, measured in itertools.chain.from_iterable(results):
-        label = labels[v]
-        for (key, outcomes), (acc, seconds) in zip(cells[first_cell : first_cell + len(budgets)], measured):
-            fingerprint = config_fingerprint(*key, label.as_of)
-            outcomes[v] = VersionOutcome(label.version_id, acc, acc > 0, seconds, fingerprint)
+        for (_, accuracies, seconds), (acc, secs) in zip(cells[first_cell : first_cell + len(budgets)], measured):
+            accuracies[v], seconds[v] = acc, secs
     return cells
 
 
@@ -308,13 +301,13 @@ def _scoring_passes(
 def sweep_rows(cells: Iterable[GridCell]) -> list[SweepRow]:
     """One row per cell, aggregating accuracy, detection, and time across its versions.
 
-    Rows keep the order of ``cells``; a cell holding no outcomes yields no row.
+    Rows keep the order of ``cells``; a cell holding no versions yields no row.
     """
     rows: list[SweepRow] = []
-    for (metric, horizon, operator, fraction), outcomes in cells:
-        if not outcomes:
+    for (metric, horizon, operator, fraction), accuracies, seconds in cells:
+        if not accuracies:
             continue
-        lo, q1, mean, med, q3, hi = describe([o.accuracy for o in outcomes])
-        mean_time = statistics.fmean([o.wall_time for o in outcomes])
-        rows.append(SweepRow(metric, horizon, operator, fraction, mean, fdr(outcomes), lo, q1, med, q3, hi, mean_time))
+        lo, q1, mean, med, q3, hi = describe(accuracies)
+        mean_time = statistics.fmean(seconds)
+        rows.append(SweepRow(metric, horizon, operator, fraction, mean, fdr(accuracies), lo, q1, med, q3, hi, mean_time))
     return rows

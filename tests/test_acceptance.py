@@ -17,7 +17,7 @@ import pytest
 from riskmin import cli
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
-from riskmin.evaluation import VersionLabel, VersionOutcome, accuracy, fdr, minimize_suite
+from riskmin.evaluation import VersionLabel, accuracy, fdr, minimize_suite
 from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
 from riskmin.risk_aggregation import OPERATORS, positive_multisets, score_multisets
 from riskmin.stats import cliffs_delta, fisher_exact_2x2, wilcoxon_signed_rank
@@ -244,13 +244,9 @@ def test_accuracy_and_fdr_definitions():
     assert accuracy({"a", "b", "c", "d", "e"}, label) == 1.0
     assert accuracy({"zz"}, label) == 0.0
 
-    def outcome(acc):
-        return VersionOutcome(version_id="v", accuracy=acc, detected=acc > 0,
-                              wall_time=0.0, config_fingerprint="")
-
-    assert fdr([outcome(1.0), outcome(0.0), outcome(0.5)]) == pytest.approx(2 / 3)
-    assert fdr([outcome(0.25)]) == 1.0
-    assert fdr([outcome(0.0), outcome(0.0)]) == 0.0
+    assert fdr([1.0, 0.0, 0.5]) == pytest.approx(2 / 3)
+    assert fdr([0.25]) == 1.0
+    assert fdr([0.0, 0.0]) == 0.0
 
 
 def test_statistics_match_enumeration_oracles():

@@ -358,7 +358,7 @@ class TestPathToClass:
         with pytest.raises(ValueError):
             SourceRootConfig(roots=())
 
-    @pytest.mark.parametrize("extensions", [("",), (".java", "")])
+    @pytest.mark.parametrize("extensions", [("",), (".java", ""), ()])
     def test_empty_extension_is_rejected(self, extensions):
         with pytest.raises(ValueError, match="empty extension"):
             SourceRootConfig(roots=("src",), extensions=extensions)

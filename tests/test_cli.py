@@ -525,6 +525,60 @@ class TestEvaluateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_versions"] == 4
 
+    def test_a_pool_over_manifests_a_b_a_keeps_pool_order_and_groups_by_project(self, tmp_path):
+        """A project's two manifests form one group, and the fingerprint carries the first label's instant."""
+        a, b, a_again = _pooled_manifests(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(
+            ["evaluate", str(a), str(b), str(a_again), "--metric", "frequency", "--horizon", "static",
+             "--aggregate", "avg", "--budget", "0.5", "--output", str(out)]
+        ) == 0
+        rows = [line.rsplit(",", 1)[0] for line in (out / "outcomes.csv").read_text().splitlines()]
+        assert rows == [
+            "version_id,accuracy,detected",
+            "a1,1.0,true", "a2,0.0,false", "b1,0.5,true", "b2,0.0,false", "a3,1.0,true",
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary.pop("mean_wall_time_s") > 0
+        assert summary == {
+            "accuracy_stats": {"max": 1.0, "mean": 0.5, "median": 0.5, "min": 0.0, "q1": 0.0, "q3": 1.0},
+            "config_fingerprint": f"metric=frequency;horizon=static;aggregate=avg;budget=0.5;as_of={REF + DAY}",
+            "fdr": 0.6,
+            "mean_accuracy": 0.5,
+            "n_versions": 5,
+            "per_project": {
+                "alpha": {"fdr": 0.6666666666666666, "mean_accuracy": 0.6666666666666666, "n_versions": 3},
+                "beta": {"fdr": 0.5, "mean_accuracy": 0.25, "n_versions": 2},
+            },
+            "project_stats": {
+                "accuracy": {"max": 0.6666666666666666, "mean": 0.4583333333333333, "median": 0.4583333333333333,
+                             "min": 0.25, "q1": 0.35416666666666663, "q3": 0.5625},
+                "fdr": {"max": 0.6666666666666666, "mean": 0.5833333333333333, "median": 0.5833333333333333,
+                        "min": 0.5, "q1": 0.5416666666666666, "q3": 0.625},
+            },
+        }
+
+
+def _pooled_manifests(directory):
+    """Manifests of projects ``alpha``, ``beta`` and ``alpha`` again, with distinct version ids.
+
+    At 50% under static frequency, t1 and t2 are kept: a1, b1 and a3 are
+    detected (b1 keeps one of its two fault tests), a2 and b2 are not. Only
+    a1 is labelled a day after the last event.
+    """
+    def version(version_id, faults, as_of=REF):
+        return {"version_id": version_id, "as_of": as_of, "fault_revealing_tests": faults}
+
+    return (
+        _write_project(directory / "a", project_id="alpha", versions=[
+            version("a1", ["app.T2Test#t2"], REF + DAY), version("a2", ["app.T4Test#t4"]),
+        ]),
+        _write_project(directory / "b", project_id="beta", versions=[
+            version("b1", ["app.T1Test#t1", "app.T3Test#t3"]), version("b2", ["app.T3Test#t3"]),
+        ]),
+        _write_project(directory / "a_again", project_id="alpha", versions=[version("a3", ["app.T1Test#t1"])]),
+    )
+
 
 class TestSweepCommand:
     def test_row_count_is_grid_times_budgets(self, tmp_path, capsys):
@@ -555,6 +609,21 @@ class TestSweepCommand:
 
     def test_jobs_2_forks_and_leaves_no_child_process(self, tmp_path, monkeypatch):
         _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, "sweep")
+
+    def test_a_pool_of_two_manifests_gives_the_same_rows_under_jobs_1_and_jobs_2(self, tmp_path, monkeypatch):
+        a, b, _ = _pooled_manifests(tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        rows = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["sweep", str(a), str(b), "--jobs", jobs, "--output", str(out)]) == 0
+            rows.append([line.rsplit(",", 1)[0] for line in (out / "sweep.csv").read_text().splitlines()])
+        assert fork.call_count == 2  # one child per project under --jobs 2
+        serial, forked = rows
+        assert len(serial) == 1 + 80 * 3
+        assert forked == serial
 
     def test_jobs_2_on_one_allowed_cpu_forks_nothing_and_gives_the_rows_of_jobs_1(self, tmp_path, monkeypatch):
         manifest = _write_project(tmp_path)
@@ -836,6 +905,7 @@ class TestManifestShape:
             ("extensions", [".java", ""]),
             ("change_log_format", "xml"),
             ("callgraph_format", "dot"),
+            ("extensions", []),
         ],
     )
     def test_key_of_the_wrong_type_exits_3_naming_it(self, tmp_path, capsys, key, value):

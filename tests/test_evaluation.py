@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import itertools
 import json
@@ -10,6 +9,7 @@ import random
 import signal
 import time
 import types
+from array import array
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +27,6 @@ from riskmin.evaluation import (
     _scoring_passes,
     _shares,
     VersionLabel,
-    VersionOutcome,
     accuracy,
     describe,
     evaluate_grid,
@@ -35,7 +34,7 @@ from riskmin.evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from riskmin.minimizer import Budget
+from riskmin.minimizer import Budget, config_fingerprint
 
 from microproject import AS_OF, random_micro_project
 from oracles import exact_risk_table, naive_score, naive_select
@@ -47,13 +46,6 @@ REF = AS_OF
 def _label(faults, version_id="v1", as_of=REF):
     return VersionLabel(
         version_id=version_id, as_of=as_of, fault_revealing_tests=frozenset(faults)
-    )
-
-
-def _outcome(version_id, acc):
-    return VersionOutcome(
-        version_id=version_id, accuracy=acc, detected=acc > 0, wall_time=0.0,
-        config_fingerprint="",
     )
 
 
@@ -77,24 +69,23 @@ class TestAccuracy:
 
 class TestFdr:
     def test_two_of_three(self):
-        outcomes = [_outcome("v1", 1.0), _outcome("v2", 0.0), _outcome("v3", 0.5)]
-        assert fdr(outcomes) == pytest.approx(2 / 3)
+        assert fdr([1.0, 0.0, 0.5]) == pytest.approx(2 / 3)
 
     def test_all_detected(self):
-        assert fdr([_outcome("v1", 0.2), _outcome("v2", 1.0)]) == 1.0
+        assert fdr([0.2, 1.0]) == 1.0
 
     def test_none_detected(self):
-        assert fdr([_outcome("v1", 0.0)]) == 0.0
+        assert fdr([0.0]) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fdr([])
 
     def test_fdr_dominates_mean_accuracy(self):
-        outcomes = [_outcome(f"v{i}", a) for i, a in enumerate([0.0, 0.1, 0.5, 1.0, 0.9])]
-        mean_acc = sum(o.accuracy for o in outcomes) / len(outcomes)
-        assert fdr(outcomes) == sum(math.ceil(o.accuracy) for o in outcomes) / len(outcomes)
-        assert fdr(outcomes) >= mean_acc
+        accuracies = [0.0, 0.1, 0.5, 1.0, 0.9]
+        mean_acc = sum(accuracies) / len(accuracies)
+        assert fdr(accuracies) == sum(math.ceil(a) for a in accuracies) / len(accuracies)
+        assert fdr(accuracies) >= mean_acc
 
 
 def _micro_fixture():
@@ -138,33 +129,33 @@ def _micro_fixture():
 
 
 def _single_cell_outcome(label, *, metric, half_life_days, operator, budget, base_seconds=0.0):
-    """The micro fixture's outcome for one label under the 1x1x1x1 grid."""
+    """The micro fixture's (accuracy, seconds) for one label under the 1x1x1x1 grid."""
     histories, graph, entries = _micro_fixture()
     grid = SweepGrid(metrics=(metric,), horizons=(half_life_days,), operators=(operator,),
                      budgets=(budget,))
     dep_map = build_dependency_map(graph, entries)
-    ((_, (outcome,)),) = evaluate_grid(histories, dep_map, [label], grid, base_seconds)
-    return outcome
+    ((_, (acc,), (seconds,)),) = evaluate_grid(histories, dep_map, [label], grid, base_seconds)
+    return acc, seconds
 
 
 class TestRunVersion:
     """One labelled version through a single-cell grid."""
 
     def test_fault_test_selected_at_half_budget(self):
-        outcome = _single_cell_outcome(
+        acc, _ = _single_cell_outcome(
             _label({"app.T2Test#t2"}),
             metric="frequency", half_life_days=None, operator="avg", budget=0.5,
         )
-        assert outcome.accuracy == 1.0
-        assert outcome.detected is True
+        assert acc == 1.0
+        assert fdr([acc]) == 1.0
 
     def test_fault_test_ranked_second_missed_at_quarter_budget(self):
-        outcome = _single_cell_outcome(
+        acc, _ = _single_cell_outcome(
             _label({"app.T2Test#t2"}),
             metric="frequency", half_life_days=None, operator="avg", budget=0.25,
         )
-        assert outcome.accuracy == 0.0
-        assert outcome.detected is False
+        assert acc == 0.0
+        assert fdr([acc]) == 0.0
 
     def test_static_and_huge_half_life_select_identically(self):
         histories, graph, entries = _micro_fixture()
@@ -178,11 +169,11 @@ class TestRunVersion:
 
     def test_detected_iff_positive_accuracy(self):
         for budget in (0.25, 0.5, 0.75, 1.0):
-            outcome = _single_cell_outcome(
+            acc, _ = _single_cell_outcome(
                 _label({"app.T4Test#t4"}),
                 metric="frequency", half_life_days=32.0, operator="gmean", budget=budget,
             )
-            assert outcome.detected == (outcome.accuracy > 0)
+            assert fdr([acc]) == (1.0 if acc > 0 else 0.0)
 
     def test_deterministic_apart_from_wall_time(self):
         runs = [
@@ -192,10 +183,8 @@ class TestRunVersion:
             )
             for _ in range(2)
         ]
-        first, second = runs
-        assert (first.version_id, first.accuracy, first.detected, first.config_fingerprint) == (
-            second.version_id, second.accuracy, second.detected, second.config_fingerprint
-        )
+        (first, _), (second, _) = runs
+        assert first == second
 
     def test_hmean_keeps_a_test_whose_only_risk_is_subnormal(self):
         # One event 1,050 half-lives before as_of: a frequency risk of 2**-1050, about 8.29e-317.
@@ -209,12 +198,12 @@ class TestRunVersion:
             assert result.scores["t.T#b"] == 2.0**-1050
 
     def test_extra_seconds_are_added_to_wall_time(self):
-        outcome = _single_cell_outcome(
+        _, seconds = _single_cell_outcome(
             _label({"app.T2Test#t2"}),
             metric="frequency", half_life_days=None, operator="avg", budget=0.5,
             base_seconds=100.0,
         )
-        assert outcome.wall_time > 100.0
+        assert seconds > 100.0
 
 
 class TestDescribe:
@@ -250,11 +239,12 @@ class TestRunSweep:
     def test_single_cell_matches_minimize_suite(self):
         grid = SweepGrid(metrics=("extent",), horizons=(32.0,), operators=("gmean",),
                          budgets=(0.5,))
-        pooled, expected = [], []
+        pooled_accuracies, pooled_seconds, expected = array("d"), array("d"), []
         for seed, version_id in ((5, "v1"), (6, "v2")):
             project, histories, dep_map, label = _project_version(seed, version_id)
-            ((key, outcomes),) = evaluate_grid(histories, dep_map, [label], grid)
-            pooled.extend(outcomes)
+            ((key, accuracies, seconds),) = evaluate_grid(histories, dep_map, [label], grid)
+            pooled_accuracies.extend(accuracies)
+            pooled_seconds.extend(seconds)
             histories, graph, entries, test_filter = project.library_inputs()
             result = minimize_suite(
                 histories, build_dependency_map(graph, entries, test_filter),
@@ -262,7 +252,7 @@ class TestRunSweep:
                 budget=Budget(0.5), as_of=label.as_of,
             )
             expected.append(accuracy(set(result.selected), label))
-        (row,) = sweep_rows([(key, pooled)])
+        (row,) = sweep_rows([(key, pooled_accuracies, pooled_seconds)])
         assert row.mean_accuracy == pytest.approx(sum(expected) / len(expected))
         assert row.fdr == sum(1 for a in expected if a > 0) / len(expected)
 
@@ -272,19 +262,21 @@ class TestRunSweep:
         grid = SweepGrid(metrics=("frequency", "extent"), horizons=(4.0, None),
                          operators=("avg", "hmean"), budgets=(0.25, 0.5, 0.25))
         cells = evaluate_grid(histories, dep_map, [label, earlier], grid)
-        assert [key for key, _ in cells] == [
+        assert [key for key, _, _ in cells] == [
             (m, h, o, b) for m in grid.metrics for h in grid.horizons
             for o in grid.operators for b in grid.budgets
         ]
-        for (metric, horizon, operator, fraction), outcomes in cells:
-            assert [o.version_id for o in outcomes] == ["v1", "v2"]
-            for version, outcome in zip((label, earlier), outcomes):
+        for (metric, horizon, operator, fraction), accuracies, seconds in cells:
+            assert len(accuracies) == len(seconds) == 2
+            for version, acc in zip((label, earlier), accuracies):
                 result = minimize_suite(
                     histories, dep_map, metric=metric, half_life_days=horizon,
                     operator=operator, budget=Budget(fraction), as_of=version.as_of,
                 )
-                assert outcome.accuracy == accuracy(set(result.selected), version)
-                assert outcome.config_fingerprint == result.config_fingerprint
+                assert acc == accuracy(set(result.selected), version)
+                assert config_fingerprint(metric, horizon, operator, fraction, version.as_of) == (
+                    result.config_fingerprint
+                )
 
     def test_canonical_grid_has_eighty_cells_per_budget(self):
         grid = SweepGrid()
@@ -337,13 +329,12 @@ class TestRunSweep:
         ]
         grid = SweepGrid(metrics=("frequency", "extent"), horizons=(None, 1.0, 32.0),
                          operators=("avg", "gmean"), budgets=(0.25, 0.5))
-        untimed = lambda outcome: dataclasses.replace(outcome, wall_time=0.0)  # noqa: E731
         cells = evaluate_grid(histories, dep_map, labels, grid)
         for v, one in enumerate(labels):
             alone = evaluate_grid(histories, dep_map, [one], grid)
-            assert [key for key, _ in alone] == [key for key, _ in cells]
-            for (_, outcomes), (_, (expected,)) in zip(cells, alone):
-                assert untimed(outcomes[v]) == untimed(expected)
+            assert [key for key, _, _ in alone] == [key for key, _, _ in cells]
+            for (_, accuracies, _), (_, (expected,), _) in zip(cells, alone):
+                assert accuracies[v] == expected
 
 
 _CLASSES = ("app.A", "app.B", "app.C", "app.D", "app.E")
@@ -415,11 +406,10 @@ class TestSharedScoringPath:
             whole, _ = naive_select(expected, 1.0)
             assert ranked == whole
             for b, fraction in enumerate(grid.budgets):
-                (key, outcomes) = cells[first_cell + b]
+                (key, accuracies, _) = cells[first_cell + b]
                 assert key == (metric, horizon, operator, fraction)
-                (outcome,) = [o for o in outcomes if o.version_id == label.version_id]
                 chosen, dropped = naive_select(expected, fraction)
-                assert outcome.accuracy == accuracy(set(chosen), label)
+                assert accuracies[v] == accuracy(set(chosen), label)
                 result = minimize_suite(
                     histories, dep_map, metric=metric, half_life_days=horizon, operator=operator,
                     budget=Budget(fraction), as_of=label.as_of,
@@ -430,11 +420,8 @@ class TestSharedScoringPath:
 
 
 def _untimed(cells):
-    """Each cell's key and, in order, its outcomes without their wall time."""
-    return [
-        (key, [(o.version_id, o.accuracy, o.detected, o.config_fingerprint) for o in outcomes])
-        for key, outcomes in cells
-    ]
+    """Each cell's key and its accuracies, without the seconds."""
+    return [(key, accuracies) for key, accuracies, _ in cells]
 
 
 def _assert_no_child_process_left():
