@@ -139,6 +139,9 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
                 if tag not in _INVOCATION_TAGS:
                     unknown_tag_lines.append(lineno)
             else:
+                if line[0] == "\ufeff":  # strip() keeps it: it is not whitespace
+                    problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+                    raise ParseError(f"malformed call-graph line at line {lineno}: {problem}", line=lineno)
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)

@@ -136,18 +136,19 @@ def evaluate_grid(
     Cells come back in grid order, each as ``(key, accuracies, seconds)``:
     two ``array('d')`` columns holding one value per label, in label order;
     a label's version is detected when its accuracy is above zero. Work is
-    shared wherever cells agree: each event's weight is derived once for
-    every version; per version and share one decay pass over each class's
-    history serves every horizon of the share and every metric; per (horizon, metric) each distinct dependency signature gets
-    one sorted positive-risk multiset; per operator each signature is scored
-    once and the tests are ranked once, and every budget keeps a prefix of
-    that ranking. Scores and selections equal, bit for bit, those of the
+    shared wherever cells agree: each class's columns (see ``risk_folder``)
+    are derived once for every version; per version and share one pass over
+    the classes serves every horizon of the share and every metric; per
+    (horizon, metric) each distinct dependency signature gets one sorted
+    positive-risk multiset; per operator each signature is scored once and
+    the tests are ranked once, and every budget keeps a prefix of that
+    ranking. Scores and selections equal, bit for bit, those of the
     cell run alone: ``risk_folder`` of its metric and horizon at the
     label's ``as_of``, then ``score_multisets(positive_multisets(...))`` and
     ``cut_ranking(rank(scores), ...)``. A cell's seconds for a label
     are ``base_seconds`` (ingestion and dependency analysis, measured by the
     caller) plus the measured cost of the work it used: its equal share of
-    deriving the weights, its metric's share of its horizon's share of its
+    deriving the columns, its metric's share of its horizon's share of its
     decay pass, its metric's multisets, its scoring pass and ranking, and
     its own selection. Every axis is checked before any version is scored,
     with or without labels.
@@ -155,7 +156,7 @@ def evaluate_grid(
     The (version, horizon) units, version-major, are cut into
     ``min(jobs, units, cpus)`` contiguous shares, where ``cpus`` counts the
     CPUs this process may run on (one share where ``os.fork`` does not
-    exist). The weights, the signatures and the reached classes are
+    exist). The columns, the signatures and the reached classes are
     derived here, once; then every share but the first is scored in a
     forked child process, which charges its own measured time, and the
     first in this one. The cells are filled by grid index, so
@@ -237,7 +238,7 @@ def _prepare(
     its tests, in ``dep_map`` order), ``signature_of`` (each test id with
     the index of its signature), ``fold`` (``risk_folder`` of the grid's
     metrics and horizons over the classes some signature reaches) and
-    ``weights_seconds`` (the time taken to derive the weights, per
+    ``columns_seconds`` (the time taken to derive the fold's columns, per
     instant). Only the reached classes are folded: a class's fold does not
     depend on any other's, so the risks that are read are the same, bit for
     bit. Checks the grid's metrics and horizons.
@@ -271,7 +272,7 @@ def _scoring_passes(
     and the seconds of the shared work the pass used.
     """
     n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
-    by_signature, signature_of, fold, weights_seconds = prepared
+    by_signature, signature_of, fold, columns_seconds = prepared
     if not units:  # also the only case of a grid without horizons
         return
     for v in range(units.start // n_horizons, (units.stop - 1) // n_horizons + 1):
@@ -279,7 +280,7 @@ def _scoring_passes(
         last = min(units.stop - v * n_horizons, n_horizons)
         t0 = time.perf_counter()
         tables = fold(as_ofs[v], slice(first, last))
-        decay_seconds = weights_seconds / n_horizons + (time.perf_counter() - t0) / (last - first)
+        decay_seconds = columns_seconds / n_horizons + (time.perf_counter() - t0) / (last - first)
         for h in range(first, last):
             # so that a horizon's table is freed once its multisets are built
             risks, tables[h - first] = tables[h - first], {}

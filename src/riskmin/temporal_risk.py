@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
-from .change_history import _TIMESTAMP, ClassHistory
+from .change_history import ClassHistory
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -48,59 +49,84 @@ def risk_folder(
     A class's risk is the sum, over its events not after the instant, of the
     event's weight (1 under frequency, ``log1p(churn)`` under extent) times
     ``exp(-alpha * age)``, with the event's age in (fractional) days and
-    ``alpha`` the half-life's decay rate (0 in static mode).
+    ``alpha`` the half-life's decay rate (0 in static mode, and for an
+    infinite half-life).
 
     An unknown metric, and a half-life that ``alpha_from_half_life``
-    rejects, raise ``ValueError`` when this is called, and each event's
-    extent weight is derived then; each call of ``fold`` is one decay pass.
-    A history is in time order, so the in-scope events of each class are a
-    prefix, found by bisection. Per class, their ages are computed once,
-    then folded under every half-life of the slice; the metrics share each
-    decay factor. Each fold is a sequential ``+=`` in the history's
-    chronological order: never the builtin ``sum``, whose float summation is
-    compensated since Python 3.12. A half-life's table does not depend on
-    the others folded with it, so the tables of a slice equal, bit for bit,
-    those of the whole.
+    rejects, raise ``ValueError`` when this is called. Each class's columns
+    are derived then, once: its event timestamps and, under extent, each
+    event's weight if some half-life decays and the running sums of the
+    weights if some half-life's rate is 0. A history is in time order, so
+    the in-scope events of each class are a prefix, found by one bisection
+    of its timestamps. At rate 0 every decay factor is ``exp(-0.0 * age)
+    == 1.0``, so the risk is read off the prefix: its length under
+    frequency, its last running sum under extent. Under the other
+    half-lives, each call of ``fold`` computes the prefix's ages once and
+    folds them under each; the metrics share each decay factor. Each fold
+    and each running sum is a sequential ``+`` in the history's
+    chronological order: never the builtin ``sum``, whose float summation
+    is compensated since Python 3.12. A half-life's table does not depend
+    on the others folded with it, so the tables of a slice equal, bit for
+    bit, those of the whole.
     """
     for metric in metrics:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     alphas = [0.0 if half_life is None else alpha_from_half_life(half_life) for half_life in half_lives]
-    # class id -> the extent weight of each of its events; empty without extent
-    weights: dict[str, array[float]] = {}
-    if METRIC_EXTENT in metrics:
-        log1p = math.log1p
-        for class_id, history in histories.items():
-            # From a list, so that each column is allocated once, at its size: grown
-            # from an iterator, the columns fragment the heap and raise peak RSS.
-            weights[class_id] = array(  # event.churn, inlined
-                "d", [log1p(event.added + event.deleted + event.modified) for event in history.events]
-            )
+    extent = METRIC_EXTENT in metrics
+    weighted = extent and any(alphas)  # some extent fold decays
+    summed = extent and not all(alphas)  # some extent fold is static
+    # (class id, event timestamps, weights or None, running sums or None), per class
+    columns: list[tuple[str, list[int], array[float] | None, array[float] | None]] = []
+    log1p = math.log1p
+    for class_id, history in histories.items():
+        events = history.events
+        weights = running = None
+        if extent:
+            # event.churn, inlined; the columns are built from a list, so that each is allocated
+            # once, at its size: grown from an iterator, they fragment the heap and raise peak RSS.
+            weight_list = [log1p(event.added + event.deleted + event.modified) for event in events]
+            if weighted:
+                weights = array("d", weight_list)
+            if summed:
+                running = array("d", list(accumulate(weight_list)))
+        columns.append((class_id, [event.timestamp for event in events], weights, running))
 
     def fold(as_of: int, horizons: slice = slice(None)) -> list[dict[str, dict[str, float]]]:
         sliced = alphas[horizons]
         tables: list[dict[str, dict[str, float]]] = [{metric: {} for metric in metrics} for _ in sliced]
         if not metrics:
             return tables
-        folds = [
+        static = [
+            (table.get(METRIC_FREQUENCY), table.get(METRIC_EXTENT)) for alpha, table in zip(sliced, tables) if not alpha
+        ]
+        decayed = [
             (-alpha, table.get(METRIC_FREQUENCY), table.get(METRIC_EXTENT))
             for alpha, table in zip(sliced, tables)
+            if alpha
         ]
         # Local names, and plain loops: on CPython 3.10-3.13 a loop of float `+=` is
         # faster than functools.reduce(operator.add, map(math.exp, ...)) for these lengths.
         exp = math.exp
-        for class_id, history in histories.items():
-            events = history.events
-            in_scope = events[: bisect_right(events, as_of, key=_TIMESTAMP)]
-            ages = [(as_of - event.timestamp) / SECONDS_PER_DAY for event in in_scope]
-            for rate, frequency_table, extent_table in folds:
+        for class_id, timestamps, weights, running in columns:
+            k = bisect_right(timestamps, as_of)
+            # A rate of 0: the sum of k terms 1.0 is exact, and 0.0 + w == w starts the running sum.
+            for frequency_table, extent_table in static:
+                if frequency_table is not None:
+                    frequency_table[class_id] = float(k)
+                if extent_table is not None:
+                    extent_table[class_id] = running[k - 1] if k else 0.0
+            if not decayed:
+                continue
+            ages = [(as_of - timestamp) / SECONDS_PER_DAY for timestamp in timestamps[:k]]
+            for rate, frequency_table, extent_table in decayed:
                 frequency = 0.0
                 if extent_table is None:
                     for age in ages:
                         frequency += exp(rate * age)
                 else:
                     extent_total = 0.0
-                    for age, weight in zip(ages, weights[class_id]):  # zip stops with the in-scope ages
+                    for age, weight in zip(ages, weights):  # zip stops with the in-scope ages
                         decay = exp(rate * age)
                         frequency += decay
                         extent_total += weight * decay

@@ -233,6 +233,28 @@ class TestMinimizeCommand:
         assert cli.main(["minimize", str(manifest), "--as-of", str(REF)]) == 0
         assert sorted(path.name for path in tmp_path.iterdir()) == ["project", "result.json", "selected.txt"]
 
+    def test_an_infinite_half_life_selects_as_static_mode_and_is_labelled_inf(self, tmp_path):
+        manifest = _write_project(tmp_path)
+        results = {}
+        for horizon in ("static", "inf"):
+            out = tmp_path / horizon
+            assert cli.main(["minimize", str(manifest), "--metric", "extent", "--horizon", horizon,
+                             "--budget", "0.5", "--as-of", str(REF), "--output", str(out)]) == 0
+            results[horizon] = json.loads((out / "result.json").read_text())
+        assert "horizon=inf;" in results["inf"].pop("config_fingerprint")
+        assert "horizon=static;" in results["static"].pop("config_fingerprint")
+        assert results["inf"] == results["static"]
+
+    def test_a_call_graph_csv_with_a_bom_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path / "p")
+        graph = tmp_path / "p" / "callgraph.csv"
+        graph.write_text("\ufeff" + graph.read_text(encoding="utf-8"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["minimize", str(manifest), "--as-of", str(REF), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{graph}: malformed call-graph line at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)" in err
+        assert not out.exists()
+
     def test_every_minimize_checks_its_result_invariants(self, tmp_path, monkeypatch):
         checked = []
         original = cli.check_result_invariants

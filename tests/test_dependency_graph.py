@@ -159,6 +159,17 @@ class TestParseCallgraphCsv:
         with pytest.raises(ValueError):
             parse_callgraph_edges(io.StringIO(""), "dot")
 
+    @pytest.mark.parametrize("lineno", [1, 2])
+    def test_a_line_that_starts_with_a_bom_is_an_error_at_that_line(self, lineno):
+        lines = ["a.T#t,a.F#b\n", "a.T#u,a.F#c\n"]
+        lines[lineno - 1] = "\ufeff" + lines[lineno - 1]
+        with pytest.raises(ParseError) as caught:
+            parse_callgraph_edges(io.StringIO("".join(lines)), "csv")
+        assert caught.value.line == lineno
+        assert str(caught.value) == (
+            f"malformed call-graph line at line {lineno}: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        )
+
 
 class TestEntryPoints:
     def test_pattern_matches_suffix_and_prefix(self):

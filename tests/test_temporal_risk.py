@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskmin import temporal_risk
 from riskmin.change_history import ChangeEvent, ClassHistory
 from riskmin.temporal_risk import (
     METRIC_EXTENT,
@@ -311,7 +312,8 @@ def _time_ordered_histories(draw):
 
 
 _half_lives = st.lists(
-    st.one_of(st.none(), st.sampled_from([1.0, 0.5, 32.0, 512.0, 1e-300]), st.floats(1e-3, 1e6)),
+    # math.inf is the one numeric half-life whose decay rate is 0.0, as in static mode
+    st.one_of(st.none(), st.sampled_from([1.0, 0.5, 32.0, 512.0, 1e-300, math.inf]), st.floats(1e-3, 1e6)),
     min_size=1,
     max_size=5,
 )
@@ -422,3 +424,41 @@ class TestRiskFolder:
             half_lives = [*half_lives[:k], bad, *half_lives[k:]]
         with pytest.raises(ValueError):
             risk_folder(histories, metrics, half_lives)
+
+
+class TestStaticFold:
+    """A rate of 0.0 reads each risk off the in-scope prefix: no decay factor is computed."""
+
+    @pytest.mark.parametrize("half_life", [None, math.inf])
+    def test_a_long_history_equals_the_literal_loop_at_every_kind_of_instant(self, half_life):
+        rng = random.Random(22)
+        events, timestamp = [], REF - 3_000 * DAY
+        for i in range(2_000):
+            timestamp += rng.choice([0, 0, 1, 60, DAY, 7 * DAY])  # some events share their instant
+            events.append(_event(timestamp, add=rng.choice([0, 0, 1, 7, 250, 2**40]), dele=rng.randint(0, 30),
+                                 mod=rng.randint(0, 3), commit=f"c{i:04d}"))
+        histories = {"a.B": _history(events)}
+        timestamps = [event.timestamp for event in events]
+        instants = [timestamps[0] - 1, timestamps[-1] + 1, timestamps[-1] + 3_000 * DAY]
+        instants += [timestamp + d for timestamp in rng.sample(timestamps, 40) + timestamps[-3:] for d in (-1, 0, 1)]
+        metrics = (METRIC_FREQUENCY, METRIC_EXTENT)
+        fold = risk_folder(histories, metrics, (half_life,))
+        for instant in instants:
+            assert repr(fold(instant)) == repr(_literal_tables(histories, metrics, (half_life,), instant))
+
+    def _exp_calls(self, monkeypatch, half_lives):
+        calls = []
+        exp = math.exp
+        history = _history([_event(REF - 2 * DAY, add=3, commit="c0"), _event(REF - DAY, add=1, commit="c1"),
+                            _event(REF + DAY, add=5, commit="c2")])
+        fold = risk_folder({"a.B": history}, (METRIC_FREQUENCY, METRIC_EXTENT), half_lives)
+        monkeypatch.setattr(temporal_risk.math, "exp", lambda x: calls.append(x) or exp(x))
+        fold(REF)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_a_fold_of_static_half_lives_calls_exp_zero_times(self, monkeypatch):
+        assert self._exp_calls(monkeypatch, (None, math.inf, None)) == 0
+
+    def test_a_fold_with_one_decayed_half_life_calls_exp_once_per_in_scope_event(self, monkeypatch):
+        assert self._exp_calls(monkeypatch, (None, 8.0, math.inf)) == 2
