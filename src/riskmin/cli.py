@@ -8,7 +8,8 @@ to designated columns/keys.
 
 Exit codes: 0 success, 1 usage or an unwritable output (stdout included, help too),
 2 missing or unreadable input, 3 parse error, 4 label error, 5 alignment
-error. ``main`` takes each error's code from one table, ``EXIT_CODES``.
+error. Only ``main`` decides the exit code, and it takes each error's code
+from one table, ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
+from . import stats
 from .change_history import (
     MAX_INTEGER,
     SourceRootConfig,
@@ -72,11 +74,6 @@ EXIT_USAGE = 1
 EXIT_CODES = ((InputError, 2), (ParseError, 3), (LabelError, 4), (AlignmentError, 5), (ValueError, EXIT_USAGE))
 
 CHANGE_LOG_FORMATS = ("jsonl", "numstat")
-
-JOBS_HELP = (
-    "score each project's (version, horizon) units in up to N processes, at most one per CPU "
-    "this process may run on (default: 1); the outputs do not depend on N"
-)
 
 OUTCOME_COLUMNS = ("version_id", "accuracy", "detected", "wall_time_s")
 
@@ -339,7 +336,7 @@ def _json_float(value: float):
 # Commands
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     manifest = load_manifest(Path(args.manifest))
     inputs = load_project_inputs(manifest)
     table = risk_folder(inputs.histories, (args.metric,), (args.horizon,))(args.as_of)[0][args.metric]
@@ -348,10 +345,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise AssertionError(f"invalid risk score for {class_id}")
     rows = [(class_id, str(table[class_id])) for class_id in sorted(table)]
     _write_text(args.output, "risks.csv", _csv_text(("class_id", "risk"), rows))
-    return EXIT_OK
 
 
-def cmd_minimize(args: argparse.Namespace) -> int:
+def cmd_minimize(args: argparse.Namespace) -> None:
     manifest = load_manifest(Path(args.manifest))
     inputs = load_project_inputs(manifest)
     budget = Budget(args.budget)
@@ -368,7 +364,6 @@ def cmd_minimize(args: argparse.Namespace) -> int:
     out_dir = args.output or "."
     _write_text(out_dir, "selected.txt", "".join(test_id + "\n" for test_id in result.selected))
     _write_text(out_dir, "result.json", _json_text(result.to_json_dict()))
-    return EXIT_OK
 
 
 def _evaluate_manifests(
@@ -439,7 +434,7 @@ def _stats_block(values: Sequence[float]) -> dict:
     return {"min": lo, "q1": q1, "mean": mean, "median": median, "q3": q3, "max": hi}
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> None:
     grid = SweepGrid(
         metrics=(args.metric,),
         horizons=(args.horizon,),
@@ -473,10 +468,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = args.output or "."
     _write_text(out_dir, "outcomes.csv", _csv_text(OUTCOME_COLUMNS, rows))
     _write_text(out_dir, "summary.json", _json_text(summary))
-    return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> None:
     grid = SweepGrid(
         metrics=tuple(args.metrics),
         horizons=tuple(args.horizons),
@@ -489,7 +483,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for metric, horizon, operator, budget, *values in sweep_rows(pooled)
     ]
     _write_text(args.output, "sweep.csv", _csv_text(SweepRow._fields, csv_rows))
-    return EXIT_OK
 
 
 _DETECTED_VALUES = {"true": True, "1": True, "false": False, "0": False}
@@ -552,9 +545,7 @@ def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
     return outcomes
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    from . import stats
-
+def cmd_compare(args: argparse.Namespace) -> None:
     outcomes_a = _parse_input(Path(args.outcomes_a), _read_outcomes_csv)
     outcomes_b = _parse_input(Path(args.outcomes_b), _read_outcomes_csv)
     ids_a, ids_b = set(outcomes_a), set(outcomes_b)
@@ -603,7 +594,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "bonferroni": adjusted,
     }
     _write_text(args.output, "comparison.json", _json_text(report))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -657,13 +647,11 @@ def _whole_number_arg(low: int, high: float = math.inf) -> Callable[[str], int]:
 
 
 def _budget_arg(value: str) -> float:
+    """The fraction ``value`` spells, if ``Budget`` takes it."""
     try:
-        fraction = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a fraction, got {value[:40]!r}")
-    if not 0.0 < fraction <= 1.0:
-        raise argparse.ArgumentTypeError(f"budget must be in (0, 1], got {value[:40]}")
-    return fraction
+        return Budget(float(value)).fraction
+    except ValueError:  # not a number, or a fraction that ``Budget`` rejects
+        raise argparse.ArgumentTypeError(f"budget must be a fraction in (0, 1], got {value[:40]!r}")
 
 
 def _comma_list(parse_item, valid=None):
@@ -684,101 +672,103 @@ def _comma_list(parse_item, valid=None):
     return convert
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, with_as_of: bool) -> None:
-    parser.add_argument("--metric", choices=METRICS, default=METRIC_EXTENT)
-    parser.add_argument(
+def build_parser() -> argparse.ArgumentParser:
+    """The ``riskmin`` parser. Each flag group is declared once, as a parent
+    parser, and each subcommand lists the groups it takes."""
+    manifest = argparse.ArgumentParser(add_help=False)
+    manifest.add_argument("manifest")
+
+    manifests = argparse.ArgumentParser(add_help=False)
+    manifests.add_argument("manifests", nargs="+")
+
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--metric", choices=METRICS, default=METRIC_EXTENT)
+    config.add_argument(
         "--horizon",
         type=_horizon_arg,
         default=32.0,
         metavar="DAYS|static",
         help="half-life in days, or 'static' for uniform history weighting (default: 32)",
     )
-    if with_as_of:
-        parser.add_argument(
-            "--as-of",
-            dest="as_of",
-            type=_whole_number_arg(-MAX_INTEGER, MAX_INTEGER),
-            required=True,
-            metavar="EPOCH",
-            help="evaluation time as Unix seconds; later events are ignored",
-        )
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="riskmin",
-        description="Minimize test suites by time-decayed change-history risk.",
+    as_of = argparse.ArgumentParser(add_help=False)
+    as_of.add_argument(
+        "--as-of",
+        type=_whole_number_arg(-MAX_INTEGER, MAX_INTEGER),
+        required=True,
+        metavar="EPOCH",
+        help="evaluation time as Unix seconds; later events are ignored",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
 
-    score = commands.add_parser("score", parents=[], help="emit the per-class risk table as CSV")
-    score.add_argument("manifest")
-    _add_config_flags(score, with_as_of=True)
-    score.add_argument("--output", default=None, metavar="DIR")
-    score.set_defaults(func=cmd_score)
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
+    selection.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
 
-    minimize = commands.add_parser("minimize", help="select the highest-risk tests under a budget")
-    minimize.add_argument("manifest")
-    _add_config_flags(minimize, with_as_of=True)
-    minimize.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
-    minimize.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
-    minimize.add_argument("--output", default=None, metavar="DIR")
-    minimize.set_defaults(func=cmd_minimize)
-
-    evaluate = commands.add_parser("evaluate", help="measure fault preservation over labeled versions")
-    evaluate.add_argument("manifests", nargs="+")
-    _add_config_flags(evaluate, with_as_of=False)
-    evaluate.add_argument("--aggregate", choices=OPERATORS, default=OP_GMEAN)
-    evaluate.add_argument("--budget", type=_budget_arg, default=0.5, metavar="FRACTION")
-    evaluate.add_argument("--jobs", type=_whole_number_arg(1), default=1, metavar="N", help=JOBS_HELP)
-    evaluate.add_argument("--output", default=None, metavar="DIR")
-    evaluate.set_defaults(func=cmd_evaluate)
-
-    sweep = commands.add_parser("sweep", help="evaluate a configuration grid, one CSV row per cell")
-    sweep.add_argument("manifests", nargs="+")
-    sweep.add_argument(
-        "--metrics",
-        type=_comma_list(str, valid=METRICS),
-        default=list(METRICS),
-        metavar="LIST",
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
+        "--metrics", type=_comma_list(str, valid=METRICS), default=list(METRICS), metavar="LIST"
     )
-    sweep.add_argument(
+    grid.add_argument(
         "--horizons",
         type=_comma_list(_horizon_arg),
         default=list(CANONICAL_HORIZONS),
         metavar="LIST",
         help="comma-separated half-lives in days; 'static' is allowed as an entry",
     )
-    sweep.add_argument(
-        "--operators",
-        type=_comma_list(str, valid=OPERATORS),
-        default=list(OPERATORS),
-        metavar="LIST",
+    grid.add_argument(
+        "--operators", type=_comma_list(str, valid=OPERATORS), default=list(OPERATORS), metavar="LIST"
     )
-    sweep.add_argument(
-        "--budgets",
-        type=_comma_list(_budget_arg),
-        default=list(CANONICAL_BUDGETS),
-        metavar="LIST",
+    grid.add_argument(
+        "--budgets", type=_comma_list(_budget_arg), default=list(CANONICAL_BUDGETS), metavar="LIST"
     )
-    sweep.add_argument("--jobs", type=_whole_number_arg(1), default=1, metavar="N", help=JOBS_HELP)
-    sweep.add_argument("--output", default=None, metavar="DIR")
-    sweep.set_defaults(func=cmd_sweep)
 
-    compare = commands.add_parser("compare", help="statistically compare two outcome files")
-    compare.add_argument("outcomes_a")
-    compare.add_argument("outcomes_b")
-    compare.add_argument(
+    outcomes = argparse.ArgumentParser(add_help=False)
+    outcomes.add_argument("outcomes_a")
+    outcomes.add_argument("outcomes_b")
+    outcomes.add_argument(
         "--bonferroni-m",
-        dest="bonferroni_m",
         type=_whole_number_arg(1, MAX_INTEGER),
         default=1,
         metavar="M",
         help="number of comparisons the reported p-values are adjusted for",
     )
-    compare.add_argument("--output", default=None, metavar="DIR")
-    compare.set_defaults(func=cmd_compare)
 
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument(
+        "--jobs",
+        type=_whole_number_arg(1),
+        default=1,
+        metavar="N",
+        help="score each project's (version, horizon) units in up to N processes, at most one per CPU "
+        "this process may run on (default: 1); the outputs do not depend on N",
+    )
+
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None, metavar="DIR")
+
+    parser = _Parser(prog="riskmin", description="Minimize test suites by time-decayed change-history risk.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser(
+        "score", parents=[manifest, config, as_of, output], help="emit the per-class risk table as CSV"
+    ).set_defaults(func=cmd_score)
+    commands.add_parser(
+        "minimize",
+        parents=[manifest, config, as_of, selection, output],
+        help="select the highest-risk tests under a budget",
+    ).set_defaults(func=cmd_minimize)
+    commands.add_parser(
+        "evaluate",
+        parents=[manifests, config, selection, jobs, output],
+        help="measure fault preservation over labeled versions",
+    ).set_defaults(func=cmd_evaluate)
+    commands.add_parser(
+        "sweep",
+        parents=[manifests, grid, jobs, output],
+        help="evaluate a configuration grid, one CSV row per cell",
+    ).set_defaults(func=cmd_sweep)
+    commands.add_parser(
+        "compare", parents=[outcomes, output], help="statistically compare two outcome files"
+    ).set_defaults(func=cmd_compare)
     return parser
 
 
@@ -801,9 +791,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     gc.disable()
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except SystemExit as exc:  # argparse exits after a usage error, and after printing help
-        return 0 if exc.code is None else int(exc.code)
+        return EXIT_OK if exc.code is None else int(exc.code)
     except (InputError, ValueError) as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

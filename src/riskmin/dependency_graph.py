@@ -123,6 +123,13 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
     text = fmt == FORMAT_CALLGRAPH_TEXT
     parse_token = _parse_method_token if text else parse_test_id
     refs: dict[str, MethodRef] = {}  # one record per distinct token, shared by its edges
+
+    def parse_ref(token: str, lineno: int) -> MethodRef:
+        if token[:1] == "\ufeff":  # strip() keeps it: it is not whitespace
+            problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise ParseError(f"malformed call-graph line at line {lineno}: {problem}", line=lineno)
+        return parse_token(token, lineno)
+
     lineno = 0
     try:
         for lineno, line in text_lines(stream):
@@ -139,15 +146,12 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
                 if tag not in _INVOCATION_TAGS:
                     unknown_tag_lines.append(lineno)
             else:
-                if line[0] == "\ufeff":  # strip() keeps it: it is not whitespace
-                    problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-                    raise ParseError(f"malformed call-graph line at line {lineno}: {problem}", line=lineno)
                 parts = line.split(",")
                 if len(parts) != 2:
                     raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)
                 caller_token, callee_token = parts[0].strip(), parts[1].strip()
-            caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_token(caller_token, lineno))
-            callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_token(callee_token, lineno))
+            caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_ref(caller_token, lineno))
+            callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_ref(callee_token, lineno))
             add_edge(caller, callee)
     except UnicodeDecodeError:
         raise undecodable_after(lineno) from None

@@ -1,3 +1,4 @@
+import argparse
 import errno
 import gc
 import hashlib
@@ -253,6 +254,18 @@ class TestMinimizeCommand:
         assert cli.main(["minimize", str(manifest), "--as-of", str(REF), "--output", str(out)]) == 3
         err = capsys.readouterr().err
         assert f"{graph}: malformed call-graph line at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)" in err
+        assert not out.exists()
+
+    def test_a_call_graph_token_with_a_bom_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path / "p", callgraph_format="callgraph-text")
+        graph = tmp_path / "p" / "callgraph.txt"
+        lines = graph.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace("(M)", "(M)\ufeff")
+        graph.write_text("".join(lines), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["minimize", str(manifest), "--as-of", str(REF), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{graph}: malformed call-graph line at line 3: Unexpected UTF-8 BOM (decode using utf-8-sig)" in err
         assert not out.exists()
 
     def test_every_minimize_checks_its_result_invariants(self, tmp_path, monkeypatch):
@@ -1165,6 +1178,56 @@ class TestJsonLimits:
         manifest.write_text(content, encoding="utf-8")
         assert cli.main(["evaluate", str(manifest)]) == 3
         assert "manifest.json" in capsys.readouterr().err
+
+
+class TestInterface:
+    """SHA-256 of each parser's help text and of each subcommand's actions,
+    recorded before the subcommands were built from shared parent parsers.
+
+    A flag, default, help string or order that moves changes a digest.
+    Argparse formats this parser alike on Python 3.10 to 3.13.
+    """
+
+    HELP_SHA256 = {
+        None: "b1a751ec8d650f4fb1cc3845f0d5e99e1c2bbac890fe453122d2fc76d04e63f5",
+        "score": "64e28a0a1962ec8d03ee6d3aa91d5626ac0e9436c8b0aa40eab67a9b206d4dfb",
+        "minimize": "bb32e290436eac4bfa12ef21c2cb40c46d1c9ddd5077e05f33d50404686397f6",
+        "evaluate": "2e0d342e2ce5799980f1d8ec2f100c2034094b86b2a1b1fdb082fd61dd2fb6c5",
+        "sweep": "447a3172615981785aeb7a23bbf39abedeac93b160d10003fbd226505807009f",
+        "compare": "3d2819e89325474ca2d951e93eb6a0a35e0bf318b94867d975ce62965df4da25",
+    }
+    ACTIONS_SHA256 = {
+        "score": "17bc038172ceda33bfc924d5fd504499e0ccda2fef18a55ea27f7d8745d1b7c5",
+        "minimize": "9f206e2417e316c47dc779e9ad7916e1f1878c5a4def4a7008deac600e6430f8",
+        "evaluate": "866e5f46a69e488ba4092be35b53cdef7cd74b09819137b6851c344e3860238a",
+        "sweep": "e08f245a50a06387dfb43a9acd26fcd027369bca44d0bee59800919bfd96f1f1",
+        "compare": "a44b258c2a22fedccace650260c03d2be053090ed52c811982b21f116ba97294",
+    }
+
+    @pytest.fixture
+    def parsers(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal's width
+        parser = cli.build_parser()
+        (commands,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        return {None: parser, **commands.choices}
+
+    def test_help_texts_match_recorded_digests(self, parsers):
+        texts = {name: parser.format_help() for name, parser in parsers.items()}
+        digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+        assert digests == self.HELP_SHA256, texts
+
+    def test_subcommand_actions_match_recorded_digests(self, parsers):
+        rows = {
+            name: [
+                repr((action.option_strings, action.dest, action.default, action.nargs, action.required,
+                      action.choices, action.metavar, action.help))
+                for action in parser._actions
+            ]
+            for name, parser in parsers.items()
+            if name is not None
+        }
+        digests = {name: hashlib.sha256("\n".join(lines).encode()).hexdigest() for name, lines in rows.items()}
+        assert digests == self.ACTIONS_SHA256, rows
 
 
 class TestParserReuse:

@@ -171,6 +171,25 @@ class TestParseCallgraphCsv:
         )
 
 
+@pytest.mark.parametrize(
+    "fmt, line",
+    [
+        ("csv", "a.T#t,\ufeffa.F#b\n"),
+        ("csv", "a.T#t, \ufeffa.F#b\n"),
+        ("callgraph-text", "M:a.T:t (M)\ufeffa.F:b\n"),
+        ("callgraph-text", "M:\ufeffa.T:t (M)a.F:b\n"),
+    ],
+    ids=["csv-callee", "csv-callee-after-space", "text-callee", "text-caller"],
+)
+def test_a_token_that_starts_with_a_bom_is_an_error_at_its_line(fmt, line):
+    with pytest.raises(ParseError) as caught:
+        parse_callgraph_edges(["a.T#u,a.F#c\n" if fmt == "csv" else "M:a.T:u (M)a.F:c\n", line], fmt)
+    assert caught.value.line == 2
+    assert str(caught.value) == (
+        "malformed call-graph line at line 2: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    )
+
+
 class TestEntryPoints:
     def test_pattern_matches_suffix_and_prefix(self):
         graph = _graph([("a.FooTest#testX", "a.Foo#bar")])
