@@ -277,8 +277,9 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     A file line is two counts and a path, separated by tabs. A count is
     ``-`` or decimal digits (``str.isdecimal``: the characters the regex
     ``\\d`` matches); the path is the rest of the line, non-empty and
-    without a line break. A text stream is enumerated directly, and a line
-    iterable, which may hold bytes, goes through ``numbered_lines``.
+    without a ``\\r`` or ``\\n``. A line may end in LF, CRLF or CR. A
+    text stream is enumerated directly, and a line iterable, which may hold
+    bytes, goes through ``numbered_lines``.
     """
     events: list[ChangeEvent] = []
     append = events.append
@@ -290,7 +291,7 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     lineno = 0
     try:
         for lineno, line in text_lines(stream):
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if not line or line.isspace():
                 continue
             if line.startswith("COMMIT"):
@@ -304,7 +305,8 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
             added_text, _, rest = line.partition("\t")
             deleted_text, _, path = rest.partition("\t")
             numeric = added_text.isdecimal() and deleted_text.isdecimal()
-            if not (numeric or _is_count(added_text) and _is_count(deleted_text)) or not path or "\n" in path:
+            counted = numeric or _is_count(added_text) and _is_count(deleted_text)
+            if not counted or not path or "\r" in path or "\n" in path:
                 raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
             if commit is None:
                 raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)

@@ -287,7 +287,7 @@ def build_dependency_map(
     whose ids collide (overloads) have their sets unioned. All entries
     share one traversal of the graph, so cycles and deep chains are safe.
     """
-    entries = sorted(set(entries), key=lambda m: (m.class_id, m.method_name, m.descriptor))
+    entries = sorted(set(entries))
     if test_class_filter is None:
         test_class_filter = entry_class_filter(entries)
     class_bits: dict[str, int] = {}

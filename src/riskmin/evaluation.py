@@ -17,6 +17,7 @@ share; ``sweep_rows`` summarises each cell over the versions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import statistics
@@ -67,7 +68,7 @@ def minimize_suite(
     """The tests of ``dep_map`` (from ``build_dependency_map``) scored at ``as_of`` by the
     1x1x1x1 grid's one scoring pass, and that ranking cut at the budget."""
     grid = SweepGrid((metric,), (half_life_days,), (operator,), (budget.fraction,))
-    ((_, _, scores, ranked, _),) = _scoring_passes(_prepare(histories, dep_map, grid, 1), (as_of,), grid, range(1))
+    ((_, _, scores, ranked, _),) = _scoring_passes(_prepare(histories, dep_map, grid), (as_of,), grid, range(1))
     fingerprint = config_fingerprint(metric, half_life_days, operator, budget.fraction, as_of)
     return cut_ranking(ranked, scores, budget, fingerprint)
 
@@ -146,29 +147,32 @@ def evaluate_grid(
     cell run alone: ``risk_folder`` of its metric and horizon at the
     label's ``as_of``, then ``score_multisets(positive_multisets(...))`` and
     ``cut_ranking(rank(scores), ...)``. A cell's seconds for a label
-    are ``base_seconds`` (ingestion and dependency analysis, measured by the
-    caller) plus the measured cost of the work it used: its equal share of
-    deriving the columns, its metric's share of its horizon's share of its
-    decay pass, its metric's multisets, its scoring pass and ranking, and
-    its own selection. Every axis is checked before any version is scored,
-    with or without labels.
+    are assembled here: ``base_seconds`` (ingestion and dependency analysis,
+    measured by the caller) plus the cell's equal share of ``_prepare``
+    (its time divided by labels x horizons x metrics), both added once as
+    the cell is written, plus what ``_score_share`` charged it: the shared
+    work of its scoring pass and its budget's cut. Accuracy is evaluation,
+    not selection, so it is not timed. Every axis is checked before any
+    version is scored, with or without labels.
 
     The (version, horizon) units, version-major, are cut into
     ``min(jobs, units, cpus)`` contiguous shares, where ``cpus`` counts the
     CPUs this process may run on (one share where ``os.fork`` does not
     exist). The columns, the signatures and the reached classes are
     derived here, once; then every share but the first is scored in a
-    forked child process, which charges its own measured time, and the
-    first in this one. The cells are filled by grid index, so
+    forked child process, which measures its own work, and the first in
+    this one. The cells are filled by grid index, so
     they equal those of ``jobs=1`` apart from the seconds.
     """
     for operator in grid.operators:
         check_operator(operator)
     budgets = [Budget(fraction) for fraction in grid.budgets]
-    prepared = _prepare(histories, dep_map, grid, len(labels))
+    t0 = time.perf_counter()
+    prepared = _prepare(histories, dep_map, grid)
+    prepare_seconds = (time.perf_counter() - t0) / max(len(labels) * len(grid.horizons) * len(grid.metrics), 1)
     cpus = _usable_cpus() if hasattr(os, "fork") else 1
     shares = _shares(len(labels) * len(grid.horizons), jobs, cpus)
-    work = lambda units: _score_share(prepared, labels, grid, budgets, base_seconds, units)  # noqa: E731
+    work = functools.partial(_score_share, prepared, labels, grid, budgets)
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     zeros = array("d", [0.0]) * len(labels)
     cells: list[GridCell] = [(key, array("d", zeros), array("d", zeros)) for key in keys]
@@ -178,9 +182,9 @@ def evaluate_grid(
         from .workers import run_shares  # so that a command that does not fork does not load it
 
         results = run_shares(work, shares)
-    for first_cell, v, measured in itertools.chain.from_iterable(results):
-        for (_, accuracies, seconds), (acc, secs) in zip(cells[first_cell : first_cell + len(budgets)], measured):
-            accuracies[v], seconds[v] = acc, secs
+    for c, v, acc, secs in itertools.chain.from_iterable(results):
+        _, accuracies, seconds = cells[c]
+        accuracies[v], seconds[v] = acc, base_seconds + prepare_seconds + secs
     return cells
 
 
@@ -201,47 +205,41 @@ def _shares(units: int, jobs: int, cpus: int) -> list[range]:
     return [range(units * k // n, units * (k + 1) // n) for k in range(n)]
 
 
-_Measured = list[tuple[int, int, list[tuple[float, float]]]]
-
-
 def _score_share(
     prepared: tuple,
     labels: Sequence[VersionLabel],
     grid: SweepGrid,
     budgets: Sequence[Budget],
-    base_seconds: float,
     units: range,
-) -> _Measured:
-    """(first cell, label index, (accuracy, seconds) per budget) of every scoring pass of ``units``.
+) -> list[tuple[int, int, float, float]]:
+    """(cell index, label index, accuracy, seconds) of every cell of every scoring pass of ``units``.
 
-    ``prepared`` is as returned by ``_prepare``.
+    ``prepared`` is as returned by ``_prepare``. A cell's seconds are the
+    shared work of its pass (see ``_scoring_passes``) plus its budget's
+    cut of the pass's ranking; the fixed charges are ``evaluate_grid``'s.
     """
-    measured: _Measured = []
+    records = []
     as_ofs = [label.as_of for label in labels]
-    for first_cell, v, _, ranked, shared_seconds in _scoring_passes(prepared, as_ofs, grid, units):
-        label = labels[v]
-        per_budget = []
-        for budget in budgets:
+    for first_cell, v, _, ranked, pass_seconds in _scoring_passes(prepared, as_ofs, grid, units):
+        for c, budget in enumerate(budgets, first_cell):
             t0 = time.perf_counter()
-            acc = accuracy(set(ranked[: budget_count(len(ranked), budget)]), label)
-            per_budget.append((acc, base_seconds + shared_seconds + (time.perf_counter() - t0)))
-        measured.append((first_cell, v, per_budget))
-    return measured
+            selected = ranked[: budget_count(len(ranked), budget)]
+            seconds = pass_seconds + (time.perf_counter() - t0)
+            records.append((c, v, accuracy(set(selected), labels[v]), seconds))
+    return records
 
 
-def _prepare(
-    histories: Mapping[str, ClassHistory], dep_map: Mapping[str, list[str]], grid: SweepGrid, n_instants: int
-) -> tuple:
+def _prepare(histories: Mapping[str, ClassHistory], dep_map: Mapping[str, list[str]], grid: SweepGrid) -> tuple:
     """What every share of one project's grid reads; derived once, before any child is forked.
 
     That is ``by_signature`` (each dependency signature of ``dep_map`` and
     its tests, in ``dep_map`` order), ``signature_of`` (each test id with
-    the index of its signature), ``fold`` (``risk_folder`` of the grid's
-    metrics and horizons over the classes some signature reaches) and
-    ``columns_seconds`` (the time taken to derive the fold's columns, per
-    instant). Only the reached classes are folded: a class's fold does not
-    depend on any other's, so the risks that are read are the same, bit for
-    bit. Checks the grid's metrics and horizons.
+    the index of its signature) and ``fold`` (``risk_folder`` of the grid's
+    metrics and horizons over the classes some signature reaches). Only the
+    reached classes are folded: a class's fold does not depend on any
+    other's, so the risks that are read are the same, bit for bit. Checks
+    the grid's metrics and horizons. Untimed here: ``evaluate_grid`` shares
+    its time among the cells.
     """
     by_signature: dict[tuple[str, ...], list[str]] = {}
     for test_id, deps in dep_map.items():
@@ -249,11 +247,9 @@ def _prepare(
     signature_of = [
         (test_id, k) for k, test_ids in enumerate(by_signature.values()) for test_id in test_ids
     ]
-    t0 = time.perf_counter()
     reached = {class_id for signature in by_signature for class_id in signature}
     histories = {class_id: history for class_id, history in histories.items() if class_id in reached}
-    fold = risk_folder(histories, grid.metrics, grid.horizons)
-    return by_signature, signature_of, fold, (time.perf_counter() - t0) / max(n_instants, 1)
+    return by_signature, signature_of, risk_folder(histories, grid.metrics, grid.horizons)
 
 
 def _scoring_passes(
@@ -269,10 +265,13 @@ def _scoring_passes(
     the run of its horizons that ``units`` holds. Yields the grid index of
     the pass's first cell (its first budget), the index of the evaluation
     instant in ``as_ofs``, every test's score, the tests in ``rank`` order,
-    and the seconds of the shared work the pass used.
+    and the seconds of the shared work the pass used: its metric's share of
+    its horizon's share of the decay fold that served it (the fold's time
+    divided by the horizons it folded, then by the metrics), its metric's
+    multisets, and its own scoring and ranking.
     """
     n_horizons, n_operators, n_budgets = len(grid.horizons), len(grid.operators), len(grid.budgets)
-    by_signature, signature_of, fold, columns_seconds = prepared
+    by_signature, signature_of, fold = prepared
     if not units:  # also the only case of a grid without horizons
         return
     for v in range(units.start // n_horizons, (units.stop - 1) // n_horizons + 1):
@@ -280,7 +279,7 @@ def _scoring_passes(
         last = min(units.stop - v * n_horizons, n_horizons)
         t0 = time.perf_counter()
         tables = fold(as_ofs[v], slice(first, last))
-        decay_seconds = columns_seconds / n_horizons + (time.perf_counter() - t0) / (last - first)
+        decay_seconds = (time.perf_counter() - t0) / (last - first)
         for h in range(first, last):
             # so that a horizon's table is freed once its multisets are built
             risks, tables[h - first] = tables[h - first], {}

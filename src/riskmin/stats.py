@@ -115,12 +115,7 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> WilcoxonResult
     w = min(w_plus, w_minus)
 
     if n <= EXACT_WILCOXON_MAX_N:
-        double_ranks = [round(2 * r) for r in ranks]
-        w2 = min(
-            sum(dr for dr, d in zip(double_ranks, nonzero) if d > 0),
-            sum(dr for dr, d in zip(double_ranks, nonzero) if d < 0),
-        )
-        p = _exact_signed_rank_p(double_ranks, w2)
+        p = _exact_signed_rank_p([round(2 * r) for r in ranks], round(2 * w))
     else:
         p = _approx_signed_rank_p(w, [abs(d) for d in nonzero])
     return WilcoxonResult(statistic=w, p_two_sided=p, n_effective=n)

@@ -87,7 +87,7 @@ def transitive_closure_bitset(n, index_edges):
 
 REFERENCE_MAX_INTEGER = 2**63 - 1
 _COMMIT_HEADER = re.compile(r"^COMMIT\s+(\S+)\s+(\d+)\s*$")
-_NUMSTAT_LINE = re.compile(r"^(-|\d+)\t(-|\d+)\t(.+)$")
+_NUMSTAT_LINE = re.compile(r"^(-|\d+)\t(-|\d+)\t([^\r\n]+)$")
 _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
 _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
 
@@ -133,7 +133,7 @@ def reference_numstat(lines):
     events = []
     current = None
     for lineno, line in _decoded_lines(lines):
-        line = line.rstrip("\n")
+        line = line.rstrip("\r\n")
         if not line.strip():
             continue
         if line.startswith("COMMIT"):

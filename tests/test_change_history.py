@@ -194,6 +194,27 @@ class TestParseGitNumstat:
         with pytest.raises(ParseError, match="line 2"):
             parse_git_numstat(io.StringIO("COMMIT abc 1\nnot a numstat line\n"))
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            lambda: [b"COMMIT abc 5\r\n", b"1\t2\tsrc/A.java\r\n"],
+            lambda: ["COMMIT abc 5\r\n", "1\t2\tsrc/A.java\r\n"],
+            lambda: io.StringIO("COMMIT abc 5\r\n1\t2\tsrc/A.java\r\n", newline=""),
+            lambda: io.StringIO("COMMIT abc 5\r1\t2\tsrc/A.java\r", newline=""),
+        ],
+        ids=["crlf-bytes", "crlf-str", "crlf-stream", "cr-stream"],
+    )
+    def test_a_carriage_return_line_end_is_not_part_of_the_path(self, lines):
+        (event,) = parse_git_numstat(lines())
+        assert event.path == "src/A.java"
+        assert list(consolidate([event], SourceRootConfig(roots=("src",)))) == ["A"]
+
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n"])
+    def test_a_carriage_return_inside_a_path_is_an_error(self, end):
+        with pytest.raises(ParseError, match="unrecognized numstat line at line 3") as raised:
+            parse_git_numstat(["COMMIT abc 5\n", "1\t2\tsrc/A.java\n", "1\t2\ta\rb.java" + end])
+        assert raised.value.line == 3
+
     def test_undecodable_bytes_name_the_line(self):
         with pytest.raises(ParseError, match="UTF-8 at line 2"):
             parse_git_numstat([b"COMMIT abc 5\n", b"1\t2\tsrc/\xff.java\n"])

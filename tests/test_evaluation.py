@@ -394,7 +394,7 @@ class TestSharedScoringPath:
         cells = evaluate_grid(histories, dep_map, labels, grid)
         passes = 0
         as_ofs = [label.as_of for label in labels]
-        prepared = _prepare(histories, dep_map, grid, len(as_ofs))
+        prepared = _prepare(histories, dep_map, grid)
         units = range(len(as_ofs) * len(grid.horizons))
         for first_cell, v, scores, ranked, _ in _scoring_passes(prepared, as_ofs, grid, units):
             label = labels[v]
@@ -527,6 +527,16 @@ class TestWorkerLifecycle:
         warnings = [record.getMessage() for record in caplog.records if record.name == "riskmin.workers"]
         assert warnings == ["a worker process delivered nothing; its share of 3 units is scored here"] * 2
         _assert_no_child_process_left()
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_every_cell_of_every_label_is_charged_the_extra_seconds(self, monkeypatch, jobs):
+        histories, dep_map, labels = self._inputs()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cells = evaluate_grid(histories, dep_map, labels, self.GRID, base_seconds=100.0, jobs=jobs)
+        assert len(cells) == 2 * 3 * 2 * 2
+        for _, _, seconds in cells:
+            assert len(seconds) == len(labels) == 3
+            assert all(math.isfinite(s) and s > 100.0 for s in seconds)
 
     @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
     def test_a_failure_in_the_parents_share_kills_and_reaps_every_child(self, monkeypatch, failure):
