@@ -36,9 +36,9 @@ import logging
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import ParseError, text_lines, undecodable_after
+from .errors import ParseError, undecodable_after
 
 logger = logging.getLogger(__name__)
 
@@ -152,11 +152,12 @@ _REQUIRED_JSONL_VALUES = itemgetter("path", "ts", "add", "del", "commit")
 _scan_json = json.JSONDecoder().scan_once  # what json.loads calls, less its Python frames
 
 
-def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
+def parse_change_log(stream: Iterable[str]) -> list[ChangeEvent]:
     """Parse change-event JSONL into a list of events, in input order.
 
-    A text stream is enumerated directly, and a line iterable, which may
-    hold bytes, goes through ``numbered_lines`` (see ``text_lines``). Each
+    ``stream`` is an open text file or any iterable of ``str`` lines;
+    decoding is the opener's job, and a stream that fails to decode raises
+    ``ParseError`` after the last line it gave (``undecodable_after``). Each
     stripped line is decoded by one call into the C scanner, then checked
     in one sequence: an object, the required fields present, the three
     counts, ``ts``, ``path``, ``commit`` and ``renamed_from``. A line is
@@ -174,7 +175,7 @@ def parse_change_log(stream: IO | Iterable) -> list[ChangeEvent]:
     shared_timestamp = {}.setdefault
     lineno = 0
     try:
-        for lineno, line in text_lines(stream):
+        for lineno, line in enumerate(stream, 1):
             line = line.strip()
             if not line:
                 continue
@@ -266,7 +267,7 @@ def _is_count(text: str) -> bool:
     return text == "-" or text.isdecimal()
 
 
-def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
+def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
     """Parse the numstat adapter format into events, in input order.
 
     numstat carries no modified-line count, so ``modified`` is always 0;
@@ -277,9 +278,9 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     A file line is two counts and a path, separated by tabs. A count is
     ``-`` or decimal digits (``str.isdecimal``: the characters the regex
     ``\\d`` matches); the path is the rest of the line, non-empty and
-    without a ``\\r`` or ``\\n``. A line may end in LF, CRLF or CR. A
-    text stream is enumerated directly, and a line iterable, which may hold
-    bytes, goes through ``numbered_lines``.
+    without a ``\\r`` or ``\\n``. A line may end in LF, CRLF or CR.
+    ``stream`` is an open text file or any iterable of ``str`` lines, read
+    as ``parse_change_log`` reads it.
     """
     events: list[ChangeEvent] = []
     append = events.append
@@ -290,7 +291,7 @@ def parse_git_numstat(stream: IO | Iterable) -> list[ChangeEvent]:
     binary_lines: list[int] = []
     lineno = 0
     try:
-        for lineno, line in text_lines(stream):
+        for lineno, line in enumerate(stream, 1):
             line = line.rstrip("\r\n")
             if not line or line.isspace():
                 continue

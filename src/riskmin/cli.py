@@ -47,7 +47,7 @@ from .dependency_graph import (
     parse_test_id,
     test_entry_points,
 )
-from .errors import AlignmentError, InputError, LabelError, ParseError, numbered_lines
+from .errors import AlignmentError, InputError, LabelError, ParseError
 from .evaluation import (
     CANONICAL_BUDGETS,
     CANONICAL_HORIZONS,
@@ -496,8 +496,15 @@ def _csv_rows(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
     at its own number; so does a line that the csv module rejects (such
     as a field past its size limit).
     """
-    lines = numbered_lines(handle.buffer.read().splitlines(keepends=True))
-    reader = csv.reader(text for _, text in lines)
+
+    def decoded(lines: list[bytes]) -> Iterator[str]:
+        for lineno, line in enumerate(lines, 1):
+            try:
+                yield line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
+
+    reader = csv.reader(decoded(handle.buffer.read().splitlines(keepends=True)))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -664,6 +671,8 @@ def _comma_list(parse_item, valid=None):
             item = parse_item(part)
             if valid is not None and item not in valid:
                 raise argparse.ArgumentTypeError(f"unknown value {part[:40]!r}")
+            if item in items:  # a repeated cell would be computed and written twice
+                raise argparse.ArgumentTypeError(f"repeated value {part[:40]!r}")
             items.append(item)
         if not items:
             raise argparse.ArgumentTypeError("expected a non-empty comma-separated list")

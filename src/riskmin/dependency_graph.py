@@ -20,9 +20,9 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left
-from typing import IO, AbstractSet, Iterable, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, KeysView, Mapping, NamedTuple, Sequence
 
-from .errors import ParseError, text_lines, undecodable_after
+from .errors import ParseError, undecodable_after
 
 logger = logging.getLogger(__name__)
 
@@ -84,8 +84,9 @@ class CallGraph:
         """The stored callee set, not a copy: callers must not modify it."""
         return self._edges.get(node, frozenset())
 
-    def nodes(self) -> frozenset[MethodRef]:
-        return frozenset(self._edges)
+    def nodes(self) -> KeysView[MethodRef]:
+        """The stored nodes as a live set view, not a copy."""
+        return self._edges.keys()
 
     @property
     def edge_count(self) -> int:
@@ -109,11 +110,12 @@ def _parse_method_token(token: str, lineno: int) -> MethodRef:
 _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
 
 
-def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEXT) -> CallGraph:
+def parse_callgraph_edges(stream: Iterable[str], fmt: str = FORMAT_CALLGRAPH_TEXT) -> CallGraph:
     """Build a call graph from an edge-list stream in the given format.
 
-    A text stream is enumerated directly, and a line iterable, which may
-    hold bytes, goes through ``numbered_lines`` (see ``text_lines``).
+    ``stream`` is an open text file or any iterable of ``str`` lines;
+    decoding is the opener's job, and a stream that fails to decode raises
+    ``ParseError`` after the last line it gave (``undecodable_after``).
     """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown call-graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
@@ -132,7 +134,7 @@ def parse_callgraph_edges(stream: IO | Iterable, fmt: str = FORMAT_CALLGRAPH_TEX
 
     lineno = 0
     try:
-        for lineno, line in text_lines(stream):
+        for lineno, line in enumerate(stream, 1):
             line = line.strip()
             if not line:
                 continue

@@ -1,13 +1,12 @@
-"""Exception types shared across the package, and the input line reader.
+"""Exception types shared across the package.
 
 The CLI maps these to stable exit codes through one table,
 ``riskmin.cli.EXIT_CODES``; library callers can catch them individually.
+The parsers read lines of text; decoding a file is its opener's job, and
+``undecodable_after`` is the error for a text stream that fails to decode.
 """
 
 from __future__ import annotations
-
-from io import TextIOBase
-from typing import IO, Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -51,36 +50,10 @@ class AlignmentError(ValueError):
         super().__init__("version ids differ; " + "; ".join(parts))
 
 
-def numbered_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
-    """(line number from 1, text) of each line of an iterable of lines, ``str`` or UTF-8 bytes.
-
-    The parsers take a text stream through ``text_lines``, which enumerates
-    it directly; this generator serves lists of lines, lines of bytes and
-    the outcomes reader. A line of bytes that is not valid UTF-8 raises
-    ``ParseError`` at its line. A ``UnicodeDecodeError`` raised by the
-    iterable itself passes through to the caller, as from ``text_lines``.
-    """
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
-        yield lineno, raw
-
-
-def text_lines(stream: IO | Iterable) -> Iterator[tuple[int, str]]:
-    """(line number from 1, text) of each line: ``enumerate`` of a text stream, or ``numbered_lines``.
-
-    A ``UnicodeDecodeError`` of the stream reaches the caller, which raises
-    ``undecodable_after`` of the last line it was given in its place; a
-    text stream decodes ahead of the lines it returns, so that line is the
-    last one known to be whole. No generator frame is resumed per line of
-    a text stream.
-    """
-    return enumerate(stream, 1) if isinstance(stream, TextIOBase) else numbered_lines(stream)
-
-
 def undecodable_after(lineno: int) -> ParseError:
-    """The error for a text stream that fails to decode after line ``lineno``."""
+    """The error for a text stream that fails to decode after line ``lineno``.
+
+    A text stream decodes ahead of the lines it returns, so the last line a
+    parser was given is the last one known to be whole.
+    """
     return ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1)

@@ -92,14 +92,15 @@ _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
 _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
 
 
-def _decoded_lines(lines):
-    for lineno, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
-        yield lineno, raw
+def _numbered_lines(lines):
+    """(line number, line) of a list of ``str`` lines or a text stream. A stream that
+    fails to decode raises the library's error, after the last line it gave."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            yield lineno, line
+    except UnicodeDecodeError:
+        raise ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1) from None
 
 
 def _bounded_integer(digits, lineno):
@@ -132,7 +133,7 @@ def reference_numstat(lines):
     """
     events = []
     current = None
-    for lineno, line in _decoded_lines(lines):
+    for lineno, line in _numbered_lines(lines):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue
@@ -169,7 +170,7 @@ def reference_change_log(lines):
     library's parser gives.
     """
     events = []
-    for lineno, line in _decoded_lines(lines):
+    for lineno, line in _numbered_lines(lines):
         line = line.strip()
         if not line:
             continue
@@ -227,7 +228,7 @@ def reference_callgraph_text(lines):
     library's parser gives.
     """
     edges = []
-    for lineno, line in _decoded_lines(lines):
+    for lineno, line in _numbered_lines(lines):
         line = line.strip()
         if not line or line.startswith("C:"):
             continue

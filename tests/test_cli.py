@@ -907,6 +907,26 @@ class TestUsageErrors:
         assert cli.main(["sweep", str(manifest), "--budgets", ","]) == 1
         assert "argument --budgets: expected a non-empty comma-separated list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("flag", "value", "repeated"),
+        [("--metrics", "extent,frequency,extent", "extent"), ("--horizons", "32,static,32.0", "32.0"),
+         ("--horizons", "static,static", "static"), ("--operators", "avg,avg", "avg"),
+         ("--budgets", "0.5,1,0.50", "0.50")],
+    )
+    def test_a_repeated_list_value_exits_1_and_writes_nothing(self, tmp_path, capsys, flag, value, repeated):
+        manifest = _write_project(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(manifest), flag, value, "--output", str(out)]) == 1
+        assert f"argument {flag}: repeated value {repeated!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_static_and_an_infinite_half_life_are_two_horizons(self, tmp_path):
+        manifest = _write_project(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", str(manifest), "--horizons", "static,inf", "--output", str(out)]) == 0
+        horizons = [line.split(",")[1] for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert sorted(set(horizons)) == ["inf", "static"]
+
 
 class TestManifestShape:
     @pytest.mark.parametrize("content", ["5", "[]", '"manifest"', "null"])

@@ -80,16 +80,6 @@ class TestParseCallgraphText:
             parse_callgraph_edges(io.StringIO("M:a.T:t (M)a.F:b\nM:broken\n"))
 
 
-@pytest.mark.parametrize(
-    ("fmt", "good"),
-    [("callgraph-text", b"M:a.T:t (M)a.F:b\n"), ("csv", b"a.T#t,a.F#b\n")],
-    ids=["callgraph-text", "csv"],
-)
-def test_undecodable_bytes_name_the_line(fmt, good):
-    with pytest.raises(ParseError, match="UTF-8 at line 2"):
-        parse_callgraph_edges([good, b"\xff" + good], fmt)
-
-
 def _edge_lines(count):
     return [f"M:a.T:t{i % 7} (M)a.F:b{i}\n" for i in range(count)]
 

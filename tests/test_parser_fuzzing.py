@@ -3,10 +3,13 @@
 Each strategy mixes fully arbitrary text and bytes with lines assembled
 from the format's own tokens, so that inputs get past the first checks
 and reach the later ones: integers past Python's string-conversion
-limit, wrong field types, rename syntax, descriptors and tags. The
-JSONL, numstat and ``callgraph-text`` parsers must also agree with the
-references of ``oracles.py``: equal records, or the same ParseError message
-at the same line.
+limit, wrong field types, rename syntax, descriptors and tags. A parser
+reads lines of text, so the drawn lines reach it as a list when they are
+all ``str``, and always as the UTF-8 text stream the CLI reads, which is
+where bytes that are not UTF-8 meet it. The JSONL, numstat and
+``callgraph-text`` parsers must also agree with the references of
+``oracles.py`` on both: equal records, or the same ParseError message at
+the same line.
 Mutated outcome files given to ``riskmin compare``, and generated manifests,
 labels and flag values given to ``score``, ``minimize``, ``evaluate`` and
 ``sweep``, end in a documented exit code, never in a traceback.
@@ -70,11 +73,31 @@ _text_piece = st.one_of(
 _csv_piece = st.one_of(_words, st.sampled_from(["a.T#t", ",", "#", "a.F#b"]))
 
 
+def _stream(lines):
+    """The lines, each ended by one LF, as the UTF-8 text stream the CLI reads; a line of bytes goes in
+    as it is. The stream decodes 16 bytes at a time, so that a decode error falls within the lines."""
+    data = b"".join(
+        (line if isinstance(line, bytes) else line.encode()).removesuffix(b"\n") + b"\n" for line in lines
+    )
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+    stream._CHUNK_SIZE = 16
+    return stream
+
+
+def _sources(lines):
+    """Makers of the inputs the lines give a parser: the list itself if it holds only ``str``, and ``_stream``."""
+    makers = [lambda: _stream(lines)]
+    if all(isinstance(line, str) for line in lines):
+        makers.insert(0, lambda: lines)
+    return makers
+
+
 def _assert_only_parse_error(parse, lines):
-    try:
-        parse(lines)
-    except ParseError:
-        pass
+    for source in _sources(lines):
+        try:
+            parse(source())
+        except ParseError:
+            pass
 
 
 @settings(max_examples=200, deadline=None)
@@ -228,11 +251,12 @@ def _outcome(parse, lines):
 @settings(max_examples=400, deadline=None)
 @given(_numstat_lines)
 def test_numstat_parser_agrees_with_the_reference_grammar(lines):
-    events, error = _outcome(parse_git_numstat, lines)
-    assert (events, error) == _outcome(reference_numstat, lines)
-    for event in events or ():
-        assert type(event) is ChangeEvent
-        assert hash(event) == hash(ChangeEvent(*event))
+    for source in _sources(lines):
+        events, error = _outcome(parse_git_numstat, source())
+        assert (events, error) == _outcome(reference_numstat, source())
+        for event in events or ():
+            assert type(event) is ChangeEvent
+            assert hash(event) == hash(ChangeEvent(*event))
 
 
 @settings(max_examples=400, deadline=None)
@@ -244,11 +268,12 @@ def test_jsonl_parser_agrees_with_the_reference_checks(lines):
 
 
 def _assert_jsonl_agrees(lines):
-    events, error = _outcome(parse_change_log, lines)
-    assert (events, error) == _outcome(reference_change_log, lines)
-    for event in events or ():
-        assert type(event) is ChangeEvent
-        assert hash(event) == hash(ChangeEvent(*event))
+    for source in _sources(lines):
+        events, error = _outcome(parse_change_log, source())
+        assert (events, error) == _outcome(reference_change_log, source())
+        for event in events or ():
+            assert type(event) is ChangeEvent
+            assert hash(event) == hash(ChangeEvent(*event))
 
 
 @settings(max_examples=400, deadline=None)
@@ -258,47 +283,18 @@ def test_callgraph_text_parser_agrees_with_the_reference_grammar(lines):
 
 
 def _assert_callgraph_text_agrees(lines):
-    """Parser and reference agree on the lines, and on them read from a text stream.
-
-    The lines are also read from a UTF-8 file whose 16-byte blocks are decoded one at a
-    time, so that a decode error falls within the lines; the parser reading the same
-    file through a generator over its lines is the reference there.
-    """
-    _assert_callgraph_text_outcomes_agree(lines, reference_callgraph_text)
-    data = b"".join(
-        (line if isinstance(line, bytes) else line.encode()).removesuffix(b"\n") + b"\n" for line in lines
-    )
-    with contextlib.suppress(UnicodeDecodeError):
-        text = io.StringIO(data.decode(), newline=None)
-        _assert_callgraph_text_outcomes_agree(text, reference_callgraph_text)
-    file = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
-    file._CHUNK_SIZE = 16
-    _assert_callgraph_text_outcomes_agree(file, lambda f: _edges(_parse_text(line for line in f)))
-
-
-def _parse_text(source):
-    return parse_callgraph_edges(source, FORMAT_CALLGRAPH_TEXT)
-
-
-def _edges(graph):
-    return [(caller, callee) for caller in graph.nodes() for callee in graph.successors(caller)]
-
-
-def _assert_callgraph_text_outcomes_agree(source, reference):
-    """``source`` is a list of lines or a text stream, which each side reads from its start."""
-    graph, error = _outcome(_parse_text, source)
-    if not isinstance(source, list):
-        source.seek(0)
-    edges, reference_error = _outcome(reference, source)
-    assert error == reference_error
-    if graph is not None:
-        expected = {}
-        for caller, callee in edges:
-            expected.setdefault(caller, set()).add(callee)
-            expected.setdefault(callee, set())
-        assert {node: set(graph.successors(node)) for node in graph.nodes()} == expected
-        assert graph.edge_count == sum(len(targets) for targets in expected.values())
-        assert all(type(node) is MethodRef for node in graph.nodes())
+    for source in _sources(lines):
+        graph, error = _outcome(lambda ls: parse_callgraph_edges(ls, FORMAT_CALLGRAPH_TEXT), source())
+        edges, reference_error = _outcome(reference_callgraph_text, source())
+        assert error == reference_error
+        if graph is not None:
+            expected = {}
+            for caller, callee in edges:
+                expected.setdefault(caller, set()).add(callee)
+                expected.setdefault(callee, set())
+            assert {node: set(graph.successors(node)) for node in graph.nodes()} == expected
+            assert graph.edge_count == sum(len(targets) for targets in expected.values())
+            assert all(type(node) is MethodRef for node in graph.nodes())
 
 
 # Each line where a hand-written scanner could most easily part from the
@@ -388,14 +384,10 @@ _NUMSTAT_BOUNDARY_LINES = [
 
 
 def _assert_numstat_agrees(lines):
-    """Parser and reference agree on the log as str lines, as UTF-8 bytes, and read
-    from a text stream, which turns a CRLF line end into LF as a file does."""
-    as_str = [line + "\n" for line in lines]
-    for log in (as_str, [line.encode() for line in as_str]):
-        assert _outcome(parse_git_numstat, log) == _outcome(reference_numstat, log)
-    text = "".join(as_str)
-    ours = _outcome(parse_git_numstat, io.StringIO(text, newline=None))
-    assert ours == _outcome(reference_numstat, io.StringIO(text, newline=None))
+    """Parser and reference agree on the log as str lines, and read from a text
+    stream, which turns a CRLF line end into LF as a file does."""
+    for source in _sources([line + "\n" for line in lines]):
+        assert _outcome(parse_git_numstat, source()) == _outcome(reference_numstat, source())
 
 
 @pytest.mark.parametrize("line", _NUMSTAT_BOUNDARY_LINES)
@@ -414,7 +406,7 @@ def test_numstat_boundary_as_whole_logs():
 
 @pytest.mark.parametrize("line", _TRICKY_JSONL_LINES)
 def test_jsonl_parser_agrees_with_the_reference_checks_on_tricky_lines(line):
-    for lines in ([_VALID_JSONL + "\n", line + "\n"], [line], [line.encode()]):
+    for lines in ([_VALID_JSONL + "\n", line + "\n"], [line]):
         _assert_jsonl_agrees(lines)
 
 
@@ -579,7 +571,7 @@ _flags = {
     "--budget": _value(st.sampled_from(["0.5", "1", "0.01"]), "0", "1.5", "nan", "inf", "-0", "x"),
     "--jobs": _value(st.sampled_from(["1", "2"]), "0", "x", "1.5"),
     "--metrics": _value(st.sampled_from(["extent", "frequency,extent"]), ",", "extent,,x", ""),
-    "--horizons": _value(st.sampled_from(["1,static", "32", "static,static"]), ",", "1,nan", "1,0", "1e-320", ""),
+    "--horizons": _value(st.sampled_from(["1,static", "32", "static,inf"]), ",", "1,nan", "1,0", "1e-320", "32,32.0", ""),
     "--operators": _value(st.sampled_from(["avg,median", "gmean"]), ",", "avg,max", ""),
     "--budgets": _value(st.sampled_from(["0.25,1", "0.5"]), "0", "0.5,nan", ",", ""),
 }
