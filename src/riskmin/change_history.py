@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError, undecodable_after
+from .errors import UNEXPECTED_BOM, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -156,16 +156,15 @@ def parse_change_log(stream: Iterable[str]) -> list[ChangeEvent]:
     """Parse change-event JSONL into a list of events, in input order.
 
     ``stream`` is an open text file or any iterable of ``str`` lines;
-    decoding is the opener's job, and a stream that fails to decode raises
-    ``ParseError`` after the last line it gave (``undecodable_after``). Each
-    stripped line is decoded by one call into the C scanner, then checked
-    in one sequence: an object, the required fields present, the three
-    counts, ``ts``, ``path``, ``commit`` and ``renamed_from``. A line is
-    rejected at the first check it fails, with the message ``json.loads``
-    and that check give. The accepted events share one string per
-    distinct path (rename sources included), one string per distinct
-    commit id and one ``int`` per distinct timestamp, where the decoder
-    makes new ones on each line.
+    decoding is the opener's job, and a stream's decode error passes
+    through. Each stripped line is decoded by one call into the C scanner,
+    then checked in one sequence: an object, the required fields present,
+    the three counts, ``ts``, ``path``, ``commit`` and ``renamed_from``. A
+    line is rejected at the first check it fails, with the message
+    ``json.loads`` and that check give. The accepted events share one
+    string per distinct path (rename sources included), one string per
+    distinct commit id and one ``int`` per distinct timestamp, where the
+    decoder makes new ones on each line.
     """
     events: list[ChangeEvent] = []
     append = events.append
@@ -173,58 +172,53 @@ def parse_change_log(stream: Iterable[str]) -> list[ChangeEvent]:
     shared_path = {}.setdefault
     shared_commit = {}.setdefault
     shared_timestamp = {}.setdefault
-    lineno = 0
-    try:
-        for lineno, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record, end = _scan_json(line, 0)
-            except StopIteration:  # no JSON value at the start of the line; json.loads names a BOM there
-                bom = line[0] == "\ufeff"
-                problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else "Expecting value"
-                raise ParseError(f"malformed JSON at line {lineno}: {problem}", line=lineno) from None
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno) from None
-            except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
-                raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
-            if end != len(line):
-                raise ParseError(f"malformed JSON at line {lineno}: Extra data", line=lineno)
-            if type(record) is not dict:
-                raise ParseError(f"expected an object at line {lineno}", line=lineno)
-            try:
-                path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
-            except KeyError as exc:  # the first one missing, in the getter's order
-                field = exc.args[0]
-                raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno) from None
-            # JSON yields no int subclass but bool, which `type(...) is int` rejects.
-            if type(added) is not int or not 0 <= added <= MAX_INTEGER:
-                raise _count_error("add", added, lineno)
-            if type(deleted) is not int or not 0 <= deleted <= MAX_INTEGER:
-                raise _count_error("del", deleted, lineno)
-            modified = record.get("mod", 0)
-            if type(modified) is not int or not 0 <= modified <= MAX_INTEGER:
-                raise _count_error("mod", modified, lineno)
-            if type(ts) is not int or ts <= 0:
-                raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
-            if ts > MAX_INTEGER:
-                raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
-            if type(path) is not str:
-                raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
-            if type(commit) is not str:
-                raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
-            renamed_from = record.get("renamed_from")
-            if renamed_from is not None:
-                if type(renamed_from) is not str:
-                    raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
-                renamed_from = shared_path(renamed_from, renamed_from)
-            append(new(ChangeEvent, (
-                shared_path(path, path), shared_timestamp(ts, ts), added, deleted, modified,
-                shared_commit(commit, commit), renamed_from,
-            )))
-    except UnicodeDecodeError:
-        raise undecodable_after(lineno) from None
+    for lineno, line in enumerate(stream, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record, end = _scan_json(line, 0)
+        except StopIteration:  # no JSON value at the start of the line; json.loads names a BOM there
+            problem = UNEXPECTED_BOM if line[0] == "\ufeff" else "Expecting value"
+            raise ParseError(f"malformed JSON at line {lineno}: {problem}", line=lineno) from None
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON at line {lineno}: {exc.msg}", line=lineno) from None
+        except (ValueError, RecursionError) as exc:  # an over-long integer, or nesting too deep
+            raise ParseError(f"unreadable JSON at line {lineno}: {exc}", line=lineno) from None
+        if end != len(line):
+            raise ParseError(f"malformed JSON at line {lineno}: Extra data", line=lineno)
+        if type(record) is not dict:
+            raise ParseError(f"expected an object at line {lineno}", line=lineno)
+        try:
+            path, ts, added, deleted, commit = _REQUIRED_JSONL_VALUES(record)
+        except KeyError as exc:  # the first one missing, in the getter's order
+            field = exc.args[0]
+            raise ParseError(f"missing required field '{field}' at line {lineno}", line=lineno) from None
+        # JSON yields no int subclass but bool, which `type(...) is int` rejects.
+        if type(added) is not int or not 0 <= added <= MAX_INTEGER:
+            raise _count_error("add", added, lineno)
+        if type(deleted) is not int or not 0 <= deleted <= MAX_INTEGER:
+            raise _count_error("del", deleted, lineno)
+        modified = record.get("mod", 0)
+        if type(modified) is not int or not 0 <= modified <= MAX_INTEGER:
+            raise _count_error("mod", modified, lineno)
+        if type(ts) is not int or ts <= 0:
+            raise ParseError(f"field 'ts' must be a positive integer at line {lineno}", line=lineno)
+        if ts > MAX_INTEGER:
+            raise ParseError(f"field 'ts' exceeds {MAX_INTEGER} at line {lineno}", line=lineno)
+        if type(path) is not str:
+            raise ParseError(f"field 'path' must be a string at line {lineno}", line=lineno)
+        if type(commit) is not str:
+            raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
+        renamed_from = record.get("renamed_from")
+        if renamed_from is not None:
+            if type(renamed_from) is not str:
+                raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
+            renamed_from = shared_path(renamed_from, renamed_from)
+        append(new(ChangeEvent, (
+            shared_path(path, path), shared_timestamp(ts, ts), added, deleted, modified,
+            shared_commit(commit, commit), renamed_from,
+        )))
     return events
 
 
@@ -280,7 +274,8 @@ def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
     ``\\d`` matches); the path is the rest of the line, non-empty and
     without a ``\\r`` or ``\\n``. A line may end in LF, CRLF or CR.
     ``stream`` is an open text file or any iterable of ``str`` lines, read
-    as ``parse_change_log`` reads it.
+    as ``parse_change_log`` reads it. A rejected line that starts with a
+    byte-order mark (U+FEFF) is named as one, as ``json.loads`` names it.
     """
     events: list[ChangeEvent] = []
     append = events.append
@@ -289,44 +284,41 @@ def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
     commit: str | None = None  # the id and timestamp of the last commit header, shared by its events
     timestamp = 0
     binary_lines: list[int] = []
-    lineno = 0
-    try:
-        for lineno, line in enumerate(stream, 1):
-            line = line.rstrip("\r\n")
-            if not line or line.isspace():
-                continue
-            if line.startswith("COMMIT"):
-                fields = line.split()
-                if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
-                    raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
-                commit, timestamp = fields[1], _number(fields[2], lineno)
-                if timestamp <= 0:
-                    raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
-                continue
-            added_text, _, rest = line.partition("\t")
-            deleted_text, _, path = rest.partition("\t")
-            numeric = added_text.isdecimal() and deleted_text.isdecimal()
-            counted = numeric or _is_count(added_text) and _is_count(deleted_text)
-            if not counted or not path or "\r" in path or "\n" in path:
-                raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
-            if commit is None:
-                raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
-            if numeric:
-                # Fewer than 19 digits cannot exceed MAX_INTEGER.
-                added = int(added_text) if len(added_text) < 19 else _number(added_text, lineno)
-                deleted = int(deleted_text) if len(deleted_text) < 19 else _number(deleted_text, lineno)
-            else:
-                binary_lines.append(lineno)
-                added = deleted = 0
-            renamed_from = None
-            if "=>" in path:
-                renamed_from, path = _split_rename(path)
-                if renamed_from is not None:
-                    renamed_from = shared_path(renamed_from, renamed_from)
-            path = shared_path(path, path)
-            append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
-    except UnicodeDecodeError:
-        raise undecodable_after(lineno) from None
+    for lineno, line in enumerate(stream, 1):
+        line = line.rstrip("\r\n")
+        if not line or line.isspace():
+            continue
+        if line.startswith("COMMIT"):
+            fields = line.split()
+            if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
+                raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
+            commit, timestamp = fields[1], _number(fields[2], lineno)
+            if timestamp <= 0:
+                raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
+            continue
+        added_text, _, rest = line.partition("\t")
+        deleted_text, _, path = rest.partition("\t")
+        numeric = added_text.isdecimal() and deleted_text.isdecimal()
+        counted = numeric or _is_count(added_text) and _is_count(deleted_text)
+        if not counted or not path or "\r" in path or "\n" in path:
+            problem = f": {UNEXPECTED_BOM}" if line[:1] == "\ufeff" else ""
+            raise ParseError(f"unrecognized numstat line at line {lineno}{problem}", line=lineno)
+        if commit is None:
+            raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
+        if numeric:
+            # Fewer than 19 digits cannot exceed MAX_INTEGER.
+            added = int(added_text) if len(added_text) < 19 else _number(added_text, lineno)
+            deleted = int(deleted_text) if len(deleted_text) < 19 else _number(deleted_text, lineno)
+        else:
+            binary_lines.append(lineno)
+            added = deleted = 0
+        renamed_from = None
+        if "=>" in path:
+            renamed_from, path = _split_rename(path)
+            if renamed_from is not None:
+                renamed_from = shared_path(renamed_from, renamed_from)
+        path = shared_path(path, path)
+        append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
     if binary_lines:
         logger.warning(
             "%d line(s) with binary file counts recorded as 0/0; the first at line %d",

@@ -8,8 +8,8 @@ to designated columns/keys.
 
 Exit codes: 0 success, 1 usage or an unwritable output (stdout included, help too),
 2 missing or unreadable input, 3 parse error, 4 label error, 5 alignment
-error. Only ``main`` decides the exit code, and it takes each error's code
-from one table, ``EXIT_CODES``.
+error, 130 interrupted (SIGINT). Only ``main`` decides the exit code, and it
+takes each error's code from one table, ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .dependency_graph import (
     parse_test_id,
     test_entry_points,
 )
-from .errors import AlignmentError, InputError, LabelError, ParseError
+from .errors import UNEXPECTED_BOM, AlignmentError, InputError, LabelError, ParseError
 from .evaluation import (
     CANONICAL_BUDGETS,
     CANONICAL_HORIZONS,
@@ -69,6 +69,7 @@ logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that the signal ended
 # The exit code of each error a command may raise, the first type that matches: ParseError,
 # LabelError and AlignmentError are ValueErrors, and any other ValueError is a usage error.
 EXIT_CODES = ((InputError, 2), (ParseError, 3), (LabelError, 4), (AlignmentError, 5), (ValueError, EXIT_USAGE))
@@ -110,17 +111,40 @@ _Parsed = TypeVar("_Parsed")
 def _parse_input(path: Path, parse: Callable[[IO[str]], _Parsed]) -> _Parsed:
     """``parse`` of an input file, whose ``ParseError`` or ``LabelError`` then names the file.
 
-    A read that fails once the file is open raises ``InputError`` naming it, as a failed open does.
+    This is the one place where a file that is not UTF-8 becomes an error. A
+    text stream decodes ahead of the line it gives, so when ``parse`` lets a
+    ``UnicodeDecodeError`` through, the file's bytes are parsed once more as
+    ``_decoded_lines``: a fault of ``parse`` on an earlier line is reported,
+    and otherwise the first line that does not decode. A read that fails once
+    the file is open raises ``InputError`` naming it, as a failed open does.
     """
     with _open_input(path) as handle:
         try:
-            return parse(handle)
+            try:
+                return parse(handle)
+            except UnicodeDecodeError:
+                if not handle.seekable():  # a pipe: the lines it gave cannot be read again
+                    raise ParseError("invalid UTF-8") from None
+                handle.buffer.seek(0)
+                return parse(_decoded_lines(handle.buffer.read()))
         except ParseError as exc:
             raise ParseError(str(exc), line=exc.line, path=str(path)) from None
         except LabelError as exc:
             raise LabelError(f"{path}: {exc}") from None
         except OSError as exc:
             raise InputError(path, exc) from None
+
+
+def _decoded_lines(data: bytes) -> Iterator[str]:
+    """Each line of ``data``, with its ending (LF, CRLF or CR), decoded as UTF-8.
+
+    The first line that does not decode raises ``ParseError`` with its number.
+    """
+    for lineno, line in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
 
 
 def _read_json(handle: IO[str], error: type[ValueError], what: str):
@@ -491,20 +515,11 @@ _DETECTED_VALUES = {"true": True, "1": True, "false": False, "0": False}
 def _csv_rows(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each record of an open CSV file, numbered by the line it ends on.
 
-    Lines end in LF, CRLF or CR. The lines are split and decoded from the
-    file's bytes, so that a line that is not UTF-8 raises ``ParseError``
-    at its own number; so does a line that the csv module rejects (such
-    as a field past its size limit).
+    The lines are read as ``_decoded_lines`` of the file's bytes, so that a
+    line that is not UTF-8 raises ``ParseError`` at its own number; so does
+    a line that the csv module rejects (such as a field past its size limit).
     """
-
-    def decoded(lines: list[bytes]) -> Iterator[str]:
-        for lineno, line in enumerate(lines, 1):
-            try:
-                yield line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError(f"invalid UTF-8 at line {lineno}", line=lineno) from None
-
-    reader = csv.reader(decoded(handle.buffer.read().splitlines(keepends=True)))
+    reader = csv.reader(_decoded_lines(handle.buffer.read()))
     try:
         for row in reader:
             yield reader.line_num, row
@@ -519,12 +534,15 @@ def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
     An accuracy is a finite number in [0, 1]; ``detected`` is ``true``,
     ``false``, ``1`` or ``0`` after stripping and case-folding. Any other value,
     a short row or a repeated version id raises ``ParseError`` with its line,
-    and so does a file without a single outcome row, without a line.
+    and so does a file without a single outcome row, without a line. A
+    header without the columns names a leading byte-order mark, at line 1.
     """
     outcomes: dict[str, tuple[float, bool]] = {}
     rows = _csv_rows(handle)
     _, header = next(rows, (1, []))
     if not set(OUTCOME_COLUMNS[:3]) <= set(header):
+        if header and header[0][:1] == "\ufeff":
+            raise ParseError(f"{UNEXPECTED_BOM} at line 1", line=1)
         raise ParseError(f"expected columns {','.join(OUTCOME_COLUMNS[:3])}")
     for lineno, row in rows:
         if not row:
@@ -807,6 +825,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    except KeyboardInterrupt:  # a forked share's children are killed and reaped by run_shares
+        print("riskmin: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     finally:
         if collecting:
             gc.enable()

@@ -22,7 +22,7 @@ import re
 from bisect import bisect_left
 from typing import AbstractSet, Iterable, KeysView, Mapping, NamedTuple, Sequence
 
-from .errors import ParseError, undecodable_after
+from .errors import UNEXPECTED_BOM, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -114,8 +114,8 @@ def parse_callgraph_edges(stream: Iterable[str], fmt: str = FORMAT_CALLGRAPH_TEX
     """Build a call graph from an edge-list stream in the given format.
 
     ``stream`` is an open text file or any iterable of ``str`` lines;
-    decoding is the opener's job, and a stream that fails to decode raises
-    ``ParseError`` after the last line it gave (``undecodable_after``).
+    decoding is the opener's job, and a stream's decode error passes
+    through.
     """
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown call-graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
@@ -128,35 +128,30 @@ def parse_callgraph_edges(stream: Iterable[str], fmt: str = FORMAT_CALLGRAPH_TEX
 
     def parse_ref(token: str, lineno: int) -> MethodRef:
         if token[:1] == "\ufeff":  # strip() keeps it: it is not whitespace
-            problem = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
-            raise ParseError(f"malformed call-graph line at line {lineno}: {problem}", line=lineno)
+            raise ParseError(f"malformed call-graph line at line {lineno}: {UNEXPECTED_BOM}", line=lineno)
         return parse_token(token, lineno)
 
-    lineno = 0
-    try:
-        for lineno, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(stream, 1):
+        line = line.strip()
+        if not line:
+            continue
+        if text:
+            if line.startswith("C:"):
                 continue
-            if text:
-                if line.startswith("C:"):
-                    continue
-                match = _TEXT_EDGE.match(line)
-                if match is None:
-                    raise ParseError(f"malformed call-graph line at line {lineno}", line=lineno)
-                caller_token, tag, callee_token = match.groups()
-                if tag not in _INVOCATION_TAGS:
-                    unknown_tag_lines.append(lineno)
-            else:
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)
-                caller_token, callee_token = parts[0].strip(), parts[1].strip()
-            caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_ref(caller_token, lineno))
-            callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_ref(callee_token, lineno))
-            add_edge(caller, callee)
-    except UnicodeDecodeError:
-        raise undecodable_after(lineno) from None
+            match = _TEXT_EDGE.match(line)
+            if match is None:
+                raise ParseError(f"malformed call-graph line at line {lineno}", line=lineno)
+            caller_token, tag, callee_token = match.groups()
+            if tag not in _INVOCATION_TAGS:
+                unknown_tag_lines.append(lineno)
+        else:
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"expected 'caller,callee' at line {lineno}", line=lineno)
+            caller_token, callee_token = parts[0].strip(), parts[1].strip()
+        caller = refs.get(caller_token) or refs.setdefault(caller_token, parse_ref(caller_token, lineno))
+        callee = refs.get(callee_token) or refs.setdefault(callee_token, parse_ref(callee_token, lineno))
+        add_edge(caller, callee)
     if unknown_tag_lines:
         logger.warning(
             "%d edge(s) with an unknown invocation type kept; the first at line %d",

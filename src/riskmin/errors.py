@@ -2,11 +2,13 @@
 
 The CLI maps these to stable exit codes through one table,
 ``riskmin.cli.EXIT_CODES``; library callers can catch them individually.
-The parsers read lines of text; decoding a file is its opener's job, and
-``undecodable_after`` is the error for a text stream that fails to decode.
+The parsers read lines of text; decoding a file is its opener's job.
 """
 
 from __future__ import annotations
+
+# What ``json.loads`` says of text that starts with U+FEFF; every parser names a rejected line's leading mark so.
+UNEXPECTED_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 class ParseError(ValueError):
@@ -48,12 +50,3 @@ class AlignmentError(ValueError):
         if missing_in_b:
             parts.append("missing in second file: " + ", ".join(sorted(missing_in_b)))
         super().__init__("version ids differ; " + "; ".join(parts))
-
-
-def undecodable_after(lineno: int) -> ParseError:
-    """The error for a text stream that fails to decode after line ``lineno``.
-
-    A text stream decodes ahead of the lines it returns, so the last line a
-    parser was given is the last one known to be whole.
-    """
-    return ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1)

@@ -92,17 +92,6 @@ _BRACED_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
 _TEXT_EDGE = re.compile(r"^M:(\S+)\s+\((\w)\)(\S+)$")
 
 
-def _numbered_lines(lines):
-    """(line number, line) of a list of ``str`` lines or a text stream. A stream that
-    fails to decode raises the library's error, after the last line it gave."""
-    lineno = 0
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            yield lineno, line
-    except UnicodeDecodeError:
-        raise ParseError(f"invalid UTF-8 after line {lineno}", line=lineno + 1) from None
-
-
 def _bounded_integer(digits, lineno):
     try:
         value = int(digits)
@@ -133,7 +122,7 @@ def reference_numstat(lines):
     """
     events = []
     current = None
-    for lineno, line in _numbered_lines(lines):
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue
@@ -147,7 +136,8 @@ def reference_numstat(lines):
             continue
         stat = _NUMSTAT_LINE.match(line)
         if stat is None:
-            raise ParseError(f"unrecognized numstat line at line {lineno}", line=lineno)
+            bom = ": Unexpected UTF-8 BOM (decode using utf-8-sig)" if line.startswith("\ufeff") else ""
+            raise ParseError(f"unrecognized numstat line at line {lineno}{bom}", line=lineno)
         if current is None:
             raise ParseError(f"file change before any commit header at line {lineno}", line=lineno)
         added_text, deleted_text, path = stat.groups()
@@ -170,7 +160,7 @@ def reference_change_log(lines):
     library's parser gives.
     """
     events = []
-    for lineno, line in _numbered_lines(lines):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -212,6 +202,10 @@ def reference_change_log(lines):
 
 
 def _method(token, lineno):
+    if token.startswith("\ufeff"):
+        raise ParseError(
+            f"malformed call-graph line at line {lineno}: Unexpected UTF-8 BOM (decode using utf-8-sig)", line=lineno
+        )
     class_id, colon, rest = token.partition(":")
     if not colon:
         raise ParseError(f"method token {token!r} missing ':' at line {lineno}", line=lineno)
@@ -228,7 +222,7 @@ def reference_callgraph_text(lines):
     library's parser gives.
     """
     edges = []
-    for lineno, line in _numbered_lines(lines):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("C:"):
             continue

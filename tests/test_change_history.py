@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskmin import change_history
+from riskmin import change_history, cli
 from riskmin.change_history import (
     ChangeEvent,
     ClassHistory,
@@ -274,17 +274,19 @@ class TestParseGitNumstat:
     ],
     ids=["numstat", "jsonl"],
 )
-def test_a_file_that_fails_to_decode_names_the_last_line_read(tmp_path, parse, line):
-    """A text stream is enumerated directly; its decode error names the line the
-    generator over the same file names."""
+def test_a_file_that_fails_to_decode_names_its_first_bad_line(tmp_path, parse, line):
+    """A parser lets the text stream's decode error through, directly or through a
+    generator; the CLI's reader names the line that does not decode."""
     path = tmp_path / "log"
     path.write_bytes("".join(map(line, range(600))).encode() + b"\xff\n")
-    with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as through_generator:
+    with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
         parse(line for line in handle)
-    with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as direct:
+    with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
         parse(handle)
-    assert (direct.value.line, str(direct.value)) == (through_generator.value.line, str(through_generator.value))
-    assert str(direct.value).startswith("invalid UTF-8 after line") and direct.value.line > 300
+    lines = 2 * 600 if parse is parse_git_numstat else 600
+    with pytest.raises(ParseError) as read:
+        cli._parse_input(path, parse)
+    assert (read.value.line, str(read.value)) == (lines + 1, f"{path}: invalid UTF-8 at line {lines + 1}")
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not available")

@@ -15,7 +15,7 @@ from unittest import mock
 
 import pytest
 
-from riskmin import cli, stats
+from riskmin import cli, evaluation, stats
 from riskmin.errors import ParseError
 
 from microproject import random_micro_project
@@ -1666,6 +1666,150 @@ class TestParseErrorsNameTheFile:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'p' / 'callgraph.txt'}: malformed call-graph line at line 2" in err
         assert "changes.jsonl" not in err
+
+
+# Per input: fifty valid lines, and a line its reader rejects.
+_FIFTY_LINES = {
+    "changes.jsonl": [
+        json.dumps({"path": "src/app/A.java", "ts": REF - i, "add": 1, "del": 0, "commit": f"c{i}"}) for i in range(50)
+    ],
+    "changes.numstat": [f"COMMIT c{i} {REF - i}" if i % 2 == 0 else "1\t0\tsrc/app/A.java" for i in range(50)],
+    "callgraph.txt": [f"M:app.T1Test:t1 (M)app.A:m{i}" for i in range(50)],
+    "callgraph.csv": [f"app.T1Test#t1,app.A#m{i}" for i in range(50)],
+    "a.csv": ["version_id,accuracy,detected,wall_time_s", *(f"v{i},0.5,true,0.01" for i in range(1, 50))],
+}
+_REJECTED_LINE = {
+    "changes.jsonl": "{broken",
+    "changes.numstat": "1\t2",
+    "callgraph.txt": "M:a.T:t",
+    "callgraph.csv": "only-one-field",
+    "a.csv": "v2,2.0,true,0.01",
+}
+
+
+def _run_on_lines(tmp_path, capsys, name, lines):
+    """``cli.main``'s exit code and stderr for a command that reads the input ``name`` holding ``lines`` (bytes)."""
+    if name == "a.csv":
+        argv = ["compare", str(tmp_path / name), str(tmp_path / name)]
+    else:
+        change_log_format = "numstat" if name == "changes.numstat" else "jsonl"
+        callgraph_format = "callgraph-text" if name == "callgraph.txt" else "csv"
+        manifest = _write_project(tmp_path, change_log_format=change_log_format, callgraph_format=callgraph_format)
+        argv = ["score", str(manifest), "--as-of", str(REF)]
+    (tmp_path / name).write_bytes(b"".join(line + b"\n" for line in lines))
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """The CLI names the first line of an input that is not UTF-8, unless an earlier line is faulty."""
+
+    @pytest.mark.parametrize("name", sorted(_FIFTY_LINES))
+    def test_a_bad_byte_on_line_41_of_50_is_named_at_line_41(self, tmp_path, capsys, name):
+        lines = [line.encode() for line in _FIFTY_LINES[name]]
+        assert _run_on_lines(tmp_path, capsys, name, lines)[0] == 0
+        lines[40] = lines[40][:5] + b"\xff" + lines[40][5:]
+        assert _run_on_lines(tmp_path, capsys, name, lines) == (
+            3, f"riskmin: error: {tmp_path / name}: invalid UTF-8 at line 41\n"
+        )
+
+    @pytest.mark.parametrize("name", sorted(_FIFTY_LINES))
+    def test_a_rejected_line_before_the_bad_byte_is_reported_instead(self, tmp_path, capsys, name):
+        lines = [line.encode() for line in _FIFTY_LINES[name]]
+        lines[2] = _REJECTED_LINE[name].encode()
+        expected = _run_on_lines(tmp_path, capsys, name, lines)
+        assert expected[0] == 3 and "at line 3" in expected[1]
+        lines[40] = lines[40][:5] + b"\xff" + lines[40][5:]
+        assert _run_on_lines(tmp_path, capsys, name, lines) == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_a_pipe_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        """A pipe cannot be read again to find the line, so its error names none."""
+        manifest = _write_project(tmp_path)
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as pipe:
+            pipe.write(b"\n\n\xff\n")
+        path = f"/dev/fd/{read_end}"
+        try:
+            manifest_text = json.loads(manifest.read_text(encoding="utf-8"))
+            manifest.write_text(json.dumps({**manifest_text, "change_log_path": path}), encoding="utf-8")
+            assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().err == f"riskmin: error: {path}: invalid UTF-8\n"
+
+
+class TestByteOrderMark:
+    """A rejected line that starts with a byte-order mark is named as one, by every line reader."""
+
+    def test_a_numstat_log_that_starts_with_a_bom_exits_3_naming_it(self, tmp_path, capsys):
+        manifest = _write_project(tmp_path, change_log_format="numstat")
+        log = tmp_path / "changes.numstat"
+        log.write_text("\ufeff" + log.read_text(encoding="utf-8"), encoding="utf-8")
+        assert cli.main(["score", str(manifest), "--as-of", str(REF)]) == 3
+        assert capsys.readouterr().err == (
+            f"riskmin: error: {log}: unrecognized numstat line at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+        )
+
+    def test_an_outcomes_file_that_starts_with_a_bom_exits_3_naming_it(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+        a.write_text("\ufeff" + a.read_text(encoding="utf-8"), encoding="utf-8")
+        assert cli.main(["compare", str(a), str(a)]) == 3
+        assert capsys.readouterr().err == (
+            f"riskmin: error: {a}: Unexpected UTF-8 BOM (decode using utf-8-sig) at line 1\n"
+        )
+
+    def test_an_outcomes_header_with_its_columns_after_a_marked_one_is_accepted(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("\ufeffwall_time_s,version_id,accuracy,detected\n0.01,v1,0.5,true\n0.01,v2,1.0,true\n", encoding="utf-8")
+        assert cli.main(["compare", str(a), str(a)]) == 0
+
+
+def _main_of_an_interrupt(argv):
+    """``cli.main(argv)``; an interrupt that escapes it fails the test rather than stopping the run."""
+    try:
+        return cli.main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+
+
+class TestInterrupt:
+    """An interrupt (SIGINT) exits 130 with one line on stderr and leaves no child process."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_an_interrupted_command_exits_130_with_one_line(self, tmp_path, capsys, monkeypatch, collector_state, enabled):
+        def interrupted(manifest):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_project_inputs", interrupted)
+        argv = _exit_argv(tmp_path, 0)
+        _set_collector(enabled)
+        assert _main_of_an_interrupt(argv) == 130
+        assert gc.isenabled() is enabled
+        assert capsys.readouterr() == ("", "riskmin: interrupted\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_an_interrupted_forked_sweep_exits_130_and_reaps_its_child(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        score_share = evaluation._score_share
+
+        def interrupted_in_the_parent(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return score_share(*args)
+
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(evaluation, "_score_share", interrupted_in_the_parent)
+        out = tmp_path / "out"
+        assert _main_of_an_interrupt(["sweep", str(_write_project(tmp_path)), "--jobs", "2", "--output", str(out)]) == 130
+        assert fork.call_count == 1
+        assert capsys.readouterr() == ("", "riskmin: interrupted\n")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestOneInputAtATime:

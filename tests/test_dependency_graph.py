@@ -87,18 +87,19 @@ def _edge_lines(count):
 class TestCallgraphTextStream:
     """A text stream is enumerated directly, without a generator over its lines."""
 
-    def test_invalid_utf8_names_the_line_of_the_generator_over_the_same_file(self, tmp_path):
+    def test_invalid_utf8_passes_through_and_the_cli_reader_names_its_line(self, tmp_path):
         # About 22 bytes a line: line 901 is in the third 8 KiB block the stream decodes.
         lines = [line.encode() for line in _edge_lines(2000)]
         lines[900] = b"M:a.T:t (M)a.F:\xff\n"
         path = tmp_path / "callgraph.txt"
         path.write_bytes(b"".join(lines))
-        with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as through_generator:
+        with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
             parse_callgraph_edges(line for line in handle)
-        with open(path, encoding="utf-8") as handle, pytest.raises(ParseError) as direct:
+        with open(path, encoding="utf-8") as handle, pytest.raises(UnicodeDecodeError):
             parse_callgraph_edges(handle)
-        assert (direct.value.line, str(direct.value)) == (through_generator.value.line, str(through_generator.value))
-        assert str(direct.value).startswith("invalid UTF-8 after line") and direct.value.line > 300
+        with pytest.raises(ParseError) as read:
+            cli._parse_input(path, parse_callgraph_edges)
+        assert (read.value.line, str(read.value)) == (901, f"{path}: invalid UTF-8 at line 901")
 
     def test_a_file_advanced_by_next_is_read_from_where_it_stands(self, tmp_path):
         path = tmp_path / "callgraph.txt"
@@ -127,7 +128,7 @@ class TestCallgraphTextStream:
         lines[1500] = b"\xfe" + lines[1500]
         (tmp_path / "callgraph.txt").write_bytes(b"".join(lines))
         assert cli.main(["score", str(tmp_path / "manifest.json"), "--as-of", "1"]) == 3
-        assert "callgraph.txt: invalid UTF-8 after line" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"riskmin: error: {tmp_path / 'callgraph.txt'}: invalid UTF-8 at line 1501\n"
 
 
 class TestParseCallgraphCsv:

@@ -4,12 +4,13 @@ Each strategy mixes fully arbitrary text and bytes with lines assembled
 from the format's own tokens, so that inputs get past the first checks
 and reach the later ones: integers past Python's string-conversion
 limit, wrong field types, rename syntax, descriptors and tags. A parser
-reads lines of text, so the drawn lines reach it as a list when they are
-all ``str``, and always as the UTF-8 text stream the CLI reads, which is
-where bytes that are not UTF-8 meet it. The JSONL, numstat and
-``callgraph-text`` parsers must also agree with the references of
-``oracles.py`` on both: equal records, or the same ParseError message at
-the same line.
+reads lines of text, so the drawn lines reach it directly as a list when
+they are all ``str``, and always written to a file read by the CLI's
+reader, ``cli._parse_input``, which is where bytes that are not UTF-8
+become a ParseError. The JSONL, numstat and ``callgraph-text`` parsers
+must also agree with the references of ``oracles.py`` on the list and on
+a UTF-8 text stream of the lines: equal records, the same ParseError
+message at the same line, or the same decode error let through.
 Mutated outcome files given to ``riskmin compare``, and generated manifests,
 labels and flag values given to ``score``, ``minimize``, ``evaluate`` and
 ``sweep``, end in a documented exit code, never in a traceback.
@@ -73,13 +74,17 @@ _text_piece = st.one_of(
 _csv_piece = st.one_of(_words, st.sampled_from(["a.T#t", ",", "#", "a.F#b"]))
 
 
-def _stream(lines):
-    """The lines, each ended by one LF, as the UTF-8 text stream the CLI reads; a line of bytes goes in
-    as it is. The stream decodes 16 bytes at a time, so that a decode error falls within the lines."""
-    data = b"".join(
+def _data(lines):
+    """The lines, each ended by one LF, as bytes; a line of bytes goes in as it is."""
+    return b"".join(
         (line if isinstance(line, bytes) else line.encode()).removesuffix(b"\n") + b"\n" for line in lines
     )
-    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+
+
+def _stream(lines):
+    """The lines as the UTF-8 text stream the CLI reads. The stream decodes 16 bytes at a time,
+    so that a decode error falls within the lines."""
+    stream = io.TextIOWrapper(io.BytesIO(_data(lines)), encoding="utf-8", newline=None)
     stream._CHUNK_SIZE = 16
     return stream
 
@@ -93,11 +98,16 @@ def _sources(lines):
 
 
 def _assert_only_parse_error(parse, lines):
-    for source in _sources(lines):
-        try:
-            parse(source())
-        except ParseError:
-            pass
+    """``parse`` of lines that are all ``str``, and the CLI's reading of a file of the lines,
+    each give records or a ParseError."""
+    if all(isinstance(line, str) for line in lines):
+        with contextlib.suppress(ParseError):
+            parse(lines)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "input")
+        path.write_bytes(_data(lines))
+        with contextlib.suppress(ParseError):
+            cli._parse_input(path, parse)
 
 
 @settings(max_examples=200, deadline=None)
@@ -241,11 +251,13 @@ _text_lines = _lines_opened_by(_text_edge, _mostly(_text_edge, _line(_text_piece
 
 
 def _outcome(parse, lines):
-    """The parse result, or the line and message of its ParseError."""
+    """The parse result, the line and message of its ParseError, or the stream's decode error let through."""
     try:
         return parse(lines), None
     except ParseError as exc:
         return None, (exc.line, str(exc))
+    except UnicodeDecodeError as exc:
+        return None, (None, repr(exc))
 
 
 @settings(max_examples=400, deadline=None)
@@ -315,6 +327,8 @@ _TRICKY_NUMSTAT_LINES = [
     "COMMITx abc 5", "COMMITX", "COMMIT5", "COMMIT abc 5 ", "COMMIT abc 5\t\u3000", "COMMIT abc 5\x0c",
     "COMMIT 5", "COMMIT  ", "COMMIT abc 5 6", "COMMIT a b 5", "COMMIT abc " + "9" * 4301,
     "COMMIT abc " + "0" * 30 + "7", "COMMIT abc 000", "COMMIT abc -5", "COMMIT abc +5", "COMMIT abc 5.0",
+    # a byte-order mark before a header, a file line or nothing, and inside a path
+    "\ufeffCOMMIT abc 5", "\ufeff1\t2\tx", "\ufeff", "1\t2\t\ufeffx",
 ]
 _TRICKY_TEXT_EDGES = [
     "M:a.T:t (M)a.F:b", "M:a.T:t\t(M)a.F:b", "M:a.T:t (M)a.F:b", "M:a.T:t\x1c(M)a.F:b", "M:a.T:t\n(M)a.F:b",
@@ -322,6 +336,7 @@ _TRICKY_TEXT_EDGES = [
     "M:a.T:t (٣)a.F:b", "M:a.T:t (é)a.F:b", "M:a.T:t (-)a.F:b", "M:a.T:t (MM)a.F:b", "M:a.T:t ()a.F:b",
     "M::t (M)a.F:b", "M:a.T: (M)a.F:b", "M:a.T (M)a.F:b", "M:a:b:c (M)x:y", "M:a.T:t(int) (M)a.F:b(x)",
     "M:a.T:t( (M)a.F:b)", "M:a.T:(x) (M)a.F:b", "M:a.T:t()x)( (M)a.F:b((int))", "C:anything at all", "m:a.T:t (M)a.F:b", "M:a.T:t (M)a.F:b\nx",
+    "M:\ufeffa.T:t (M)a.F:b", "M:a.T:t (M)\ufeffa.F:b", "\ufeffM:a.T:t (M)a.F:b",
 ]
 
 _VALID_JSONL = '{"path": "src/A.java", "ts": 5, "add": 1, "del": 2, "mod": 3, "commit": "c"}'
