@@ -10,6 +10,7 @@ preserve fault-revealing tests across labeled versions.
 
 from .change_history import (
     ChangeEvent,
+    ChangeLog,
     ClassHistory,
     SourceRootConfig,
     consolidate,

@@ -20,23 +20,30 @@ Two input formats are accepted:
 
 Line counts and timestamps may not exceed ``MAX_INTEGER``.
 
-Both parsers keep one object per distinct path, commit id and timestamp,
-shared by every event that holds it; a rename source equal to a path is
-that path's string. The JSONL parser decodes each line with one call
-into the C scanner and then checks it in one fixed order, so a rejected
-line is named by the first check it fails. ``consolidate`` then groups
-the events per class; ``path_to_class`` decides which paths are class
-files.
+Both parsers return a ``ChangeLog``: the events as columns grouped by
+path, with no object per event. Paths and rename sources share one
+string per distinct path, and commit ids one string per distinct id.
+The JSONL parser decodes each line with one call into the C scanner and
+then checks it in one fixed order, so a rejected line is named by the
+first check it fails; neither parser appends anything for a line until
+its last check has passed. ``consolidate`` then merges the paths of each
+class, one group at a time, into a ``ClassHistory`` of time-ordered
+columns; ``path_to_class`` decides which paths are class files.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import re
+import struct
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from functools import cached_property, partial
+from itertools import islice, repeat
+from operator import add, itemgetter, le, lt
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import UNEXPECTED_BOM, ParseError
 
@@ -97,27 +104,139 @@ class ChangeEvent(_ChangeEventFields):
         return self.added + self.deleted + self.modified
 
 
-_TIMESTAMP = itemgetter(1)  # of a ChangeEvent
+_PATH = itemgetter(0)  # of a ChangeEvent
+_TIMESTAMP = itemgetter(1)
+_COMMIT = itemgetter(5)
+_RENAMED_FROM = itemgetter(6)
+
+FIELDS = 6
+"""Numbers per event in a ``ChangeLog`` path's array: input position, timestamp, added, deleted, modified
+and the index of its commit id in ``ChangeLog.commits``."""
+_COMMIT_INDEX = 5  # the field of that index; the five before it are a history's columns
+_pack_fields = struct.Struct(f"={FIELDS}q").pack  # one event's numbers, as an array('q') holds them
+_event_of = partial(tuple.__new__, ChangeEvent)  # a ChangeEvent of checked fields, without checking them again
+_POSITION = itemgetter(0)  # of an (input position, event) pair
+_EVENT = itemgetter(1)
+
+
+class ChangeLog:
+    """Parsed change events, as columns grouped by path.
+
+    ``columns`` maps each path, in the order of its first event, to an
+    ``array('q')`` of ``FIELDS`` numbers per event, in input order: its
+    input position, timestamp, added, deleted and modified line counts,
+    and the index of its commit id in ``commits``, which holds each
+    distinct id of a JSONL log once, and the id of each numstat commit
+    header. ``renames`` maps a path to {input position: rename source} for
+    those of its events that carry one. Input positions increase in input
+    order; the parsers use line numbers.
+
+    ``len`` counts the events, and iterating yields them as ``ChangeEvent``
+    records in input order, rebuilt from the columns: a read-only view,
+    for inspection and tests. ``consolidate`` empties the log as it builds
+    the histories.
+    """
+
+    __slots__ = ("columns", "commits", "renames")
+    __hash__ = None
+
+    def __init__(self) -> None:
+        self.columns: dict[str, array] = {}
+        self.commits: list[str] = []
+        self.renames: dict[str, dict[int, str]] = {}
+
+    @classmethod
+    def from_events(cls, events: Iterable[ChangeEvent]) -> ChangeLog:
+        """The log of ``events``, in the given order."""
+        log = cls()
+        commit_index: dict[str, int] = {}
+        for position, (path, timestamp, added, deleted, modified, commit, renamed_from) in enumerate(events):
+            if commit not in commit_index:
+                commit_index[commit] = len(log.commits)
+                log.commits.append(commit)
+            if renamed_from is not None:
+                log.renames.setdefault(path, {})[position] = renamed_from
+            fields = log.columns.setdefault(path, array("q"))
+            fields.frombytes(_pack_fields(position, timestamp, added, deleted, modified, commit_index[commit]))
+        return log
+
+    def __len__(self) -> int:
+        return sum(map(len, self.columns.values())) // FIELDS
+
+    def __iter__(self) -> Iterator[ChangeEvent]:
+        positioned = []
+        for path, fields in self.columns.items():
+            positions = fields[0::FIELDS]
+            commits = map(self.commits.__getitem__, fields[_COMMIT_INDEX::FIELDS])
+            sources = map(self.renames.get(path, {}).get, positions)
+            rows = zip(repeat(path), *(fields[field::FIELDS] for field in (1, 2, 3, 4)), commits, sources)
+            positioned += zip(positions, map(_event_of, rows))
+        positioned.sort(key=_POSITION)
+        return map(_EVENT, positioned)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChangeLog):
+            return NotImplemented
+        return (self.columns, self.commits, self.renames) == (other.columns, other.commits, other.renames)
+
+    def __repr__(self) -> str:
+        return f"<ChangeLog of {len(self)} events on {len(self.columns)} paths>"
 
 
 @dataclass(frozen=True)
 class ClassHistory:
-    """Consolidated modification events of one logical class, in time order.
+    """Consolidated modification events of one logical class, as columns in time order.
 
-    The constructor raises ``ValueError`` for an event whose timestamp is
-    smaller than the one before it; equal timestamps are allowed.
-    ``consolidate`` builds every history in this order.
+    Event ``i`` changed the file ``paths[i]`` in commit ``commits[i]`` at
+    ``timestamps[i]``, adding ``added[i]``, deleting ``deleted[i]`` and
+    modifying ``modified[i]`` lines. ``renames`` maps the index of each
+    event that carries a rename source to that source. ``timestamps``,
+    ``added``, ``deleted`` and ``modified`` are ``array('q')``, and the
+    timestamps do not decrease: ``consolidate`` builds the columns in that
+    order, and ``from_events`` checks the order of the events it is given.
+    The constructor takes the columns as they are. ``weights`` is derived
+    from the counts when first read; ``events`` rebuilds the events from
+    the columns, for inspection and tests.
     """
 
     class_id: str
-    events: tuple[ChangeEvent, ...]
+    timestamps: array
+    added: array
+    deleted: array
+    modified: array
+    commits: tuple[str, ...]
+    paths: tuple[str, ...]
+    renames: dict[int, str]
 
-    def __post_init__(self) -> None:
+    __hash__ = None  # the columns are arrays
+
+    @classmethod
+    def from_events(cls, class_id: str, events: Iterable[ChangeEvent]) -> ClassHistory:
+        """The history of ``events``; ``ValueError`` for an event whose timestamp
+        is smaller than the one before it (equal timestamps are allowed)."""
+        events = tuple(events)
         previous = 0  # below every ChangeEvent timestamp, which is positive
-        for timestamp in map(_TIMESTAMP, self.events):
+        for timestamp in map(_TIMESTAMP, events):
             if timestamp < previous:
-                raise ValueError(f"the events of class {self.class_id!r} are not in time order")
+                raise ValueError(f"the events of class {class_id!r} are not in time order")
             previous = timestamp
+        columns = [array("q", map(itemgetter(field), events)) for field in (1, 2, 3, 4)]
+        renames = {index: source for index, source in enumerate(map(_RENAMED_FROM, events)) if source is not None}
+        return cls(class_id, *columns, tuple(map(_COMMIT, events)), tuple(map(_PATH, events)), renames)
+
+    @cached_property
+    def weights(self) -> array:
+        """Each event's weight under the extent metric, ``log1p(added + deleted + modified)``,
+        as an ``array('d')``: computed when first read, then kept."""
+        # From a list, so that the array is allocated once, at its size.
+        return array("d", list(map(math.log1p, map(add, map(add, self.added, self.deleted), self.modified))))
+
+    @property
+    def events(self) -> tuple[ChangeEvent, ...]:
+        """The events, in time order, rebuilt from the columns: a read-only view."""
+        sources = map(self.renames.get, range(len(self.commits)))
+        rows = zip(self.paths, self.timestamps, self.added, self.deleted, self.modified, self.commits, sources)
+        return tuple(map(_event_of, rows))
 
 
 @dataclass(frozen=True)
@@ -152,8 +271,8 @@ _REQUIRED_JSONL_VALUES = itemgetter("path", "ts", "add", "del", "commit")
 _scan_json = json.JSONDecoder().scan_once  # what json.loads calls, less its Python frames
 
 
-def parse_change_log(stream: Iterable[str]) -> list[ChangeEvent]:
-    """Parse change-event JSONL into a list of events, in input order.
+def parse_change_log(stream: Iterable[str]) -> ChangeLog:
+    """Parse change-event JSONL into a ``ChangeLog``.
 
     ``stream`` is an open text file or any iterable of ``str`` lines;
     decoding is the opener's job, and a stream's decode error passes
@@ -161,17 +280,14 @@ def parse_change_log(stream: Iterable[str]) -> list[ChangeEvent]:
     then checked in one sequence: an object, the required fields present,
     the three counts, ``ts``, ``path``, ``commit`` and ``renamed_from``. A
     line is rejected at the first check it fails, with the message
-    ``json.loads`` and that check give. The accepted events share one
-    string per distinct path (rename sources included), one string per
-    distinct commit id and one ``int`` per distinct timestamp, where the
-    decoder makes new ones on each line.
+    ``json.loads`` and that check give. The log shares one string per
+    distinct path (rename sources included) and one per distinct commit
+    id, where the decoder makes new ones on each line.
     """
-    events: list[ChangeEvent] = []
-    append = events.append
-    new = tuple.__new__
+    log = ChangeLog()
+    columns, commits, renames = log.columns, log.commits, log.renames
     shared_path = {}.setdefault
-    shared_commit = {}.setdefault
-    shared_timestamp = {}.setdefault
+    commit_index: dict[str, int] = {}  # of each distinct commit id in ``commits``
     for lineno, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
@@ -211,15 +327,20 @@ def parse_change_log(stream: Iterable[str]) -> list[ChangeEvent]:
         if type(commit) is not str:
             raise ParseError(f"field 'commit' must be a string at line {lineno}", line=lineno)
         renamed_from = record.get("renamed_from")
+        if renamed_from is not None and type(renamed_from) is not str:
+            raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
+        column = columns.get(path)
+        if column is None:
+            path = shared_path(path, path)
+            column = columns[path] = array("q")
         if renamed_from is not None:
-            if type(renamed_from) is not str:
-                raise ParseError(f"field 'renamed_from' must be a string at line {lineno}", line=lineno)
-            renamed_from = shared_path(renamed_from, renamed_from)
-        append(new(ChangeEvent, (
-            shared_path(path, path), shared_timestamp(ts, ts), added, deleted, modified,
-            shared_commit(commit, commit), renamed_from,
-        )))
-    return events
+            renames.setdefault(path, {})[lineno] = shared_path(renamed_from, renamed_from)
+        index = commit_index.get(commit)
+        if index is None:
+            index = commit_index[commit] = len(commits)
+            commits.append(commit)
+        column.frombytes(_pack_fields(lineno, ts, added, deleted, modified, index))
+    return log
 
 
 def _count_error(field: str, value: object, lineno: int) -> ParseError:
@@ -261,8 +382,8 @@ def _is_count(text: str) -> bool:
     return text == "-" or text.isdecimal()
 
 
-def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
-    """Parse the numstat adapter format into events, in input order.
+def parse_git_numstat(stream: Iterable[str]) -> ChangeLog:
+    """Parse the numstat adapter format into a ``ChangeLog``.
 
     numstat carries no modified-line count, so ``modified`` is always 0;
     callers needing it must use the JSONL format with an explicit ``mod``.
@@ -277,11 +398,10 @@ def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
     as ``parse_change_log`` reads it. A rejected line that starts with a
     byte-order mark (U+FEFF) is named as one, as ``json.loads`` names it.
     """
-    events: list[ChangeEvent] = []
-    append = events.append
-    new = tuple.__new__
+    log = ChangeLog()
+    columns, commits, renames = log.columns, log.commits, log.renames
     shared_path = {}.setdefault  # one string per distinct path, shared by its events and rename sources
-    commit: str | None = None  # the id and timestamp of the last commit header, shared by its events
+    commit: int | None = None  # the index in ``commits`` of the last header's id, and its timestamp
     timestamp = 0
     binary_lines: list[int] = []
     for lineno, line in enumerate(stream, 1):
@@ -292,9 +412,11 @@ def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
             fields = line.split()
             if len(fields) != 3 or not line[6:7].isspace() or not fields[2].isdecimal():
                 raise ParseError(f"malformed commit header at line {lineno}", line=lineno)
-            commit, timestamp = fields[1], _number(fields[2], lineno)
+            timestamp = _number(fields[2], lineno)
             if timestamp <= 0:
                 raise ParseError(f"commit timestamp must be positive at line {lineno}", line=lineno)
+            commit = len(commits)
+            commits.append(fields[1])
             continue
         added_text, _, rest = line.partition("\t")
         deleted_text, _, path = rest.partition("\t")
@@ -315,17 +437,20 @@ def parse_git_numstat(stream: Iterable[str]) -> list[ChangeEvent]:
         renamed_from = None
         if "=>" in path:
             renamed_from, path = _split_rename(path)
-            if renamed_from is not None:
-                renamed_from = shared_path(renamed_from, renamed_from)
-        path = shared_path(path, path)
-        append(new(ChangeEvent, (path, timestamp, added, deleted, 0, commit, renamed_from)))
+        column = columns.get(path)
+        if column is None:
+            path = shared_path(path, path)
+            column = columns[path] = array("q")
+        if renamed_from is not None:
+            renames.setdefault(path, {})[lineno] = shared_path(renamed_from, renamed_from)
+        column.frombytes(_pack_fields(lineno, timestamp, added, deleted, 0, commit))
     if binary_lines:
         logger.warning(
             "%d line(s) with binary file counts recorded as 0/0; the first at line %d",
             len(binary_lines),
             binary_lines[0],
         )
-    return events
+    return log
 
 
 def path_to_class(path: str, cfg: SourceRootConfig) -> str | None:
@@ -369,33 +494,32 @@ class _UnionFind:
             self._parent[ra] = rb
 
 
-_PATH = itemgetter(0)  # of a ChangeEvent
-_RENAMED_FROM = itemgetter(6)
-_BY_TIME_THEN_COMMIT = itemgetter(1, 5)
+def consolidate(log: ChangeLog, cfg: SourceRootConfig) -> dict[str, ClassHistory]:
+    """Group a log's events into per-class histories, merging rename chains.
 
+    This empties ``log``. Paths are linked by explicit rename annotations
+    first, then by equal resolved class ids. Each history is in
+    (timestamp, commit_id) order, ties broken by input order, and holds the
+    first event of the input for each (commit_id, path). The merged
+    identity is the class id resolved from the path of the newest event in
+    the group. Histories come in the input order of their first events.
 
-def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[str, ClassHistory]:
-    """Group events into per-class histories, merging rename chains.
-
-    Paths are linked by explicit rename annotations first, then by equal
-    resolved class ids. Each history is sorted by (timestamp, commit_id)
-    and deduplicated on (commit_id, path), keeping the first event of the
-    input. The merged identity is the class id resolved from the path of
-    the newest event in the group. Histories come in the input order of
-    their first events.
-
-    Two passes over the events, which are first made a list if they are
-    not one: the first links the paths, the second appends each event of a
-    class file to its group's list. No list holds every kept event, and
-    a group's list is emptied once its history holds its events.
+    The columns of a file that is no class are freed first; then each
+    group's columns are taken out of the log, merged, and freed once its
+    history is built. A group whose events are in order is taken as it is,
+    and any other is sorted by timestamp, with commit ids and input
+    positions compared only among equal timestamps.
     """
-    if not isinstance(events, list):
-        events = list(events)
-    class_of = {path: path_to_class(path, cfg) for path in dict.fromkeys(map(_PATH, events))}
+    columns, renames = log.columns, log.renames
+    class_of = {path: path_to_class(path, cfg) for path in columns}
+    for path, class_id in class_of.items():
+        if class_id is None:
+            del columns[path]
+            renames.pop(path, None)
     groups = _UnionFind()
-    for event in filter(_RENAMED_FROM, events):
-        if class_of[event.path] is not None:
-            groups.union(event.renamed_from, event.path)
+    for path, sources in renames.items():
+        for source in filter(None, sources.values()):
+            groups.union(source, path)
 
     # Same resolved class id links otherwise-unrelated path groups. Only paths
     # with events of their own take part: a rename source without events stays
@@ -405,31 +529,102 @@ def consolidate(events: Iterable[ChangeEvent], cfg: SourceRootConfig) -> dict[st
         if class_id is not None:
             groups.union(path, class_anchor.setdefault(class_id, path))
 
-    # One list per group, in the order of each group's first path, which is
-    # the order of its first event; every path of a class file maps to its list.
-    by_group: dict[str, list[ChangeEvent]] = {}
-    members_of = {
-        path: by_group.setdefault(groups.find(path), [])
-        for path, class_id in class_of.items()
-        if class_id is not None
-    }
-    members_for = members_of.get
-    for event in events:
-        members = members_for(event[0])
-        if members is not None:
-            members.append(event)
+    # The paths of each group, in the order of each group's first path, which
+    # is the order of its first event.
+    by_group: dict[str, list[str]] = {}
+    for path, class_id in class_of.items():
+        if class_id is not None:
+            by_group.setdefault(groups.find(path), []).append(path)
 
     histories: dict[str, ClassHistory] = {}
-    for members in by_group.values():
-        seen: set[tuple[str, str]] = set()
-        unique = []
-        for event in members:
-            key = (event.commit_id, event.path)
-            if key not in seen:
-                seen.add(key)
-                unique.append(event)
-        members.clear()  # so that each group's list is freed once its history holds the events
-        unique.sort(key=_BY_TIME_THEN_COMMIT)
-        class_id = class_of[unique[-1].path]
-        histories[class_id] = ClassHistory(class_id=class_id, events=tuple(unique))
+    for paths in by_group.values():
+        history = _merged(paths, log, class_of)
+        histories[history.class_id] = history
+    log.commits.clear()
     return histories
+
+
+def _merged(paths: list[str], log: ChangeLog, class_of: dict[str, str | None]) -> ClassHistory:
+    """The history of one group of paths, whose columns this takes out of ``log``.
+
+    The paths' columns are joined in group order. When no path repeats a
+    commit and the joined events are already in order, they are taken as
+    they are; otherwise the first event of each (commit_id, path) is kept
+    and the rows are put in order.
+    """
+    commit_of = log.commits.__getitem__
+    parts = []
+    for path in paths:
+        fields = log.columns.pop(path)
+        parts.append((fields, list(map(commit_of, fields[_COMMIT_INDEX::FIELDS]))))
+    if len(parts) == 1:
+        fields, commits = parts[0]
+        group_paths = (paths[0],) * len(commits)
+    else:
+        # Lists, made tuples at their final size: a tuple grown from an iterator is resized,
+        # and in a long-lived process the small tuples that resizing frees pile up on
+        # CPython's per-size free lists instead of being reused.
+        fields, commits, group_paths = array("q"), [], []
+        for path, (part_fields, part_commits) in zip(paths, parts):
+            fields += part_fields
+            commits += part_commits
+            group_paths += repeat(path, len(part_commits))
+    repeated = [len(set(part_commits)) < len(part_commits) for _, part_commits in parts]
+    if not any(repeated) and _in_order(fields, commits):
+        columns = [fields[field::FIELDS] for field in range(_COMMIT_INDEX)]
+    else:
+        rows = _time_order(_first_of_each_commit(parts, repeated), fields, commits)
+        pick = itemgetter(*rows) if len(rows) > 1 else lambda column: (column[rows[0]],)
+        columns = [array("q", pick(fields[field::FIELDS])) for field in range(_COMMIT_INDEX)]
+        commits, group_paths = pick(commits), pick(group_paths)
+    positions = columns.pop(0)
+    sources: dict[int, str] = {}
+    for path in paths:
+        sources.update(log.renames.pop(path, {}))
+    renames = {}
+    if sources:  # one pass over the kept rows; a dropped repeated (commit_id, path) keeps no source
+        renames = {index: sources[position] for index, position in enumerate(positions) if position in sources}
+    return ClassHistory(class_of[group_paths[-1]], *columns, tuple(commits), tuple(group_paths), renames)
+
+
+def _in_order(fields: array, commits: Sequence[str]) -> bool:
+    """Whether joined columns are in (timestamp, commit_id, input position) order."""
+    timestamps = fields[1::FIELDS]
+    if all(map(lt, timestamps, islice(timestamps, 1, None))):
+        return True
+    if not all(map(le, timestamps, islice(timestamps, 1, None))):
+        return False
+    keys = list(zip(timestamps, commits, fields[0::FIELDS]))  # distinct: input positions are
+    return all(map(lt, keys, islice(keys, 1, None)))
+
+
+def _first_of_each_commit(parts: list[tuple[array, list[str]]], repeated: list[bool]) -> list[int]:
+    """The rows of the joined columns of ``parts`` that hold the first event of each (commit_id, path)."""
+    rows: list[int] = []
+    start = 0
+    for (_, commits), repeats in zip(parts, repeated):
+        if repeats:
+            seen: set[str] = set()
+            rows += [start + row for row, commit in enumerate(commits) if not (commit in seen or seen.add(commit))]
+        else:
+            rows += range(start, start + len(commits))
+        start += len(commits)
+    return rows
+
+
+def _time_order(rows: list[int], fields: array, commits: Sequence[str]) -> list[int]:
+    """``rows`` of joined columns in (timestamp, commit_id, input position) order.
+
+    One sort by timestamp, keyed by the array's own item lookup. Only when
+    two of the timestamps are equal are the rows sorted again: by input
+    position, then commit id, then timestamp, each a stable sort on a key
+    of that kind.
+    """
+    timestamps = fields[1::FIELDS]
+    rows = sorted(rows, key=timestamps.__getitem__)
+    in_time = list(map(timestamps.__getitem__, rows))
+    if not all(map(lt, in_time, islice(in_time, 1, None))):
+        rows.sort(key=fields[0::FIELDS].__getitem__)
+        rows.sort(key=commits.__getitem__)
+        rows.sort(key=timestamps.__getitem__)
+    return rows

@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
 import logging
 import math
 import os
+import secrets
 import sys
 import time
 from dataclasses import dataclass
@@ -246,9 +248,11 @@ def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
 
     This is the one place a command builds the dependency map. The call
     graph is read first and freed once the map is built, before the change
-    log is read, so the graph and the events are never alive together.
+    log is read, so the graph and the change log are never alive together.
     Hence an unreadable or malformed call graph is reported before any
-    fault of the change log.
+    fault of the change log. The change log is parsed into per-path columns
+    (a ``ChangeLog``), which ``consolidate`` frees group by group as it
+    builds the histories' columns; no record is made per event.
     """
     started = time.perf_counter()
     graph = _parse_input(
@@ -258,11 +262,11 @@ def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
     dep_map = build_dependency_map(graph, entries, entry_class_filter(entries, manifest.exclude_classes))
     del graph
     parse_events = parse_git_numstat if manifest.change_log_format == "numstat" else parse_change_log
-    events = _parse_input(manifest.change_log_path, parse_events)
+    log = _parse_input(manifest.change_log_path, parse_events)
     source_cfg = SourceRootConfig(
         roots=tuple(manifest.source_roots), extensions=tuple(manifest.extensions)
     )
-    histories = consolidate(events, source_cfg)
+    histories = consolidate(log, source_cfg)
     return ProjectInputs(histories, entries, dep_map, time.perf_counter() - started)
 
 
@@ -317,24 +321,64 @@ def _read_labels(handle: IO[str]) -> list[VersionLabel]:
 # Output helpers
 
 
-def _write_text(output: str | None, name: str, text: str) -> None:
-    """Write ``text`` to the file ``name`` in the directory ``output``, made if absent; without one, to stdout.
+def _write_text(output: str | None, files: dict[str, str]) -> None:
+    """Write each text of ``files`` (name -> text) to the file of that name in the directory ``output``,
+    made if absent; without one, the texts to stdout, in order.
 
+    Each file is first written under a temporary name in ``output``, and all
+    of them are moved into place with ``os.replace`` once the last one is
+    written. Until then the files of an earlier run stay as they were: on any
+    error, ``KeyboardInterrupt`` included, the temporary files are removed.
     An output that cannot be written raises ``ValueError`` (a usage error) naming it.
     """
-    target = Path(output) / name if output else "<stdout>"
+    staged: list[tuple[Path, Path]] = []  # (temporary, target), each temporary written and closed
+    target: Path | str = "<stdout>"
     try:
-        if output:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        if not output:
+            for text in files.values():
+                sys.stdout.write(text)
             sys.stdout.flush()
+            return
+        for name, text in files.items():
+            target = Path(output) / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            staged.append((_written_beside(target, text), target))
+        for _, target in staged:  # a directory in a target's place fails os.replace: fail before the first one
+            if target.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        while staged:
+            temporary, target = staged[0]
+            os.replace(temporary, target)
+            del staged[0]
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         if not output:  # so that the interpreter's flush at exit writes what is left to the null device
             with contextlib.suppress(OSError, ValueError):  # a stdout without a file descriptor
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise ValueError(f"cannot write output: {target} ({getattr(exc, 'strerror', None) or exc})") from None
+    finally:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+
+
+def _written_beside(target: Path, text: str) -> Path:
+    """A new file in ``target``'s directory, under a hidden name no file there had, holding
+    ``text`` in UTF-8, with the permissions ``open`` gives a new file. It is removed if the
+    write fails or is interrupted."""
+    while True:
+        temporary = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+        try:
+            handle = open(temporary, "x", encoding="utf-8")
+        except FileExistsError:
+            continue
+        try:
+            with handle:
+                handle.write(text)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                temporary.unlink()
+            raise
+        return temporary
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -368,7 +412,7 @@ def cmd_score(args: argparse.Namespace) -> None:
         if not (math.isfinite(risk) and risk >= 0):
             raise AssertionError(f"invalid risk score for {class_id}")
     rows = [(class_id, str(table[class_id])) for class_id in sorted(table)]
-    _write_text(args.output, "risks.csv", _csv_text(("class_id", "risk"), rows))
+    _write_text(args.output, {"risks.csv": _csv_text(("class_id", "risk"), rows)})
 
 
 def cmd_minimize(args: argparse.Namespace) -> None:
@@ -386,8 +430,10 @@ def cmd_minimize(args: argparse.Namespace) -> None:
     )
     check_result_invariants(result, budget)
     out_dir = args.output or "."
-    _write_text(out_dir, "selected.txt", "".join(test_id + "\n" for test_id in result.selected))
-    _write_text(out_dir, "result.json", _json_text(result.to_json_dict()))
+    _write_text(out_dir, {
+        "selected.txt": "".join(test_id + "\n" for test_id in result.selected),
+        "result.json": _json_text(result.to_json_dict()),
+    })
 
 
 def _evaluate_manifests(
@@ -490,8 +536,7 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
         "mean_wall_time_s": _mean(seconds),
     }
     out_dir = args.output or "."
-    _write_text(out_dir, "outcomes.csv", _csv_text(OUTCOME_COLUMNS, rows))
-    _write_text(out_dir, "summary.json", _json_text(summary))
+    _write_text(out_dir, {"outcomes.csv": _csv_text(OUTCOME_COLUMNS, rows), "summary.json": _json_text(summary)})
 
 
 def cmd_sweep(args: argparse.Namespace) -> None:
@@ -506,7 +551,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         (metric, format_horizon(horizon), operator, f"{budget:g}", *map(str, values))
         for metric, horizon, operator, budget, *values in sweep_rows(pooled)
     ]
-    _write_text(args.output, "sweep.csv", _csv_text(SweepRow._fields, csv_rows))
+    _write_text(args.output, {"sweep.csv": _csv_text(SweepRow._fields, csv_rows)})
 
 
 _DETECTED_VALUES = {"true": True, "1": True, "false": False, "0": False}
@@ -618,7 +663,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
         "cliffs_delta": delta,
         "bonferroni": adjusted,
     }
-    _write_text(args.output, "comparison.json", _json_text(report))
+    _write_text(args.output, {"comparison.json": _json_text(report)})
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +676,7 @@ class _Parser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         if file is None:
-            _write_text(None, "", self.format_help())
+            _write_text(None, {"help": self.format_help()})
         else:
             super().print_help(file)
 

@@ -53,16 +53,17 @@ def risk_folder(
     infinite half-life).
 
     An unknown metric, and a half-life that ``alpha_from_half_life``
-    rejects, raise ``ValueError`` when this is called. Each class's columns
-    are derived then, once: its event timestamps and, under extent, each
-    event's weight if some half-life decays and the running sums of the
-    weights if some half-life's rate is 0. A history is in time order, so
-    the in-scope events of each class are a prefix, found by one bisection
-    of its timestamps. At rate 0 every decay factor is ``exp(-0.0 * age)
-    == 1.0``, so the risk is read off the prefix: its length under
-    frequency, its last running sum under extent. Under the other
-    half-lives, each call of ``fold`` computes the prefix's ages once and
-    folds them under each; the metrics share each decay factor. Each fold
+    rejects, raise ``ValueError`` when this is called. The fold reads each
+    history's own columns: its timestamps and, under extent, its weights
+    (which a history computes when they are first read) if some half-life
+    decays. The one column derived here, once per class, is the running
+    sums of the weights, under extent if some half-life's rate is 0. A history is in time order, so the in-scope events of each
+    class are a prefix, found by one bisection of its timestamps. At rate
+    0 every decay factor is ``exp(-0.0 * age) == 1.0``, so the risk is
+    read off the prefix: its length under frequency, its last running sum
+    under extent. Under the other half-lives, each call of ``fold``
+    computes the prefix's ages once and folds them under each; the metrics
+    share each decay factor. Each fold
     and each running sum is a sequential ``+`` in the history's
     chronological order: never the builtin ``sum``, whose float summation
     is compensated since Python 3.12. A half-life's table does not depend
@@ -77,20 +78,16 @@ def risk_folder(
     weighted = extent and any(alphas)  # some extent fold decays
     summed = extent and not all(alphas)  # some extent fold is static
     # (class id, event timestamps, weights or None, running sums or None), per class
-    columns: list[tuple[str, list[int], array[float] | None, array[float] | None]] = []
-    log1p = math.log1p
-    for class_id, history in histories.items():
-        events = history.events
-        weights = running = None
-        if extent:
-            # event.churn, inlined; the columns are built from a list, so that each is allocated
-            # once, at its size: grown from an iterator, they fragment the heap and raise peak RSS.
-            weight_list = [log1p(event.added + event.deleted + event.modified) for event in events]
-            if weighted:
-                weights = array("d", weight_list)
-            if summed:
-                running = array("d", list(accumulate(weight_list)))
-        columns.append((class_id, [event.timestamp for event in events], weights, running))
+    columns: list[tuple[str, array[int], array[float] | None, array[float] | None]] = [
+        (
+            class_id,
+            history.timestamps,
+            history.weights if weighted else None,
+            # From a list, so that the array is allocated once, at its size.
+            array("d", list(accumulate(history.weights))) if summed else None,
+        )
+        for class_id, history in histories.items()
+    ]
 
     def fold(as_of: int, horizons: slice = slice(None)) -> list[dict[str, dict[str, float]]]:
         sliced = alphas[horizons]

@@ -13,6 +13,8 @@ decode each change-event JSONL line with ``json.loads`` and check it field
 by field, where the library decodes it in one call and checks it in one
 expression), and build records through the validating public
 constructors, where the library skips the checks it has already made.
+The reference consolidation groups, deduplicates and sorts event records
+one at a time, where the library merges per-path columns.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 import statistics
 from fractions import Fraction
 
-from riskmin.change_history import ChangeEvent
+from riskmin.change_history import ChangeEvent, path_to_class
 from riskmin.dependency_graph import MethodRef
 from riskmin.errors import ParseError
 
@@ -232,6 +234,72 @@ def reference_callgraph_text(lines):
         caller, _, callee = match.groups()
         edges.append((_method(caller, lineno), _method(callee, lineno)))
     return edges
+
+
+# ---------------------------------------------------------------------------
+# Consolidation, one event at a time
+
+
+def reference_consolidate(events, cfg):
+    """Class id -> its events, in time order: the grouping ``consolidate`` computes, one event at a time.
+
+    Paths are linked by each event's rename source, then by equal class ids
+    among the paths that have events; a group is the class of the path of
+    its newest event. A group's events keep their input order, lose every
+    repeat of a (commit_id, path) pair after the first, and are then sorted
+    stably by (timestamp, commit_id). Groups come in the order of their first
+    events. Class ids come from the library's ``path_to_class``.
+    """
+    events = list(events)
+    class_of = {event.path: path_to_class(event.path, cfg) for event in events}
+    parent = {}
+
+    def find(item):
+        parent.setdefault(item, item)
+        while parent[item] != item:
+            item = parent[item]
+        return item
+
+    def union(a, b):
+        root_a, root_b = find(a), find(b)
+        if root_a != root_b:
+            parent[root_a] = root_b
+
+    for event in events:
+        if event.renamed_from and class_of[event.path] is not None:
+            union(event.renamed_from, event.path)
+    anchor = {}
+    for path, class_id in class_of.items():
+        if class_id is not None:
+            union(path, anchor.setdefault(class_id, path))
+    groups = {}
+    for event in events:
+        if class_of[event.path] is not None:
+            groups.setdefault(find(event.path), []).append(event)
+    histories = {}
+    for members in groups.values():
+        seen, kept = set(), []
+        for event in members:
+            if (event.commit_id, event.path) not in seen:
+                seen.add((event.commit_id, event.path))
+                kept.append(event)
+        kept.sort(key=lambda event: (event.timestamp, event.commit_id))
+        histories[class_of[kept[-1].path]] = tuple(kept)
+    return histories
+
+
+def history_columns(events):
+    """The columns of a ``ClassHistory`` of events in time order, as plain lists and a dict."""
+    return {
+        "timestamps": [event.timestamp for event in events],
+        "added": [event.added for event in events],
+        "deleted": [event.deleted for event in events],
+        "modified": [event.modified for event in events],
+        "weights": [math.log1p(event.added + event.deleted + event.modified) for event in events],
+        "commits": [event.commit_id for event in events],
+        "paths": [event.path for event in events],
+        "renames": {index: event.renamed_from for index, event in enumerate(events) if event.renamed_from is not None},
+    }
 
 
 # ---------------------------------------------------------------------------

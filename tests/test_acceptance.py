@@ -106,7 +106,7 @@ def test_half_life_exactness():
                 timestamp=reference - int(k * half_life * DAY),
                 added=6, deleted=0, modified=0, commit_id="c1",
             )
-            history = ClassHistory(class_id="a.B", events=(event,))
+            history = ClassHistory.from_events("a.B", (event,))
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
                 expected = weight * 2.0 ** (-k)
                 # at one instant, as minimize and score fold
@@ -116,7 +116,7 @@ def test_half_life_exactness():
         event = ChangeEvent(
             path="src/a/B.java", timestamp=reference, added=6, deleted=0, modified=0, commit_id="c1",
         )
-        history = ClassHistory(class_id="a.B", events=(event,))
+        history = ClassHistory.from_events("a.B", (event,))
         instants = [reference + int(k * half_life * DAY) for k in range(0, 7)]
         fold = risk_folder({"a.B": history}, ("frequency", "extent"), (half_life,))
         tables = [fold(instant) for instant in instants]

@@ -1,17 +1,24 @@
+import gc
 import io
 import json
+import math
 import pickle
 import random
 import shutil
 import subprocess
+import time
+import tracemalloc
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import history_columns, reference_change_log, reference_consolidate, reference_numstat
 
 from riskmin import change_history, cli
 from riskmin.change_history import (
     ChangeEvent,
+    ChangeLog,
     ClassHistory,
     SourceRootConfig,
     consolidate,
@@ -24,6 +31,7 @@ from riskmin.errors import ParseError
 CFG = SourceRootConfig(roots=("src/main/java", "src/test/java"))
 
 BOUND = 2**63 - 1  # the documented largest line count or timestamp
+BYTES_PER_EVENT = 100  # held by consolidated histories, commit ids included
 
 
 def _parse_jsonl(text):
@@ -43,8 +51,9 @@ class TestParseChangeLog:
             commit_id="c1",
         )
 
-    def test_empty_input_yields_empty_sequence(self):
-        assert _parse_jsonl("") == []
+    def test_empty_input_yields_empty_log(self):
+        log = _parse_jsonl("")
+        assert len(log) == 0 and list(log) == [] and log == ChangeLog()
 
     def test_negative_line_count_is_rejected_with_line_number(self):
         line = '{"path":"a/B.java","ts":1,"add":-1,"del":0,"mod":0,"commit":"c1"}'
@@ -128,13 +137,19 @@ class TestParseChangeLog:
             {"path": "a/B.java", "ts": 4000, "add": 0, "del": 0, "commit": "c4", "renamed_from": "a/Old.java"},
             {"path": "a/D.java", "ts": 5000, "add": 0, "del": 0, "commit": "c5", "renamed_from": "a/C.java"},
         ]
-        events = _parse_jsonl("\n".join(json.dumps(r) for r in records))
+        log = _parse_jsonl("\n".join(json.dumps(r) for r in records))
+        events = list(log)
         assert [e.path for e in events] == [r["path"] for r in records]
         assert events[0].path is events[2].path is events[4].path
         assert events[1].path is events[3].path is not events[0].path
         assert events[2].commit_id is events[3].commit_id
-        assert events[2].timestamp is events[3].timestamp
         assert events[5].renamed_from is events[1].path
+        # The columns: one array per path, with line numbers for input positions and indices of commit ids.
+        assert list(log.columns) == ["a/B.java", "a/C.java", "a/D.java"]
+        assert log.columns["a/B.java"] == array("q", [1, 1000, 1, 0, 0, 0, 3, 3000, 2, 1, 4, 2, 5, 4000, 0, 0, 0, 3])
+        assert log.columns["a/C.java"][5::6] == array("q", [1, 2])
+        assert log.commits == ["c1", "c2", "c3", "c4", "c5"]
+        assert log.renames == {"a/B.java": {5: "a/Old.java"}, "a/D.java": {6: "a/C.java"}}
 
 
 class TestParseGitNumstat:
@@ -204,7 +219,7 @@ class TestParseGitNumstat:
     def test_a_carriage_return_line_end_is_not_part_of_the_path(self, lines):
         (event,) = parse_git_numstat(lines())
         assert event.path == "src/A.java"
-        assert list(consolidate([event], SourceRootConfig(roots=("src",)))) == ["A"]
+        assert list(_consolidate([event], SourceRootConfig(roots=("src",)))) == ["A"]
 
     @pytest.mark.parametrize("end", ["", "\n", "\r\n"])
     def test_a_carriage_return_inside_a_path_is_an_error(self, end):
@@ -249,7 +264,8 @@ class TestParseGitNumstat:
             "COMMIT c4 4000\n0\t0\tsrc/{x => a}/B.java\n5\t5\tsrc/x/C.java => src/a/B.java\n"
             "COMMIT c5 5000\n1\t1\tsrc/{a => b}/C.java\n"
         )
-        events = parse_git_numstat(io.StringIO(text))
+        log = parse_git_numstat(io.StringIO(text))
+        events = list(log)
         assert [e.path for e in events] == (
             ["src/a/B.java", "src/a/C.java"] + ["src/a/B.java"] * 4 + ["src/b/C.java"]
         )
@@ -257,8 +273,15 @@ class TestParseGitNumstat:
         assert all(e.path is first for e in events if e.path == first)
         assert events[1].path is not first
         assert events[0].commit_id is events[1].commit_id
-        assert events[0].timestamp is events[1].timestamp
         assert events[-1].renamed_from is events[1].path
+        fields = log.columns["src/a/B.java"]
+        assert fields[1::6] == array("q", [1000, 2000, 3000, 4000, 4000])
+        assert fields[0::6] == array("q", [2, 5, 7, 9, 10])
+        assert fields[5::6] == array("q", [0, 1, 2, 3, 3]) and log.columns["src/a/C.java"][5::6] == array("q", [0])
+        assert log.commits == ["c1", "c2", "c3", "c4", "c5"]
+        assert log.renames == {
+            "src/a/B.java": {9: "src/x/B.java", 10: "src/x/C.java"}, "src/b/C.java": {12: "src/a/C.java"},
+        }
 
     def test_zero_header_timestamp_is_an_error(self):
         text = "COMMIT abc 5\n1\t2\tsrc/A.java\nCOMMIT def 0\n1\t2\tsrc/A.java\n"
@@ -391,6 +414,15 @@ def _event(path, ts, commit, renamed_from=None, add=1):
     )
 
 
+def _consolidate(events, cfg):
+    return consolidate(ChangeLog.from_events(events), cfg)
+
+
+def _columns(history):
+    """A history's timestamps, commits, paths, added counts and rename sources."""
+    return list(history.timestamps), history.commits, history.paths, list(history.added), history.renames
+
+
 class TestConsolidate:
     def test_rename_chain_merges_into_one_history(self):
         cfg = SourceRootConfig(roots=("src/old", "src/new"))
@@ -398,12 +430,14 @@ class TestConsolidate:
             _event("src/old/A.java", 1, "c1"),
             _event("src/new/A.java", 2, "c2", renamed_from="src/old/A.java"),
         ]
-        histories = consolidate(events, cfg)
+        histories = _consolidate(events, cfg)
         assert list(histories) == ["A"]
         assert [e.timestamp for e in histories["A"].events] == [1, 2]
+        assert histories["A"].timestamps == array("q", [1, 2])
+        assert histories["A"].renames == {1: "src/old/A.java"}
 
     def test_empty_input_yields_empty_map(self):
-        assert consolidate([], CFG) == {}
+        assert _consolidate([], CFG) == {}
 
     def test_interleaved_classes_are_split_and_sorted(self):
         rng = random.Random(3)
@@ -412,7 +446,7 @@ class TestConsolidate:
             cls = rng.choice(["a/B.java", "a/C.java"])
             events.append(_event(cls, rng.randint(1, 1000), f"c{i}"))
         cfg = SourceRootConfig(roots=("a",))
-        histories = consolidate(events, cfg)
+        histories = _consolidate(events, cfg)
         # brute-force group-and-sort oracle
         expected = {}
         for e in events:
@@ -421,13 +455,15 @@ class TestConsolidate:
             name = path.split("/")[-1].removesuffix(".java")
             group.sort(key=lambda e: (e.timestamp, e.commit_id))
             assert [x.commit_id for x in histories[name].events] == [x.commit_id for x in group]
+            assert list(histories[name].commits) == [x.commit_id for x in group]
 
     def test_same_class_id_paths_merge_without_rename_annotation(self):
         cfg = SourceRootConfig(roots=("main", "extra"))
         events = [_event("main/a/B.java", 5, "c1"), _event("extra/a/B.java", 3, "c2")]
-        histories = consolidate(events, cfg)
+        histories = _consolidate(events, cfg)
         assert list(histories) == ["a.B"]
         assert [e.commit_id for e in histories["a.B"].events] == ["c2", "c1"]
+        assert _columns(histories["a.B"]) == ([3, 5], ("c2", "c1"), ("extra/a/B.java", "main/a/B.java"), [1, 1], {})
 
     def test_duplicate_commit_path_pairs_are_dropped(self):
         events = [
@@ -435,8 +471,9 @@ class TestConsolidate:
             _event("a/B.java", 1, "c1"),
             _event("a/B.java", 2, "c2"),
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert len(histories["B"].events) == 2
+        assert histories["B"].commits == ("c1", "c2")
 
     def test_the_first_of_a_duplicate_commit_path_pair_is_kept(self):
         events = [
@@ -445,23 +482,25 @@ class TestConsolidate:
             _event("a/B.java", 2, "c2", add=7),
             _event("a/C.java", 3, "c3"),
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert [(e.commit_id, e.added) for e in histories["B"].events] == [("c1", 1), ("c2", 5)]
         assert [e.commit_id for e in histories["C"].events] == ["c3"]
+        assert _columns(histories["B"]) == ([1, 2], ("c1", "c2"), ("a/B.java", "a/B.java"), [1, 5], {})
 
     def test_files_named_only_by_their_extension_are_dropped(self):
         events = [_event("a/.java", 1, "c1"), _event("a/x/.java", 2, "c2"), _event("a/B.java", 3, "c3")]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert list(histories) == ["B"]
 
     def test_equal_timestamps_break_ties_by_commit_id(self):
         events = [_event("a/B.java", 7, "z"), _event("a/B.java", 7, "a")]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert [e.commit_id for e in histories["B"].events] == ["a", "z"]
+        assert histories["B"].timestamps == array("q", [7, 7]) and histories["B"].commits == ("a", "z")
 
     def test_non_class_files_are_dropped(self):
         events = [_event("README.md", 1, "c1"), _event("a/B.java", 1, "c2")]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert list(histories) == ["B"]
 
     def test_timestamps_non_decreasing_on_random_inputs(self):
@@ -470,10 +509,11 @@ class TestConsolidate:
         events = [
             _event(rng.choice(paths), rng.randint(1, 500), f"c{i}") for i in range(120)
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a", "b")))
+        histories = _consolidate(events, SourceRootConfig(roots=("a", "b")))
         for history in histories.values():
             stamps = [e.timestamp for e in history.events]
             assert stamps == sorted(stamps)
+            assert history.timestamps.tolist() == sorted(history.timestamps)
 
     def test_consolidate_is_idempotent(self):
         rng = random.Random(13)
@@ -483,16 +523,16 @@ class TestConsolidate:
         ]
         events.append(_event("a/C2.java", 100, "r1", renamed_from="a/C.java"))
         cfg = SourceRootConfig(roots=("a",))
-        once = consolidate(events, cfg)
+        once = _consolidate(events, cfg)
         flattened = [e for h in once.values() for e in h.events]
-        twice = consolidate(flattened, cfg)
+        twice = _consolidate(flattened, cfg)
         assert once == twice
 
     def test_union_semantics_on_merged_histories(self):
         cfg = SourceRootConfig(roots=("p", "q"))
         group_a = [_event("p/X.java", t, f"a{t}") for t in (1, 2, 3)]
         group_b = [_event("q/X.java", t, f"b{t}") for t in (2, 4)]
-        merged = consolidate(group_a + group_b, cfg)["X"]
+        merged = _consolidate(group_a + group_b, cfg)["X"]
         keys = {(e.commit_id, e.path) for e in group_a} | {(e.commit_id, e.path) for e in group_b}
         assert len(merged.events) == len(keys)
 
@@ -502,9 +542,11 @@ class TestConsolidate:
             _event(f"a/C{i}.java", i + 1, f"c{i}", renamed_from=f"a/C{i - 1}.java")
             for i in range(1, 3001)
         ]
-        histories = consolidate(events, cfg)
+        histories = _consolidate(events, cfg)
         assert list(histories) == ["C3000"]
         assert len(histories["C3000"].events) == 3001
+        assert histories["C3000"].timestamps == array("q", range(1, 3002))
+        assert histories["C3000"].paths == tuple(f"a/C{i}.java" for i in range(3001))
 
     def test_each_distinct_path_is_resolved_once(self, monkeypatch):
         calls = []
@@ -520,7 +562,7 @@ class TestConsolidate:
             for ts, path in enumerate(["a/B.java", "README.md", "a/B.java", "a/New.java",
                                        "README.md", "a/C.java", "a/B.java"], start=1)
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert sorted(histories) == ["B", "C", "New"]
         assert sorted(calls) == ["README.md", "a/B.java", "a/C.java", "a/New.java"]
 
@@ -532,7 +574,7 @@ class TestConsolidate:
             _event("src/main/java/a/Foo.java", 1, "c1"),
             _event("src/main/java/b/Bar.java", 2, "c2", renamed_from="src/test/java/a/Foo.java"),
         ]
-        histories = consolidate(events, cfg)
+        histories = _consolidate(events, cfg)
         assert sorted(histories) == ["a.Foo", "b.Bar"]
 
     # The next four pin the exact events and key order of a history where the
@@ -545,7 +587,7 @@ class TestConsolidate:
             _event("a/New.java", 3, "c2", add=4),
             _event("a/Old.java", 3, "c2", add=5),
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert list(histories) == ["C", "Old"]
         assert histories["Old"].events == (
             ChangeEvent("a/Old.java", 1, 1, 0, 0, "c0"),
@@ -554,6 +596,11 @@ class TestConsolidate:
             ChangeEvent("a/Old.java", 3, 5, 0, 0, "c2"),
         )
         assert histories["C"].events == (ChangeEvent("a/C.java", 9, 1, 0, 0, "c9"),)
+        assert _columns(histories["Old"]) == (
+            [1, 2, 3, 3], ("c0", "c1", "c2", "c2"), ("a/Old.java", "a/New.java", "a/New.java", "a/Old.java"),
+            [1, 1, 4, 5], {1: "a/Old.java"},
+        )
+        assert _columns(histories["C"]) == ([9], ("c9",), ("a/C.java",), [1], {})
 
     def test_equal_timestamps_order_commit_ids_against_input_order(self):
         events = [
@@ -563,7 +610,7 @@ class TestConsolidate:
             _event("a/B.java", 5, "c1", add=4),
             _event("a/B.java", 6, "c0", add=5),
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert list(histories) == ["B"]
         assert histories["B"].events == (
             ChangeEvent("a/B.java", 4, 3, 0, 0, "c9"),
@@ -571,6 +618,9 @@ class TestConsolidate:
             ChangeEvent("a/B.java", 5, 2, 0, 0, "c2"),
             ChangeEvent("a/B.java", 5, 1, 0, 0, "c3"),
             ChangeEvent("a/B.java", 6, 5, 0, 0, "c0"),
+        )
+        assert _columns(histories["B"]) == (
+            [4, 5, 5, 5, 6], ("c9", "c1", "c2", "c3", "c0"), ("a/B.java",) * 5, [3, 4, 2, 1, 5], {},
         )
 
     def test_a_repeated_commit_path_line_keeps_the_first_event_in_a_renamed_class(self):
@@ -581,13 +631,31 @@ class TestConsolidate:
             _event("a/E.java", 1, "c2", renamed_from="a/D.java", add=4),
             _event("a/B.java", 1, "c1", add=5),
         ]
-        histories = consolidate(events, SourceRootConfig(roots=("a",)))
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
         assert list(histories) == ["E", "B"]
         assert histories["E"].events == (
             ChangeEvent("a/D.java", 2, 1, 0, 0, "c1"),
             ChangeEvent("a/E.java", 3, 2, 0, 0, "c2", "a/D.java"),
         )
         assert histories["B"].events == (ChangeEvent("a/B.java", 1, 5, 0, 0, "c1"),)
+        assert _columns(histories["E"]) == ([2, 3], ("c1", "c2"), ("a/D.java", "a/E.java"), [1, 2], {1: "a/D.java"})
+        assert _columns(histories["B"]) == ([1], ("c1",), ("a/B.java",), [5], {})
+
+    def test_a_newest_first_log_is_reversed(self):
+        events = [
+            _event("a/New.java", 4, "c4", add=4),
+            _event("a/C.java", 3, "c9"),
+            _event("a/New.java", 3, "c3", renamed_from="a/Old.java", add=3),
+            _event("a/Old.java", 2, "c2", add=2),
+            _event("a/Old.java", 1, "c1", add=1),
+        ]
+        histories = _consolidate(events, SourceRootConfig(roots=("a",)))
+        assert list(histories) == ["New", "C"]
+        assert _columns(histories["New"]) == (
+            [1, 2, 3, 4], ("c1", "c2", "c3", "c4"), ("a/Old.java", "a/Old.java", "a/New.java", "a/New.java"),
+            [1, 2, 3, 4], {2: "a/Old.java"},
+        )
+        assert histories["New"].events == tuple(reversed([events[0], *events[2:]]))
 
     def test_consolidate_of_a_generator(self):
         events = [
@@ -596,13 +664,26 @@ class TestConsolidate:
             _event("a/B.java", 2, "c2"),
             _event("a/C.java", 1, "c1"),
         ]
-        histories = consolidate((event for event in events), SourceRootConfig(roots=("a",)))
+        histories = _consolidate((event for event in events), SourceRootConfig(roots=("a",)))
         assert list(histories) == ["C", "B"]
         assert histories["C"].events == (
             ChangeEvent("a/C.java", 1, 1, 0, 0, "c1"),
             ChangeEvent("a/C.java", 3, 1, 0, 0, "c3"),
         )
         assert histories["B"].events == (ChangeEvent("a/B.java", 2, 1, 0, 0, "c2"),)
+        assert _columns(histories["C"]) == ([1, 3], ("c1", "c3"), ("a/C.java", "a/C.java"), [1, 1], {})
+        assert _columns(histories["B"]) == ([2], ("c2",), ("a/B.java",), [1], {})
+
+    def test_a_rename_source_on_every_event_is_matched_in_one_pass(self):
+        """20k events of one file, each naming a rename source: finding each event's row by a
+        scan of the history would take about 2e8 comparisons, seconds rather than milliseconds."""
+        events = [_event("a/New.java", ts, f"c{ts}", renamed_from="a/Old.java") for ts in range(1, 20_001)]
+        log = ChangeLog.from_events(events)
+        started = time.process_time()
+        histories = consolidate(log, SourceRootConfig(roots=("a",)))
+        elapsed = time.process_time() - started
+        assert histories["New"].renames == dict.fromkeys(range(20_000), "a/Old.java")
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -623,18 +704,31 @@ class TestConsolidate:
         ]
         shuffled = list(events)
         rng.shuffle(shuffled)
-        assert consolidate(shuffled, cfg) == consolidate(events, cfg)
+        assert _consolidate(shuffled, cfg) == _consolidate(events, cfg)
 
 
 class TestClassHistory:
     def test_a_decreasing_timestamp_is_rejected(self):
         events = (_event("a/B.java", 5, "c1"), _event("a/B.java", 9, "c2"), _event("a/B.java", 8, "c3"))
         with pytest.raises(ValueError, match="'B'.*time order"):
-            ClassHistory("B", events)
+            ClassHistory.from_events("B", events)
 
     def test_equal_timestamps_are_accepted(self):
         events = (_event("a/B.java", 5, "c2"), _event("a/B.java", 5, "c1"), _event("a/B.java", 6, "c0"))
-        assert ClassHistory("B", events).events == events
+        history = ClassHistory.from_events("B", events)
+        assert history.events == events
+        assert _columns(history) == ([5, 5, 6], ("c2", "c1", "c0"), ("a/B.java",) * 3, [1, 1, 1], {})
+
+    def test_columns_are_arrays_and_weights_are_log1p_of_the_churn(self):
+        events = (ChangeEvent("a/B.java", 5, 3, 2, 1, "c1"), ChangeEvent("a/C.java", 9, 0, 0, 0, "c2", "a/B.java"))
+        history = ClassHistory.from_events("B", events)
+        counts = (history.timestamps, history.added, history.deleted, history.modified)
+        assert [column.typecode for column in counts] == ["q"] * 4
+        assert history.weights == array("d", [math.log1p(6), 0.0])
+        assert (history.deleted, history.modified) == (array("q", [2, 0]), array("q", [1, 0]))
+        assert history.renames == {1: "a/B.java"}
+        with pytest.raises(TypeError):
+            hash(history)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -652,8 +746,167 @@ class TestClassHistory:
     def test_consolidate_over_shuffled_events_yields_histories_that_construct(self, drawn, rng):
         events = [_event(path, ts, commit, renamed_from=source) for path, source, ts, commit in drawn]
         rng.shuffle(events)
-        for class_id, history in consolidate(events, SourceRootConfig(roots=("a", "b"))).items():
-            assert ClassHistory(class_id, history.events) == history
+        for class_id, history in _consolidate(events, SourceRootConfig(roots=("a", "b"))).items():
+            assert ClassHistory.from_events(class_id, history.events) == history
+
+
+class TestChangeLog:
+    EVENTS = [
+        _event("a/B.java", 5, "c1"),
+        _event("README.md", 4, "c1"),
+        _event("a/C.java", 3, "c2", renamed_from="a/Old.java"),
+        _event("a/B.java", 3, "c2", add=7),
+        _event("a/B.java", 3, "c2"),
+    ]
+
+    def test_iterates_the_events_of_every_path_in_input_order(self):
+        log = ChangeLog.from_events(self.EVENTS)
+        assert len(log) == 5 and list(log) == self.EVENTS
+        assert list(log.columns) == ["a/B.java", "README.md", "a/C.java"]
+        assert log.columns["a/B.java"] == array("q", [0, 5, 1, 0, 0, 0, 3, 3, 7, 0, 0, 1, 4, 3, 1, 0, 0, 1])
+        assert log.commits == ["c1", "c2"]
+        assert log.renames == {"a/C.java": {2: "a/Old.java"}}
+        assert log == ChangeLog.from_events(self.EVENTS) != ChangeLog.from_events(self.EVENTS[:4])
+
+    def test_consolidate_empties_the_log_it_is_given(self):
+        log = ChangeLog.from_events(self.EVENTS)
+        histories = consolidate(log, SourceRootConfig(roots=("a",)))
+        assert (len(log), log.columns, log.commits, log.renames) == (0, {}, [], {})
+        assert _columns(histories["B"]) == ([3, 5], ("c2", "c1"), ("a/B.java",) * 2, [7, 1], {})
+        assert _columns(histories["C"]) == ([3], ("c2",), ("a/C.java",), [1], {0: "a/Old.java"})
+
+    def test_a_parsed_log_and_the_log_of_its_events_differ_only_in_the_positions(self):
+        text = "COMMIT c1 5\n1\t2\ta/B.java\n\nCOMMIT c2 6\n3\t4\ta/{Old => New}/C.java\n"
+        log = parse_git_numstat(io.StringIO(text))
+        assert log.renames == {"a/New/C.java": {5: "a/Old/C.java"}}
+        assert list(ChangeLog.from_events(log)) == list(log)
+        assert ChangeLog.from_events(log) != log
+
+
+# Paths of two classes under two roots (a/B.java and b/B.java are one class),
+# a rename chain a/Old.java -> a/C.java -> a/New.java, files that are no class,
+# and few timestamps and commits, so that ties and repeated (commit, path) pairs are common.
+_PATHS = ["a/B.java", "b/B.java", "a/C.java", "a/Old.java", "a/New.java", "README.md", "a/.java"]
+_SOURCES = [None, "a/Old.java", "a/C.java", "a/B.java", "b/B.java", "notes.txt"]
+_drawn_logs = st.tuples(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_PATHS), st.sampled_from(_SOURCES), st.integers(1, 4),
+            st.sampled_from(["c1", "c2", "c3"]), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+        ),
+        max_size=25,
+    ),
+    st.sampled_from(["as drawn", "oldest first", "newest first"]),
+)
+# One commit at one instant on both paths of class B, before an older change of B:
+# the order of the first two decides the running sums of the extent weights.
+_TIED_ACROSS_PATHS = (
+    [("b/B.java", None, 2, "c1", 3, 0, 0), ("a/B.java", None, 2, "c1", 1, 0, 0), ("a/B.java", None, 1, "c2", 2, 0, 0)],
+    "as drawn",
+)
+
+
+def _ordered(drawn, order):
+    if order == "as drawn":
+        return drawn
+    return sorted(drawn, key=lambda row: row[2], reverse=order == "newest first")
+
+
+class TestColumnsAgainstTheEventOracle:
+    """The columns of ``consolidate(parse(...))`` equal those of the events the one-event-at-a-time
+    oracle keeps, from the oracle parser's events, and its ``events`` view equals those events."""
+
+    CFG = SourceRootConfig(roots=("a", "b"))
+
+    def _assert_agrees(self, log, reference_events):
+        histories = consolidate(log, self.CFG)
+        expected = reference_consolidate(reference_events, self.CFG)
+        assert list(histories) == list(expected)
+        for class_id, events in expected.items():
+            history = histories[class_id]
+            columns = history_columns(events)
+            assert history.class_id == class_id
+            assert {name: getattr(history, name) for name in ("renames",)} == {"renames": columns.pop("renames")}
+            assert {name: list(getattr(history, name)) for name in columns} == columns
+            assert history.events == events
+
+    @settings(max_examples=300, deadline=None)
+    @given(_drawn_logs)
+    @example(_TIED_ACROSS_PATHS)
+    def test_jsonl(self, drawn_log):
+        lines = [
+            json.dumps({"path": path, "ts": ts, "add": add, "del": dele, "mod": mod, "commit": commit}
+                       | ({"renamed_from": source} if source else {}))
+            for path, source, ts, commit, add, dele, mod in _ordered(*drawn_log)
+        ]
+        self._assert_agrees(parse_change_log(lines), reference_change_log(lines))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_drawn_logs)
+    @example(_TIED_ACROSS_PATHS)
+    def test_numstat(self, drawn_log):
+        lines = []
+        for path, source, ts, commit, add, dele, _ in _ordered(*drawn_log):
+            lines += [f"COMMIT {commit} {ts}", f"{add}\t{dele}\t" + (f"{source} => {path}" if source else path)]
+        self._assert_agrees(parse_git_numstat(lines), reference_numstat(lines))
+
+
+def test_consolidated_histories_hold_a_bounded_number_of_bytes_per_event():
+    """A numstat log of 20k events, 4 per commit, over 400 classes with renames: what the
+    histories hold once ``consolidate`` has returned and the log is dropped, commit ids
+    included. With one ChangeEvent per event, in a list, this log held about 150 B per event."""
+    rng = random.Random(5)
+    classes = [f"p{index % 9}/C{index}.java" for index in range(400)]
+    timestamp, lines = 1_600_000_000, []
+    for _ in range(5_000):
+        timestamp += rng.randrange(1, 7_200)
+        lines.append(f"COMMIT {rng.getrandbits(160):040x} {timestamp}")
+        for index in rng.sample(range(400), 4):
+            path = f"src/main/java/{classes[index]}"
+            if rng.random() < 0.02:
+                classes[index] = f"q{rng.randrange(9)}/C{index}.java"
+                path = f"{path} => src/main/java/{classes[index]}"
+            lines.append(f"{rng.randrange(10)}\t{rng.randrange(10)}\t{path}")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        log = parse_git_numstat(lines)
+        events = len(log)
+        histories = consolidate(log, CFG)
+        del log
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == 20_000 and len(histories) == 400
+    assert held / events < BYTES_PER_EVENT, f"{held / events:.1f} B per event"
+
+
+def test_consolidating_again_holds_no_more_memory_than_before():
+    """Histories freed after one consolidate leave nothing behind for the next: 200 renamed
+    classes of 12 events each, where a tuple resized while it grew would stay on a free list."""
+    lines = []
+    for index in range(200):
+        lines += [f"COMMIT c{index}-{day} {day}\n1\t2\tsrc/main/java/a/C{index}.java\n" for day in range(1, 7)]
+        lines.append(f"COMMIT r{index} 7\n0\t0\tsrc/main/java/a/C{index}.java => src/main/java/b/C{index}.java\n")
+        lines += [f"COMMIT d{index}-{day} {day}\n1\t2\tsrc/main/java/b/C{index}.java\n" for day in range(8, 13)]
+    lines = "".join(lines).splitlines()
+
+    def consolidated():
+        histories = consolidate(parse_git_numstat(lines), CFG)
+        assert len(histories) == 200 and {len(history.commits) for history in histories.values()} == {12}
+
+    consolidated()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        consolidated()
+        held, _ = tracemalloc.get_traced_memory()
+        for _ in range(2):
+            consolidated()
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert grown < 10_000, f"{grown} B more after two more runs"
 
 
 class TestChangeEventInvariants:

@@ -1812,6 +1812,95 @@ class TestInterrupt:
             os.waitpid(-1, os.WNOHANG)
 
 
+class TestNoHalfResult:
+    """A command's files replace those of an earlier run all together, once the last one is written:
+    a failed or interrupted command leaves the earlier files as they were, and no temporary file."""
+
+    @staticmethod
+    def _earlier_run(tmp_path, command):
+        manifest = _write_project(tmp_path / "p")
+        out = tmp_path / "out"
+        argv = [command, str(manifest), *_INPUT_ARGV[command], "--output", str(out)]
+        assert cli.main(argv) == 0
+        return argv, out, {path.name: path.read_bytes() for path in out.iterdir()}
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-an-earlier-run", "first-run"])
+    def test_a_directory_in_place_of_the_second_file_leaves_the_first_as_it_was(self, tmp_path, capsys, earlier):
+        manifest = _write_project(tmp_path / "p")
+        out = tmp_path / "out"
+        argv = ["evaluate", str(manifest), "--output", str(out)]
+        if earlier:
+            assert cli.main(argv) == 0
+            old = (out / "outcomes.csv").read_bytes()
+            (out / "summary.json").unlink()
+        (out / "summary.json").mkdir(parents=True)
+        capsys.readouterr()
+        assert cli.main([*argv, "--metric", "frequency"]) == 1
+        assert capsys.readouterr().err == (
+            f"riskmin: error: cannot write output: {out / 'summary.json'} ({os.strerror(errno.EISDIR)})\n"
+        )
+        left = sorted(path.name for path in out.iterdir())
+        assert left == (["outcomes.csv", "summary.json"] if earlier else ["summary.json"])
+        if earlier:
+            assert (out / "outcomes.csv").read_bytes() == old
+
+    @pytest.mark.parametrize("failure", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()],
+                             ids=["full-device", "interrupt"])
+    def test_a_write_that_fails_between_two_files_leaves_the_earlier_run(self, tmp_path, capsys, monkeypatch, failure):
+        argv, out, earlier = self._earlier_run(tmp_path, "minimize")
+        written = []
+
+        class FailingAfterAPart(io.StringIO):
+            """The second temporary file: its write stores a part of the text, then fails."""
+
+            def __init__(self, real):
+                super().__init__()
+                self.real = real
+
+            def write(self, text):
+                self.real.write(text[:10])
+                raise failure
+
+            def close(self):
+                self.real.close()
+                super().close()
+
+        def failing_on_the_second_file(path, mode="r", **kwargs):
+            handle = open(path, mode, **kwargs)
+            if mode == "x":
+                written.append(Path(path))
+                if len(written) == 2:
+                    return FailingAfterAPart(handle)
+            return handle
+
+        monkeypatch.setattr(cli, "open", failing_on_the_second_file, raising=False)
+        capsys.readouterr()
+        assert _main_of_an_interrupt([*argv[:-2], "--budget", "0.25", *argv[-2:]]) == (
+            130 if isinstance(failure, KeyboardInterrupt) else 1
+        )
+        assert [path.name.split(".")[:2] for path in written] == [["", "selected"], ["", "result"]]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+        err = capsys.readouterr().err
+        if isinstance(failure, KeyboardInterrupt):
+            assert err == "riskmin: interrupted\n"
+        else:
+            assert err == f"riskmin: error: cannot write output: {out / 'result.json'} ({os.strerror(errno.ENOSPC)})\n"
+
+    @pytest.mark.parametrize("command", sorted(_INPUT_ARGV))
+    def test_a_successful_command_leaves_only_its_files(self, tmp_path, command):
+        _, out, earlier = self._earlier_run(tmp_path, command)
+        expected = {"score": ["risks.csv"], "minimize": ["result.json", "selected.txt"],
+                    "evaluate": ["outcomes.csv", "summary.json"], "sweep": ["sweep.csv"]}[command]
+        assert sorted(earlier) == expected
+        assert all(oct(os.stat(out / name).st_mode & 0o777) == oct(0o666 & ~_umask()) for name in expected)
+
+
+def _umask():
+    umask = os.umask(0)
+    os.umask(umask)
+    return umask
+
+
 class TestOneInputAtATime:
     """A command holds one project's inputs at a time, freed by reference counting alone."""
 

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmin import cli
-from riskmin.change_history import ChangeEvent, parse_change_log, parse_git_numstat
+from riskmin.change_history import ChangeEvent, ChangeLog, parse_change_log, parse_git_numstat
 from riskmin.dependency_graph import FORMAT_CALLGRAPH_TEXT, FORMAT_CSV, MethodRef, parse_callgraph_edges
 from riskmin.errors import ParseError
 
@@ -251,9 +251,11 @@ _text_lines = _lines_opened_by(_text_edge, _mostly(_text_edge, _line(_text_piece
 
 
 def _outcome(parse, lines):
-    """The parse result, the line and message of its ParseError, or the stream's decode error let through."""
+    """The parse result (a change log as its events, in input order), the line and message of its
+    ParseError, or the stream's decode error let through."""
     try:
-        return parse(lines), None
+        result = parse(lines)
+        return (list(result) if isinstance(result, ChangeLog) else result), None
     except ParseError as exc:
         return None, (exc.line, str(exc))
     except UnicodeDecodeError as exc:

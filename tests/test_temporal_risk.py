@@ -26,7 +26,7 @@ def _event(ts, add=0, dele=0, mod=0, commit="c"):
 
 
 def _history(events, class_id="a.B"):
-    return ClassHistory(class_id=class_id, events=tuple(events))
+    return ClassHistory.from_events(class_id, events)
 
 
 def _in_time_order(events):
