@@ -28,7 +28,8 @@ then checks it in one fixed order, so a rejected line is named by the
 first check it fails; neither parser appends anything for a line until
 its last check has passed. ``consolidate`` then merges the paths of each
 class, one group at a time, into a ``ClassHistory`` of time-ordered
-columns; ``path_to_class`` decides which paths are class files.
+columns; ``path_to_class`` decides which paths are class files. The
+parsers are the one way in: every check of an event's fields is theirs.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import re
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import islice, repeat
 from operator import add, itemgetter, le, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -54,7 +55,11 @@ MAX_INTEGER = 2**63 - 1
 64-bit integer); a larger one would overflow the float arithmetic of the risk scores."""
 
 
-class _ChangeEventFields(NamedTuple):
+class ChangeEvent(NamedTuple):
+    """One commit-level modification of one file, as the read-only views
+    ``ChangeLog.__iter__`` and ``ClassHistory.events`` rebuild it from the
+    columns; nothing on a command's path builds one."""
+
     path: str
     timestamp: int
     added: int
@@ -64,63 +69,18 @@ class _ChangeEventFields(NamedTuple):
     renamed_from: str | None = None
 
 
-class ChangeEvent(_ChangeEventFields):
-    """One commit-level modification of one file.
-
-    An immutable named tuple, so it also indexes, unpacks and sorts by its
-    fields. The constructor, ``_make`` and ``_replace`` validate the counts
-    and the timestamp.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        path: str,
-        timestamp: int,
-        added: int,
-        deleted: int,
-        modified: int,
-        commit_id: str,
-        renamed_from: str | None = None,
-    ) -> ChangeEvent:
-        for name, value in (("added", added), ("deleted", deleted), ("modified", modified)):
-            if value < 0:
-                raise ValueError(f"negative line count: {name}={value}")
-            if value > MAX_INTEGER:
-                raise ValueError(f"line count exceeds {MAX_INTEGER}: {name}={value}")
-        if timestamp <= 0:
-            raise ValueError(f"timestamp must be positive, got {timestamp}")
-        if timestamp > MAX_INTEGER:
-            raise ValueError(f"timestamp exceeds {MAX_INTEGER}, got {timestamp}")
-        return tuple.__new__(cls, (path, timestamp, added, deleted, modified, commit_id, renamed_from))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ChangeEvent:
-        return cls(*iterable)  # the inherited _make, which _replace calls, skips __new__
-
-    @property
-    def churn(self) -> int:
-        return self.added + self.deleted + self.modified
-
-
-_PATH = itemgetter(0)  # of a ChangeEvent
-_TIMESTAMP = itemgetter(1)
-_COMMIT = itemgetter(5)
-_RENAMED_FROM = itemgetter(6)
-
 FIELDS = 6
 """Numbers per event in a ``ChangeLog`` path's array: input position, timestamp, added, deleted, modified
 and the index of its commit id in ``ChangeLog.commits``."""
 _COMMIT_INDEX = 5  # the field of that index; the five before it are a history's columns
 _pack_fields = struct.Struct(f"={FIELDS}q").pack  # one event's numbers, as an array('q') holds them
-_event_of = partial(tuple.__new__, ChangeEvent)  # a ChangeEvent of checked fields, without checking them again
 _POSITION = itemgetter(0)  # of an (input position, event) pair
 _EVENT = itemgetter(1)
 
 
 class ChangeLog:
-    """Parsed change events, as columns grouped by path.
+    """Parsed change events, as columns grouped by path: what ``parse_change_log``
+    and ``parse_git_numstat`` return.
 
     ``columns`` maps each path, in the order of its first event, to an
     ``array('q')`` of ``FIELDS`` numbers per event, in input order: its
@@ -138,27 +98,11 @@ class ChangeLog:
     """
 
     __slots__ = ("columns", "commits", "renames")
-    __hash__ = None
 
     def __init__(self) -> None:
         self.columns: dict[str, array] = {}
         self.commits: list[str] = []
         self.renames: dict[str, dict[int, str]] = {}
-
-    @classmethod
-    def from_events(cls, events: Iterable[ChangeEvent]) -> ChangeLog:
-        """The log of ``events``, in the given order."""
-        log = cls()
-        commit_index: dict[str, int] = {}
-        for position, (path, timestamp, added, deleted, modified, commit, renamed_from) in enumerate(events):
-            if commit not in commit_index:
-                commit_index[commit] = len(log.commits)
-                log.commits.append(commit)
-            if renamed_from is not None:
-                log.renames.setdefault(path, {})[position] = renamed_from
-            fields = log.columns.setdefault(path, array("q"))
-            fields.frombytes(_pack_fields(position, timestamp, added, deleted, modified, commit_index[commit]))
-        return log
 
     def __len__(self) -> int:
         return sum(map(len, self.columns.values())) // FIELDS
@@ -170,17 +114,9 @@ class ChangeLog:
             commits = map(self.commits.__getitem__, fields[_COMMIT_INDEX::FIELDS])
             sources = map(self.renames.get(path, {}).get, positions)
             rows = zip(repeat(path), *(fields[field::FIELDS] for field in (1, 2, 3, 4)), commits, sources)
-            positioned += zip(positions, map(_event_of, rows))
+            positioned += zip(positions, map(ChangeEvent._make, rows))
         positioned.sort(key=_POSITION)
         return map(_EVENT, positioned)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChangeLog):
-            return NotImplemented
-        return (self.columns, self.commits, self.renames) == (other.columns, other.commits, other.renames)
-
-    def __repr__(self) -> str:
-        return f"<ChangeLog of {len(self)} events on {len(self.columns)} paths>"
 
 
 @dataclass(frozen=True)
@@ -193,10 +129,9 @@ class ClassHistory:
     event that carries a rename source to that source. ``timestamps``,
     ``added``, ``deleted`` and ``modified`` are ``array('q')``, and the
     timestamps do not decrease: ``consolidate`` builds the columns in that
-    order, and ``from_events`` checks the order of the events it is given.
-    The constructor takes the columns as they are. ``weights`` is derived
-    from the counts when first read; ``events`` rebuilds the events from
-    the columns, for inspection and tests.
+    order. The constructor takes the columns as they are and checks
+    nothing. ``weights`` is derived from the counts when first read;
+    ``events`` rebuilds the events from the columns, for inspection and tests.
     """
 
     class_id: str
@@ -210,20 +145,6 @@ class ClassHistory:
 
     __hash__ = None  # the columns are arrays
 
-    @classmethod
-    def from_events(cls, class_id: str, events: Iterable[ChangeEvent]) -> ClassHistory:
-        """The history of ``events``; ``ValueError`` for an event whose timestamp
-        is smaller than the one before it (equal timestamps are allowed)."""
-        events = tuple(events)
-        previous = 0  # below every ChangeEvent timestamp, which is positive
-        for timestamp in map(_TIMESTAMP, events):
-            if timestamp < previous:
-                raise ValueError(f"the events of class {class_id!r} are not in time order")
-            previous = timestamp
-        columns = [array("q", map(itemgetter(field), events)) for field in (1, 2, 3, 4)]
-        renames = {index: source for index, source in enumerate(map(_RENAMED_FROM, events)) if source is not None}
-        return cls(class_id, *columns, tuple(map(_COMMIT, events)), tuple(map(_PATH, events)), renames)
-
     @cached_property
     def weights(self) -> array:
         """Each event's weight under the extent metric, ``log1p(added + deleted + modified)``,
@@ -236,7 +157,7 @@ class ClassHistory:
         """The events, in time order, rebuilt from the columns: a read-only view."""
         sources = map(self.renames.get, range(len(self.commits)))
         rows = zip(self.paths, self.timestamps, self.added, self.deleted, self.modified, self.commits, sources)
-        return tuple(map(_event_of, rows))
+        return tuple(map(ChangeEvent._make, rows))
 
 
 @dataclass(frozen=True)

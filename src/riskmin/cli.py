@@ -323,7 +323,7 @@ def _read_labels(handle: IO[str]) -> list[VersionLabel]:
 
 def _write_text(output: str | None, files: dict[str, str]) -> None:
     """Write each text of ``files`` (name -> text) to the file of that name in the directory ``output``,
-    made if absent; without one, the texts to stdout, in order.
+    made if absent; without one, the texts to stdout, in order. Either way the bytes are UTF-8.
 
     Each file is first written under a temporary name in ``output``, and all
     of them are moved into place with ``os.replace`` once the last one is
@@ -335,9 +335,14 @@ def _write_text(output: str | None, files: dict[str, str]) -> None:
     target: Path | str = "<stdout>"
     try:
         if not output:
-            for text in files.values():
-                sys.stdout.write(text)
+            text = "".join(files.values())
             sys.stdout.flush()
+            stream = getattr(sys.stdout, "buffer", None)
+            if stream is None:  # a text stream without a byte layer, such as a StringIO
+                sys.stdout.write(text)
+            else:  # UTF-8 whatever encoding the locale gives the text layer, as in the files
+                stream.write(text.encode())
+                stream.flush()
             return
         for name, text in files.items():
             target = Path(output) / name

@@ -11,10 +11,14 @@ reference sums exact rationals. The reference parsers match whole lines
 against regular expressions, where the library scans them by hand (and
 decode each change-event JSONL line with ``json.loads`` and check it field
 by field, where the library decodes it in one call and checks it in one
-expression), and build records through the validating public
-constructors, where the library skips the checks it has already made.
+expression), and build ``MethodRef``s through the validating public
+constructor, where the library skips the checks it has already made.
 The reference consolidation groups, deduplicates and sorts event records
 one at a time, where the library merges per-path columns.
+
+Tests build a change log only through the parser: ``jsonl_lines`` writes
+event records as the change-event JSONL it reads. ``class_history`` builds
+a history with its constructor, from the columns of ``history_columns``.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ import json
 import math
 import re
 import statistics
+from array import array
 from fractions import Fraction
 
-from riskmin.change_history import ChangeEvent, path_to_class
+from riskmin.change_history import ChangeEvent, ClassHistory, path_to_class
 from riskmin.dependency_graph import MethodRef
 from riskmin.errors import ParseError
 
@@ -300,6 +305,23 @@ def history_columns(events):
         "paths": [event.path for event in events],
         "renames": {index: event.renamed_from for index, event in enumerate(events) if event.renamed_from is not None},
     }
+
+
+def class_history(class_id, events):
+    """The ``ClassHistory`` of events in time order, built by its constructor from ``history_columns``."""
+    columns = history_columns(tuple(events))
+    counts = (array("q", columns[name]) for name in ("timestamps", "added", "deleted", "modified"))
+    return ClassHistory(class_id, *counts, tuple(columns["commits"]), tuple(columns["paths"]), columns["renames"])
+
+
+def jsonl_lines(events):
+    """One change-event JSONL line per event record, in order: the input ``parse_change_log`` reads."""
+    return [
+        json.dumps({"path": event.path, "ts": event.timestamp, "add": event.added, "del": event.deleted,
+                    "mod": event.modified, "commit": event.commit_id}
+                   | ({} if event.renamed_from is None else {"renamed_from": event.renamed_from}))
+        for event in events
+    ]
 
 
 # ---------------------------------------------------------------------------

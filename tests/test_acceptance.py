@@ -15,7 +15,7 @@ import time
 import pytest
 
 from riskmin import cli
-from riskmin.change_history import ChangeEvent, ClassHistory
+from riskmin.change_history import ChangeEvent
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.evaluation import VersionLabel, accuracy, fdr, minimize_suite
 from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
@@ -25,6 +25,7 @@ from riskmin.temporal_risk import risk_folder
 
 from microproject import AS_OF, random_micro_project
 from oracles import (
+    class_history,
     enum_fisher,
     enum_wilcoxon,
     naive_cliffs_delta,
@@ -106,7 +107,7 @@ def test_half_life_exactness():
                 timestamp=reference - int(k * half_life * DAY),
                 added=6, deleted=0, modified=0, commit_id="c1",
             )
-            history = ClassHistory.from_events("a.B", (event,))
+            history = class_history("a.B", (event,))
             for metric, weight in (("frequency", 1.0), ("extent", math.log(7.0))):
                 expected = weight * 2.0 ** (-k)
                 # at one instant, as minimize and score fold
@@ -116,7 +117,7 @@ def test_half_life_exactness():
         event = ChangeEvent(
             path="src/a/B.java", timestamp=reference, added=6, deleted=0, modified=0, commit_id="c1",
         )
-        history = ClassHistory.from_events("a.B", (event,))
+        history = class_history("a.B", (event,))
         instants = [reference + int(k * half_life * DAY) for k in range(0, 7)]
         fold = risk_folder({"a.B": history}, ("frequency", "extent"), (half_life,))
         tables = [fold(instant) for instant in instants]

@@ -1568,6 +1568,31 @@ class TestUnwritableStdout:
         assert capsys.readouterr().err == f"riskmin: error: cannot write output: <stdout> ({os.strerror(errno.ENOSPC)})\n"
 
 
+class TestStdoutEncoding:
+    """stdout takes the UTF-8 bytes that ``--output`` writes to a file, whatever encoding the locale gives it."""
+
+    def test_score_writes_the_bytes_of_risks_csv_to_a_latin_1_stdout(self, tmp_path):
+        manifest = _write_project(tmp_path / "p")
+        events = [
+            {"path": path, "ts": REF - DAY, "add": 1, "del": 0, "commit": f"c{index}"}
+            for index, path in enumerate(["src/café/A.java", "src/日/B.java"])
+        ]
+        (tmp_path / "p" / "changes.jsonl").write_text(
+            "".join(json.dumps(event, ensure_ascii=False) + "\n" for event in events), encoding="utf-8"
+        )
+        argv = ["score", str(manifest), "--as-of", str(REF)]
+        env = dict(os.environ, PYTHONIOENCODING="latin-1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [TestUnwritableStdout.SRC, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "riskmin.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
+        written = (tmp_path / "out" / "risks.csv").read_bytes()
+        assert "café.A".encode() in written and "日.B".encode() in written
+        assert done.stdout == written
+
+
 class _FailingReads(io.RawIOBase):
     """A file that opens but fails on its first read, as a disk error would."""
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmin import cli, evaluation, workers
-from riskmin.change_history import ChangeEvent, ClassHistory
+from riskmin.change_history import ChangeEvent
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.errors import LabelError
 from riskmin.evaluation import (
@@ -37,7 +37,7 @@ from riskmin.evaluation import (
 from riskmin.minimizer import Budget, config_fingerprint
 
 from microproject import AS_OF, random_micro_project
-from oracles import exact_risk_table, naive_score, naive_select
+from oracles import class_history, exact_risk_table, naive_score, naive_select
 
 DAY = 86_400
 REF = AS_OF
@@ -95,7 +95,7 @@ def _micro_fixture():
     averaging operator the scores come out t1=10, t2=7, t3=4, t4=1.
     """
     def history(class_id, count):
-        return ClassHistory.from_events(
+        return class_history(
             class_id,
             (
                 ChangeEvent(
@@ -189,7 +189,7 @@ class TestRunVersion:
     def test_hmean_keeps_a_test_whose_only_risk_is_subnormal(self):
         # One event 1,050 half-lives before as_of: a frequency risk of 2**-1050, about 8.29e-317.
         event = ChangeEvent("src/p/C.java", REF - 1050 * DAY, 1, 0, 0, "c1")
-        histories = {"p.C": ClassHistory.from_events("p.C", (event,))}
+        histories = {"p.C": class_history("p.C", (event,))}
         dep_map = {"t.T#a": [], "t.T#b": ["p.C"]}
         for operator in ("hmean", "avg"):
             result = minimize_suite(histories, dep_map, metric="frequency", half_life_days=1.0,
@@ -363,7 +363,7 @@ def _scoring_projects(draw):
             ),
             key=lambda e: (e.timestamp, e.commit_id),
         )
-        histories[class_id] = ClassHistory.from_events(class_id, events)
+        histories[class_id] = class_history(class_id, events)
     signatures = draw(st.lists(
         st.lists(st.sampled_from(_CLASSES), unique=True).map(sorted), min_size=1, max_size=4,
     ))

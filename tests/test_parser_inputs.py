@@ -12,8 +12,8 @@ def _adjacency(graph):
 
 
 _PARSERS = {
-    "jsonl": parse_change_log,
-    "numstat": parse_git_numstat,
+    "jsonl": lambda lines: list(parse_change_log(lines)),
+    "numstat": lambda lines: list(parse_git_numstat(lines)),
     "callgraph-text": lambda lines: _adjacency(parse_callgraph_edges(lines, FORMAT_CALLGRAPH_TEXT)),
     "csv": lambda lines: _adjacency(parse_callgraph_edges(lines, FORMAT_CSV)),
 }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskmin import temporal_risk
-from riskmin.change_history import ChangeEvent, ClassHistory
+from riskmin.change_history import ChangeEvent
 from riskmin.temporal_risk import (
     METRIC_EXTENT,
     METRIC_FREQUENCY,
@@ -14,7 +14,7 @@ from riskmin.temporal_risk import (
     risk_folder,
 )
 
-from oracles import exact_risk_table
+from oracles import class_history, exact_risk_table
 
 DAY = 86_400
 REF = 1_700_000_000
@@ -26,7 +26,7 @@ def _event(ts, add=0, dele=0, mod=0, commit="c"):
 
 
 def _history(events, class_id="a.B"):
-    return ClassHistory.from_events(class_id, events)
+    return class_history(class_id, events)
 
 
 def _in_time_order(events):
