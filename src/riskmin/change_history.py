@@ -43,8 +43,8 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
-from operator import add, itemgetter, le, lt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import add, itemgetter, lt
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import UNEXPECTED_BOM, ParseError
 
@@ -418,40 +418,39 @@ class _UnionFind:
 def consolidate(log: ChangeLog, cfg: SourceRootConfig) -> dict[str, ClassHistory]:
     """Group a log's events into per-class histories, merging rename chains.
 
-    This empties ``log``. Paths are linked by explicit rename annotations
-    first, then by equal resolved class ids. Each history is in
-    (timestamp, commit_id) order, ties broken by input order, and holds the
-    first event of the input for each (commit_id, path). The merged
-    identity is the class id resolved from the path of the newest event in
-    the group. Histories come in the input order of their first events.
+    This empties ``log``. Paths are linked by equal resolved class ids and
+    by explicit rename annotations. A history keeps, of each (commit_id,
+    path), the first event of the input, and holds them in (timestamp,
+    commit_id, input position) order. The merged identity is the class id
+    resolved from the path of the newest event in the group. Histories
+    come in the input order of their first events.
 
     The columns of a file that is no class are freed first; then each
     group's columns are taken out of the log, merged, and freed once its
-    history is built. A group whose events are in order is taken as it is,
-    and any other is sorted by timestamp, with commit ids and input
-    positions compared only among equal timestamps.
+    history is built. A group in which no path repeats a commit and whose
+    joined timestamps strictly increase is taken as it is; any other is
+    sorted by timestamp, with commit ids and input positions compared
+    only among equal timestamps.
     """
     columns, renames = log.columns, log.renames
     class_of = {path: path_to_class(path, cfg) for path in columns}
+    # Same resolved class id links otherwise-unrelated path groups. Only paths
+    # with events of their own take part: a rename source without events stays
+    # linked by its rename alone.
+    groups = _UnionFind()
+    class_anchor: dict[str, str] = {}
     for path, class_id in class_of.items():
         if class_id is None:
             del columns[path]
             renames.pop(path, None)
-    groups = _UnionFind()
+        else:
+            groups.union(path, class_anchor.setdefault(class_id, path))
     for path, sources in renames.items():
         for source in filter(None, sources.values()):
             groups.union(source, path)
 
-    # Same resolved class id links otherwise-unrelated path groups. Only paths
-    # with events of their own take part: a rename source without events stays
-    # linked by its rename alone.
-    class_anchor: dict[str, str] = {}
-    for path, class_id in class_of.items():
-        if class_id is not None:
-            groups.union(path, class_anchor.setdefault(class_id, path))
-
     # The paths of each group, in the order of each group's first path, which
-    # is the order of its first event.
+    # is the order of its first event, whichever path the union-find made its root.
     by_group: dict[str, list[str]] = {}
     for path, class_id in class_of.items():
         if class_id is not None:
@@ -466,35 +465,40 @@ def consolidate(log: ChangeLog, cfg: SourceRootConfig) -> dict[str, ClassHistory
 
 
 def _merged(paths: list[str], log: ChangeLog, class_of: dict[str, str | None]) -> ClassHistory:
-    """The history of one group of paths, whose columns this takes out of ``log``.
-
-    The paths' columns are joined in group order. When no path repeats a
-    commit and the joined events are already in order, they are taken as
-    they are; otherwise the first event of each (commit_id, path) is kept
-    and the rows are put in order.
-    """
+    """The history of one group of paths, whose columns this takes out of ``log``: the events
+    ``consolidate`` keeps, in its order. The paths' columns are joined in group order."""
     commit_of = log.commits.__getitem__
-    parts = []
-    for path in paths:
-        fields = log.columns.pop(path)
-        parts.append((fields, list(map(commit_of, fields[_COMMIT_INDEX::FIELDS]))))
+    parts = [log.columns.pop(path) for path in paths]
+    part_ids = [list(map(commit_of, part[_COMMIT_INDEX::FIELDS])) for part in parts]
     if len(parts) == 1:
-        fields, commits = parts[0]
+        fields, commits = parts[0], part_ids[0]
         group_paths = (paths[0],) * len(commits)
     else:
         # Lists, made tuples at their final size: a tuple grown from an iterator is resized,
         # and in a long-lived process the small tuples that resizing frees pile up on
         # CPython's per-size free lists instead of being reused.
         fields, commits, group_paths = array("q"), [], []
-        for path, (part_fields, part_commits) in zip(paths, parts):
-            fields += part_fields
-            commits += part_commits
-            group_paths += repeat(path, len(part_commits))
-    repeated = [len(set(part_commits)) < len(part_commits) for _, part_commits in parts]
-    if not any(repeated) and _in_order(fields, commits):
+        for path, part, ids in zip(paths, parts, part_ids):
+            fields += part
+            commits += ids
+            group_paths += repeat(path, len(ids))
+    timestamps = fields[1::FIELDS]
+    if all(map(lt, timestamps, islice(timestamps, 1, None))) and all(len(set(ids)) == len(ids) for ids in part_ids):
         columns = [fields[field::FIELDS] for field in range(_COMMIT_INDEX)]
     else:
-        rows = _time_order(_first_of_each_commit(parts, repeated), fields, commits)
+        rows: list[int] = []
+        start = 0
+        for ids in part_ids:
+            # The row of each commit's first event in the part: walked backwards, the dict
+            # keeps the last row it is given for a commit.
+            rows += dict(zip(reversed(ids), reversed(range(start, start + len(ids))))).values()
+            start += len(ids)
+        if len(set(map(timestamps.__getitem__, rows))) < len(rows):
+            # Stable sorts, not one by a (timestamp, commit_id, position) key: the key
+            # tuples, once freed, would stay on CPython's tuple free list.
+            rows.sort(key=fields[0::FIELDS].__getitem__)
+            rows.sort(key=commits.__getitem__)
+        rows.sort(key=timestamps.__getitem__)
         pick = itemgetter(*rows) if len(rows) > 1 else lambda column: (column[rows[0]],)
         columns = [array("q", pick(fields[field::FIELDS])) for field in range(_COMMIT_INDEX)]
         commits, group_paths = pick(commits), pick(group_paths)
@@ -506,46 +510,3 @@ def _merged(paths: list[str], log: ChangeLog, class_of: dict[str, str | None]) -
     if sources:  # one pass over the kept rows; a dropped repeated (commit_id, path) keeps no source
         renames = {index: sources[position] for index, position in enumerate(positions) if position in sources}
     return ClassHistory(class_of[group_paths[-1]], *columns, tuple(commits), tuple(group_paths), renames)
-
-
-def _in_order(fields: array, commits: Sequence[str]) -> bool:
-    """Whether joined columns are in (timestamp, commit_id, input position) order."""
-    timestamps = fields[1::FIELDS]
-    if all(map(lt, timestamps, islice(timestamps, 1, None))):
-        return True
-    if not all(map(le, timestamps, islice(timestamps, 1, None))):
-        return False
-    keys = list(zip(timestamps, commits, fields[0::FIELDS]))  # distinct: input positions are
-    return all(map(lt, keys, islice(keys, 1, None)))
-
-
-def _first_of_each_commit(parts: list[tuple[array, list[str]]], repeated: list[bool]) -> list[int]:
-    """The rows of the joined columns of ``parts`` that hold the first event of each (commit_id, path)."""
-    rows: list[int] = []
-    start = 0
-    for (_, commits), repeats in zip(parts, repeated):
-        if repeats:
-            seen: set[str] = set()
-            rows += [start + row for row, commit in enumerate(commits) if not (commit in seen or seen.add(commit))]
-        else:
-            rows += range(start, start + len(commits))
-        start += len(commits)
-    return rows
-
-
-def _time_order(rows: list[int], fields: array, commits: Sequence[str]) -> list[int]:
-    """``rows`` of joined columns in (timestamp, commit_id, input position) order.
-
-    One sort by timestamp, keyed by the array's own item lookup. Only when
-    two of the timestamps are equal are the rows sorted again: by input
-    position, then commit id, then timestamp, each a stable sort on a key
-    of that kind.
-    """
-    timestamps = fields[1::FIELDS]
-    rows = sorted(rows, key=timestamps.__getitem__)
-    in_time = list(map(timestamps.__getitem__, rows))
-    if not all(map(lt, in_time, islice(in_time, 1, None))):
-        rows.sort(key=fields[0::FIELDS].__getitem__)
-        rows.sort(key=commits.__getitem__)
-        rows.sort(key=timestamps.__getitem__)
-    return rows

@@ -585,7 +585,8 @@ def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
     ``false``, ``1`` or ``0`` after stripping and case-folding. Any other value,
     a short row or a repeated version id raises ``ParseError`` with its line,
     and so does a file without a single outcome row, without a line. A
-    header without the columns names a leading byte-order mark, at line 1.
+    header without the columns names a leading byte-order mark, at line 1,
+    and one that names one of them twice names that column, at line 1.
     """
     outcomes: dict[str, tuple[float, bool]] = {}
     rows = _csv_rows(handle)
@@ -594,6 +595,9 @@ def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
         if header and header[0][:1] == "\ufeff":
             raise ParseError(f"{UNEXPECTED_BOM} at line 1", line=1)
         raise ParseError(f"expected columns {','.join(OUTCOME_COLUMNS[:3])}")
+    for column in OUTCOME_COLUMNS[:3]:
+        if header.count(column) > 1:  # a row's record would hold its last value only
+            raise ParseError(f"repeated column {column!r} at line 1", line=1)
     for lineno, row in rows:
         if not row:
             continue  # a blank line

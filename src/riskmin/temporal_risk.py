@@ -55,10 +55,11 @@ def risk_folder(
     An unknown metric, and a half-life that ``alpha_from_half_life``
     rejects, raise ``ValueError`` when this is called. The fold reads each
     history's own columns: its timestamps and, under extent, its weights
-    (which a history computes when they are first read) if some half-life
-    decays. The one column derived here, once per class, is the running
-    sums of the weights, under extent if some half-life's rate is 0. A history is in time order, so the in-scope events of each
-    class are a prefix, found by one bisection of its timestamps. At rate
+    (which a history computes when they are first read). The one column
+    derived here, once per class, is the running sums of the weights,
+    under extent if some half-life's rate is 0. A history is in time
+    order, so the in-scope events of each class are a prefix, found by
+    one bisection of its timestamps. At rate
     0 every decay factor is ``exp(-0.0 * age) == 1.0``, so the risk is
     read off the prefix: its length under frequency, its last running sum
     under extent. Under the other half-lives, each call of ``fold``
@@ -75,14 +76,13 @@ def risk_folder(
             raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
     alphas = [0.0 if half_life is None else alpha_from_half_life(half_life) for half_life in half_lives]
     extent = METRIC_EXTENT in metrics
-    weighted = extent and any(alphas)  # some extent fold decays
     summed = extent and not all(alphas)  # some extent fold is static
     # (class id, event timestamps, weights or None, running sums or None), per class
     columns: list[tuple[str, array[int], array[float] | None, array[float] | None]] = [
         (
             class_id,
             history.timestamps,
-            history.weights if weighted else None,
+            history.weights if extent else None,
             # From a list, so that the array is allocated once, at its size.
             array("d", list(accumulate(history.weights))) if summed else None,
         )

@@ -835,6 +835,12 @@ _TIED_ACROSS_PATHS = (
     [("b/B.java", None, 2, "c1", 3, 0, 0), ("a/B.java", None, 2, "c1", 1, 0, 0), ("a/B.java", None, 1, "c2", 2, 0, 0)],
     "as drawn",
 )
+# Two commits of one path at one instant, in commit-id order, then a later one: in order
+# already, yet the equal timestamps send the group through the sort.
+_TIED_IN_ORDER = (
+    [("a/A.java", None, 2, "c1", 1, 0, 0), ("a/A.java", None, 2, "c2", 2, 0, 0), ("a/A.java", None, 3, "c3", 3, 0, 0)],
+    "as drawn",
+)
 
 
 def _ordered(drawn, order):
@@ -864,6 +870,7 @@ class TestColumnsAgainstTheEventOracle:
     @settings(max_examples=300, deadline=None)
     @given(_drawn_logs)
     @example(_TIED_ACROSS_PATHS)
+    @example(_TIED_IN_ORDER)
     def test_jsonl(self, drawn_log):
         lines = jsonl_lines(
             ChangeEvent(path, ts, add, dele, mod, commit, source)
@@ -874,6 +881,7 @@ class TestColumnsAgainstTheEventOracle:
     @settings(max_examples=300, deadline=None)
     @given(_drawn_logs)
     @example(_TIED_ACROSS_PATHS)
+    @example(_TIED_IN_ORDER)
     def test_numstat(self, drawn_log):
         lines = []
         for path, source, ts, commit, add, dele, _ in _ordered(*drawn_log):

@@ -863,6 +863,33 @@ class TestOutcomesFileErrors:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize(
+        "column, values", [("version_id", ("v3", "v4")), ("accuracy", ("0.9", "0.1")), ("detected", ("false", "true"))]
+    )
+    def test_a_header_naming_an_outcome_column_twice_exits_3_naming_it(self, tmp_path, capsys, column, values):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(
+            f"version_id,accuracy,detected,{column}\nv1,0.5,true,{values[0]}\nv2,0.0,false,{values[1]}\n",
+            encoding="utf-8",
+        )
+        _write_outcomes(b, [("v1", 0.5), ("v2", 0.0)])
+        assert cli.main(["compare", str(a), str(b)]) == 3
+        err = capsys.readouterr().err
+        assert "a.csv" in err and f"repeated column '{column}'" in err and "line 1" in err
+
+    def test_a_header_naming_another_column_twice_reads_as_without_it(self, tmp_path, capsys):
+        a, b, doubled = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "doubled.csv"
+        _write_outcomes(a, [("v1", 1.0), ("v2", 0.5), ("v3", 0.0)])
+        _write_outcomes(b, [("v1", 0.0), ("v2", 0.25), ("v3", 0.0)])
+        header, *rows = a.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows = "".join(row.replace("\n", ",0.02\n") for row in rows)
+        doubled.write_text(header.replace("wall_time_s", "wall_time_s,wall_time_s") + rows, encoding="utf-8")
+        reports = []
+        for first in (a, doubled):
+            assert cli.main(["compare", str(first), str(b)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
 
 class TestUsageErrors:
     def test_no_command_exits_1(self, capsys):
