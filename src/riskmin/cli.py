@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import stats
 from .change_history import (
@@ -562,14 +562,13 @@ def cmd_sweep(args: argparse.Namespace) -> None:
 _DETECTED_VALUES = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _csv_rows(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, fields) of each record of an open CSV file, numbered by the line it ends on.
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each CSV record of ``lines``, numbered by the line it ends on.
 
-    The lines are read as ``_decoded_lines`` of the file's bytes, so that a
-    line that is not UTF-8 raises ``ParseError`` at its own number; so does
-    a line that the csv module rejects (such as a field past its size limit).
+    A line that the csv module rejects (such as a field past its size limit)
+    raises ``ParseError`` at its number.
     """
-    reader = csv.reader(_decoded_lines(handle.buffer.read()))
+    reader = csv.reader(lines)
     try:
         for row in reader:
             yield reader.line_num, row
@@ -578,8 +577,8 @@ def _csv_rows(handle: IO[str]) -> Iterator[tuple[int, list[str]]]:
         raise ParseError(f"malformed CSV at line {line}: {exc}", line=line) from None
 
 
-def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
-    """Each version's (accuracy, detected) from an open outcomes file.
+def _read_outcomes_csv(lines: Iterable[str]) -> dict[str, tuple[float, bool]]:
+    """Each version's (accuracy, detected) from the lines of an outcomes file.
 
     An accuracy is a finite number in [0, 1]; ``detected`` is ``true``,
     ``false``, ``1`` or ``0`` after stripping and case-folding. Any other value,
@@ -589,7 +588,7 @@ def _read_outcomes_csv(handle: IO[str]) -> dict[str, tuple[float, bool]]:
     and one that names one of them twice names that column, at line 1.
     """
     outcomes: dict[str, tuple[float, bool]] = {}
-    rows = _csv_rows(handle)
+    rows = _csv_rows(lines)
     _, header = next(rows, (1, []))
     if not set(OUTCOME_COLUMNS[:3]) <= set(header):
         if header and header[0][:1] == "\ufeff":

@@ -8,18 +8,16 @@ these measurements over metric, horizon, operator, and budget (a single run
 is the 1x1x1x1 grid) and keeps them as columns: per cell, one accuracy and
 one seconds double per version, in label order. It shares each version's
 decay pass across horizons and metrics, each dependency signature's risks
-across its tests and operators, and each ranking across budgets. With
-``jobs`` above 1 it cuts a project's (version, horizon) units into
-contiguous shares, scores every share but the first in a forked child
-process, and merges the cells by grid index, so they equal those of one
-share; ``sweep_rows`` summarises each cell over the versions.
+across its tests and operators, and each ranking across budgets. It scores a
+project's (version, horizon) units in the shares of ``workers.run_shares``
+and merges the cells by grid index, so they equal those of one share;
+``sweep_rows`` summarises each cell over the versions.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import os
 import statistics
 import time
 from array import array
@@ -31,6 +29,7 @@ from .errors import LabelError
 from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import OPERATORS, check_operator, positive_multisets, score_multisets
 from .temporal_risk import METRICS, risk_folder
+from .workers import run_shares
 
 
 @dataclass(frozen=True)
@@ -155,14 +154,11 @@ def evaluate_grid(
     not selection, so it is not timed. Every axis is checked before any
     version is scored, with or without labels.
 
-    The (version, horizon) units, version-major, are cut into
-    ``min(jobs, units, cpus)`` contiguous shares, where ``cpus`` counts the
-    CPUs this process may run on (one share where ``os.fork`` does not
-    exist). The columns, the signatures and the reached classes are
-    derived here, once; then every share but the first is scored in a
-    forked child process, which measures its own work, and the first in
-    this one. The cells are filled by grid index, so
-    they equal those of ``jobs=1`` apart from the seconds.
+    The columns, the signatures and the reached classes are derived here,
+    once; then the (version, horizon) units, version-major, are scored in
+    the shares of ``run_shares(..., jobs)``, each of which measures its own
+    work. The cells are filled by grid index, so they equal those of
+    ``jobs=1`` apart from the seconds.
     """
     for operator in grid.operators:
         check_operator(operator)
@@ -170,39 +166,15 @@ def evaluate_grid(
     t0 = time.perf_counter()
     prepared = _prepare(histories, dep_map, grid)
     prepare_seconds = (time.perf_counter() - t0) / max(len(labels) * len(grid.horizons) * len(grid.metrics), 1)
-    cpus = _usable_cpus() if hasattr(os, "fork") else 1
-    shares = _shares(len(labels) * len(grid.horizons), jobs, cpus)
     work = functools.partial(_score_share, prepared, labels, grid, budgets)
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     zeros = array("d", [0.0]) * len(labels)
     cells: list[GridCell] = [(key, array("d", zeros), array("d", zeros)) for key in keys]
-    if len(shares) == 1:
-        results = [work(shares[0])]
-    else:
-        from .workers import run_shares  # so that a command that does not fork does not load it
-
-        results = run_shares(work, shares)
+    results = run_shares(work, len(labels) * len(grid.horizons), jobs)
     for c, v, acc, secs in itertools.chain.from_iterable(results):
         _, accuracies, seconds = cells[c]
         accuracies[v], seconds[v] = acc, base_seconds + prepare_seconds + secs
     return cells
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where ``os`` reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _shares(units: int, jobs: int, cpus: int) -> list[range]:
-    """``range(units)`` cut into ``min(jobs, units, cpus)`` contiguous shares (at least one), in order.
-
-    Share sizes differ by at most one. At most ``units`` shares, so a huge
-    ``jobs`` costs nothing.
-    """
-    n = max(1, min(jobs, units, cpus))
-    return [range(units * k // n, units * (k + 1) // n) for k in range(n)]
 
 
 def _score_share(

@@ -5,7 +5,6 @@ a child made by ``os.fork``, which shares the parent's loaded data
 copy-on-write. A child sends its result back through a pipe with
 ``marshal`` and ends with ``os._exit``. ``multiprocessing`` is not used: a
 pool costs its import and its start-up, and leaves the parent idle.
-``evaluate_grid`` imports this module only when it forks.
 """
 
 from __future__ import annotations
@@ -13,21 +12,26 @@ from __future__ import annotations
 import logging
 import marshal
 import os
-from typing import BinaryIO, Callable, NoReturn, Sequence
+from typing import BinaryIO, Callable, NoReturn
 
 logger = logging.getLogger(__name__)
 
 
-def run_shares(work: Callable[[range], list], shares: Sequence[range]) -> list[list]:
-    """``work`` of each share, in share order: the first in this process, each other in a forked child.
+def run_shares(work: Callable[[range], list], units: int, jobs: int) -> list[list]:
+    """``work`` of each contiguous share of ``range(units)``, in share order.
 
-    ``work`` returns what ``marshal`` can write. A child sends its result
-    through a pipe and exits. A
+    There are ``min(jobs, units, cpus)`` shares, at least one (see
+    ``_shares``), where ``cpus`` counts the CPUs this process may run on, or
+    is 1 where ``os.fork`` does not exist. The first share is worked in this
+    process and each other in a forked child, so a single share starts no
+    process. ``work`` returns what ``marshal`` can write. A child sends its
+    result through a pipe and exits. A
     share whose child delivers nothing (it exits non-zero, its result cannot
     be read, or it cannot be started) is worked here, with one warning. If
     this process raises, ``KeyboardInterrupt`` included, every child that has
     not delivered is killed. Every child is reaped before this returns or raises.
     """
+    shares = _shares(units, jobs, _usable_cpus() if hasattr(os, "fork") else 1)
     children: dict[int, tuple[int, BinaryIO]] = {}  # share index -> (pid, read end of its pipe)
     try:
         for k in range(1, len(shares)):
@@ -66,6 +70,23 @@ def run_shares(work: Callable[[range], list], shares: Sequence[range]) -> list[l
                     os.waitpid(pid, 0)
                 except (ProcessLookupError, ChildProcessError):  # reaped just before the exception
                     pass
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where ``os`` reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(units: int, jobs: int, cpus: int) -> list[range]:
+    """``range(units)`` cut into ``min(jobs, units, cpus)`` contiguous shares (at least one), in order.
+
+    Share sizes differ by at most one. At most ``units`` shares, so a huge
+    ``jobs`` costs nothing.
+    """
+    n = max(1, min(jobs, units, cpus))
+    return [range(units * k // n, units * (k + 1) // n) for k in range(n)]
 
 
 def _fork(work: Callable[[range], list], share: range) -> tuple[int, BinaryIO] | None:

@@ -203,6 +203,21 @@ class TestMinimizeCommand:
         assert result["excluded"] == ["app.T3Test#t3", "app.T4Test#t4"]
         assert "metric=frequency" in result["config_fingerprint"]
 
+    @pytest.mark.parametrize(
+        "class_prefix, entries",
+        [("", ["app.T1Test#t1", "app.T2Test#t2", "app.T3Test#t3", "app.T4Test#t4"]),
+         ("app.T2", ["app.T2Test#t2"])],
+    )
+    def test_a_class_prefix_narrows_the_entries(self, tmp_path, class_prefix, entries):
+        manifest = _write_project(tmp_path)
+        raw = json.loads(manifest.read_text())
+        raw["entry_selector"]["pattern"]["class_prefix"] = class_prefix
+        manifest.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["minimize", str(manifest), "--as-of", str(REF), "--output", str(out)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert sorted(result["selected"] + result["excluded"]) == entries
+
     def test_repeated_invocations_are_byte_identical(self, tmp_path):
         manifest = _write_project(tmp_path)
         outputs = []
@@ -314,16 +329,15 @@ def _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, command):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs, forks", [("1", False), ("2", True)])
-def test_a_sweep_loads_no_process_pool(tmp_path, jobs, forks):
-    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded, and the
-    worker module only once a command forks."""
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_sweep_loads_no_process_pool(tmp_path, jobs):
+    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded."""
     script = (
         "import os, sys\n"
         "from riskmin import cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"assert cli.main(['sweep', sys.argv[1], '--jobs', '{jobs}', '--output', sys.argv[2]]) == 0\n"
-        "print(sorted(m for m in ('multiprocessing', 'pickle', 'riskmin.workers') if m in sys.modules))\n"
+        "print(sorted(m for m in ('multiprocessing', 'pickle') if m in sys.modules))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -332,7 +346,7 @@ def test_a_sweep_loads_no_process_pool(tmp_path, jobs, forks):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == (str(["riskmin.workers"]) if forks else "[]") + "\n"
+    assert done.stdout == "[]\n"
 
 
 class TestEvaluateCommand:
@@ -839,6 +853,14 @@ class TestOutcomesFileErrors:
         err = capsys.readouterr().err
         assert "a.csv" in err and "no outcome rows" in err
 
+    def test_a_leading_blank_line_is_read_as_the_header(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        _write_outcomes(a, [("v1", 0.5), ("v2", 1.0)])
+        _write_outcomes(b, [("v1", 0.5), ("v2", 1.0)])
+        a.write_text("\n" + a.read_text(encoding="utf-8"), encoding="utf-8")
+        assert cli.main(["compare", str(a), str(b)]) == 3
+        assert capsys.readouterr().err == f"riskmin: error: {a}: expected columns version_id,accuracy,detected\n"
+
     def test_detected_values_are_case_folded_and_stripped(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text(
@@ -928,6 +950,12 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith(f"usage: riskmin {command} ")
         assert captured.err == ""
+
+    def test_help_given_a_file_is_written_to_that_file(self, capsys):
+        buffer = io.StringIO()
+        cli.build_parser().print_help(buffer)
+        assert buffer.getvalue().startswith("usage: riskmin ")
+        assert capsys.readouterr() == ("", "")
 
     def test_a_list_flag_without_an_entry_exits_1(self, tmp_path, capsys):
         manifest = _write_project(tmp_path)
@@ -1945,6 +1973,15 @@ class TestNoHalfResult:
                     "evaluate": ["outcomes.csv", "summary.json"], "sweep": ["sweep.csv"]}[command]
         assert sorted(earlier) == expected
         assert all(oct(os.stat(out / name).st_mode & 0o777) == oct(0o666 & ~_umask()) for name in expected)
+
+    def test_a_temporary_name_already_taken_is_drawn_again(self, tmp_path, monkeypatch):
+        tokens = mock.Mock(side_effect=["aaaaaaaaaaaa", "aaaaaaaaaaaa", "bbbbbbbbbbbb"])
+        monkeypatch.setattr(cli, "secrets", types.SimpleNamespace(token_hex=tokens))
+        target = tmp_path / "selected.txt"
+        first, second = cli._written_beside(target, "one\n"), cli._written_beside(target, "two\n")
+        assert (first.name, second.name) == (".selected.txt.aaaaaaaaaaaa.tmp", ".selected.txt.bbbbbbbbbbbb.tmp")
+        assert (first.read_text(encoding="utf-8"), second.read_text(encoding="utf-8")) == ("one\n", "two\n")
+        assert tokens.call_count == 3
 
 
 def _umask():

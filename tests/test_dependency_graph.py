@@ -196,6 +196,14 @@ class TestEntryPoints:
         )
         assert {e.class_id for e in entries} == {"a.FooTest"}
 
+    def test_a_class_prefix_narrows_the_entries(self):
+        graph = _graph([("a.FooTest#testX", "a.Foo#bar"), ("b.BarTest#testY", "a.Foo#bar")])
+        pattern = {"class_suffix": "Test", "method_prefix": "test"}
+        assert find_entry_points(graph, {"pattern": pattern}) == {
+            MethodRef("a.FooTest", "testX"), MethodRef("b.BarTest", "testY")
+        }
+        assert find_entry_points(graph, {"pattern": {**pattern, "class_prefix": "b."}}) == {MethodRef("b.BarTest", "testY")}
+
     def test_explicit_list(self):
         graph = _graph([("a.FooTest#testX", "a.Foo#bar")])
         entries = find_entry_points(graph, {"explicit": ["a.FooTest#testX"]})

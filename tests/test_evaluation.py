@@ -25,7 +25,6 @@ from riskmin.evaluation import (
     SweepGrid,
     _prepare,
     _scoring_passes,
-    _shares,
     VersionLabel,
     accuracy,
     describe,
@@ -35,6 +34,7 @@ from riskmin.evaluation import (
     sweep_rows,
 )
 from riskmin.minimizer import Budget, config_fingerprint
+from riskmin.workers import _shares, _usable_cpus, run_shares
 
 from microproject import AS_OF, random_micro_project
 from oracles import class_history, exact_risk_table, naive_score, naive_select
@@ -455,6 +455,12 @@ class TestShares:
         assert [u for share in shares for u in share] == list(range(units))
         assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_without_an_affinity_mask_the_cpu_count_is_used(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert _usable_cpus() == expected
+
 
 class TestForkedShares:
     """``jobs`` above 1 scores the shares in forked children; the cells equal those of ``jobs=1``."""
@@ -480,6 +486,16 @@ class TestForkedShares:
         expected = _untimed(evaluate_grid(histories, dep_map, [label], self.GRID))
         monkeypatch.delattr(os, "fork")
         assert _untimed(evaluate_grid(histories, dep_map, [label], self.GRID, jobs=4)) == expected
+
+    def test_one_job_goes_through_run_shares_and_forks_nothing(self, monkeypatch):
+        _, histories, dep_map, label = _project_version(4, "v0")
+        run, fork = mock.Mock(wraps=run_shares), mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(evaluation, "run_shares", run)
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        evaluate_grid(histories, dep_map, [label], self.GRID, jobs=1)
+        assert run.call_count == 1 and run.call_args.args[1:] == (len(self.GRID.horizons), 1)
+        assert fork.call_count == 0
 
 
 class TestWorkerLifecycle:
@@ -526,6 +542,39 @@ class TestWorkerLifecycle:
         assert _untimed(cells) == expected
         warnings = [record.getMessage() for record in caplog.records if record.name == "riskmin.workers"]
         assert warnings == ["a worker process delivered nothing; its share of 3 units is scored here"] * 2
+        _assert_no_child_process_left()
+
+    def test_a_share_without_a_pipe_is_worked_here(self, monkeypatch, caplog):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "pipe", mock.Mock(side_effect=OSError(errno.EMFILE, "too many open files")))
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        with caplog.at_level(logging.WARNING, logger="riskmin.workers"):
+            assert run_shares(lambda share: [u * u for u in share], 6, 2) == [[0, 1, 4], [9, 16, 25]]
+        assert [record.getMessage() for record in caplog.records] == [
+            "a worker process delivered nothing; its share of 3 units is scored here"
+        ]
+        assert fork.call_count == 0
+
+    def test_a_child_reaped_before_its_kill_is_passed_over(self, monkeypatch):
+        parent, kill, kills = os.getpid(), os.kill, []
+
+        def work(share):
+            if os.getpid() == parent:
+                raise RuntimeError("in the parent")
+            return list(share)
+
+        def reaped_before_the_kill(pid, sig):  # the child ends and is reaped just before the kill
+            kill(pid, sig)
+            os.waitpid(pid, 0)
+            kills.append(pid)
+            raise ProcessLookupError(errno.ESRCH, "no such process")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "kill", reaped_before_the_kill)
+        with pytest.raises(RuntimeError, match="in the parent"):
+            run_shares(work, 4, 2)
+        assert len(kills) == 1
         _assert_no_child_process_left()
 
     @pytest.mark.parametrize("jobs", [1, 3])
