@@ -36,14 +36,12 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, repeat
-from operator import add, itemgetter, lt
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import UNEXPECTED_BOM, ParseError
@@ -130,8 +128,8 @@ class ClassHistory:
     ``added``, ``deleted`` and ``modified`` are ``array('q')``, and the
     timestamps do not decrease: ``consolidate`` builds the columns in that
     order. The constructor takes the columns as they are and checks
-    nothing. ``weights`` is derived from the counts when first read;
-    ``events`` rebuilds the events from the columns, for inspection and tests.
+    nothing. ``events`` rebuilds the events from the columns, for
+    inspection and tests.
     """
 
     class_id: str
@@ -144,13 +142,6 @@ class ClassHistory:
     renames: dict[int, str]
 
     __hash__ = None  # the columns are arrays
-
-    @cached_property
-    def weights(self) -> array:
-        """Each event's weight under the extent metric, ``log1p(added + deleted + modified)``,
-        as an ``array('d')``: computed when first read, then kept."""
-        # From a list, so that the array is allocated once, at its size.
-        return array("d", list(map(math.log1p, map(add, map(add, self.added, self.deleted), self.modified))))
 
     @property
     def events(self) -> tuple[ChangeEvent, ...]:
@@ -182,10 +173,6 @@ class SourceRootConfig:
             raise ValueError("an empty extension would make every file a class file")
         object.__setattr__(self, "roots", tuple(r.rstrip("/") for r in self.roots))
         object.__setattr__(self, "extensions", tuple(self.extensions))
-        # Not a field: the non-empty roots, longest first, as path_to_class tries them.
-        object.__setattr__(
-            self, "_longest_roots_first", tuple(r for r in sorted(self.roots, key=len, reverse=True) if r)
-        )
 
 
 _REQUIRED_JSONL_VALUES = itemgetter("path", "ts", "add", "del", "commit")
@@ -386,8 +373,8 @@ def path_to_class(path: str, cfg: SourceRootConfig) -> str | None:
     if extension is None:
         return None
     relative = path
-    for root in cfg._longest_roots_first:
-        if path.startswith(root + "/"):
+    for root in sorted(cfg.roots, key=len, reverse=True):
+        if root and path.startswith(root + "/"):
             relative = path[len(root) + 1 :]
             break
     stem = relative[: -len(extension)]

@@ -13,6 +13,7 @@ import math
 from array import array
 from bisect import bisect_right
 from itertools import accumulate
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .change_history import ClassHistory
@@ -54,22 +55,21 @@ def risk_folder(
 
     An unknown metric, and a half-life that ``alpha_from_half_life``
     rejects, raise ``ValueError`` when this is called. The fold reads each
-    history's own columns: its timestamps and, under extent, its weights
-    (which a history computes when they are first read). The one column
-    derived here, once per class, is the running sums of the weights,
-    under extent if some half-life's rate is 0. A history is in time
-    order, so the in-scope events of each class are a prefix, found by
-    one bisection of its timestamps. At rate
-    0 every decay factor is ``exp(-0.0 * age) == 1.0``, so the risk is
-    read off the prefix: its length under frequency, its last running sum
-    under extent. Under the other half-lives, each call of ``fold``
-    computes the prefix's ages once and folds them under each; the metrics
-    share each decay factor. Each fold
-    and each running sum is a sequential ``+`` in the history's
-    chronological order: never the builtin ``sum``, whose float summation
-    is compensated since Python 3.12. A half-life's table does not depend
-    on the others folded with it, so the tables of a slice equal, bit for
-    bit, those of the whole.
+    history's timestamps as they are. Under extent, the columns derived
+    here, once per class, are the weights (each event's
+    ``log1p(added + deleted + modified)``, the churn summed in integers)
+    and, if some half-life's rate is 0, their running sums. A history is
+    in time order, so the in-scope events of each class are a prefix,
+    found by one bisection of its timestamps. At rate 0 every decay
+    factor is ``exp(-0.0 * age) == 1.0``, so the risk is read off the
+    prefix: its length under frequency, its last running sum under
+    extent. Under the other half-lives, each call of ``fold`` computes the
+    prefix's ages once and folds them under each; the metrics share each
+    decay factor. Each fold and each running sum is a sequential ``+`` in
+    the history's chronological order: never the builtin ``sum``, whose
+    float summation is compensated since Python 3.12. A half-life's table
+    does not depend on the others folded with it, so the tables of a slice
+    equal, bit for bit, those of the whole.
     """
     for metric in metrics:
         if metric not in METRICS:
@@ -78,16 +78,16 @@ def risk_folder(
     extent = METRIC_EXTENT in metrics
     summed = extent and not all(alphas)  # some extent fold is static
     # (class id, event timestamps, weights or None, running sums or None), per class
-    columns: list[tuple[str, array[int], array[float] | None, array[float] | None]] = [
-        (
-            class_id,
-            history.timestamps,
-            history.weights if extent else None,
-            # From a list, so that the array is allocated once, at its size.
-            array("d", list(accumulate(history.weights))) if summed else None,
-        )
-        for class_id, history in histories.items()
-    ]
+    columns: list[tuple[str, array[int], array[float] | None, array[float] | None]] = []
+    for class_id, history in histories.items():
+        weights = running = None
+        if extent:
+            # From lists, so that each array is allocated once, at its size.
+            churns = map(add, map(add, history.added, history.deleted), history.modified)
+            weights = array("d", list(map(math.log1p, churns)))
+            if summed:
+                running = array("d", list(accumulate(weights)))
+        columns.append((class_id, history.timestamps, weights, running))
 
     def fold(as_of: int, horizons: slice = slice(None)) -> list[dict[str, dict[str, float]]]:
         sliced = alphas[horizons]

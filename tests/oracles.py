@@ -300,7 +300,6 @@ def history_columns(events):
         "added": [event.added for event in events],
         "deleted": [event.deleted for event in events],
         "modified": [event.modified for event in events],
-        "weights": [math.log1p(event.added + event.deleted + event.modified) for event in events],
         "commits": [event.commit_id for event in events],
         "paths": [event.path for event in events],
         "renames": {index: event.renamed_from for index, event in enumerate(events) if event.renamed_from is not None},

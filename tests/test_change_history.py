@@ -1,7 +1,6 @@
 import gc
 import io
 import json
-import math
 import pickle
 import random
 import shutil
@@ -743,13 +742,12 @@ class TestClassHistory:
         assert _columns(history) == ([5, 5, 6], ("c1", "c2", "c0"), ("a/B.java",) * 3, [1, 1, 1], {})
         assert class_history("B", history.events) == history
 
-    def test_columns_are_arrays_and_weights_are_log1p_of_the_churn(self):
+    def test_columns_are_arrays_of_the_counts(self):
         events = (ChangeEvent("a/B.java", 5, 3, 2, 1, "c1"), ChangeEvent("a/C.java", 9, 0, 0, 0, "c2", "a/B.java"))
         (history,) = _consolidate(events, SourceRootConfig(roots=("a",))).values()
         assert history.class_id == "C" and history.events == events
         counts = (history.timestamps, history.added, history.deleted, history.modified)
         assert [column.typecode for column in counts] == ["q"] * 4
-        assert history.weights == array("d", [math.log1p(6), 0.0])
         assert (history.deleted, history.modified) == (array("q", [2, 0]), array("q", [1, 0]))
         assert history.renames == {1: "a/B.java"}
         with pytest.raises(TypeError):

@@ -425,6 +425,21 @@ class TestRiskFolder:
         with pytest.raises(ValueError):
             risk_folder(histories, metrics, half_lives)
 
+    @pytest.mark.parametrize("metrics, calls", [((METRIC_FREQUENCY, METRIC_EXTENT), 3), ((METRIC_FREQUENCY,), 0)])
+    def test_the_folder_derives_each_extent_weight_once_and_no_frequency_weight(self, monkeypatch, metrics, calls):
+        """Under extent, one log1p per event, shared by the static running sums and every decayed
+        half-life at every instant; a frequency-only folder takes none."""
+        logs = []
+        log1p = math.log1p
+        history = _history([_event(REF - 2 * DAY, add=3, commit="c0"), _event(REF - DAY, add=1, commit="c1"),
+                            _event(REF + DAY, add=5, commit="c2")])
+        monkeypatch.setattr(temporal_risk.math, "log1p", lambda x: logs.append(x) or log1p(x))
+        fold = risk_folder({"a.B": history}, metrics, (None, 8.0))
+        fold(REF)
+        fold(REF + 2 * DAY)
+        monkeypatch.undo()
+        assert len(logs) == calls
+
 
 class TestStaticFold:
     """A rate of 0.0 reads each risk off the in-scope prefix: no decay factor is computed."""
