@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import gc
 import io
 import json
@@ -66,6 +67,7 @@ from .evaluation import (
 from .minimizer import Budget, check_result_invariants, config_fingerprint, format_horizon
 from .risk_aggregation import OPERATORS, OP_GMEAN
 from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, risk_folder
+from .workers import run_in_order
 
 logger = logging.getLogger(__name__)
 
@@ -243,31 +245,54 @@ class ProjectInputs:
     seconds: float
 
 
-def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
-    """The project's class histories, entry points and dependency map, and the seconds taken to build them.
+def load_project_inputs(manifest: RunManifest, jobs: int = 1) -> ProjectInputs:
+    """The project's class histories, entry points and dependency map, and the wall seconds taken to build them.
 
-    This is the one place a command builds the dependency map. The call
-    graph is read first and freed once the map is built, before the change
-    log is read, so the graph and the change log are never alive together.
-    Hence an unreadable or malformed call graph is reported before any
-    fault of the change log. The change log is parsed into per-path columns
-    (a ``ChangeLog``), which ``consolidate`` frees group by group as it
-    builds the histories' columns; no record is made per event.
+    This is the one place a command builds the dependency map. Ingest has
+    two halves, run by ``workers.run_in_order`` as if one after the other:
+    the call graph's (``_dependencies``: parse, entry points, dependency
+    map, then the graph is freed) and the change log's (``_histories``).
+    With ``jobs=1``, the default, both run here in turn. With ``jobs`` of 2
+    or more, where ``os.fork`` exists and this process may run on two CPUs,
+    a forked child runs the call graph's half while this process runs the
+    change log's, and the child sends back the map and the entry points.
+    Either way the graph and the change log are never alive together in one
+    process, an unreadable or malformed call graph is reported before any
+    fault of the change log, and the warnings come in the same order. The
+    change log is parsed into per-path columns (a ``ChangeLog``), which
+    ``consolidate`` frees group by group as it builds the histories'
+    columns; no record is made per event.
     """
     started = time.perf_counter()
+    (dep_map, entry_fields), histories = run_in_order(
+        [
+            (functools.partial(_dependencies, manifest), "the dependency map is built"),
+            (functools.partial(_histories, manifest), "the change log is read"),
+        ],
+        jobs,
+    )
+    entries = frozenset(MethodRef._make(fields) for fields in entry_fields)
+    return ProjectInputs(histories, entries, dep_map, time.perf_counter() - started)
+
+
+def _dependencies(manifest: RunManifest) -> tuple[dict[str, list[str]], list[tuple[str, str, str]]]:
+    """The dependency map and the entry points, as sorted plain tuples that ``marshal`` writes."""
     graph = _parse_input(
         manifest.callgraph_path, lambda handle: parse_callgraph_edges(handle, manifest.callgraph_format)
     )
-    entries = frozenset(test_entry_points(graph, manifest.entry_selector))
+    entries = test_entry_points(graph, manifest.entry_selector)
     dep_map = build_dependency_map(graph, entries, entry_class_filter(entries, manifest.exclude_classes))
-    del graph
+    return dep_map, [tuple(entry) for entry in sorted(entries)]
+
+
+def _histories(manifest: RunManifest) -> dict:
+    """The class histories of the change log."""
     parse_events = parse_git_numstat if manifest.change_log_format == "numstat" else parse_change_log
     log = _parse_input(manifest.change_log_path, parse_events)
     source_cfg = SourceRootConfig(
         roots=tuple(manifest.source_roots), extensions=tuple(manifest.extensions)
     )
-    histories = consolidate(log, source_cfg)
-    return ProjectInputs(histories, entries, dep_map, time.perf_counter() - started)
+    return consolidate(log, source_cfg)
 
 
 def load_labels(path: Path | None, project_id: str) -> list[VersionLabel]:
@@ -448,8 +473,8 @@ def _evaluate_manifests(
 
     Versions pool in manifest order, then label order: per version, a label,
     a project id and, in each cell, one accuracy and one seconds double.
-    Each project's ``ProjectInputs.seconds`` (ingestion and dependency
-    analysis) is charged to every one of its versions. A project with no
+    Each project's ``ProjectInputs.seconds`` (the wall time of its ingest)
+    is charged to every one of its versions. A project with no
     labelled versions adds nothing; a pool with none at all is a
     ``LabelError``, as is a version id that occurs twice in the pool. Each
     project's inputs and cells are freed before the next manifest is
@@ -461,7 +486,7 @@ def _evaluate_manifests(
     version_ids: set[str] = set()
     for manifest_path in args.manifests:
         manifest = load_manifest(Path(manifest_path))
-        inputs = load_project_inputs(manifest)
+        inputs = load_project_inputs(manifest, args.jobs)
         labels = load_labels(manifest.labels_path, manifest.project_id)
         for label in labels:
             if label.version_id in version_ids:
@@ -819,8 +844,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_whole_number_arg(1),
         default=1,
         metavar="N",
-        help="score each project's (version, horizon) units in up to N processes, at most one per CPU "
-        "this process may run on (default: 1); the outputs do not depend on N",
+        help="build each project's dependency map beside its change log, and score its (version, horizon) "
+        "units, in up to N processes, at most one per CPU this process may run on (default: 1); "
+        "the outputs do not depend on N",
     )
 
     output = argparse.ArgumentParser(add_help=False)
@@ -878,7 +904,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"riskmin: error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
-    except KeyboardInterrupt:  # a forked share's children are killed and reaped by run_shares
+    except KeyboardInterrupt:  # forked children are killed and reaped by workers.run_in_order
         print("riskmin: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     finally:

@@ -4,10 +4,13 @@ import gc
 import hashlib
 import io
 import json
+import logging
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import types
 import weakref
 from pathlib import Path
@@ -16,6 +19,7 @@ from unittest import mock
 import pytest
 
 from riskmin import cli, evaluation, stats
+from riskmin.dependency_graph import MethodRef
 from riskmin.errors import ParseError
 
 from microproject import random_micro_project
@@ -319,12 +323,13 @@ def _assert_jobs_agree_with_serial(tmp_path, command, output_name):
 
 
 def _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, command):
-    """``--jobs 2`` on two CPUs forks one child per project, and every child is reaped when the command ends."""
+    """``--jobs 2`` on two CPUs forks two children per project, one for the ingest and one for the grid's share,
+    and every child is reaped when the command ends."""
     fork = mock.Mock(wraps=os.fork)
     monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert cli.main([command, str(_write_project(tmp_path)), "--jobs", "2", "--output", str(tmp_path / "out")]) == 0
-    assert fork.call_count == 1
+    assert fork.call_count == 2
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -669,7 +674,7 @@ class TestSweepCommand:
             out = tmp_path / f"jobs{jobs}"
             assert cli.main(["sweep", str(a), str(b), "--jobs", jobs, "--output", str(out)]) == 0
             rows.append([line.rsplit(",", 1)[0] for line in (out / "sweep.csv").read_text().splitlines()])
-        assert fork.call_count == 2  # one child per project under --jobs 2
+        assert fork.call_count == 4  # two children per project under --jobs 2: the ingest's and the grid share's
         serial, forked = rows
         assert len(serial) == 1 + 80 * 3
         assert forked == serial
@@ -1260,22 +1265,24 @@ class TestInterface:
     recorded before the subcommands were built from shared parent parsers.
 
     A flag, default, help string or order that moves changes a digest.
-    Argparse formats this parser alike on Python 3.10 to 3.13.
+    Argparse formats this parser alike on Python 3.10 to 3.13. The
+    ``evaluate`` and ``sweep`` digests were recorded again when the ``--jobs``
+    help came to name the forked ingest; nothing else of theirs moved.
     """
 
     HELP_SHA256 = {
         None: "b1a751ec8d650f4fb1cc3845f0d5e99e1c2bbac890fe453122d2fc76d04e63f5",
         "score": "64e28a0a1962ec8d03ee6d3aa91d5626ac0e9436c8b0aa40eab67a9b206d4dfb",
         "minimize": "bb32e290436eac4bfa12ef21c2cb40c46d1c9ddd5077e05f33d50404686397f6",
-        "evaluate": "2e0d342e2ce5799980f1d8ec2f100c2034094b86b2a1b1fdb082fd61dd2fb6c5",
-        "sweep": "447a3172615981785aeb7a23bbf39abedeac93b160d10003fbd226505807009f",
+        "evaluate": "77f66012f6a21a1caf24912f603883006099ee7feed5b999b82aedf27deee51d",
+        "sweep": "2bb841f5fda66777bf36fd5891a7fd85a0719f11db3d1553d777c32939fe69b5",
         "compare": "3d2819e89325474ca2d951e93eb6a0a35e0bf318b94867d975ce62965df4da25",
     }
     ACTIONS_SHA256 = {
         "score": "17bc038172ceda33bfc924d5fd504499e0ccda2fef18a55ea27f7d8745d1b7c5",
         "minimize": "9f206e2417e316c47dc779e9ad7916e1f1878c5a4def4a7008deac600e6430f8",
-        "evaluate": "866e5f46a69e488ba4092be35b53cdef7cd74b09819137b6851c344e3860238a",
-        "sweep": "e08f245a50a06387dfb43a9acd26fcd027369bca44d0bee59800919bfd96f1f1",
+        "evaluate": "e5ec99da6f09ae37cef664864122763e8dee710a8d87a0bdfbe2522bfd86fdbb",
+        "sweep": "b352c2eb70fbffcb9503fc8ed9966b8e3ecffbcd854cf5d36516e349af03d1a0",
         "compare": "a44b258c2a22fedccace650260c03d2be053090ed52c811982b21f116ba97294",
     }
 
@@ -1885,7 +1892,7 @@ class TestInterrupt:
         monkeypatch.setattr(evaluation, "_score_share", interrupted_in_the_parent)
         out = tmp_path / "out"
         assert _main_of_an_interrupt(["sweep", str(_write_project(tmp_path)), "--jobs", "2", "--output", str(out)]) == 130
-        assert fork.call_count == 1
+        assert fork.call_count == 2  # the ingest's child, which delivered, and the grid share's
         assert capsys.readouterr() == ("", "riskmin: interrupted\n")
         assert not out.exists()
         with pytest.raises(ChildProcessError):
@@ -2022,9 +2029,9 @@ class TestOneInputAtATime:
         loaded, freed = [], []
         load = cli.load_project_inputs
 
-        def checking_the_last_project_is_gone(manifest):
+        def checking_the_last_project_is_gone(manifest, jobs):
             freed.append([ref() is None for ref in loaded])
-            inputs = load(manifest)
+            inputs = load(manifest, jobs)
             # ProjectInputs, and one of its class histories, standing for what it holds.
             loaded.extend((weakref.ref(inputs), weakref.ref(inputs.histories["app.A"])))
             return inputs
@@ -2032,3 +2039,221 @@ class TestOneInputAtATime:
         monkeypatch.setattr(cli, "load_project_inputs", checking_the_last_project_is_gone)
         assert cli.main(["evaluate", str(first), str(second), "--output", str(tmp_path / "out")]) == 0
         assert freed == [[], [True, True]]
+
+
+def _write_warning_project(directory, project_id="demo", version_prefix="v"):
+    """``_write_project`` in the text and numstat formats, with one warning from each input and one
+    from the labels: an edge of an unknown invocation type, a binary-count numstat line, and a
+    fault-revealing test that is no entry point."""
+    versions = [
+        {"version_id": f"{version_prefix}1", "as_of": REF, "fault_revealing_tests": ["app.T2Test#t2"]},
+        {"version_id": f"{version_prefix}2", "as_of": REF, "fault_revealing_tests": ["app.T4Test#t4", "app.GoneTest#t"]},
+    ]
+    manifest = _write_project(directory, callgraph_format="callgraph-text", change_log_format="numstat",
+                              versions=versions, project_id=project_id)
+    with open(directory / "callgraph.txt", "a", encoding="utf-8") as graph:
+        graph.write("M:app.T3Test:t3 (X)app.A:m\n")
+    with open(directory / "changes.numstat", "a", encoding="utf-8") as log:
+        log.write(f"COMMIT Z0 {REF - DAY}\n-\t-\tsrc/app/B.java\n")
+    return manifest
+
+
+# Runs ``cli.main`` on its arguments in a process that may use two CPUs, and prints how many
+# times it called ``os.fork``; the command's outputs go to files.
+_ON_TWO_CPUS = (
+    "import os, sys\n"
+    "from riskmin import cli\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "forks, fork = [], os.fork\n"
+    "os.fork = lambda: forks.append(1) or fork()\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(len(forks))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_on_two_cpus(argv):
+    """(exit code, stderr lines, fork count) of ``riskmin`` run on ``argv`` in a process of its own."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _ON_TWO_CPUS, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stderr.splitlines(), int(done.stdout)
+
+
+def _untimed_outputs(out):
+    """Each output file's text, with the time column of a CSV and ``mean_wall_time_s`` of a summary masked."""
+    texts = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            texts[path.name] = _mask_last_column(text)
+        else:
+            summary = json.loads(text)
+            summary["mean_wall_time_s"] = "X"
+            texts[path.name] = summary
+    return texts
+
+
+class TestJobsEquivalence:
+    """``--jobs 2`` on two CPUs forks the ingest and the grid, and shows what ``--jobs 1`` shows:
+    the same output files apart from the times, the same exit code and the same stderr lines, in order."""
+
+    @pytest.mark.parametrize("command, projects", [("evaluate", 1), ("sweep", 1), ("sweep", 2)],
+                             ids=["evaluate", "sweep", "sweep-pool"])
+    def test_jobs_2_gives_the_outputs_and_the_stderr_of_jobs_1(self, tmp_path, command, projects):
+        manifests = [
+            _write_warning_project(tmp_path / f"p{k}", project_id=f"p{k}", version_prefix=f"p{k}v")
+            for k in range(projects)
+        ]
+        flags = ["--horizons", "8,static", "--operators", "avg,gmean"] if command == "sweep" else []
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code, stderr, forks = _run_on_two_cpus([command, *manifests, *flags, "--jobs", jobs, "--output", out])
+            runs.append((code, stderr, _untimed_outputs(out)))
+            # The ingest's child and the grid share's, per project.
+            assert forks == (0 if jobs == "1" else 2 * projects)
+        serial, forked = runs
+        assert forked == serial
+        assert serial[0] == 0
+        assert serial[1] == [
+            line
+            for k in range(projects)
+            for line in (
+                "WARNING: 1 edge(s) with an unknown invocation type kept; the first at line 6",
+                "WARNING: 1 line(s) with binary file counts recorded as 0/0; the first at line 32",
+                f"WARNING: project 'p{k}': 1 fault-revealing test id(s) are not entry points and always count as missed",
+            )
+        ]
+
+
+class TestForkedIngest:
+    """Under ``--jobs 2`` on two CPUs, a child builds the dependency map while the parent reads the change log."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def _stderr(caplog, capsys):
+        """The lines a command wrote to stderr: its log records, then its own lines."""
+        lines = [f"{record.levelname}: {record.getMessage()}" for record in caplog.records]
+        caplog.clear()
+        return lines + capsys.readouterr().err.splitlines()
+
+    def _evaluate(self, manifest, out, jobs, caplog, capsys):
+        """(exit code, stderr lines, untimed outputs or None) of ``evaluate``."""
+        code = cli.main(["evaluate", str(manifest), "--jobs", jobs, "--output", str(out)])
+        return code, self._stderr(caplog, capsys), _untimed_outputs(out) if out.exists() else None
+
+    def test_the_parent_never_parses_the_call_graph(self, tmp_path, monkeypatch):
+        parent, parsed_here = os.getpid(), []
+        parse = cli.parse_callgraph_edges
+
+        def parsing(*args):
+            if os.getpid() == parent:
+                parsed_here.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(cli, "parse_callgraph_edges", parsing)
+        manifest = cli.load_manifest(_write_warning_project(tmp_path))
+        forked = cli.load_project_inputs(manifest, 2)
+        assert parsed_here == []
+        serial = cli.load_project_inputs(manifest)
+        assert len(parsed_here) == 1
+        assert (forked.dep_map, forked.entries) == (serial.dep_map, serial.entries)
+        assert list(forked.histories) == list(serial.histories)
+        assert all(isinstance(entry, MethodRef) for entry in forked.entries)
+
+    @pytest.mark.parametrize("change_log_broken", [False, True], ids=["log-fine", "log-broken"])
+    def test_a_malformed_call_graph_exits_3_naming_it_and_adds_no_line(
+        self, tmp_path, caplog, capsys, monkeypatch, change_log_broken
+    ):
+        manifest = _write_warning_project(tmp_path)
+        _break_line(tmp_path / "callgraph.txt", 2, "M:a.T:t")
+        if change_log_broken:
+            _break_line(tmp_path / "changes.numstat", 3, "COMMIT")
+        serial = self._evaluate(manifest, tmp_path / "s", "1", caplog, capsys)
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        forked = self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys)
+        assert fork.call_count == 1  # the child stopped on the fault, and the parent raised it again
+        assert forked == serial
+        assert serial == (3, [f"riskmin: error: {tmp_path / 'callgraph.txt'}: malformed call-graph line at line 2"],
+                          None)
+
+    def test_a_missing_call_graph_exits_2(self, tmp_path, caplog, capsys):
+        manifest = _write_warning_project(tmp_path)
+        (tmp_path / "callgraph.txt").unlink()
+        assert self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys) == (
+            2, [f"riskmin: error: missing input: {tmp_path / 'callgraph.txt'}"], None
+        )
+
+    def test_a_malformed_change_log_waits_for_the_call_graph_warning(self, tmp_path, caplog, capsys):
+        manifest = _write_warning_project(tmp_path)
+        _break_line(tmp_path / "changes.numstat", 3, "COMMIT")
+        serial = self._evaluate(manifest, tmp_path / "s", "1", caplog, capsys)
+        assert self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys) == serial
+        assert serial[0] == 3 and serial[1][0].startswith("WARNING: 1 edge(s) with an unknown invocation type")
+
+    @pytest.mark.parametrize("failure", ["killed", "no fork"])
+    def test_a_child_that_delivers_nothing_costs_one_warning(self, tmp_path, caplog, capsys, monkeypatch, failure):
+        manifest = _write_warning_project(tmp_path)
+        serial = self._evaluate(manifest, tmp_path / "s", "1", caplog, capsys)
+        parent, dependencies = os.getpid(), cli._dependencies
+
+        def killed_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return dependencies(*args)
+
+        if failure == "killed":
+            monkeypatch.setattr(cli, "_dependencies", killed_in_the_child)
+        else:  # as at a limit on the number of processes; the grid's share is scored here too
+            monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(errno.EAGAIN, "no process")))
+        code, stderr, outputs = self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys)
+        lost = "WARNING: a worker process delivered nothing; the dependency map is built here"
+        assert stderr[0] == lost
+        assert (code, [line for line in stderr if "worker process" not in line], outputs) == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_on_one_usable_cpu_nothing_is_forked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        manifest = cli.load_manifest(_write_warning_project(tmp_path))
+        assert cli.load_project_inputs(manifest, 2).dep_map == cli.load_project_inputs(manifest).dep_map
+        assert fork.call_count == 0
+
+    def test_an_interrupt_in_the_parents_half_exits_130_and_kills_and_reaps_the_child(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        parent = os.getpid()
+
+        def sleeping_in_the_child(manifest):  # a child still at work; only SIGKILL ends it in time
+            time.sleep(60)
+
+        def interrupted_in_the_parent(manifest):
+            assert os.getpid() == parent
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_dependencies", sleeping_in_the_child)
+        monkeypatch.setattr(cli, "_histories", interrupted_in_the_parent)
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        descriptors = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        out = tmp_path / "out"
+        started = time.monotonic()
+        assert _main_of_an_interrupt(["sweep", str(_write_project(tmp_path)), "--jobs", "2", "--output", str(out)]) == 130
+        assert time.monotonic() - started < 30
+        assert fork.call_count == 1
+        assert capsys.readouterr() == ("", "riskmin: interrupted\n")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if descriptors is not None:  # the pipe's read end is closed
+            assert len(os.listdir("/proc/self/fd")) == descriptors
+        package = logging.getLogger("riskmin")  # the parent's held records went with it
+        assert package.propagate and package.handlers == []

@@ -34,7 +34,7 @@ from riskmin.evaluation import (
     sweep_rows,
 )
 from riskmin.minimizer import Budget, config_fingerprint
-from riskmin.workers import _shares, _usable_cpus, run_shares
+from riskmin.workers import _shares, _usable_cpus, run_in_order, run_shares
 
 from microproject import AS_OF, random_micro_project
 from oracles import class_history, exact_risk_table, naive_score, naive_select
@@ -586,6 +586,38 @@ class TestWorkerLifecycle:
         for _, _, seconds in cells:
             assert len(seconds) == len(labels) == 3
             assert all(math.isfinite(s) and s > 100.0 for s in seconds)
+
+    @pytest.mark.parametrize("faults", [(), (1, 2)], ids=["none", "second-and-last"])
+    def test_forked_tasks_show_the_results_records_and_error_of_tasks_run_in_turn(self, monkeypatch, caplog, faults):
+        """Three tasks, two of them in children: each logs, and those in ``faults`` then raise a ``ValueError``."""
+        log = logging.getLogger("riskmin.tasks")
+
+        def task(k):
+            def work():
+                log.warning("task %d", k)
+                if k in faults:
+                    raise ValueError(f"task {k}")
+                return [k]
+
+            return work, f"task {k} is run"
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        seen = []
+        for jobs in (1, 3):
+            with caplog.at_level(logging.WARNING):
+                try:
+                    seen.append(run_in_order([task(k) for k in range(3)], jobs))
+                except ValueError as exc:
+                    seen.append(str(exc))
+            seen.append([(record.name, record.getMessage()) for record in caplog.records])
+            caplog.clear()
+        serial, forked = seen[:2], seen[2:]
+        assert forked == serial
+        if faults:
+            assert serial == ["task 1", [("riskmin.tasks", "task 0"), ("riskmin.tasks", "task 1")]]
+        else:
+            assert serial == [[[0], [1], [2]], [("riskmin.tasks", f"task {k}") for k in range(3)]]
+        _assert_no_child_process_left()
 
     @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
     def test_a_failure_in_the_parents_share_kills_and_reaps_every_child(self, monkeypatch, failure):
