@@ -245,31 +245,29 @@ class ProjectInputs:
     seconds: float
 
 
-def load_project_inputs(manifest: RunManifest, jobs: int = 1) -> ProjectInputs:
+def load_project_inputs(manifest: RunManifest) -> ProjectInputs:
     """The project's class histories, entry points and dependency map, and the wall seconds taken to build them.
 
     This is the one place a command builds the dependency map. Ingest has
     two halves, run by ``workers.run_in_order`` as if one after the other:
     the call graph's (``_dependencies``: parse, entry points, dependency
     map, then the graph is freed) and the change log's (``_histories``).
-    With ``jobs=1``, the default, both run here in turn. With ``jobs`` of 2
-    or more, where ``os.fork`` exists and this process may run on two CPUs,
-    a forked child runs the call graph's half while this process runs the
-    change log's, and the child sends back the map and the entry points.
-    Either way the graph and the change log are never alive together in one
-    process, an unreadable or malformed call graph is reported before any
-    fault of the change log, and the warnings come in the same order. The
-    change log is parsed into per-path columns (a ``ChangeLog``), which
-    ``consolidate`` frees group by group as it builds the histories'
-    columns; no record is made per event.
+    Where ``os.fork`` exists and this single-threaded process may run on two
+    CPUs, a forked child runs the call graph's half while this process runs
+    the change log's, and the child sends back the map and the entry points;
+    elsewhere both run here in turn. Either way the graph and the change log
+    are never alive together in one process, an unreadable or malformed call
+    graph is reported before any fault of the change log, and the warnings
+    come in the same order. The change log is parsed into per-path columns
+    (a ``ChangeLog``), which ``consolidate`` frees group by group as it
+    builds the histories' columns; no record is made per event.
     """
     started = time.perf_counter()
     (dep_map, entry_fields), histories = run_in_order(
         [
             (functools.partial(_dependencies, manifest), "the dependency map is built"),
             (functools.partial(_histories, manifest), "the change log is read"),
-        ],
-        jobs,
+        ]
     )
     entries = frozenset(MethodRef._make(fields) for fields in entry_fields)
     return ProjectInputs(histories, entries, dep_map, time.perf_counter() - started)
@@ -486,7 +484,7 @@ def _evaluate_manifests(
     version_ids: set[str] = set()
     for manifest_path in args.manifests:
         manifest = load_manifest(Path(manifest_path))
-        inputs = load_project_inputs(manifest, args.jobs)
+        inputs = load_project_inputs(manifest)
         labels = load_labels(manifest.labels_path, manifest.project_id)
         for label in labels:
             if label.version_id in version_ids:
@@ -844,9 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_whole_number_arg(1),
         default=1,
         metavar="N",
-        help="build each project's dependency map beside its change log, and score its (version, horizon) "
-        "units, in up to N processes, at most one per CPU this process may run on (default: 1); "
-        "the outputs do not depend on N",
+        help="score each project's (version, horizon) units in up to N processes, at most one per CPU "
+        "this process may run on (default: 1); the outputs do not depend on N",
     )
 
     output = argparse.ArgumentParser(add_help=False)

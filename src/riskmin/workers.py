@@ -3,10 +3,13 @@
 ``run_in_order`` runs each task but the last in a child made by
 ``os.fork``, which shares the parent's loaded data copy-on-write, and the
 last in this process. A child sends its result back through a pipe with
-``marshal`` and ends with ``os._exit``. ``run_shares`` runs one function's
-work so, over contiguous shares; ``cli.load_project_inputs`` builds the
-dependency map so while it reads the change log. ``multiprocessing`` is not
-used: a pool costs its import and its start-up, and leaves the parent idle.
+``marshal`` and ends with ``os._exit``. It forks wherever ``os.fork``
+exists, this process may run on two CPUs and runs no other thread;
+elsewhere (``taskset -c 0``, say) the tasks run here in turn, with the
+same outcome. ``run_shares`` runs one function's work so, over contiguous
+shares; ``cli.load_project_inputs`` builds the dependency map so, in every
+command, while it reads the change log. ``multiprocessing`` is not used: a
+pool costs its import and its start-up, and leaves the parent idle.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import logging
 import marshal
 import os
+import threading
 from typing import Any, BinaryIO, Callable, Iterator, NoReturn, Sequence
 
 from .errors import InputError
@@ -42,16 +46,16 @@ def run_shares(work: Callable[[range], list], units: int, jobs: int) -> list[lis
     """
     shares = _shares(units, jobs, _forkable_cpus())
     tasks = [(functools.partial(work, share), f"its share of {len(share)} units is scored") for share in shares]
-    return run_in_order(tasks, jobs)
+    return run_in_order(tasks)
 
 
-def run_in_order(tasks: Sequence[Task], jobs: int) -> list:
+def run_in_order(tasks: Sequence[Task]) -> list:
     """Each task's result, in task order, with the log records and the error of running them here in turn.
 
-    Where there are two tasks or more and ``min(jobs, _forkable_cpus())`` is
-    at least 2, each task but the last runs in a forked child, and the last
-    runs here once the children are started. Otherwise each runs here, in
-    turn. A forked run shows what a run in turn shows:
+    Where there are two tasks or more and ``_forkable_cpus()`` is at least
+    2, each task but the last runs in a forked child, and the last runs here
+    once the children are started. Otherwise each runs here, in turn. A
+    forked run shows what a run in turn shows:
 
     * riskmin's log records are emitted in task order: a child sends its
       records with its result, and the last task's are held here until
@@ -68,7 +72,7 @@ def run_in_order(tasks: Sequence[Task], jobs: int) -> list:
     child that has not delivered is killed. Every child is reaped before
     this returns or raises.
     """
-    if len(tasks) < 2 or min(jobs, _forkable_cpus()) < 2:
+    if len(tasks) < 2 or _forkable_cpus() < 2:
         return [work() for work, _ in tasks]
     children: dict[int, tuple[int, BinaryIO]] = {}  # task index -> (pid, read end of its pipe)
     try:
@@ -114,8 +118,16 @@ def run_in_order(tasks: Sequence[Task], jobs: int) -> list:
 
 
 def _forkable_cpus() -> int:
-    """The CPUs that forked children may run on: ``_usable_cpus()``, or 1 where ``os.fork`` does not exist."""
-    return _usable_cpus() if hasattr(os, "fork") else 1
+    """The CPUs that forked children may run on: ``_usable_cpus()``, or 1 where ``os.fork`` does not exist.
+
+    Also 1 while this process runs another thread: a fork copies only the
+    calling thread, so a lock another thread holds stays held in the child,
+    and Python 3.12+ warns of such a fork from inside ``os.fork``, once the
+    child exists.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return _usable_cpus()
 
 
 def _usable_cpus() -> int:

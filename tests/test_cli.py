@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import types
 import weakref
@@ -27,6 +28,12 @@ from oracles import exact_risk_table
 
 DAY = 86_400
 REF = 1_700_000_000
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """This process may run on one CPU, so every command runs in it alone: the serial path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 def _write_project(directory, *, callgraph_format="csv", change_log_format="jsonl",
@@ -669,12 +676,15 @@ class TestSweepCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         fork = mock.Mock(wraps=os.fork)
         monkeypatch.setattr(os, "fork", fork)
-        rows = []
+        rows, forks = [], []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
+            fork.reset_mock()
             assert cli.main(["sweep", str(a), str(b), "--jobs", jobs, "--output", str(out)]) == 0
             rows.append([line.rsplit(",", 1)[0] for line in (out / "sweep.csv").read_text().splitlines()])
-        assert fork.call_count == 4  # two children per project under --jobs 2: the ingest's and the grid share's
+            forks.append(fork.call_count)
+        # One ingest child per project under any --jobs, and one grid share's child per project under --jobs 2.
+        assert forks == [2, 4]
         serial, forked = rows
         assert len(serial) == 1 + 80 * 3
         assert forked == serial
@@ -695,8 +705,8 @@ class TestSweepCommand:
         assert len(serial) == 1 + 80 * 3
         assert capped == serial
 
-    def test_dependency_map_is_built_once_per_project(self, tmp_path, monkeypatch):
-        calls = []
+    def test_dependency_map_is_built_once_per_project(self, tmp_path, monkeypatch, one_cpu):
+        calls = []  # counted in this process, so the ingest runs here
         build = cli.build_dependency_map
 
         def counting_build(*args, **kwargs):
@@ -1267,22 +1277,24 @@ class TestInterface:
     A flag, default, help string or order that moves changes a digest.
     Argparse formats this parser alike on Python 3.10 to 3.13. The
     ``evaluate`` and ``sweep`` digests were recorded again when the ``--jobs``
-    help came to name the forked ingest; nothing else of theirs moved.
+    help came to name the forked ingest, and again when it went back to
+    naming the scoring processes alone, once every command forks its ingest;
+    nothing else of theirs moved.
     """
 
     HELP_SHA256 = {
         None: "b1a751ec8d650f4fb1cc3845f0d5e99e1c2bbac890fe453122d2fc76d04e63f5",
         "score": "64e28a0a1962ec8d03ee6d3aa91d5626ac0e9436c8b0aa40eab67a9b206d4dfb",
         "minimize": "bb32e290436eac4bfa12ef21c2cb40c46d1c9ddd5077e05f33d50404686397f6",
-        "evaluate": "77f66012f6a21a1caf24912f603883006099ee7feed5b999b82aedf27deee51d",
-        "sweep": "2bb841f5fda66777bf36fd5891a7fd85a0719f11db3d1553d777c32939fe69b5",
+        "evaluate": "2e0d342e2ce5799980f1d8ec2f100c2034094b86b2a1b1fdb082fd61dd2fb6c5",
+        "sweep": "447a3172615981785aeb7a23bbf39abedeac93b160d10003fbd226505807009f",
         "compare": "3d2819e89325474ca2d951e93eb6a0a35e0bf318b94867d975ce62965df4da25",
     }
     ACTIONS_SHA256 = {
         "score": "17bc038172ceda33bfc924d5fd504499e0ccda2fef18a55ea27f7d8745d1b7c5",
         "minimize": "9f206e2417e316c47dc779e9ad7916e1f1878c5a4def4a7008deac600e6430f8",
-        "evaluate": "e5ec99da6f09ae37cef664864122763e8dee710a8d87a0bdfbe2522bfd86fdbb",
-        "sweep": "b352c2eb70fbffcb9503fc8ed9966b8e3ecffbcd854cf5d36516e349af03d1a0",
+        "evaluate": "866e5f46a69e488ba4092be35b53cdef7cd74b09819137b6851c344e3860238a",
+        "sweep": "e08f245a50a06387dfb43a9acd26fcd027369bca44d0bee59800919bfd96f1f1",
         "compare": "a44b258c2a22fedccace650260c03d2be053090ed52c811982b21f116ba97294",
     }
 
@@ -2001,7 +2013,10 @@ class TestOneInputAtATime:
     """A command holds one project's inputs at a time, freed by reference counting alone."""
 
     @pytest.mark.parametrize("change_log_format", ["jsonl", "numstat"])
-    def test_the_call_graph_is_freed_before_the_change_log_is_read(self, tmp_path, monkeypatch, change_log_format):
+    def test_the_call_graph_is_freed_before_the_change_log_is_read(
+        self, tmp_path, monkeypatch, one_cpu, change_log_format
+    ):
+        """On one CPU both halves of the ingest run here; on two the graph never lives in this process."""
         graphs, freed = [], []
         parse_graph = cli.parse_callgraph_edges
         parser_name = "parse_change_log" if change_log_format == "jsonl" else "parse_git_numstat"
@@ -2029,9 +2044,9 @@ class TestOneInputAtATime:
         loaded, freed = [], []
         load = cli.load_project_inputs
 
-        def checking_the_last_project_is_gone(manifest, jobs):
+        def checking_the_last_project_is_gone(manifest):
             freed.append([ref() is None for ref in loaded])
-            inputs = load(manifest, jobs)
+            inputs = load(manifest)
             # ProjectInputs, and one of its class histories, standing for what it holds.
             loaded.extend((weakref.ref(inputs), weakref.ref(inputs.histories["app.A"])))
             return inputs
@@ -2058,45 +2073,62 @@ def _write_warning_project(directory, project_id="demo", version_prefix="v"):
     return manifest
 
 
-# Runs ``cli.main`` on its arguments in a process that may use two CPUs, and prints how many
-# times it called ``os.fork``; the command's outputs go to files.
-_ON_TWO_CPUS = (
+# Runs ``cli.main`` on the arguments after the first in a process that may use as many CPUs as the
+# first says, and prints how many times it called ``os.fork``; the command's outputs go to files.
+_ON_CPUS = (
     "import os, sys\n"
     "from riskmin import cli\n"
-    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "cpus = set(range(int(sys.argv[1])))\n"
+    "os.sched_getaffinity = lambda pid: cpus\n"
     "forks, fork = [], os.fork\n"
     "os.fork = lambda: forks.append(1) or fork()\n"
-    "code = cli.main(sys.argv[1:])\n"
+    "code = cli.main(sys.argv[2:])\n"
     "print(len(forks))\n"
     "sys.exit(code)\n"
 )
 
 
-def _run_on_two_cpus(argv):
-    """(exit code, stderr lines, fork count) of ``riskmin`` run on ``argv`` in a process of its own."""
+def _run_on_cpus(cpus, argv):
+    """(exit code, stderr lines, fork count) of ``riskmin`` run on ``argv`` in a process of its own
+    that may run on ``cpus`` CPUs."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _ON_TWO_CPUS, *map(str, argv)],
+    done = subprocess.run([sys.executable, "-c", _ON_CPUS, str(cpus), *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=120)
     return done.returncode, done.stderr.splitlines(), int(done.stdout)
 
 
 def _untimed_outputs(out):
-    """Each output file's text, with the time column of a CSV and ``mean_wall_time_s`` of a summary masked."""
+    """Each output file's text, with the time column of ``outcomes.csv`` and ``sweep.csv`` and
+    ``mean_wall_time_s`` of ``summary.json`` masked; ``risks.csv``, ``selected.txt`` and ``result.json``
+    hold no time and are kept whole."""
     texts = {}
     for path in sorted(out.iterdir()):
         text = path.read_text(encoding="utf-8")
-        if path.suffix == ".csv":
+        if path.name in ("outcomes.csv", "sweep.csv"):
             texts[path.name] = _mask_last_column(text)
-        else:
+        elif path.name == "summary.json":
             summary = json.loads(text)
             summary["mean_wall_time_s"] = "X"
             texts[path.name] = summary
+        else:
+            texts[path.name] = text
     return texts
 
 
+# The warning lines of ``_write_warning_project``'s inputs, then of its labels, for a project id.
+_INPUT_WARNINGS = (
+    "WARNING: 1 edge(s) with an unknown invocation type kept; the first at line 6",
+    "WARNING: 1 line(s) with binary file counts recorded as 0/0; the first at line 32",
+)
+
+
+def _labels_warning(project_id):
+    return f"WARNING: project {project_id!r}: 1 fault-revealing test id(s) are not entry points and always count as missed"
+
+
 class TestJobsEquivalence:
-    """``--jobs 2`` on two CPUs forks the ingest and the grid, and shows what ``--jobs 1`` shows:
+    """``--jobs 2`` on two CPUs forks the grid as well as the ingest, and shows what ``--jobs 1`` shows:
     the same output files apart from the times, the same exit code and the same stderr lines, in order."""
 
     @pytest.mark.parametrize("command, projects", [("evaluate", 1), ("sweep", 1), ("sweep", 2)],
@@ -2110,26 +2142,62 @@ class TestJobsEquivalence:
         runs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
-            code, stderr, forks = _run_on_two_cpus([command, *manifests, *flags, "--jobs", jobs, "--output", out])
+            code, stderr, forks = _run_on_cpus(2, [command, *manifests, *flags, "--jobs", jobs, "--output", out])
             runs.append((code, stderr, _untimed_outputs(out)))
-            # The ingest's child and the grid share's, per project.
-            assert forks == (0 if jobs == "1" else 2 * projects)
+            # The ingest's child per project, and under --jobs 2 the grid share's too.
+            assert forks == (1 if jobs == "1" else 2) * projects
         serial, forked = runs
         assert forked == serial
         assert serial[0] == 0
-        assert serial[1] == [
+        assert serial[1] == [line for k in range(projects) for line in (*_INPUT_WARNINGS, _labels_warning(f"p{k}"))]
+
+
+class TestIngestOnTwoCpus:
+    """Where two CPUs are usable, every command reads its call graph in a child, whatever ``--jobs``, and shows
+    what it shows on one: the same output files apart from the times, the same exit code and the same stderr
+    lines, in order. On one usable CPU it forks nothing."""
+
+    _FLAGS = {"score": ["--as-of", str(REF)], "minimize": ["--as-of", str(REF)], "evaluate": ["--jobs", "1"]}
+
+    @pytest.mark.parametrize("command, projects", [("score", 1), ("minimize", 1), ("evaluate", 1), ("evaluate", 2)],
+                             ids=["score", "minimize", "evaluate", "evaluate-pool"])
+    def test_two_cpus_give_the_outputs_and_the_stderr_of_one(self, tmp_path, command, projects):
+        manifests = [
+            _write_warning_project(tmp_path / f"p{k}", project_id=f"p{k}", version_prefix=f"p{k}v")
+            for k in range(projects)
+        ]
+        runs = []
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            code, stderr, forks = _run_on_cpus(cpus, [command, *manifests, *self._FLAGS[command], "--output", out])
+            runs.append((code, stderr, _untimed_outputs(out)))
+            assert forks == (cpus - 1) * projects  # on two CPUs, one ingest child per project
+        one, two = runs
+        assert two == one
+        labels_warned = command == "evaluate"
+        assert one[:2] == (0, [
             line
             for k in range(projects)
-            for line in (
-                "WARNING: 1 edge(s) with an unknown invocation type kept; the first at line 6",
-                "WARNING: 1 line(s) with binary file counts recorded as 0/0; the first at line 32",
-                f"WARNING: project 'p{k}': 1 fault-revealing test id(s) are not entry points and always count as missed",
+            for line in (*_INPUT_WARNINGS, *([_labels_warning(f"p{k}")] if labels_warned else []))
+        ])
+
+    @pytest.mark.parametrize("command", ["score", "minimize", "evaluate"])
+    def test_a_malformed_call_graph_and_change_log_exit_3_naming_the_call_graph(self, tmp_path, command):
+        manifest = _write_warning_project(tmp_path)
+        _break_line(tmp_path / "callgraph.txt", 2, "M:a.T:t")
+        _break_line(tmp_path / "changes.numstat", 3, "COMMIT")
+        error = f"riskmin: error: {tmp_path / 'callgraph.txt'}: malformed call-graph line at line 2"
+        for cpus in (1, 2):
+            out = tmp_path / f"cpus{cpus}"
+            # On two CPUs the child stops on the fault, and the parent raises it again with no line of its own.
+            assert _run_on_cpus(cpus, [command, manifest, *self._FLAGS[command], "--output", out]) == (
+                3, [error], cpus - 1
             )
-        ]
+            assert not out.exists()
 
 
 class TestForkedIngest:
-    """Under ``--jobs 2`` on two CPUs, a child builds the dependency map while the parent reads the change log."""
+    """On two CPUs, whatever ``--jobs``, a child builds the dependency map while the parent reads the change log."""
 
     @pytest.fixture(autouse=True)
     def _two_cpus(self, monkeypatch):
@@ -2142,9 +2210,10 @@ class TestForkedIngest:
         caplog.clear()
         return lines + capsys.readouterr().err.splitlines()
 
-    def _evaluate(self, manifest, out, jobs, caplog, capsys):
-        """(exit code, stderr lines, untimed outputs or None) of ``evaluate``."""
-        code = cli.main(["evaluate", str(manifest), "--jobs", jobs, "--output", str(out)])
+    def _evaluate(self, manifest, out, cpus, caplog, capsys):
+        """(exit code, stderr lines, untimed outputs or None) of ``evaluate --jobs 2`` on ``cpus`` usable CPUs."""
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+            code = cli.main(["evaluate", str(manifest), "--jobs", "2", "--output", str(out)])
         return code, self._stderr(caplog, capsys), _untimed_outputs(out) if out.exists() else None
 
     def test_the_parent_never_parses_the_call_graph(self, tmp_path, monkeypatch):
@@ -2158,8 +2227,9 @@ class TestForkedIngest:
 
         monkeypatch.setattr(cli, "parse_callgraph_edges", parsing)
         manifest = cli.load_manifest(_write_warning_project(tmp_path))
-        forked = cli.load_project_inputs(manifest, 2)
+        forked = cli.load_project_inputs(manifest)
         assert parsed_here == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = cli.load_project_inputs(manifest)
         assert len(parsed_here) == 1
         assert (forked.dep_map, forked.entries) == (serial.dep_map, serial.entries)
@@ -2174,10 +2244,10 @@ class TestForkedIngest:
         _break_line(tmp_path / "callgraph.txt", 2, "M:a.T:t")
         if change_log_broken:
             _break_line(tmp_path / "changes.numstat", 3, "COMMIT")
-        serial = self._evaluate(manifest, tmp_path / "s", "1", caplog, capsys)
+        serial = self._evaluate(manifest, tmp_path / "s", 1, caplog, capsys)
         fork = mock.Mock(wraps=os.fork)
         monkeypatch.setattr(os, "fork", fork)
-        forked = self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys)
+        forked = self._evaluate(manifest, tmp_path / "p", 2, caplog, capsys)
         assert fork.call_count == 1  # the child stopped on the fault, and the parent raised it again
         assert forked == serial
         assert serial == (3, [f"riskmin: error: {tmp_path / 'callgraph.txt'}: malformed call-graph line at line 2"],
@@ -2186,21 +2256,21 @@ class TestForkedIngest:
     def test_a_missing_call_graph_exits_2(self, tmp_path, caplog, capsys):
         manifest = _write_warning_project(tmp_path)
         (tmp_path / "callgraph.txt").unlink()
-        assert self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys) == (
+        assert self._evaluate(manifest, tmp_path / "p", 2, caplog, capsys) == (
             2, [f"riskmin: error: missing input: {tmp_path / 'callgraph.txt'}"], None
         )
 
     def test_a_malformed_change_log_waits_for_the_call_graph_warning(self, tmp_path, caplog, capsys):
         manifest = _write_warning_project(tmp_path)
         _break_line(tmp_path / "changes.numstat", 3, "COMMIT")
-        serial = self._evaluate(manifest, tmp_path / "s", "1", caplog, capsys)
-        assert self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys) == serial
+        serial = self._evaluate(manifest, tmp_path / "s", 1, caplog, capsys)
+        assert self._evaluate(manifest, tmp_path / "p", 2, caplog, capsys) == serial
         assert serial[0] == 3 and serial[1][0].startswith("WARNING: 1 edge(s) with an unknown invocation type")
 
     @pytest.mark.parametrize("failure", ["killed", "no fork"])
     def test_a_child_that_delivers_nothing_costs_one_warning(self, tmp_path, caplog, capsys, monkeypatch, failure):
         manifest = _write_warning_project(tmp_path)
-        serial = self._evaluate(manifest, tmp_path / "s", "1", caplog, capsys)
+        serial = self._evaluate(manifest, tmp_path / "s", 1, caplog, capsys)
         parent, dependencies = os.getpid(), cli._dependencies
 
         def killed_in_the_child(*args):
@@ -2212,7 +2282,7 @@ class TestForkedIngest:
             monkeypatch.setattr(cli, "_dependencies", killed_in_the_child)
         else:  # as at a limit on the number of processes; the grid's share is scored here too
             monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(errno.EAGAIN, "no process")))
-        code, stderr, outputs = self._evaluate(manifest, tmp_path / "p", "2", caplog, capsys)
+        code, stderr, outputs = self._evaluate(manifest, tmp_path / "p", 2, caplog, capsys)
         lost = "WARNING: a worker process delivered nothing; the dependency map is built here"
         assert stderr[0] == lost
         assert (code, [line for line in stderr if "worker process" not in line], outputs) == serial
@@ -2220,12 +2290,40 @@ class TestForkedIngest:
             os.waitpid(-1, os.WNOHANG)
 
     def test_on_one_usable_cpu_nothing_is_forked(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        manifest = cli.load_manifest(_write_warning_project(tmp_path))
+        forked = cli.load_project_inputs(manifest)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         fork = mock.Mock(wraps=os.fork)
         monkeypatch.setattr(os, "fork", fork)
-        manifest = cli.load_manifest(_write_warning_project(tmp_path))
-        assert cli.load_project_inputs(manifest, 2).dep_map == cli.load_project_inputs(manifest).dep_map
+        assert cli.load_project_inputs(manifest).dep_map == forked.dep_map
         assert fork.call_count == 0
+
+    @pytest.mark.parametrize("argv", [["minimize", "--as-of", str(REF)], ["evaluate", "--jobs", "2"]],
+                             ids=["minimize", "evaluate-jobs-2"])
+    def test_while_another_thread_runs_nothing_is_forked(self, tmp_path, caplog, capsys, monkeypatch, argv):
+        """A fork copies only the thread that calls it; a command run beside other threads runs in one process."""
+        command, *flags = argv
+        manifest = _write_warning_project(tmp_path)
+
+        def run(out, cpus):
+            with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+                code = cli.main([command, str(manifest), *flags, "--output", str(out)])
+            return code, self._stderr(caplog, capsys), _untimed_outputs(out)
+
+        serial = run(tmp_path / "s", 1)
+        fork = mock.Mock(wraps=os.fork)
+        monkeypatch.setattr(os, "fork", fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            beside_a_thread = run(tmp_path / "p", 2)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert fork.call_count == 0
+        assert beside_a_thread == serial and serial[0] == 0
 
     def test_an_interrupt_in_the_parents_half_exits_130_and_kills_and_reaps_the_child(
         self, tmp_path, capsys, monkeypatch
@@ -2246,7 +2344,7 @@ class TestForkedIngest:
         descriptors = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         out = tmp_path / "out"
         started = time.monotonic()
-        assert _main_of_an_interrupt(["sweep", str(_write_project(tmp_path)), "--jobs", "2", "--output", str(out)]) == 130
+        assert _main_of_an_interrupt(["sweep", str(_write_project(tmp_path)), "--output", str(out)]) == 130
         assert time.monotonic() - started < 30
         assert fork.call_count == 1
         assert capsys.readouterr() == ("", "riskmin: interrupted\n")

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import signal
+import threading
 import time
 import types
 from array import array
@@ -34,7 +35,7 @@ from riskmin.evaluation import (
     sweep_rows,
 )
 from riskmin.minimizer import Budget, config_fingerprint
-from riskmin.workers import _shares, _usable_cpus, run_in_order, run_shares
+from riskmin.workers import _forkable_cpus, _shares, _usable_cpus, run_in_order, run_shares
 
 from microproject import AS_OF, random_micro_project
 from oracles import class_history, exact_risk_table, naive_score, naive_select
@@ -461,6 +462,20 @@ class TestShares:
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert _usable_cpus() == expected
 
+    def test_while_another_thread_runs_one_cpu_is_forkable(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _forkable_cpus() == 2
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _forkable_cpus() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert _forkable_cpus() == 2
+
 
 class TestForkedShares:
     """``jobs`` above 1 scores the shares in forked children; the cells equal those of ``jobs=1``."""
@@ -601,12 +616,12 @@ class TestWorkerLifecycle:
 
             return work, f"task {k} is run"
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         seen = []
-        for jobs in (1, 3):
+        for cpus in ({0}, {0, 1, 2}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             with caplog.at_level(logging.WARNING):
                 try:
-                    seen.append(run_in_order([task(k) for k in range(3)], jobs))
+                    seen.append(run_in_order([task(k) for k in range(3)]))
                 except ValueError as exc:
                     seen.append(str(exc))
             seen.append([(record.name, record.getMessage()) for record in caplog.records])
