@@ -25,7 +25,6 @@ import json
 import logging
 import math
 import os
-import secrets
 import sys
 import time
 from dataclasses import dataclass
@@ -394,7 +393,7 @@ def _written_beside(target: Path, text: str) -> Path:
     ``text`` in UTF-8, with the permissions ``open`` gives a new file. It is removed if the
     write fails or is interrupted."""
     while True:
-        temporary = target.with_name(f".{target.name}.{secrets.token_hex(6)}.tmp")
+        temporary = target.with_name(f".{target.name}.{os.urandom(6).hex()}.tmp")
         try:
             handle = open(temporary, "x", encoding="utf-8")
         except FileExistsError:

@@ -341,15 +341,23 @@ def _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, command):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_sweep_loads_no_process_pool(tmp_path, jobs):
-    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded."""
+@pytest.mark.parametrize(("command", "options"), [
+    pytest.param("sweep", ["--jobs", "1"], id="1"),
+    pytest.param("sweep", ["--jobs", "2"], id="2"),
+    pytest.param("minimize", ["--as-of", str(REF)], id="minimize"),
+])
+def test_a_sweep_loads_no_process_pool(tmp_path, command, options):
+    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded; and temporary names come
+    from ``os.urandom``, so neither is ``secrets``, ``hmac`` or ``hashlib``. A sweep runs with either ``--jobs``;
+    ``minimize`` is the per-commit command. A name the interpreter loads at start-up is not counted."""
     script = (
         "import os, sys\n"
+        "names = ('multiprocessing', 'pickle', 'secrets', 'hmac', 'hashlib')\n"
+        "at_start = {m for m in names if m in sys.modules}\n"
         "from riskmin import cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        f"assert cli.main(['sweep', sys.argv[1], '--jobs', '{jobs}', '--output', sys.argv[2]]) == 0\n"
-        "print(sorted(m for m in ('multiprocessing', 'pickle') if m in sys.modules))\n"
+        f"assert cli.main([{command!r}, sys.argv[1], *{options!r}, '--output', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in names if m in sys.modules and m not in at_start))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1994,8 +2002,8 @@ class TestNoHalfResult:
         assert all(oct(os.stat(out / name).st_mode & 0o777) == oct(0o666 & ~_umask()) for name in expected)
 
     def test_a_temporary_name_already_taken_is_drawn_again(self, tmp_path, monkeypatch):
-        tokens = mock.Mock(side_effect=["aaaaaaaaaaaa", "aaaaaaaaaaaa", "bbbbbbbbbbbb"])
-        monkeypatch.setattr(cli, "secrets", types.SimpleNamespace(token_hex=tokens))
+        tokens = mock.Mock(side_effect=[bytes.fromhex("aaaaaaaaaaaa")] * 2 + [bytes.fromhex("bbbbbbbbbbbb")])
+        monkeypatch.setattr(os, "urandom", tokens)
         target = tmp_path / "selected.txt"
         first, second = cli._written_beside(target, "one\n"), cli._written_beside(target, "two\n")
         assert (first.name, second.name) == (".selected.txt.aaaaaaaaaaaa.tmp", ".selected.txt.bbbbbbbbbbbb.tmp")
