@@ -37,7 +37,7 @@ from .evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
+from .minimizer import MinimizationResult, budget_count, check_budget, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import OPERATORS, positive_multisets, score_multisets
 from .stats import (
     ContingencyTable2x2,

@@ -39,7 +39,6 @@ import logging
 import re
 import struct
 from array import array
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter, lt
 from typing import Iterable, Iterator, NamedTuple
@@ -117,8 +116,7 @@ class ChangeLog:
         return map(_EVENT, positioned)
 
 
-@dataclass(frozen=True)
-class ClassHistory:
+class ClassHistory(NamedTuple):
     """Consolidated modification events of one logical class, as columns in time order.
 
     Event ``i`` changed the file ``paths[i]`` in commit ``commits[i]`` at
@@ -141,8 +139,6 @@ class ClassHistory:
     paths: tuple[str, ...]
     renames: dict[int, str]
 
-    __hash__ = None  # the columns are arrays
-
     @property
     def events(self) -> tuple[ChangeEvent, ...]:
         """The events, in time order, rebuilt from the columns: a read-only view."""
@@ -151,28 +147,35 @@ class ClassHistory:
         return tuple(map(ChangeEvent._make, rows))
 
 
-@dataclass(frozen=True)
-class SourceRootConfig:
-    """How file paths map to class identities.
-
-    ``roots`` are path prefixes stripped before conversion (longest match
-    wins); ``extensions`` lists the suffixes recognized as class files.
-    No extensions, or an empty one, raises ``ValueError``: no path, or
-    every path, would name a class.
-    """
-
+class _SourceRootFields(NamedTuple):
     roots: tuple[str, ...]
     extensions: tuple[str, ...] = (".java",)
 
-    def __post_init__(self) -> None:
-        if not self.roots:
+
+class SourceRootConfig(_SourceRootFields):
+    """How file paths map to class identities.
+
+    ``roots`` are path prefixes stripped before conversion (longest match
+    wins), each kept without a trailing ``/``; ``extensions`` lists the
+    suffixes recognized as class files. The constructor, ``_make`` and
+    ``_replace`` raise ``ValueError`` on no roots, no extensions or an empty
+    one: no path, or every path, would name a class.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, roots: tuple[str, ...], extensions: tuple[str, ...] = (".java",)) -> SourceRootConfig:
+        if not roots:
             raise ValueError("at least one source root is required")
-        if not self.extensions:
+        if not extensions:
             raise ValueError("an empty extension list would make no file a class file")
-        if "" in self.extensions:
+        if "" in extensions:
             raise ValueError("an empty extension would make every file a class file")
-        object.__setattr__(self, "roots", tuple(r.rstrip("/") for r in self.roots))
-        object.__setattr__(self, "extensions", tuple(self.extensions))
+        return tuple.__new__(cls, (tuple(r.rstrip("/") for r in roots), tuple(extensions)))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SourceRootConfig:
+        return cls(*iterable)  # the inherited _make, which _replace calls, skips __new__
 
 
 _REQUIRED_JSONL_VALUES = itemgetter("path", "ts", "add", "del", "commit")

@@ -27,9 +27,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import stats
 from .change_history import (
@@ -63,7 +62,7 @@ from .evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from .minimizer import Budget, check_result_invariants, config_fingerprint, format_horizon
+from .minimizer import check_budget, check_result_invariants, config_fingerprint, format_horizon
 from .risk_aggregation import OPERATORS, OP_GMEAN
 from .temporal_risk import METRICS, METRIC_EXTENT, alpha_from_half_life, risk_folder
 from .workers import run_in_order
@@ -86,8 +85,7 @@ OUTCOME_COLUMNS = ("version_id", "accuracy", "detected", "wall_time_s")
 # Manifest and input loading
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     project_id: str
     change_log_path: Path
     change_log_format: str
@@ -236,8 +234,7 @@ def _check_entry_selector(selector: object) -> None:
         raise ParseError("manifest key 'entry_selector' needs an 'explicit' or a 'pattern' key")
 
 
-@dataclass
-class ProjectInputs:
+class ProjectInputs(NamedTuple):
     histories: dict
     entries: frozenset[MethodRef]
     dep_map: dict[str, list[str]]
@@ -445,21 +442,20 @@ def cmd_score(args: argparse.Namespace) -> None:
 def cmd_minimize(args: argparse.Namespace) -> None:
     manifest = load_manifest(Path(args.manifest))
     inputs = load_project_inputs(manifest)
-    budget = Budget(args.budget)
     result = minimize_suite(
         inputs.histories,
         inputs.dep_map,
         metric=args.metric,
         half_life_days=args.horizon,
         operator=args.aggregate,
-        budget=budget,
+        budget=args.budget,
         as_of=args.as_of,
     )
-    check_result_invariants(result, budget)
+    check_result_invariants(result, args.budget)
     out_dir = args.output or "."
     _write_text(out_dir, {
         "selected.txt": "".join(test_id + "\n" for test_id in result.selected),
-        "result.json": _json_text(result.to_json_dict()),
+        "result.json": _json_text(result._asdict()),
     })
 
 
@@ -747,10 +743,12 @@ def _whole_number_arg(low: int, high: float = math.inf) -> Callable[[str], int]:
 
 
 def _budget_arg(value: str) -> float:
-    """The fraction ``value`` spells, if ``Budget`` takes it."""
+    """The fraction ``value`` spells, if ``check_budget`` takes it."""
     try:
-        return Budget(float(value)).fraction
-    except ValueError:  # not a number, or a fraction that ``Budget`` rejects
+        fraction = float(value)
+        check_budget(fraction)
+        return fraction
+    except ValueError:  # not a number, or a fraction that ``check_budget`` rejects
         raise argparse.ArgumentTypeError(f"budget must be a fraction in (0, 1], got {value[:40]!r}")
 
 

@@ -18,22 +18,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-import statistics
 import time
 from array import array
-from dataclasses import dataclass
+from math import fsum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .change_history import ClassHistory
 from .errors import LabelError
-from .minimizer import Budget, MinimizationResult, budget_count, config_fingerprint, cut_ranking, rank
+from .minimizer import MinimizationResult, budget_count, check_budget, config_fingerprint, cut_ranking, rank
 from .risk_aggregation import OPERATORS, check_operator, positive_multisets, score_multisets
 from .temporal_risk import METRICS, risk_folder
 from .workers import run_shares
 
 
-@dataclass(frozen=True)
-class VersionLabel:
+class VersionLabel(NamedTuple):
     version_id: str
     as_of: int
     fault_revealing_tests: frozenset[str]
@@ -61,14 +59,14 @@ def minimize_suite(
     metric: str,
     half_life_days: float | None,
     operator: str,
-    budget: Budget,
+    budget: float,
     as_of: int,
 ) -> MinimizationResult:
     """The tests of ``dep_map`` (from ``build_dependency_map``) scored at ``as_of`` by the
     1x1x1x1 grid's one scoring pass, and that ranking cut at the budget."""
-    grid = SweepGrid((metric,), (half_life_days,), (operator,), (budget.fraction,))
+    grid = SweepGrid((metric,), (half_life_days,), (operator,), (budget,))
     ((_, _, scores, ranked, _),) = _scoring_passes(_prepare(histories, dep_map, grid), (as_of,), grid, range(1))
-    fingerprint = config_fingerprint(metric, half_life_days, operator, budget.fraction, as_of)
+    fingerprint = config_fingerprint(metric, half_life_days, operator, budget, as_of)
     return cut_ranking(ranked, scores, budget, fingerprint)
 
 
@@ -76,8 +74,7 @@ CANONICAL_HORIZONS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 CANONICAL_BUDGETS = (0.25, 0.50, 0.75)
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(NamedTuple):
     """Configuration grid: metrics x horizons x operators, per budget.
 
     ``None`` in ``horizons`` stands for static mode.
@@ -107,16 +104,20 @@ class SweepRow(NamedTuple):
 
 
 def describe(values: Sequence[float]) -> tuple[float, float, float, float, float, float]:
-    """(min, Q1, mean, median, Q3, max); quartiles use inclusive interpolation."""
+    """(min, Q1, mean, median, Q3, max), bit for bit as ``statistics.fmean``, ``median`` and
+    ``quantiles(..., n=4, method="inclusive")`` give them on Python 3.10-3.13."""
     if not values:
         raise ValueError("describe() requires at least one value")
     ordered = sorted(values)
-    med = statistics.median(ordered)
-    if len(ordered) == 1:
-        q1 = q3 = med
-    else:
-        q1, _, q3 = statistics.quantiles(ordered, n=4, method="inclusive")
-    return (ordered[0], q1, statistics.fmean(ordered), med, q3, ordered[-1])
+    n = len(ordered)
+    middle = n // 2
+    med = ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+    q1 = q3 = med
+    if n > 1:
+        (j1, d1), (j3, d3) = divmod(n - 1, 4), divmod(3 * (n - 1), 4)
+        q1 = (ordered[j1] * (4 - d1) + ordered[j1 + 1] * d1) / 4
+        q3 = (ordered[j3] * (4 - d3) + ordered[j3 + 1] * d3) / 4
+    return (ordered[0], q1, fsum(ordered) / n, med, q3, ordered[-1])
 
 
 GridKey = tuple[str, float | None, str, float]  # metric, horizon, operator, budget
@@ -162,11 +163,12 @@ def evaluate_grid(
     """
     for operator in grid.operators:
         check_operator(operator)
-    budgets = [Budget(fraction) for fraction in grid.budgets]
+    for budget in grid.budgets:
+        check_budget(budget)
     t0 = time.perf_counter()
     prepared = _prepare(histories, dep_map, grid)
     prepare_seconds = (time.perf_counter() - t0) / max(len(labels) * len(grid.horizons) * len(grid.metrics), 1)
-    work = functools.partial(_score_share, prepared, labels, grid, budgets)
+    work = functools.partial(_score_share, prepared, labels, grid)
     keys = itertools.product(grid.metrics, grid.horizons, grid.operators, grid.budgets)
     zeros = array("d", [0.0]) * len(labels)
     cells: list[GridCell] = [(key, array("d", zeros), array("d", zeros)) for key in keys]
@@ -181,7 +183,6 @@ def _score_share(
     prepared: tuple,
     labels: Sequence[VersionLabel],
     grid: SweepGrid,
-    budgets: Sequence[Budget],
     units: range,
 ) -> list[tuple[int, int, float, float]]:
     """(cell index, label index, accuracy, seconds) of every cell of every scoring pass of ``units``.
@@ -193,7 +194,7 @@ def _score_share(
     records = []
     as_ofs = [label.as_of for label in labels]
     for first_cell, v, _, ranked, pass_seconds in _scoring_passes(prepared, as_ofs, grid, units):
-        for c, budget in enumerate(budgets, first_cell):
+        for c, budget in enumerate(grid.budgets, first_cell):
             t0 = time.perf_counter()
             selected = ranked[: budget_count(len(ranked), budget)]
             seconds = pass_seconds + (time.perf_counter() - t0)
@@ -280,6 +281,6 @@ def sweep_rows(cells: Iterable[GridCell]) -> list[SweepRow]:
         if not accuracies:
             continue
         lo, q1, mean, med, q3, hi = describe(accuracies)
-        mean_time = statistics.fmean(seconds)
+        mean_time = fsum(seconds) / len(seconds)
         rows.append(SweepRow(metric, horizon, operator, fraction, mean, fdr(accuracies), lo, q1, med, q3, hi, mean_time))
     return rows

@@ -3,30 +3,25 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Fraction of the suite retained, in (0, 1]."""
-
-    fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"budget fraction must be in (0, 1], got {self.fraction}")
+def check_budget(fraction: float) -> None:
+    """Reject a budget, the fraction of the suite retained, outside (0, 1] with ``ValueError``."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"budget fraction must be in (0, 1], got {fraction}")
 
 
-def budget_count(n_tests: int, budget: Budget) -> int:
-    """Number of tests retained: round-half-up(n * fraction).
+def budget_count(n_tests: int, budget: float) -> int:
+    """Number of tests retained: round-half-up(n * budget), once ``check_budget`` takes the budget.
 
     Clamped so a non-empty suite always keeps at least one test and never
     more than it has.
     """
+    check_budget(budget)
     if n_tests < 0:
         raise ValueError(f"test count must be non-negative, got {n_tests}")
-    count = math.floor(n_tests * budget.fraction + 0.5)
+    count = math.floor(n_tests * budget + 0.5)
     return max(min(1, n_tests), min(n_tests, count))
 
 
@@ -48,8 +43,7 @@ def config_fingerprint(
     )
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     """Deterministic split of a suite into selected and excluded tests.
 
     Both lists are ordered by (score descending, test id ascending); the
@@ -58,16 +52,8 @@ class MinimizationResult:
 
     selected: tuple[str, ...]
     excluded: tuple[str, ...]
-    scores: dict[str, float] = field(compare=False)
+    scores: dict[str, float]
     config_fingerprint: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "excluded": list(self.excluded),
-            "scores": dict(self.scores),
-            "config_fingerprint": self.config_fingerprint,
-        }
 
 
 def rank(scores: Mapping[str, float]) -> list[str]:
@@ -83,7 +69,7 @@ def rank(scores: Mapping[str, float]) -> list[str]:
 def cut_ranking(
     ranked: Sequence[str],
     scores: Mapping[str, float],
-    budget: Budget,
+    budget: float,
     fingerprint: str,
 ) -> MinimizationResult:
     """Split tests in ``rank`` order at the budget, keeping each test's score."""
@@ -96,7 +82,7 @@ def cut_ranking(
     )
 
 
-def check_result_invariants(result: MinimizationResult, budget: Budget) -> None:
+def check_result_invariants(result: MinimizationResult, budget: float) -> None:
     """Assert the selection contract; the CLI checks every ``minimize`` result."""
     n_tests = len(result.selected) + len(result.excluded)
     if len(result.selected) != budget_count(n_tests, budget):

@@ -18,7 +18,7 @@ from riskmin import cli
 from riskmin.change_history import ChangeEvent
 from riskmin.dependency_graph import CallGraph, MethodRef, build_dependency_map
 from riskmin.evaluation import VersionLabel, accuracy, fdr, minimize_suite
-from riskmin.minimizer import Budget, budget_count, cut_ranking, rank
+from riskmin.minimizer import budget_count, cut_ranking, rank
 from riskmin.risk_aggregation import OPERATORS, positive_multisets, score_multisets
 from riskmin.stats import cliffs_delta, fisher_exact_2x2, wilcoxon_signed_rank
 from riskmin.temporal_risk import risk_folder
@@ -140,7 +140,7 @@ def test_static_limit_selects_identical_suites():
                         result = minimize_suite(
                             histories, build_dependency_map(graph, entries, test_filter),
                             metric=metric, half_life_days=horizon, operator=op,
-                            budget=Budget(fraction), as_of=project.as_of,
+                            budget=fraction, as_of=project.as_of,
                         )
                         picked[horizon] = "\n".join(result.selected).encode()
                     assert picked[None] == picked[1e9]
@@ -163,7 +163,7 @@ def test_pipeline_matches_brute_force_oracle():
         result = minimize_suite(
             histories, build_dependency_map(graph, entries, test_filter),
             metric=metric, half_life_days=horizon, operator=op,
-            budget=Budget(fraction), as_of=project.as_of,
+            budget=fraction, as_of=project.as_of,
         )
         oracle_selected, oracle_excluded = pipeline_selected(project, metric, horizon, op, fraction)
         assert set(result.selected) == set(oracle_selected)
@@ -207,7 +207,7 @@ def test_selection_invariant_under_risk_rescaling():
                     scaled = {cid: c * risk for cid, risk in table.items()}
                     test_scores = score_multisets(positive_multisets(dep_map.values(), scaled), op)
                     scores = dict(zip(dep_map, test_scores))
-                    selected = cut_ranking(rank(scores), scores, Budget(fraction), "").selected
+                    selected = cut_ranking(rank(scores), scores, fraction, "").selected
                     if baseline is None:
                         baseline = selected
                     else:
@@ -296,7 +296,7 @@ def test_budget_laws():
         fraction = rng.choice([0.25, 0.5, 0.75, 0.1, 0.33, 1.0])
         expected = math.floor(n * fraction + 0.5)
         expected = max(min(1, n), min(n, expected))
-        assert budget_count(n, Budget(fraction)) == expected
+        assert budget_count(n, fraction) == expected
 
     for seed in (8101, 8102, 8103, 8104, 8105, 8106):
         project = random_micro_project(seed)
@@ -306,10 +306,10 @@ def test_budget_laws():
             result = minimize_suite(
                 histories, build_dependency_map(graph, entries, test_filter),
                 metric="extent", half_life_days=32.0, operator="gmean",
-                budget=Budget(fraction), as_of=project.as_of,
+                budget=fraction, as_of=project.as_of,
             )
             n = len(result.selected) + len(result.excluded)
-            assert len(result.selected) == budget_count(n, Budget(fraction))
+            assert len(result.selected) == budget_count(n, fraction)
             selected[fraction] = set(result.selected)
         assert selected[0.25] <= selected[0.5] <= selected[0.75]
 
@@ -381,7 +381,7 @@ def test_reference_project_reproduction():
         result = minimize_suite(
             inputs.histories, inputs.dep_map,
             metric="extent", half_life_days=32.0, operator="gmean",
-            budget=Budget(0.5), as_of=label.as_of,
+            budget=0.5, as_of=label.as_of,
         )
         accuracies.append(accuracy(set(result.selected), label))
     mean_accuracy = sum(accuracies) / len(accuracies)

@@ -422,6 +422,17 @@ class TestPathToClass:
         with pytest.raises(ValueError):
             SourceRootConfig(roots=())
 
+    def test_make_and_replace_check_and_strip_as_the_constructor_does(self):
+        cfg = SourceRootConfig(roots=("src",))
+        with pytest.raises(ValueError, match="at least one source root"):
+            cfg._replace(roots=())
+        with pytest.raises(ValueError, match="empty extension"):
+            cfg._replace(extensions=(".java", ""))
+        with pytest.raises(ValueError, match="at least one source root"):
+            SourceRootConfig._make([(), (".java",)])
+        assert cfg._replace(roots=("src/",)).roots == ("src",)
+        assert SourceRootConfig._make([["src/"], [".java"]]) == cfg
+
     @pytest.mark.parametrize("extensions", [("",), (".java", ""), ()])
     def test_empty_extension_is_rejected(self, extensions):
         with pytest.raises(ValueError, match="empty extension"):

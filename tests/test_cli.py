@@ -347,12 +347,15 @@ def _assert_jobs_2_forks_and_reaps(tmp_path, monkeypatch, command):
     pytest.param("minimize", ["--as-of", str(REF)], id="minimize"),
 ])
 def test_a_sweep_loads_no_process_pool(tmp_path, command, options):
-    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded; and temporary names come
-    from ``os.urandom``, so neither is ``secrets``, ``hmac`` or ``hashlib``. A sweep runs with either ``--jobs``;
-    ``minimize`` is the per-commit command. A name the interpreter loads at start-up is not counted."""
+    """``--jobs`` forks by hand: neither ``multiprocessing`` nor ``pickle`` is loaded; temporary names come
+    from ``os.urandom``, so neither is ``secrets``, ``hmac`` or ``hashlib``; and the records are named tuples
+    and the summaries' formulas are written out, so neither is ``dataclasses`` (with ``inspect``) nor
+    ``statistics`` (with ``decimal`` and ``fractions``). A sweep runs with either ``--jobs``; ``minimize`` is
+    the per-commit command. A name the interpreter loads at start-up is not counted."""
     script = (
         "import os, sys\n"
-        "names = ('multiprocessing', 'pickle', 'secrets', 'hmac', 'hashlib')\n"
+        "names = ('multiprocessing', 'pickle', 'secrets', 'hmac', 'hashlib',\n"
+        "         'dataclasses', 'inspect', 'statistics', 'decimal', 'fractions')\n"
         "at_start = {m for m in names if m in sys.modules}\n"
         "from riskmin import cli\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -2055,8 +2058,9 @@ class TestOneInputAtATime:
         def checking_the_last_project_is_gone(manifest):
             freed.append([ref() is None for ref in loaded])
             inputs = load(manifest)
-            # ProjectInputs, and one of its class histories, standing for what it holds.
-            loaded.extend((weakref.ref(inputs), weakref.ref(inputs.histories["app.A"])))
+            # Its entry points and a column of one of its class histories, standing for what it holds:
+            # no other object refers to them, and a named tuple takes no weak reference itself.
+            loaded.extend((weakref.ref(inputs.entries), weakref.ref(inputs.histories["app.A"].timestamps)))
             return inputs
 
         monkeypatch.setattr(cli, "load_project_inputs", checking_the_last_project_is_gone)

@@ -7,6 +7,8 @@ import math
 import os
 import random
 import signal
+import statistics
+import struct
 import threading
 import time
 import types
@@ -34,7 +36,7 @@ from riskmin.evaluation import (
     minimize_suite,
     sweep_rows,
 )
-from riskmin.minimizer import Budget, config_fingerprint
+from riskmin.minimizer import config_fingerprint
 from riskmin.workers import _forkable_cpus, _shares, _usable_cpus, run_in_order, run_shares
 
 from microproject import AS_OF, random_micro_project
@@ -161,7 +163,7 @@ class TestRunVersion:
     def test_static_and_huge_half_life_select_identically(self):
         histories, graph, entries = _micro_fixture()
         dep_map = build_dependency_map(graph, entries)
-        kwargs = dict(operator="avg", budget=Budget(0.5), as_of=REF)
+        kwargs = dict(operator="avg", budget=0.5, as_of=REF)
         static = minimize_suite(histories, dep_map,
                                 metric="extent", half_life_days=None, **kwargs)
         limit = minimize_suite(histories, dep_map,
@@ -194,7 +196,7 @@ class TestRunVersion:
         dep_map = {"t.T#a": [], "t.T#b": ["p.C"]}
         for operator in ("hmean", "avg"):
             result = minimize_suite(histories, dep_map, metric="frequency", half_life_days=1.0,
-                                    operator=operator, budget=Budget(0.5), as_of=REF)
+                                    operator=operator, budget=0.5, as_of=REF)
             assert result.selected == ("t.T#b",)
             assert result.scores["t.T#b"] == 2.0**-1050
 
@@ -220,6 +222,33 @@ class TestDescribe:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             describe([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(elements, min_size=1, max_size=60)
+            for elements in (
+                st.floats(0.0, 1.0),  # accuracies
+                st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]),  # accuracies with ties
+                st.floats(-1e300, 1e300, allow_nan=False),
+            )
+        )
+    )
+    def test_figures_are_bit_for_bit_those_of_statistics(self, values):
+        """The summaries of ``summary.json`` and ``sweep.csv``, pinned to the ``statistics`` functions they
+        were first computed with; ``struct`` tells -0.0 from 0.0."""
+        ordered = sorted(values)
+        median = statistics.median(ordered)
+        q1, _, q3 = statistics.quantiles(ordered, n=4, method="inclusive") if len(values) > 1 else (median,) * 3
+        lo, mean, hi = ordered[0], statistics.fmean(ordered), ordered[-1]
+        assert _bits(describe(values)) == _bits((lo, q1, mean, median, q3, hi))
+        (row,) = sweep_rows([(("extent", 32.0, "avg", 0.5), array("d", values), array("d", values))])
+        figures = (row.mean_accuracy, row.min_acc, row.q1_acc, row.median_acc, row.q3_acc, row.max_acc, row.mean_time_s)
+        assert _bits(figures) == _bits((mean, lo, q1, median, q3, hi, statistics.fmean(values)))
+
+
+def _bits(values):
+    return [struct.pack("d", value) for value in values]
 
 
 def _project_version(seed, version_id):
@@ -250,7 +279,7 @@ class TestRunSweep:
             result = minimize_suite(
                 histories, build_dependency_map(graph, entries, test_filter),
                 metric="extent", half_life_days=32.0, operator="gmean",
-                budget=Budget(0.5), as_of=label.as_of,
+                budget=0.5, as_of=label.as_of,
             )
             expected.append(accuracy(set(result.selected), label))
         (row,) = sweep_rows([(key, pooled_accuracies, pooled_seconds)])
@@ -272,7 +301,7 @@ class TestRunSweep:
             for version, acc in zip((label, earlier), accuracies):
                 result = minimize_suite(
                     histories, dep_map, metric=metric, half_life_days=horizon,
-                    operator=operator, budget=Budget(fraction), as_of=version.as_of,
+                    operator=operator, budget=fraction, as_of=version.as_of,
                 )
                 assert acc == accuracy(set(result.selected), version)
                 assert config_fingerprint(metric, horizon, operator, fraction, version.as_of) == (
@@ -413,7 +442,7 @@ class TestSharedScoringPath:
                 assert accuracies[v] == accuracy(set(chosen), label)
                 result = minimize_suite(
                     histories, dep_map, metric=metric, half_life_days=horizon, operator=operator,
-                    budget=Budget(fraction), as_of=label.as_of,
+                    budget=fraction, as_of=label.as_of,
                 )
                 assert (list(result.selected), list(result.excluded)) == (chosen, dropped)
                 assert list(result.scores.items()) == [(test_id, expected[test_id]) for test_id in whole]
